@@ -31,6 +31,9 @@ class CoverageMismatch(Exception):
     pass
 
 
+_TEXT_OR_NULL = (str, type(None))
+
+
 @dataclass(frozen=True)
 class Cause:
     pattern_code: str
@@ -43,6 +46,10 @@ class Cause:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Cause":
+        """Decode a cause; ValueError says which field is malformed."""
+        if type(d) is not dict or not (type(d.get("pattern_code")) is str
+                                       and type(d.get("application_id")) is str):
+            raise ValueError("'cause' must hold a string 'pattern_code' and 'application_id'")
         return cls(d["pattern_code"], d["application_id"], d.get("origin", ""))
 
 
@@ -71,15 +78,22 @@ class Move:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Move":
-        return cls(
-            kind=d["kind"],
-            activity=d.get("activity"),
-            objects=tuple(d.get("objects", [])),
-            event_id=d.get("event_id"),
-            transition=d.get("transition"),
-            cause=Cause.from_dict(d["cause"]) if d.get("cause") else None,
-            discrepancy=d.get("discrepancy"),
-        )
+        """Decode a move; ValueError says which field is malformed."""
+        get = d.get
+        kind, activity, objects = get("kind"), get("activity"), get("objects", [])
+        event_id, transition, cause = get("event_id"), get("transition"), get("cause")
+        if type(kind) is not str:
+            raise ValueError("'kind' must be a string")
+        if type(objects) is not list or not all(map(str.__instancecheck__, objects)):
+            raise ValueError("'objects' must be a list of strings")
+        if not isinstance(activity, _TEXT_OR_NULL):
+            raise ValueError("'activity' must be a string or null")
+        if not isinstance(event_id, _TEXT_OR_NULL):
+            raise ValueError("'event_id' must be a string or null")
+        if not isinstance(transition, _TEXT_OR_NULL):
+            raise ValueError("'transition' must be a string or null")
+        return cls(kind, activity, tuple(objects), event_id, transition,
+                   Cause.from_dict(cause) if cause else None, get("discrepancy"))
 
 
 @dataclass
@@ -257,18 +271,51 @@ def deviation_report(trace: GroundTruthTrace) -> DeviationReport:
 
 
 def _levenshtein(a: list, b: list) -> int:
-    if not a:
-        return len(b)
+    """Unit-cost edit distance between two sequences of hashable symbols.
+
+    The common prefix and suffix are trimmed first, so identical sequences
+    cost O(n).  The rest runs Myers' bit-parallel algorithm (JACM 46(3),
+    1999) in Hyyro's Levenshtein form (2001): the longer sequence is held in
+    one Python int per bit vector and the loop runs over the shorter one, so
+    the cost is O(n * ceil(m / w)) for lengths n <= m and word size w.
+    """
+    lo, hi_a, hi_b = 0, len(a), len(b)
+    while lo < hi_a and lo < hi_b and a[lo] == b[lo]:
+        lo += 1
+    while hi_a > lo and hi_b > lo and a[hi_a - 1] == b[hi_b - 1]:
+        hi_a -= 1
+        hi_b -= 1
+    a, b = a[lo:hi_a], b[lo:hi_b]
+    if len(a) < len(b):
+        a, b = b, a
     if not b:
         return len(a)
-    prev = list(range(len(b) + 1))
-    for i, xa in enumerate(a, start=1):
-        cur = [i] + [0] * len(b)
-        for j, xb in enumerate(b, start=1):
-            cost = 0 if xa == xb else 1
-            cur[j] = min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + cost)
-        prev = cur
-    return prev[len(b)]
+    peq: dict = {}
+    bit = 1
+    for x in a:
+        peq[x] = peq.get(x, 0) | bit
+        bit <<= 1
+    mask = bit - 1
+    high = bit >> 1
+    # with D the DP matrix over a (rows) and b (columns): bit i of pv/mv is
+    # set where D[i+1][j] - D[i][j] is +1/-1, bit i of ph/mh where
+    # D[i+1][j] - D[i+1][j-1] is; score is D[len(a)][j]
+    pv, mv, score = mask, 0, len(a)
+    for x in b:
+        eq = peq.get(x, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | (~(xh | pv) & mask)
+        mh = pv & xh
+        if ph & high:
+            score += 1
+        elif mh & high:
+            score -= 1
+        ph = (ph << 1) | 1
+        mh <<= 1
+        pv = (mh | ~(xv | ph)) & mask
+        mv = ph & xv
+    return score
 
 
 def _move_key(m: Move):
@@ -283,10 +330,15 @@ def move_distance(candidate: GtAlignment, gt: GtAlignment) -> float:
     objects = sorted(set(candidate.per_object) | set(gt.per_object))
     if not objects:
         return 0.0
+    symbols: dict = {}  # move key -> small int, shared across objects
+
+    def interned(moves) -> list[int]:
+        return [symbols.setdefault(_move_key(m), len(symbols)) for m in moves]
+
     total = 0.0
     for obj in objects:
-        seq_c = [_move_key(m) for m in candidate.per_object.get(obj, ())]
-        seq_g = [_move_key(m) for m in gt.per_object.get(obj, ())]
+        seq_c = interned(candidate.per_object.get(obj, ()))
+        seq_g = interned(gt.per_object.get(obj, ()))
         denom = max(len(seq_c), len(seq_g))
         if denom == 0:
             continue
@@ -317,8 +369,15 @@ def read_alignment(path: str) -> GtAlignment:
                 d = json.loads(line)
             except json.JSONDecodeError as e:
                 raise ParseError(e.msg, path, lineno) from None
-            grouped.setdefault(d["object"], []).append(
-                (d.get("seq", lineno), Move.from_dict(d)))
+            if not (type(d) is dict and type(d.get("object")) is str
+                    and type(d.get("seq", lineno)) is int):
+                raise ParseError("alignment line needs a string 'object' and an integer 'seq'",
+                                 path, lineno)
+            try:
+                move = Move.from_dict(d)
+            except ValueError as e:
+                raise ParseError(f"malformed alignment move: {e}", path, lineno) from None
+            grouped.setdefault(d["object"], []).append((d.get("seq", lineno), move))
     per_object = {obj: tuple(m for _, m in sorted(pairs, key=lambda p: p[0]))
                   for obj, pairs in grouped.items()}
     system = tuple(m for moves in per_object.values() for m in moves)

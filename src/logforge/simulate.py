@@ -14,6 +14,7 @@ pairs yield bit-identical traces.
 from __future__ import annotations
 
 import heapq
+import math
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
@@ -153,6 +154,10 @@ class WeightSpec:
             pieces = sorted((float(f), float(w)) for f, w in pieces)
             if any(w < 0 for _, w in pieces):
                 raise ConfigInvalid("negative transition weight")
+            if not all(math.isfinite(w) for _, w in pieces):
+                raise ConfigInvalid("transition weight must be finite")
+            if any(math.isnan(f) for f, _ in pieces):
+                raise ConfigInvalid("weight breakpoint is NaN")
             return pieces
 
         self.defaults = {t: norm(p) for t, p in (defaults or {}).items()}

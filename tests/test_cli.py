@@ -139,3 +139,31 @@ def test_oracle_align_report_score(tmp_path, capsys):
 
     code, out, _ = run_cli(capsys, "oracle", "score", "--candidate", align, "--gt", align)
     assert code == 0 and float(out.strip()) == 0.0
+
+
+GOOD_MOVE = '{"object":"o_1","seq":0,"kind":"synchronous","activity":"a","objects":["o_1"]}'
+
+
+@pytest.mark.parametrize("bad_line", [
+    '{"seq":1,"kind":"log","activity":"a","objects":["o_1"]}',  # no object
+    '{"object":"o_1","seq":1,"activity":"a","objects":["o_1"]}',  # no kind
+    '[1,2]',
+    '"o_1"',
+    '{"object":"o_1","seq":"1","kind":"log"}',
+    '{"object":"o_1","seq":1,"kind":"log","objects":[["o_1"]]}',
+    '{"object":"o_1","seq":1,"kind":"log","activity":["a"]}',
+    '{"object":"o_1","seq":1,"kind":"log","cause":"BI_3"}',
+    '{"object":"o_1","seq":1,"kind":"log","cause":{"pattern_code":"BI_3"}}',
+], ids=["no-object", "no-kind", "array", "string", "text-seq", "nested-objects",
+        "list-activity", "text-cause", "incomplete-cause"])
+def test_oracle_score_malformed_alignment_exits_two(tmp_path, capsys, bad_line):
+    good = tmp_path / "gt.jsonl"
+    good.write_text(GOOD_MOVE + "\n")
+    bad = tmp_path / "cand.jsonl"
+    bad.write_text(GOOD_MOVE + "\n" + bad_line + "\n")
+    code, out, err = run_cli(capsys, "oracle", "score", "--candidate", str(bad),
+                             "--gt", str(good))
+    assert code == 2 and not out
+    [diag] = stderr_diagnostics(err)
+    assert diag["code"] == "ParseError"
+    assert diag["message"].endswith(f"{bad}:2")

@@ -1,13 +1,33 @@
+import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logforge import fixtures
 from logforge.logio import project_observed
 from logforge.oracle import (CoverageMismatch, GtAlignment, LogTraceMismatch,
-                             Move, deviation_report, gt_alignment,
+                             Move, _levenshtein, deviation_report, gt_alignment,
                              move_distance, read_alignment, write_alignment)
 from logforge.simulate import run
+from logforge.transform import apply_sequence
+
+
+def dp_levenshtein(a: list, b: list) -> int:
+    """Reference edit distance: the textbook O(n*m) dynamic programme."""
+    if not a:
+        return len(b)
+    if not b:
+        return len(a)
+    prev = list(range(len(b) + 1))
+    for i, xa in enumerate(a, start=1):
+        cur = [i] + [0] * len(b)
+        for j, xb in enumerate(b, start=1):
+            cost = 0 if xa == xb else 1
+            cur[j] = min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + cost)
+        prev = cur
+    return prev[len(b)]
 
 
 @pytest.fixture(scope="module")
@@ -236,3 +256,64 @@ def test_deviation_report_types_across_all_cells(package_cells):
             responsible = sorted({trace.object_types[o] for o in entry["responsible"]})
             affected = sorted({trace.object_types[o] for o in entry["affected"]})
             assert (responsible, affected) == tuple(map(list, REPORT_TYPES[app])), app
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda k: st.tuples(
+    st.lists(st.integers(0, k - 1), max_size=150),
+    st.lists(st.integers(0, k - 1), max_size=150))))
+def test_bit_parallel_distance_matches_dp(pair):
+    a, b = pair
+    assert _levenshtein(a, b) == dp_levenshtein(a, b)
+    assert _levenshtein(b, a) == dp_levenshtein(a, b)
+
+
+def test_bit_parallel_distance_across_word_boundaries():
+    # `a` starts and ends with a symbol `b` never holds: nothing is trimmed,
+    # so the bit vectors are exactly as wide as the longer sequence
+    rng = random.Random(7)
+    lengths = (0, 1, 63, 64, 65, 1300)
+    for n in lengths:
+        a = [rng.randrange(3) for _ in range(n)]
+        if a:
+            a[0] = a[-1] = 0
+        for m in lengths:
+            b = [rng.randrange(1, 4) for _ in range(m)]
+            if n * m <= 1300 * 65:
+                assert _levenshtein(a, b) == dp_levenshtein(a, b), (n, m)
+                assert _levenshtein(b, a) == dp_levenshtein(a, b), (m, n)
+    # one full-width pair: the 1300-symbol `a` against a perturbed copy
+    b = list(a)
+    for i in range(0, 1300, 50):
+        b[i] = 3
+    del b[777:790]
+    b[1000:1000] = [3, 3, 3]
+    assert _levenshtein(a, b) == dp_levenshtein(a, b)
+
+
+@pytest.fixture(scope="module")
+def energy_gt():
+    """The ground-truth alignment of one 500-contract energy cell."""
+    net, grid = fixtures.energy_contract_fixture(500)
+    ms, _ = apply_sequence(net, grid.behavioral_sets[0])
+    ml, _ = apply_sequence(ms, grid.recording_sets[0])
+    trace = run(ml, replace(grid.sim_configs[0], run_id="energy-500"))
+    return gt_alignment(net, trace, project_observed(trace))
+
+
+def test_move_distance_on_a_large_energy_cell(energy_gt):
+    gt = energy_gt
+    assert move_distance(gt, gt) == 0.0
+    agent = max(gt.per_object, key=lambda o: len(gt.per_object[o]))
+    moves = list(gt.per_object[agent])
+    assert len(moves) > 500
+    i = len(moves) // 2
+    # a kind swap keeps the covered events and changes the move key
+    swap = {"synchronous": "log", "log": "synchronous",
+            "model": "silent_model", "silent_model": "model"}
+    moves[i] = replace(moves[i], kind=swap[moves[i].kind])
+    edited = GtAlignment(system=gt.system,
+                         per_object={**gt.per_object, agent: tuple(moves)})
+    expected = (1 / len(moves)) / len(gt.per_object)
+    assert move_distance(edited, gt) == expected
+    assert move_distance(gt, edited) == expected

@@ -94,6 +94,21 @@ def test_all_weights_zero_raises():
         sample_firing(enabled_of(net), ws, 0.0, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_weight_rejected(bad):
+    # a NaN or inf share would make sample_firing pick the last enabled firing
+    with pytest.raises(ConfigInvalid):
+        WeightSpec(schedule={"a": [(0.0, 1.0)], "b": [(0.0, bad)]})
+    with pytest.raises(ConfigInvalid):
+        WeightSpec(defaults={"a": [(0.0, bad)]})
+
+
+def test_nan_weight_breakpoint_rejected():
+    # NaN breaks the sort, so the weight in force would depend on input order
+    with pytest.raises(ConfigInvalid):
+        WeightSpec(schedule={"a": [(0.0, 1.0), (math.nan, 5.0)]})
+
+
 def test_config_requires_a_stop_condition():
     net = fixtures.mini_chain()
     with pytest.raises(ConfigInvalid):
