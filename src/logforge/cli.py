@@ -36,23 +36,14 @@ def _cmd_validate(args) -> int:
 
 
 def _read_applications(path: str) -> list[PatternApplication]:
-    doc = logio.read_json(path) if _has_version(path) else _read_bare_json(path)
-    items = doc["applications"] if isinstance(doc, dict) else doc
-    return [PatternApplication.from_dict(a) for a in items]
-
-
-def _has_version(path: str) -> bool:
-    with open(path, encoding="utf-8") as fh:
-        head = fh.read(4096)
-    return "schema_version" in head
-
-
-def _read_bare_json(path: str):
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as e:
-            raise logio.ParseError(e.msg, path, e.lineno) from None
+    """A versioned {"applications": [...]} document, or a bare list."""
+    doc = logio.load_json(path)
+    if type(doc) is dict:
+        logio.check_version(doc, path)
+        doc = doc.get("applications")
+    if type(doc) is not list:
+        raise logio.ParseError("expected a list of pattern applications", path)
+    return [PatternApplication.from_dict(a) for a in doc]
 
 
 def _cmd_transform(args) -> int:

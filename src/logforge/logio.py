@@ -49,10 +49,58 @@ def atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _check_version(d: dict, path: str):
-    v = d.get("schema_version")
+def check_version(d, path: str):
+    v = d.get("schema_version") if type(d) is dict else None
     if v != SCHEMA_VERSION:
         raise SchemaVersionMismatch(f"{path}: schema_version {v!r}, expected {SCHEMA_VERSION!r}")
+
+
+def load_json(path: str):
+    """The one JSON document in `path`; a syntax error becomes a ParseError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as e:
+        raise ParseError(e.msg, path, e.lineno) from None
+
+
+def read_jsonl(path: str):
+    """Yield (line number, object) for each non-blank line of a JSONL file.
+
+    A line that is not valid JSON, or not a JSON object, raises ParseError.
+    """
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                d = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise ParseError(e.msg, path, lineno) from None
+            if type(d) is not dict:
+                raise ParseError("line is not a JSON object", path, lineno)
+            yield lineno, d
+
+
+def _read_headed_jsonl(path: str, kind: str, decode_header, decode_line):
+    """Decode a JSONL file whose first line is a header of the given kind.
+
+    A missing or mistyped field becomes a ParseError naming path:line.
+    """
+    lines = read_jsonl(path)
+    lineno, header = next(lines, (1, None))
+    if header is None or header.get("kind") != kind:
+        raise ParseError(f"missing {kind} header", path, 1)
+    check_version(header, path)
+    try:
+        head = decode_header(header)
+        body = []
+        for lineno, d in lines:
+            body.append(decode_line(d))
+    except (KeyError, TypeError, ValueError) as e:
+        raise ParseError(f"malformed {kind} line: {e!r}", path, lineno) from None
+    return head, tuple(body)
 
 
 # -- models -----------------------------------------------------------------
@@ -62,12 +110,8 @@ def write_model(net: Net, path: str) -> None:
 
 
 def read_model(path: str) -> Net:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            d = json.load(fh)
-    except json.JSONDecodeError as e:
-        raise ParseError(e.msg, path, e.lineno) from None
-    _check_version(d, path)
+    d = load_json(path)
+    check_version(d, path)
     try:
         return net_from_dict(d)
     except (KeyError, TypeError) as e:
@@ -93,11 +137,18 @@ def record_to_dict(r: FiringRecord) -> dict:
     }
 
 
+def _typed(d: dict, key: str, types):
+    value = d[key]
+    if not isinstance(value, types) or isinstance(value, bool):
+        raise TypeError(f"field {key!r} has type {type(value).__name__}")
+    return value
+
+
 def record_from_dict(d: dict) -> FiringRecord:
     return FiringRecord(
-        seq_no=d["seq_no"],
-        time=d["time"],
-        transition=d["transition"],
+        seq_no=_typed(d, "seq_no", int),
+        time=_typed(d, "time", (int, float)),
+        transition=_typed(d, "transition", str),
         activity=d.get("activity"),
         values=tuple((k, v) for k, v in d.get("values", [])),
         fresh=tuple((k, v) for k, v in d.get("fresh", [])),
@@ -134,41 +185,31 @@ def write_trace(trace: GroundTruthTrace, path: str) -> None:
     atomic_write(path, "\n".join(lines) + "\n")
 
 
+def _trace_header(h: dict) -> dict:
+    return dict(
+        run_id=_typed(h, "run_id", str),
+        seed=_typed(h, "seed", int),
+        epoch=_typed(h, "epoch", str),
+        model_digests=h.get("model_digests", {}),
+        config_digest=h.get("config_digest", ""),
+        object_types=h.get("object_types", {}),
+        pattern_stats=h.get("pattern_stats", {}),
+        report_rules=tuple(ReportRule.from_dict(r) for r in h.get("report_rules", [])),
+        termination=h.get("termination", ""),
+        final_time=h.get("final_time", 0.0),
+        injected=tuple((pid, tuple(tok)) for pid, tok in h.get("injected", [])),
+    )
+
+
 def read_trace(path: str, net: Net | None = None) -> GroundTruthTrace:
-    dicts = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                dicts.append(json.loads(line))
-            except json.JSONDecodeError as e:
-                raise ParseError(e.msg, path, lineno) from None
-    if not dicts or dicts[0].get("kind") != "ground_truth_trace":
-        raise ParseError("missing ground_truth_trace header", path, 1)
-    header = dicts[0]
-    _check_version(header, path)
-    records = tuple(record_from_dict(d) for d in dicts[1:])
+    header, records = _read_headed_jsonl(path, "ground_truth_trace",
+                                         _trace_header, record_from_dict)
     if net is not None:
         for i, r in enumerate(records):
             if r.transition not in net.transition_map:
                 raise ParseError(f"record references unknown transition {r.transition!r}",
                                  path, i + 2)
-    return GroundTruthTrace(
-        run_id=header["run_id"],
-        seed=header["seed"],
-        epoch=header["epoch"],
-        records=records,
-        model_digests=header.get("model_digests", {}),
-        config_digest=header.get("config_digest", ""),
-        object_types=header.get("object_types", {}),
-        pattern_stats=header.get("pattern_stats", {}),
-        report_rules=tuple(ReportRule.from_dict(r) for r in header.get("report_rules", [])),
-        termination=header.get("termination", ""),
-        final_time=header.get("final_time", 0.0),
-        injected=tuple((pid, tuple(tok)) for pid, tok in header.get("injected", [])),
-    )
+    return GroundTruthTrace(records=records, **header)
 
 
 # -- observed logs -------------------------------------------------------------
@@ -188,8 +229,9 @@ class ObservedEvent:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ObservedEvent":
-        return cls(d["event_id"], d["timestamp"], d["activity"],
-                   tuple(d.get("objects", [])), d.get("run_id", ""))
+        return cls(_typed(d, "event_id", str), _typed(d, "timestamp", str),
+                   _typed(d, "activity", str), tuple(d.get("objects", [])),
+                   d.get("run_id", ""))
 
 
 @dataclass(frozen=True)
@@ -239,24 +281,11 @@ def write_observed_jsonl(log: ObservedLog, path: str) -> None:
 
 
 def read_observed_jsonl(path: str) -> ObservedLog:
-    dicts = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                dicts.append(json.loads(line))
-            except json.JSONDecodeError as e:
-                raise ParseError(e.msg, path, lineno) from None
-    if not dicts or dicts[0].get("kind") != "observed_log":
-        raise ParseError("missing observed_log header", path, 1)
-    _check_version(dicts[0], path)
-    return ObservedLog(
-        events=tuple(ObservedEvent.from_dict(d) for d in dicts[1:]),
-        objects=dicts[0].get("objects", {}),
-        run_id=dicts[0].get("run_id", ""),
-    )
+    header, events = _read_headed_jsonl(
+        path, "observed_log",
+        lambda h: dict(objects=h.get("objects", {}), run_id=h.get("run_id", "")),
+        ObservedEvent.from_dict)
+    return ObservedLog(events=events, **header)
 
 
 CSV_FIELDS = ("event_id", "timestamp", "activity", "objects", "run_id")
@@ -301,10 +330,6 @@ def write_json(doc: dict, path: str) -> None:
 
 
 def read_json(path: str) -> dict:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            d = json.load(fh)
-    except json.JSONDecodeError as e:
-        raise ParseError(e.msg, path, e.lineno) from None
-    _check_version(d, path)
+    d = load_json(path)
+    check_version(d, path)
     return d

@@ -1,14 +1,26 @@
 """Typed Petri nets with identifiers (t-PNIDs).
 
 Places are typed by tuples of object types and hold multisets of identifier
-tuples.  Arcs carry variable inscriptions; a transition fires under a binding
-of its variables to identifiers, consuming and producing token tuples.
-Variables flagged fresh (nu-variables) bind to globally new identifiers at
-fire time.  Everything here is value-like: nets and markings are never
-mutated in place by the public operations.
+tuples; arcs carry variable inscriptions.  Nets and markings are value-like:
+the public operations never mutate them in place.
+
+The firing rule, compiled once per transition (`Net.rules`) and used by
+`fire`, `replay`, `bounded_language` and the simulator alike:
+
+- A binding maps the variables of the input arcs to identifiers.  Each input
+  arc consumes the token its variables spell, in inscription order, from its
+  source place; the binding enables the transition iff all of those tokens
+  are present at once.
+- The nu-variables are the names flagged fresh on some output arc and named
+  on no input arc: an input-bound name is never fresh.  Each binds to a new
+  identifier of its type, drawn in order of first appearance on the output
+  arcs (from an IdGenerator, from the recorded trace, or as ~1, ~2, ...).
+- Each output arc produces the token its variables spell under the completed
+  binding into its target place.  An unbound variable raises NotEnabled.
 """
 from __future__ import annotations
 
+import itertools
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -135,8 +147,12 @@ class Marking:
     def copy(self) -> "Marking":
         return Marking(self._tokens)
 
-    def places(self):
-        return self._tokens.keys()
+    def move(self, consumed, produced) -> None:
+        """Remove the consumed and add the produced (place, token) pairs."""
+        for pid, tok in consumed:
+            self.remove(pid, tok)
+        for pid, tok in produced:
+            self.add(pid, tok)
 
     def items(self):
         for pid, cnt in self._tokens.items():
@@ -200,9 +216,6 @@ class Binding:
         d.update(self.fresh)
         return d
 
-    def merged(self) -> tuple[tuple[str, str], ...]:
-        return tuple(sorted(self.as_dict().items()))
-
 
 @dataclass(frozen=True)
 class FireResult:
@@ -212,6 +225,42 @@ class FireResult:
     binding: Binding
     consumed: tuple[tuple[str, tuple[str, ...]], ...]
     produced: tuple[tuple[str, tuple[str, ...]], ...]
+
+
+@dataclass(frozen=True)
+class FiringRule:
+    """The firing rule of one transition, compiled from its arcs.
+
+    inputs/outputs hold (place, variable names) per arc in arc order; nu
+    holds the (name, object type) of each nu-variable in order of first
+    appearance on the output arcs.
+    """
+
+    transition: str
+    inputs: tuple[tuple[str, tuple[str, ...]], ...]
+    outputs: tuple[tuple[str, tuple[str, ...]], ...]
+    nu: tuple[tuple[str, str], ...]
+
+    def complete(self, binding: Binding, mint) -> Binding:
+        """`binding` with each nu-variable it leaves open bound to mint(type)."""
+        given = {name for name, _ in binding.fresh}
+        missing = [(name, mint(otype)) for name, otype in self.nu if name not in given]
+        return Binding(binding.values, binding.fresh + tuple(missing)) if missing else binding
+
+    def consumed(self, binding: Binding) -> tuple[tuple[str, tuple[str, ...]], ...]:
+        """The (place, token) pairs a firing under `binding` consumes."""
+        return self._tokens(self.inputs, binding)
+
+    def produced(self, binding: Binding) -> tuple[tuple[str, tuple[str, ...]], ...]:
+        """The (place, token) pairs a firing under the completed `binding` produces."""
+        return self._tokens(self.outputs, binding)
+
+    def _tokens(self, arcs, binding: Binding):
+        full = binding.as_dict()
+        try:
+            return tuple((pid, tuple([full[n] for n in names])) for pid, names in arcs)
+        except KeyError as e:
+            raise NotEnabled(f"{self.transition}: variable {e.args[0]!r} unbound") from None
 
 
 class IdGenerator:
@@ -227,13 +276,6 @@ class IdGenerator:
                 m = pat.match(ident)
                 if m:
                     self._counters[t] = max(self._counters[t], int(m.group(1)))
-
-    @classmethod
-    def for_net(cls, net: "Net") -> "IdGenerator":
-        seen = set(net.initial_marking.identifiers())
-        if net.final_marking is not None:
-            seen |= net.final_marking.identifiers()
-        return cls({t.name: t.prefix for t in net.object_types}, seen)
 
     def register(self, identifier: str) -> None:
         self._seen.add(identifier)
@@ -304,6 +346,28 @@ class Net:
                     d[a.source].append(tid)
         return {k: tuple(v) for k, v in d.items()}
 
+    @cached_property
+    def rules(self) -> dict[str, FiringRule]:
+        """The firing rule of every transition, compiled in one pass over the arcs."""
+        ins: dict[str, list] = {t.id: [] for t in self.transitions}
+        outs: dict[str, list] = {t.id: [] for t in self.transitions}
+        flagged: dict[str, dict[str, str]] = {t.id: {} for t in self.transitions}
+        for a in self.arcs:
+            names = tuple([v.name for v in a.inscription])
+            if a.target in ins:
+                ins[a.target].append((a.source, names))
+            if a.source in outs:
+                outs[a.source].append((a.target, names))
+                for v in a.inscription:
+                    if v.fresh:
+                        flagged[a.source].setdefault(v.name, v.object_type)
+        rules = {}
+        for tid, arcs in ins.items():
+            bound = {name for _, names in arcs for name in names}
+            nu = tuple((name, otype) for name, otype in flagged[tid].items() if name not in bound)
+            rules[tid] = FiringRule(tid, tuple(arcs), tuple(outs[tid]), nu)
+        return rules
+
     def variable_types(self, tid: str) -> dict[str, str]:
         types: dict[str, str] = {}
         for a in list(self.inputs_of(tid)) + list(self.outputs_of(tid)):
@@ -311,13 +375,11 @@ class Net:
                 types.setdefault(v.name, v.object_type)
         return types
 
-    @property
-    def id_generator_state(self) -> dict[str, int]:
-        gen = IdGenerator.for_net(self)
-        return dict(gen._counters)
-
     def id_generator(self) -> IdGenerator:
-        return IdGenerator.for_net(self)
+        seen = self.initial_marking.identifiers()
+        if self.final_marking is not None:
+            seen |= self.final_marking.identifiers()
+        return IdGenerator({t.name: t.prefix for t in self.object_types}, seen)
 
 
 @dataclass(frozen=True)
@@ -438,7 +500,7 @@ def validate_net(net: Net) -> list[Diagnostic]:
 
 def transition_bindings(net: Net, marking: Marking, tid: str) -> list[Binding]:
     """All bindings enabling `tid` in `marking` (input variables only)."""
-    arcs = net.inputs_of(tid)
+    arcs = net.rules[tid].inputs
     if not arcs:
         return [Binding(values=())]
     results: list[Binding] = []
@@ -449,27 +511,27 @@ def transition_bindings(net: Net, marking: Marking, tid: str) -> list[Binding]:
         if i == len(arcs):
             results.append(Binding(values=tuple(bound.items())))
             return
-        arc = arcs[i]
-        avail = marking.tokens(arc.source)
+        place, names = arcs[i]
+        avail = marking.tokens(place)
         if not avail:
             return
         for token in sorted(avail):
-            if used[(arc.source, token)] >= avail[token]:
+            if used[(place, token)] >= avail[token]:
                 continue
             newly: list[str] = []
             ok = True
-            for v, ident in zip(arc.inscription, token):
-                if v.name in bound:
-                    if bound[v.name] != ident:
+            for name, ident in zip(names, token):
+                if name in bound:
+                    if bound[name] != ident:
                         ok = False
                         break
                 else:
-                    bound[v.name] = ident
-                    newly.append(v.name)
+                    bound[name] = ident
+                    newly.append(name)
             if ok:
-                used[(arc.source, token)] += 1
+                used[(place, token)] += 1
                 rec(i + 1)
-                used[(arc.source, token)] -= 1
+                used[(place, token)] -= 1
             for name in newly:
                 del bound[name]
 
@@ -488,17 +550,6 @@ def enabled_bindings(net: Net, marking: Marking) -> list[tuple[str, Binding]]:
     return out
 
 
-def _consumption(net: Net, tid: str, bound: dict[str, str]):
-    consumed = []
-    for arc in net.inputs_of(tid):
-        try:
-            token = tuple(bound[v.name] for v in arc.inscription)
-        except KeyError as e:
-            raise NotEnabled(f"{tid}: variable {e.args[0]!r} unbound") from None
-        consumed.append((arc.source, token))
-    return consumed
-
-
 def _check_available(marking: Marking, consumed) -> bool:
     need = Counter(consumed)
     return all(marking.count(pid, tok) >= n for (pid, tok), n in need.items())
@@ -506,36 +557,23 @@ def _check_available(marking: Marking, consumed) -> bool:
 
 def fire(net: Net, marking: Marking, firing: tuple[str, Binding],
          id_gen: IdGenerator) -> tuple[Marking, FireResult]:
-    """Fire `firing` atomically; nu-variables draw identifiers from id_gen."""
+    """Fire `firing` atomically; nu-variables the binding leaves open draw
+    identifiers from id_gen."""
     tid, binding = firing
-    if tid not in net.transition_map:
+    rule = net.rules.get(tid)
+    if rule is None:
         raise NotEnabled(f"unknown transition {tid!r}")
-    bound = dict(binding.values)
-    fresh = dict(binding.fresh)
-    consumed = _consumption(net, tid, bound)
+    consumed = rule.consumed(binding)
     if not _check_available(marking, consumed):
-        raise NotEnabled(f"{tid} not enabled under {bound}")
-    for arc in net.outputs_of(tid):
-        for v in arc.inscription:
-            if v.fresh and v.name not in fresh and v.name not in bound:
-                fresh[v.name] = id_gen.fresh(v.object_type)
-    full = {**bound, **fresh}
-    produced = []
-    for arc in net.outputs_of(tid):
-        try:
-            produced.append((arc.target, tuple(full[v.name] for v in arc.inscription)))
-        except KeyError as e:
-            raise NotEnabled(f"{tid}: output variable {e.args[0]!r} unbound") from None
-    result = Marking(marking._tokens)
-    for pid, tok in consumed:
-        result.remove(pid, tok)
-    for pid, tok in produced:
-        result.add(pid, tok)
+        raise NotEnabled(f"{tid} not enabled under {dict(binding.values)}")
+    binding = rule.complete(binding, id_gen.fresh)
+    produced = rule.produced(binding)
+    result = marking.copy()
+    result.move(consumed, produced)
+    for _, tok in produced:
         for ident in tok:
             id_gen.register(ident)
-    record = FireResult(tid, Binding(tuple(bound.items()), tuple(fresh.items())),
-                        tuple(consumed), tuple(produced))
-    return result, record
+    return result, FireResult(tid, binding, consumed, produced)
 
 
 def replay(net: Net, trace, extra_tokens=()) -> bool:
@@ -546,27 +584,18 @@ def replay(net: Net, trace, extra_tokens=()) -> bool:
     arrivals of a simulation run (more tokens never disable a firing).
     """
     marking = net.initial_marking.copy()
-    for pid, token in extra_tokens:
-        marking.add(pid, tuple(token))
+    marking.move((), extra_tokens)
     for tid, binding in trace:
-        if tid not in net.transition_map:
+        rule = net.rules.get(tid)
+        if rule is None:
             return False
-        full = binding.as_dict()
         try:
-            consumed = _consumption(net, tid, full)
+            consumed, produced = rule.consumed(binding), rule.produced(binding)
         except NotEnabled:
             return False
         if not _check_available(marking, consumed):
             return False
-        try:
-            produced = [(arc.target, tuple(full[v.name] for v in arc.inscription))
-                        for arc in net.outputs_of(tid)]
-        except KeyError:
-            return False
-        for pid, tok in consumed:
-            marking.remove(pid, tok)
-        for pid, tok in produced:
-            marking.add(pid, tok)
+        marking.move(consumed, produced)
     return True
 
 
@@ -586,22 +615,12 @@ def bounded_language(net: Net, depth: int, cap: int = 1_000_000) -> set:
             nodes += 1
             if nodes > cap:
                 raise ExplosionGuard(f"bounded_language explored more than {cap} nodes")
-            bound = dict(binding.values)
-            fresh: dict[str, str] = {}
-            k = nfresh
-            for arc in net.outputs_of(tid):
-                for v in arc.inscription:
-                    if v.fresh and v.name not in fresh:
-                        k += 1
-                        fresh[v.name] = f"~{k}"
-            full = {**bound, **fresh}
+            rule = net.rules[tid]
+            fresh_ids = itertools.count(nfresh + 1)
+            binding = rule.complete(binding, lambda _otype: f"~{next(fresh_ids)}")
             m2 = marking.copy()
-            for pid, tok in _consumption(net, tid, bound):
-                m2.remove(pid, tok)
-            for arc in net.outputs_of(tid):
-                m2.add(arc.target, tuple(full[v.name] for v in arc.inscription))
-            step = (tid, tuple(sorted(full.items())))
-            seq2 = seq + (step,)
+            m2.move(rule.consumed(binding), rule.produced(binding))
+            seq2 = seq + ((tid, tuple(sorted(binding.as_dict().items()))),)
             sequences.add(seq2)
-            stack.append((m2, seq2, k))
+            stack.append((m2, seq2, nfresh + len(rule.nu)))
     return sequences

@@ -13,7 +13,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .logio import ObservedLog, atomic_write, event_id_for, project_observed
+from .logio import (ObservedLog, ParseError, atomic_write, event_id_for,
+                    project_observed, read_jsonl)
 from .nets import Net
 from .simulate import FiringRecord, GroundTruthTrace
 
@@ -358,26 +359,16 @@ def write_alignment(alignment: GtAlignment, path: str) -> None:
 
 
 def read_alignment(path: str) -> GtAlignment:
-    from .logio import ParseError
     grouped: dict[str, list[tuple[int, Move]]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                d = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ParseError(e.msg, path, lineno) from None
-            if not (type(d) is dict and type(d.get("object")) is str
-                    and type(d.get("seq", lineno)) is int):
-                raise ParseError("alignment line needs a string 'object' and an integer 'seq'",
-                                 path, lineno)
-            try:
-                move = Move.from_dict(d)
-            except ValueError as e:
-                raise ParseError(f"malformed alignment move: {e}", path, lineno) from None
-            grouped.setdefault(d["object"], []).append((d.get("seq", lineno), move))
+    for lineno, d in read_jsonl(path):
+        if not (type(d.get("object")) is str and type(d.get("seq", lineno)) is int):
+            raise ParseError("alignment line needs a string 'object' and an integer 'seq'",
+                             path, lineno)
+        try:
+            move = Move.from_dict(d)
+        except ValueError as e:
+            raise ParseError(f"malformed alignment move: {e}", path, lineno) from None
+        grouped.setdefault(d["object"], []).append((d.get("seq", lineno), move))
     per_object = {obj: tuple(m for _, m in sorted(pairs, key=lambda p: p[0]))
                   for obj, pairs in grouped.items()}
     system = tuple(m for moves in per_object.values() for m in moves)

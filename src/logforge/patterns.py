@@ -140,7 +140,6 @@ class PatternFragment:
     timing_only: bool
     requirements: tuple[Requirement, ...]
     params: dict = field(default_factory=dict)
-    weight_default: float = 0.05
     builder: callable = field(default=None, compare=False, repr=False)
 
     def build(self, net: Net, app: PatternApplication) -> BuiltFragment:
@@ -1074,6 +1073,5 @@ def instantiate(code: str, params: dict | None = None) -> PatternFragment:
         timing_only=timing_only,
         requirements=tuple(_requirements_for(code)),
         params=params,
-        weight_default=float(params.get("weight", 0.05)),
         builder=entry["builder"],
     )

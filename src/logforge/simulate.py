@@ -24,7 +24,7 @@ import numpy as np
 
 from .nets import Binding, Net, ProvenanceTag, transition_bindings
 from .serialize import digest_of, net_digest
-from .timing import Delay, ReportRule
+from .timing import ConfigInvalid, Delay, ReportRule
 
 PRNG_NAME = "numpy-pcg64"
 DEFAULT_EPOCH = "2024-03-04T08:00:00Z"
@@ -32,10 +32,6 @@ DEFAULT_EPOCH = "2024-03-04T08:00:00Z"
 
 class AllWeightsZero(Exception):
     """Every enabled firing has weight zero at the current time."""
-
-
-class ConfigInvalid(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -241,25 +237,27 @@ class GroundTruthTrace:
         return digest_of(trace_to_dicts(self))
 
 
-def firing_probabilities(enabled, weights: WeightSpec, eta: float) -> list[float]:
-    """Probability of each enabled firing under the categorical sampling law;
-    a transition's weight is split uniformly over its enabled bindings."""
+def _shares(enabled, weights: WeightSpec, eta: float) -> tuple[list[float], float]:
+    """Each enabled firing's share of its transition's weight (split uniformly
+    over the transition's enabled bindings), and the sum of the shares."""
     counts = Counter(tid for tid, _ in enabled)
     shares = [weights.at(tid, eta) / counts[tid] for tid, _ in enabled]
     total = sum(shares)
     if total <= 0:
         raise AllWeightsZero("all enabled firings have zero weight")
+    return shares, total
+
+
+def firing_probabilities(enabled, weights: WeightSpec, eta: float) -> list[float]:
+    """Probability of each enabled firing under the categorical sampling law."""
+    shares, total = _shares(enabled, weights, eta)
     return [s / total for s in shares]
 
 
 def sample_firing(enabled, weights: WeightSpec, eta: float, rng) -> tuple[str, Binding]:
     if not enabled:
         raise ValueError("no enabled firings to sample from")
-    counts = Counter(tid for tid, _ in enabled)
-    shares = [weights.at(tid, eta) / counts[tid] for tid, _ in enabled]
-    total = sum(shares)
-    if total <= 0:
-        raise AllWeightsZero("all enabled firings have zero weight")
+    shares, total = _shares(enabled, weights, eta)
     r = float(rng.random()) * total
     acc = 0.0
     for firing, share in zip(enabled, shares):
@@ -418,23 +416,13 @@ class SimState:
         return True
 
     def _fire(self, tid: str, binding: Binding) -> FiringRecord:
-        net = self.net
-        t = net.transition_map[tid]
-        bound = dict(binding.values)
-        consumed = []
-        for arc in net.inputs_of(tid):
-            token = tuple(bound[v.name] for v in arc.inscription)
-            consumed.append((arc.source, token))
+        t = self.net.transition_map[tid]
+        rule = self.net.rules[tid]
+        consumed = rule.consumed(binding)
         for pid, token in consumed:
             self._remove_token(pid, token)
-
-        fresh: dict[str, str] = {}
-        for arc in net.outputs_of(tid):
-            for v in arc.inscription:
-                if v.fresh and v.name not in fresh:
-                    fresh[v.name] = self.id_gen.fresh(v.object_type)
-                    self.object_types.setdefault(fresh[v.name], v.object_type)
-        full = {**bound, **fresh}
+        binding = rule.complete(binding, self.id_gen.fresh)
+        full = binding.as_dict()
 
         timing_causes: list[str] = []
         slow_sample = None
@@ -448,38 +436,28 @@ class SimState:
         base_sample = base_delay.sample(self.rng) if base_delay is not None else 0.0
 
         produced = []
-        for arc in net.outputs_of(tid):
-            token = tuple(full[v.name] for v in arc.inscription)
+        for pid, token in rule.produced(binding):
             for ident in token:
                 self.id_gen.register(ident)
             if slow_sample is not None:
                 delay = slow_sample
             else:
-                arc_spec = self.config.arc_delays.get((tid, arc.target))
+                arc_spec = self.config.arc_delays.get((tid, pid))
                 delay = arc_spec.sample(self.rng) if arc_spec is not None else base_sample
             avail = self.eta + delay
-            produced.append((arc.target, token, avail))
+            produced.append((pid, token, avail))
             if delay <= 0:
-                self._add_token(arc.target, token)
+                self._add_token(pid, token)
             else:
-                self._push(avail, "token", arc.target, token)
+                self._push(avail, "token", pid, token)
 
         coarsen = self._coarsen.get(tid)
         if coarsen is not None:
             timing_causes.append(coarsen[1])
             self.pattern_stats[coarsen[1]]["fired"] += 1
 
-        if t.record_spec is not None:
-            recorded = []
-            for name in t.record_spec:
-                ident = full.get(name)
-                if ident is not None and ident not in recorded:
-                    recorded.append(ident)
-        else:
-            recorded = []
-            for name in sorted(full):
-                if full[name] not in recorded:
-                    recorded.append(full[name])
+        names = sorted(full) if t.record_spec is None else t.record_spec
+        recorded = dict.fromkeys(full[name] for name in names if name in full)
 
         vtypes = self._vtypes[tid]
         for name, ident in full.items():
@@ -490,10 +468,10 @@ class SimState:
             time=self.eta,
             transition=tid,
             activity=t.activity_label,
-            values=tuple(sorted(bound.items())),
-            fresh=tuple(sorted(fresh.items())),
+            values=binding.values,
+            fresh=binding.fresh,
             provenance=t.provenance,
-            consumed=tuple(consumed),
+            consumed=consumed,
             produced=tuple(produced),
             recorded_objects=tuple(recorded),
             coarsen_window=coarsen[0] if coarsen else None,
@@ -510,10 +488,6 @@ class SimState:
                     self.pattern_stats[app]["fired"] += 1
                     break
         return record
-
-
-def make_state(net: Net, config: SimConfig) -> SimState:
-    return SimState(net, config)
 
 
 def _validate_config(net: Net, config: SimConfig):
@@ -533,7 +507,7 @@ def _validate_config(net: Net, config: SimConfig):
             raise ConfigInvalid(f"schedule place {s.place!r} unknown")
 
 
-def step(net: Net, state: SimState, config: SimConfig) -> tuple[SimState, FiringRecord | None]:
+def step(state: SimState) -> tuple[SimState, FiringRecord | None]:
     """Advance the run by one event.
 
     Returns (state, record) after a firing, (state, None) after a clock
@@ -541,6 +515,7 @@ def step(net: Net, state: SimState, config: SimConfig) -> tuple[SimState, Firing
     """
     if state.done is not None:
         return state, None
+    net, config = state.net, state.config
     if net.final_marking is not None and state.marking.contains(net.final_marking):
         state.done = "final_marking"
         return state, None
@@ -591,9 +566,9 @@ def trace_replays(net: Net, trace: "GroundTruthTrace") -> bool:
 
 def run(ml: Net, config: SimConfig, lineage: dict | None = None) -> GroundTruthTrace:
     """Play out `ml` under `config` until a stop condition holds."""
-    state = make_state(ml, config)
+    state = SimState(ml, config)
     while state.done is None:
-        step(ml, state, config)
+        step(state)
     digests = {"ml": net_digest(ml)}
     if lineage:
         digests.update(lineage)

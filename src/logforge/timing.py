@@ -7,7 +7,15 @@ simulator and the oracle consume.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+
+class ConfigInvalid(ValueError):
+    """A simulation setting that would make a run meaningless."""
+
+
+DELAY_KINDS = ("constant", "normal", "exponential", "uniform")
 
 
 @dataclass(frozen=True)
@@ -15,7 +23,8 @@ class Delay:
     """Non-negative sampling distribution for token-production delays.
 
     kinds: constant(c) | normal(mu, sigma; clamped at 0) | exponential(rate)
-    | uniform(low, high).  All values are seconds.
+    | uniform(low, high).  All values are seconds.  A bad kind or parameter
+    raises ConfigInvalid when the delay is built, not when it is sampled.
     """
 
     kind: str
@@ -23,12 +32,16 @@ class Delay:
     b: float = 0.0
 
     def __post_init__(self):
+        if self.kind not in DELAY_KINDS:
+            raise ConfigInvalid(f"unknown delay kind {self.kind!r}, expected one of {DELAY_KINDS}")
+        if not all(isinstance(x, (int, float)) and math.isfinite(x) for x in (self.a, self.b)):
+            raise ConfigInvalid(f"{self.kind} delay parameters must be finite numbers")
         if self.kind == "exponential" and self.a <= 0:
-            raise ValueError("exponential delay needs a positive rate")
+            raise ConfigInvalid("exponential delay needs a positive rate")
         if self.kind == "normal" and self.b < 0:
-            raise ValueError("normal delay needs a non-negative sigma")
+            raise ConfigInvalid("normal delay needs a non-negative sigma")
         if self.kind == "uniform" and self.a > self.b:
-            raise ValueError("uniform delay needs low <= high")
+            raise ConfigInvalid("uniform delay needs low <= high")
 
     @classmethod
     def constant(cls, c: float) -> "Delay":
@@ -53,28 +66,17 @@ class Delay:
             value = float(rng.normal(self.a, self.b))
         elif self.kind == "exponential":
             value = float(rng.exponential(1.0 / self.a))
-        elif self.kind == "uniform":
-            value = float(rng.uniform(self.a, self.b))
         else:
-            raise ValueError(f"unknown delay kind {self.kind!r}")
+            value = float(rng.uniform(self.a, self.b))
         return max(0.0, value)  # durations never run backwards
-
-    def mean(self) -> float:
-        if self.kind == "constant":
-            return self.a
-        if self.kind == "normal":
-            return self.a
-        if self.kind == "exponential":
-            return 1.0 / self.a
-        if self.kind == "uniform":
-            return 0.5 * (self.a + self.b)
-        raise ValueError(self.kind)
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "a": self.a, "b": self.b}
 
     @classmethod
     def from_dict(cls, d: dict) -> "Delay":
+        if not (isinstance(d, dict) and "kind" in d):
+            raise ConfigInvalid(f"a delay must be an object with a 'kind', got {d!r}")
         return cls(d["kind"], d.get("a", 0.0), d.get("b", 0.0))
 
 
@@ -186,12 +188,6 @@ class SimAnnotations:
     overrides: tuple[TimingOverride, ...] = ()
     probes: tuple[FrequencyProbe, ...] = ()
     report_rules: tuple[ReportRule, ...] = ()
-
-    def weight_default(self, transition_id: str) -> tuple[tuple[float, float], ...] | None:
-        for tid, pieces in self.weights:
-            if tid == transition_id:
-                return pieces
-        return None
 
     def merged_with(self, weights=(), overrides=(), probes=(), report_rules=()) -> "SimAnnotations":
         return SimAnnotations(

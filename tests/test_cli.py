@@ -167,3 +167,113 @@ def test_oracle_score_malformed_alignment_exits_two(tmp_path, capsys, bad_line):
     [diag] = stderr_diagnostics(err)
     assert diag["code"] == "ParseError"
     assert diag["message"].endswith(f"{bad}:2")
+
+
+TRACE_HEADER = ('{"schema_version":"1","kind":"ground_truth_trace","run_id":"r","seed":0,'
+                '"epoch":"2024-03-04T08:00:00Z"}')
+GOOD_RECORD = '{"seq_no":0,"time":0.0,"transition":"t","activity":"a"}'
+
+
+@pytest.mark.parametrize("lines,bad_at", [
+    ([TRACE_HEADER, GOOD_RECORD, '{"time":1.0,"transition":"t","activity":"a"}'], 3),
+    ([TRACE_HEADER, GOOD_RECORD, '[1,2]'], 3),
+    ([TRACE_HEADER, GOOD_RECORD, '{"seq_no":"1","time":1.0,"transition":"t"}'], 3),
+    ([TRACE_HEADER, GOOD_RECORD, '{"seq_no":1,"time":1.0,"transition":"t","values":[["x"]]}'], 3),
+    ([TRACE_HEADER, GOOD_RECORD, '{"seq_no":1,'], 3),
+    (['[' + TRACE_HEADER + ']', GOOD_RECORD], 1),
+    ([TRACE_HEADER.replace('"run_id":"r",', ''), GOOD_RECORD], 1),
+    ([TRACE_HEADER.replace('"seed":0', '"seed":"0"'), GOOD_RECORD], 1),
+], ids=["no-seq-no", "array-record", "text-seq-no", "short-value-pair", "bad-json",
+        "list-header", "no-run-id", "text-seed"])
+def test_oracle_report_malformed_trace_exits_two(tmp_path, capsys, lines, bad_at):
+    trace = tmp_path / "trace.gt.jsonl"
+    trace.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(capsys, "oracle", "report", "--trace", str(trace))
+    assert code == 2 and not out
+    [diag] = stderr_diagnostics(err)
+    assert diag["code"] == "ParseError"
+    assert diag["message"].endswith(f"{trace}:{bad_at}")
+
+
+LOG_HEADER = '{"schema_version":"1","kind":"observed_log","run_id":"r","objects":{}}'
+GOOD_EVENT = '{"event_id":"r-000000","timestamp":"2024-03-04T08:00:00Z","activity":"a"}'
+
+
+@pytest.mark.parametrize("lines,bad_at", [
+    ([LOG_HEADER, GOOD_EVENT, '{"timestamp":"2024-03-04T08:00:00Z","activity":"a"}'], 3),
+    ([LOG_HEADER, GOOD_EVENT, GOOD_EVENT.replace('"activity":"a"', '"activity":7')], 3),
+    ([LOG_HEADER, '"r-000000"'], 2),
+    (['[' + LOG_HEADER + ']'], 1),
+], ids=["no-event-id", "number-activity", "string-event", "list-header"])
+def test_oracle_align_malformed_log_exits_two(tmp_path, capsys, lines, bad_at):
+    fdir = str(tmp_path / "fx")
+    run_cli(capsys, "fixture", "--name", "package_delivery", "--out", fdir)
+    trace = tmp_path / "trace.gt.jsonl"
+    trace.write_text(TRACE_HEADER + "\n")
+    log = tmp_path / "log.jsonl"
+    log.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(capsys, "oracle", "align", "--model", os.path.join(fdir, "m0.json"),
+                             "--trace", str(trace), "--log", str(log),
+                             "--out", str(tmp_path / "gt.jsonl"))
+    assert code == 2 and not out
+    [diag] = stderr_diagnostics(err)
+    assert diag["code"] == "ParseError"
+    assert diag["message"].endswith(f"{log}:{bad_at}")
+    assert not os.path.exists(tmp_path / "gt.jsonl")
+
+
+@pytest.mark.parametrize("delay", [
+    {"kind": "gamma", "a": 1.0},
+    {"kind": "exponential", "a": 0.0},
+    {"kind": "constant", "a": float("nan")},
+    {"kind": "uniform", "a": 0.0, "b": float("inf")},
+    {"a": 5.0},
+    "fast",
+], ids=["unknown-kind", "zero-rate", "nan-constant", "inf-bound", "no-kind", "not-object"])
+def test_simulate_bad_delay_is_one_diagnostic(tmp_path, capsys, delay):
+    fdir = str(tmp_path / "fx")
+    run_cli(capsys, "fixture", "--name", "package_delivery", "--out", fdir)
+    config = logio.read_json(os.path.join(fdir, "grid.json"))["sim_configs"][0]
+    config["schema_version"] = "1"
+    config["delays"] = {"ring": delay}
+    cpath = os.path.join(fdir, "config.json")
+    open(cpath, "w").write(json.dumps(config))
+    out = str(tmp_path / "sim")
+    code, _, err = run_cli(capsys, "simulate", "--model", os.path.join(fdir, "m0.json"),
+                           "--config", cpath, "--out", out)
+    assert code == 1
+    [diag] = stderr_diagnostics(err)
+    assert diag["code"] == "ConfigInvalid"
+    assert not os.path.exists(out)
+
+
+def test_transform_reads_bare_list_mentioning_schema_version(tmp_path, capsys):
+    # the application id contains the text "schema_version"; the file is
+    # still a bare list and must not be taken for a versioned document
+    fdir = str(tmp_path / "fx")
+    run_cli(capsys, "fixture", "--name", "package_delivery", "--out", fdir)
+    apps = [{"application_id": "note_schema_version", "code": "BI_3",
+             "mapping": {"t": "ring"}, "params": {"weight": 2.0}}]
+    apps_path = os.path.join(fdir, "apps.json")
+    open(apps_path, "w").write(json.dumps(apps))
+    out = os.path.join(fdir, "ml.json")
+    code, _, err = run_cli(capsys, "transform", "--model", os.path.join(fdir, "m0.json"),
+                           "--apply", apps_path, "--out", out)
+    assert code == 0, err
+    assert any(t.id.endswith("#note_schema_version") for t in logio.read_model(out).transitions)
+
+
+@pytest.mark.parametrize("doc,code", [
+    ({"schema_version": "1", "applications": []}, 0),
+    ({"applications": []}, 2),
+    ({"schema_version": "1"}, 2),
+    ("BI_3", 2),
+], ids=["versioned", "unversioned-object", "no-applications", "string"])
+def test_transform_application_file_shapes(tmp_path, capsys, doc, code):
+    fdir = str(tmp_path / "fx")
+    run_cli(capsys, "fixture", "--name", "package_delivery", "--out", fdir)
+    apps_path = os.path.join(fdir, "apps.json")
+    open(apps_path, "w").write(json.dumps(doc))
+    got, _, err = run_cli(capsys, "transform", "--model", os.path.join(fdir, "m0.json"),
+                          "--apply", apps_path, "--out", os.path.join(fdir, "ml.json"))
+    assert got == code, err

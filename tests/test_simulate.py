@@ -10,7 +10,7 @@ from logforge.nets import (Arc, Marking, Net, ObjectType, Place, Transition,
                            Variable)
 from logforge.simulate import (AllWeightsZero, Arrival, ConfigInvalid,
                                ScheduleEntry, SimConfig, WeightSpec,
-                               firing_probabilities, make_state, run,
+                               SimState, firing_probabilities, run,
                                sample_firing, step, trace_replays)
 from logforge.timing import Delay
 
@@ -118,12 +118,12 @@ def test_config_requires_a_stop_condition():
 def test_delayed_tokens_materialize_later():
     net = fixtures.mini_chain()
     config = SimConfig(seed=3, delays={"alpha": Delay.constant(30.0)}, firing_limit=10)
-    state = make_state(net, config)
-    state, rec = step(net, state, config)
+    state = SimState(net, config)
+    state, rec = step(state)
     assert rec.transition == "alpha" and rec.time == 0.0
     assert rec.produced[0][2] == 30.0
     assert state.marking.count("p1", ("i_1",)) == 0
-    state, rec2 = step(net, state, config)  # nothing enabled: clock jumps
+    state, rec2 = step(state)  # nothing enabled: clock jumps
     assert rec2 is None and state.eta == 30.0
     assert state.marking.count("p1", ("i_1",)) == 1
 
@@ -191,9 +191,9 @@ def test_deviation_frequency_converges():
 def test_pending_conservation():
     net, grid = fixtures.fixture("package_delivery")
     config = replace(grid.sim_configs[0], seed=23, time_horizon=900.0, firing_limit=None)
-    state = make_state(net, config)
+    state = SimState(net, config)
     while state.done is None:
-        step(net, state, config)
+        step(state)
     balance = Counter()
     for pid, tok, n in net.initial_marking.items():
         balance[(pid, tok)] += n
