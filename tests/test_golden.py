@@ -56,6 +56,11 @@ GOLDEN = {
                        "facae4c9845f83d2db7fd73301bc665dadc9ca5976531f5f8add67c00e7ef825",
                        "3b5a83ce53701a0587c52a942618db2dd6899107608fab244911e3c8292f65b3"),
     },
+    "energy_contract": {
+        "b0-r0-c0": ("ccc83d370fbb1fe00d5254ad603aab4f5e50ebad7e562becf1608e9afe89d420",
+                     "c0f8e516e8d09e087d2c081a2d09badd00e535c49a4b5b47997ce6b3d92440fa",
+                     "373b8e89dc07f71d46170c7cb9f88c5267c4d919d924fb8a0f20da74d725778e"),
+    },
     "assembly": {
         "b0-r0-c0": ("b60fc7a3b44e02621f64ae8cfce47cb9e54cea15e1f51ef705b91498cc726953",
                      "d5280237820d8b79613994a4a33f51388cda2139b8d0db964dd44122bfe18592",
