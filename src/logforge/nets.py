@@ -23,8 +23,10 @@ from __future__ import annotations
 import itertools
 import re
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 
 from .timing import SimAnnotations
 
@@ -101,8 +103,12 @@ class Arc:
     inscription: tuple[Variable, ...]
 
 
+_NO_TOKENS: Mapping = MappingProxyType({})
+
+
 class Marking:
-    """Per-place multiset of identifier tuples."""
+    """Per-place multiset of identifier tuples; a place without tokens has
+    no entry."""
 
     __slots__ = ("_tokens",)
 
@@ -122,16 +128,19 @@ class Marking:
                 m.add(pid, tuple(tok))
         return m
 
-    def tokens(self, place_id: str) -> Counter:
-        return self._tokens.get(place_id, Counter())
+    def tokens(self, place_id: str) -> Mapping[tuple[str, ...], int]:
+        return self._tokens.get(place_id, _NO_TOKENS)
 
     def count(self, place_id: str, token: tuple[str, ...]) -> int:
-        return self._tokens.get(place_id, Counter()).get(tuple(token), 0)
+        return self._tokens.get(place_id, _NO_TOKENS).get(tuple(token), 0)
 
     def add(self, place_id: str, token: tuple[str, ...], n: int = 1) -> None:
         if n <= 0:
             return
-        self._tokens.setdefault(place_id, Counter())[tuple(token)] += n
+        cnt = self._tokens.get(place_id)
+        if cnt is None:
+            cnt = self._tokens[place_id] = Counter()
+        cnt[tuple(token)] += n
 
     def remove(self, place_id: str, token: tuple[str, ...], n: int = 1) -> None:
         token = tuple(token)
@@ -243,6 +252,8 @@ class FiringRule:
 
     def complete(self, binding: Binding, mint) -> Binding:
         """`binding` with each nu-variable it leaves open bound to mint(type)."""
+        if not self.nu:
+            return binding
         given = {name for name, _ in binding.fresh}
         missing = [(name, mint(otype)) for name, otype in self.nu if name not in given]
         return Binding(binding.values, binding.fresh + tuple(missing)) if missing else binding
@@ -258,9 +269,41 @@ class FiringRule:
     def _tokens(self, arcs, binding: Binding):
         full = binding.as_dict()
         try:
-            return tuple((pid, tuple([full[n] for n in names])) for pid, names in arcs)
+            return tuple([(pid, tuple([full[n] for n in names])) for pid, names in arcs])
         except KeyError as e:
             raise NotEnabled(f"{self.transition}: variable {e.args[0]!r} unbound") from None
+
+    @cached_property
+    def join(self) -> tuple:
+        """How `transition_bindings` joins the input arcs, built on first use.
+
+        A row holds the values of the input variables in order of first
+        appearance.  Per arc: (place, kind, positions, checks, key).  A "free"
+        arc appends its whole token; a "fixed" arc, all of whose names are
+        bound, looks up the token spelled by the row's `key` slots; a "mixed"
+        arc appends the token positions of its new names and checks each
+        (position, slot) pair.  Also returned: the sorted variable names with
+        their slots (None when the rows already hold them in that order), and
+        per place read by several arcs the key slots of each such arc.
+        """
+        slot: dict[str, int] = {}
+        arcs, keys = [], {}
+        for pid, names in self.inputs:
+            new, checks = [], []
+            for i, name in enumerate(names):
+                if name in slot:
+                    checks.append((i, slot[name]))
+                else:
+                    new.append(i)
+                    slot[name] = len(slot)
+            key = tuple(slot[name] for name in names)
+            kind = "fixed" if not new else "free" if not checks else "mixed"
+            arcs.append((pid, kind, tuple(new), tuple(checks), key))
+            keys.setdefault(pid, []).append(key)
+        order = tuple(sorted(slot))
+        slots = None if order == tuple(slot) else tuple(slot[name] for name in order)
+        shared = tuple((pid, tuple(ks)) for pid, ks in keys.items() if len(ks) > 1)
+        return order, slots, tuple(arcs), shared
 
 
 class IdGenerator:
@@ -499,46 +542,43 @@ def validate_net(net: Net) -> list[Diagnostic]:
 
 
 def transition_bindings(net: Net, marking: Marking, tid: str) -> list[Binding]:
-    """All bindings enabling `tid` in `marking` (input variables only)."""
-    arcs = net.rules[tid].inputs
-    if not arcs:
-        return [Binding(values=())]
-    results: list[Binding] = []
-    bound: dict[str, str] = {}
-    used: Counter = Counter()
+    """All bindings enabling `tid` in `marking` (input variables only), in
+    order of their sorted values."""
+    rule = net.rules[tid]
+    held = marking._tokens
+    for place, _ in rule.inputs:
+        if place not in held:
+            return []
+    order, slots, arcs, shared = rule.join
+    rows: list[tuple[str, ...]] = [()]
+    for place, kind, new, checks, key in arcs:
+        avail = held[place]
+        if kind == "free":
+            rows = [row + token for row in rows for token in avail]
+        elif kind == "fixed":
+            rows = [row for row in rows if tuple([row[s] for s in key]) in avail]
+        else:
+            matched = []
+            for row in rows:
+                for token in avail:
+                    ext = row + tuple([token[i] for i in new])
+                    if all(token[i] == ext[s] for i, s in checks):
+                        matched.append(ext)
+            rows = matched
+        if not rows:
+            return []
+    for place, keys in shared:
+        # arcs on one place that pick the same token need as many copies
+        avail = held[place]
+        rows = [row for row in rows
+                if _available(avail, [tuple([row[s] for s in key]) for key in keys])]
+    found = sorted(set(rows) if slots is None else {tuple([row[s] for s in slots]) for row in rows})
+    return [Binding(tuple(zip(order, values))) for values in found]
 
-    def rec(i: int) -> None:
-        if i == len(arcs):
-            results.append(Binding(values=tuple(bound.items())))
-            return
-        place, names = arcs[i]
-        avail = marking.tokens(place)
-        if not avail:
-            return
-        for token in sorted(avail):
-            if used[(place, token)] >= avail[token]:
-                continue
-            newly: list[str] = []
-            ok = True
-            for name, ident in zip(names, token):
-                if name in bound:
-                    if bound[name] != ident:
-                        ok = False
-                        break
-                else:
-                    bound[name] = ident
-                    newly.append(name)
-            if ok:
-                used[(place, token)] += 1
-                rec(i + 1)
-                used[(place, token)] -= 1
-            for name in newly:
-                del bound[name]
 
-    rec(0)
-    # identical bindings can arise through symmetric token picks; keep one
-    uniq = {b.values: b for b in results}
-    return [uniq[k] for k in sorted(uniq)]
+def _available(avail: Mapping, tokens: list) -> bool:
+    return len(set(tokens)) == len(tokens) or all(
+        avail.get(token, 0) >= n for token, n in Counter(tokens).items())
 
 
 def enabled_bindings(net: Net, marking: Marking) -> list[tuple[str, Binding]]:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .logio import ParseError
 from .nets import Arc, Net, ObjectType, Place, ProvenanceTag, Transition, Variable
 from .timing import Delay, FrequencyProbe, ReportRule, TimingOverride
 
@@ -66,6 +67,13 @@ class PatternApplication:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PatternApplication":
+        """Read what `to_dict` writes; a missing or non-string
+        `application_id` or `code` raises ParseError."""
+        if type(d) is not dict:
+            raise ParseError(f"a pattern application must be an object, got {d!r}")
+        for key in ("application_id", "code"):
+            if type(d.get(key)) is not str:
+                raise ParseError(f"pattern application lacks a string {key!r}: {d!r}")
         return cls(
             application_id=d["application_id"],
             code=d["code"],

@@ -19,6 +19,8 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from itertools import accumulate
+from operator import itemgetter
 
 import numpy as np
 
@@ -106,26 +108,60 @@ class SimConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimConfig":
-        arc_delays = {}
-        for key, dd in d.get("arc_delays", {}).items():
-            tid, pid = key.split("->", 1)
-            arc_delays[(tid, pid)] = Delay.from_dict(dd)
-        return cls(
-            seed=int(d.get("seed", 0)),
-            weights={t: [(float(f), float(w)) for f, w in pieces]
-                     for t, pieces in d.get("weights", {}).items()},
-            delays={t: Delay.from_dict(dd) for t, dd in d.get("delays", {}).items()},
-            arc_delays=arc_delays,
-            arrivals=[Arrival.from_dict(a) for a in d.get("arrivals", [])],
-            schedules=[ScheduleEntry.from_dict(s) for s in d.get("schedules", [])],
-            firing_limit=d.get("firing_limit"),
-            time_horizon=d.get("time_horizon"),
-            timestamp_epoch=d.get("timestamp_epoch", DEFAULT_EPOCH),
-            run_id=d.get("run_id", "run"),
-        )
+        """Read what `to_dict` writes, plus the `schema_version` of a config
+        file.  An unknown key or a malformed value raises ConfigInvalid."""
+        if type(d) is not dict:
+            raise ConfigInvalid(f"a sim config must be an object, got {d!r}")
+        unknown = sorted(set(d) - _CONFIG_KEYS)
+        if unknown:
+            raise ConfigInvalid(f"unknown sim config key(s) {unknown}; "
+                                f"known keys are {sorted(_CONFIG_KEYS)}")
+        if d.get("prng", PRNG_NAME) != PRNG_NAME:
+            raise ConfigInvalid(f"prng {d['prng']!r} is not supported, only {PRNG_NAME!r}")
+        try:
+            arc_delays = {}
+            for key, dd in d.get("arc_delays", {}).items():
+                tid, arrow, pid = key.partition("->")
+                if not arrow:
+                    raise ConfigInvalid(f"arc delay key {key!r} is not 'transition->place'")
+                arc_delays[(tid, pid)] = Delay.from_dict(dd)
+            return cls(
+                seed=int(d.get("seed", 0)),
+                weights={t: [(float(f), float(w)) for f, w in pieces]
+                         for t, pieces in d.get("weights", {}).items()},
+                delays={t: Delay.from_dict(dd) for t, dd in d.get("delays", {}).items()},
+                arc_delays=arc_delays,
+                arrivals=[Arrival.from_dict(a) for a in d.get("arrivals", [])],
+                schedules=[ScheduleEntry.from_dict(s) for s in d.get("schedules", [])],
+                firing_limit=_optional_number(d, "firing_limit", integral=True),
+                time_horizon=_optional_number(d, "time_horizon", integral=False),
+                timestamp_epoch=d.get("timestamp_epoch", DEFAULT_EPOCH),
+                run_id=d.get("run_id", "run"),
+            )
+        except ConfigInvalid:
+            raise
+        except KeyError as e:
+            raise ConfigInvalid(f"sim config entry lacks {e.args[0]!r}") from None
+        except (TypeError, ValueError, AttributeError) as e:
+            raise ConfigInvalid(f"malformed sim config: {e}") from None
 
     def digest(self) -> str:
         return digest_of(self.to_dict())
+
+
+_CONFIG_KEYS = frozenset(SimConfig().to_dict()) | {"schema_version"}
+
+
+def _optional_number(d: dict, key: str, integral: bool):
+    """d[key], unchanged, after checking it is null or a (whole) number."""
+    value = d.get(key)
+    if integral:
+        ok = type(value) is int or (type(value) is float and value.is_integer())
+    else:
+        ok = type(value) is int or (type(value) is float and not math.isnan(value))
+    if value is not None and not ok:
+        raise ConfigInvalid(f"{key} must be {'a whole' if integral else 'a'} number, got {value!r}")
+    return value
 
 
 def epoch_seconds(stamp: str) -> float:
@@ -143,6 +179,10 @@ class WeightSpec:
     Resolution per transition: configured schedule, else the net's annotated
     default pieces (deviation transitions), else 1.0.  Before a transition's
     first breakpoint its default applies.
+
+    Both sources are merged into one breakpoint table per transition when the
+    spec is built.  `at` remembers the piece it resolved last for each
+    transition and looks the table up again only once the clock has left it.
     """
 
     def __init__(self, defaults: dict | None = None, schedule: dict | None = None):
@@ -154,36 +194,41 @@ class WeightSpec:
                 raise ConfigInvalid("transition weight must be finite")
             if any(math.isnan(f) for f, _ in pieces):
                 raise ConfigInvalid("weight breakpoint is NaN")
-            return pieces
+            return [f for f, _ in pieces], [w for _, w in pieces]
 
-        self.defaults = {t: norm(p) for t, p in (defaults or {}).items()}
-        self.schedule = {t: norm(p) for t, p in (schedule or {}).items()}
-        froms = set()
-        for table in (self.schedule, self.defaults):
-            for pieces in table.values():
-                froms.update(f for f, _ in pieces)
-        self._breakpoints = sorted(froms)
+        defaults = {t: norm(p) for t, p in (defaults or {}).items()}
+        schedule = {t: norm(p) for t, p in (schedule or {}).items()}
+        # tid -> (froms, weights): weights[i] holds on [froms[i], froms[i + 1])
+        self._tables: dict[str, tuple[list[float], list[float]]] = {}
+        for tid in sorted(schedule.keys() | defaults.keys()):
+            sources = [table[tid] for table in (schedule, defaults) if tid in table]
+            merged = {-math.inf: 1.0}
+            for f in sorted({f for froms, _ in sources for f in froms}):
+                for froms, weights in sources:
+                    i = bisect_right(froms, f) - 1
+                    if i >= 0:
+                        merged[f] = weights[i]
+                        break
+            self._tables[tid] = (list(merged), list(merged.values()))
+        self._breakpoints = sorted({f for froms, _ in self._tables.values() for f in froms[1:]})
+        self._memo: dict[str, tuple[float, float, float]] = {}   # tid -> (from, until, weight)
 
     @classmethod
     def for_run(cls, net: Net, config: SimConfig) -> "WeightSpec":
         return cls(defaults=dict(net.annotations.weights), schedule=config.weights)
 
-    @staticmethod
-    def _eval(pieces, eta: float) -> float | None:
-        froms = [f for f, _ in pieces]
-        i = bisect_right(froms, eta) - 1
-        if i >= 0:
-            return pieces[i][1]
-        return None
-
     def at(self, tid: str, eta: float) -> float:
-        for table in (self.schedule, self.defaults):
-            pieces = table.get(tid)
-            if pieces:
-                w = self._eval(pieces, eta)
-                if w is not None:
-                    return w
-        return 1.0
+        memo = self._memo.get(tid)
+        if memo is not None and memo[0] <= eta < memo[1]:
+            return memo[2]
+        table = self._tables.get(tid)
+        if table is None:
+            return 1.0
+        froms, weights = table
+        i = bisect_right(froms, eta) - 1
+        until = froms[i + 1] if i + 1 < len(froms) else math.inf
+        self._memo[tid] = (froms[i], until, weights[i])
+        return weights[i]
 
     def breakpoints_after(self, eta: float) -> float | None:
         i = bisect_right(self._breakpoints, eta)
@@ -240,8 +285,9 @@ class GroundTruthTrace:
 def _shares(enabled, weights: WeightSpec, eta: float) -> tuple[list[float], float]:
     """Each enabled firing's share of its transition's weight (split uniformly
     over the transition's enabled bindings), and the sum of the shares."""
-    counts = Counter(tid for tid, _ in enabled)
-    shares = [weights.at(tid, eta) / counts[tid] for tid, _ in enabled]
+    share = {tid: weights.at(tid, eta) / n
+             for tid, n in Counter(map(itemgetter(0), enabled)).items()}
+    shares = [share[tid] for tid, _ in enabled]
     total = sum(shares)
     if total <= 0:
         raise AllWeightsZero("all enabled firings have zero weight")
@@ -255,23 +301,21 @@ def firing_probabilities(enabled, weights: WeightSpec, eta: float) -> list[float
 
 
 def sample_firing(enabled, weights: WeightSpec, eta: float, rng) -> tuple[str, Binding]:
+    """The first firing whose running share sum exceeds one uniform draw
+    scaled to the total."""
     if not enabled:
         raise ValueError("no enabled firings to sample from")
     shares, total = _shares(enabled, weights, eta)
-    r = float(rng.random()) * total
-    acc = 0.0
-    for firing, share in zip(enabled, shares):
-        acc += share
-        if r < acc:
-            return firing
-    return enabled[-1]
+    i = bisect_right(list(accumulate(shares)), float(rng.random()) * total)
+    return enabled[i] if i < len(enabled) else enabled[-1]
 
 
 class SimState:
     """Mutable state of one run: clock, marking, pending tokens, RNG.
 
-    Also owns the incremental enabled-binding cache; a transition is
-    re-enumerated only when one of its input places changed.
+    Also keeps the enabled set: each transition's bindings are re-enumerated
+    only when one of its input places changed, and the flat list of firings
+    is rebuilt only when some transition's bindings did change.
     """
 
     def __init__(self, net: Net, config: SimConfig):
@@ -293,9 +337,10 @@ class SimState:
         self.pending_removals: Counter = Counter()
         self.injected: list[tuple[str, tuple[str, ...]]] = []
 
-        self._tids = [t.id for t in sorted(net.transitions, key=lambda t: t.id)]
+        self._tids = sorted(t.id for t in net.transitions)
         self._dirty = set(self._tids)
-        self._cache: dict[str, list[Binding]] = {}
+        self._bindings: dict[str, list[Binding]] = dict.fromkeys(self._tids, [])
+        self._enabled: list[tuple[str, Binding]] = []
         self._vtypes = {t.id: net.variable_types(t.id) for t in net.transitions}
 
         self._delay_t = dict(config.delays)
@@ -322,6 +367,22 @@ class SimState:
             self.pattern_stats.setdefault(
                 ov.application_id,
                 {"pattern_code": ov.pattern_code, "fired": 0, "choice_points": 0, "chosen": 0})
+        # tid -> (stats, deviation, competitors, tid is a deviation) of each
+        # probe with both sides that names tid on a side
+        self._choice_probes: dict[str, list] = {}
+        # tid -> stats of the probe whose deviation a firing of tid is
+        self._deviation_stats: dict[str, dict] = {}
+        for probe in self._probes:
+            if probe.deviation and probe.competitors:
+                stats = self.pattern_stats[probe.application_id]
+                deviation, competitors = frozenset(probe.deviation), frozenset(probe.competitors)
+                for tid in deviation | competitors:
+                    self._choice_probes.setdefault(tid, []).append(
+                        (stats, deviation, competitors, tid in deviation))
+        for t in net.transitions:
+            app = t.provenance.application_id
+            if any(p.application_id == app and t.id in p.deviation for p in self._probes):
+                self._deviation_stats[t.id] = self.pattern_stats[app]
 
         for pid, token, _ in net.initial_marking.items():
             place = net.place_map[pid]
@@ -363,30 +424,47 @@ class SimState:
 
     # -- marking mutation with cache invalidation --------------------------
 
-    def _mark_dirty(self, place: str):
-        for tid in self.net.consumers_of.get(place, ()):
-            self._dirty.add(tid)
-
     def _add_token(self, place: str, token: tuple[str, ...]):
-        if self.pending_removals.get((place, token), 0) > 0:
+        if self.pending_removals and self.pending_removals[(place, token)] > 0:
             self.pending_removals[(place, token)] -= 1
             return
         self.marking.add(place, token)
-        self._mark_dirty(place)
+        self._dirty.update(self.net.consumers_of.get(place, ()))
 
     def _remove_token(self, place: str, token: tuple[str, ...]):
         self.marking.remove(place, token)
-        self._mark_dirty(place)
+        # fewer tokens never enable a firing: only enabled consumers can change
+        for tid in self.net.consumers_of.get(place, ()):
+            if self._bindings[tid]:
+                self._dirty.add(tid)
 
     def enabled(self) -> list[tuple[str, Binding]]:
+        """Every enabled (transition, binding) firing, in transition id order,
+        then binding order.  The list is replaced, never changed in place."""
+        changed = False
         for tid in self._dirty:
-            self._cache[tid] = transition_bindings(self.net, self.marking, tid)
+            bindings = transition_bindings(self.net, self.marking, tid)
+            if bindings != self._bindings[tid]:
+                self._bindings[tid] = bindings
+                changed = True
         self._dirty.clear()
-        out: list[tuple[str, Binding]] = []
-        for tid in self._tids:
-            for b in self._cache.get(tid, ()):
-                out.append((tid, b))
-        return out
+        if changed:
+            self._enabled = [(tid, b) for tid in self._tids for b in self._bindings[tid]]
+        return self._enabled
+
+    def _count_choice_point(self, tid: str):
+        """Count a choice point for every probe that names `tid` and has a
+        transition enabled with positive weight on both of its sides."""
+        probes = self._choice_probes.get(tid)
+        if probes is None:
+            return
+        at, eta = self.weights.at, self.eta
+        live = {t for t, bindings in self._bindings.items() if bindings and at(t, eta) > 0}
+        for stats, deviation, competitors, chosen in probes:
+            if not live.isdisjoint(deviation) and not live.isdisjoint(competitors):
+                stats["choice_points"] += 1
+                if chosen:
+                    stats["chosen"] += 1
 
     # -- stepping -----------------------------------------------------------
 
@@ -481,12 +559,9 @@ class SimState:
         self.fired += 1
         self.records.append(record)
 
-        app = t.provenance.application_id
-        if app in self.pattern_stats:
-            for probe in self._probes:
-                if probe.application_id == app and tid in probe.deviation:
-                    self.pattern_stats[app]["fired"] += 1
-                    break
+        stats = self._deviation_stats.get(tid)
+        if stats is not None:
+            stats["fired"] += 1
         return record
 
 
@@ -524,35 +599,14 @@ def step(state: SimState) -> tuple[SimState, FiringRecord | None]:
         return state, None
 
     enabled = state.enabled()
-    firing = None
     if enabled:
         try:
-            candidate = sample_firing(enabled, state.weights, state.eta, state.rng)
+            firing = sample_firing(enabled, state.weights, state.eta, state.rng)
         except AllWeightsZero:
-            candidate = None
-        if candidate is not None:
-            enabled_tids = {tid for tid, _ in enabled}
-            for probe in state._probes:
-                stats = state.pattern_stats[probe.application_id]
-                if not probe.deviation or not probe.competitors:
-                    continue
-                # a choice point needs both sides enabled with positive weight
-                dev_on = any(tid in enabled_tids and state.weights.at(tid, state.eta) > 0
-                             for tid in probe.deviation)
-                comp_on = any(tid in enabled_tids and state.weights.at(tid, state.eta) > 0
-                              for tid in probe.competitors)
-                if dev_on and comp_on:
-                    if candidate[0] in probe.deviation:
-                        stats["choice_points"] += 1
-                        stats["chosen"] += 1
-                    elif candidate[0] in probe.competitors:
-                        stats["choice_points"] += 1
-            firing = candidate
-
-    if firing is not None:
-        record = state._fire(*firing)
-        return state, record
-
+            firing = None
+        if firing is not None:
+            state._count_choice_point(firing[0])
+            return state, state._fire(*firing)
     state._advance(enabled_nonempty=bool(enabled))
     return state, None
 
@@ -569,9 +623,9 @@ def run(ml: Net, config: SimConfig, lineage: dict | None = None) -> GroundTruthT
     state = SimState(ml, config)
     while state.done is None:
         step(state)
-    digests = {"ml": net_digest(ml)}
-    if lineage:
-        digests.update(lineage)
+    lineage = lineage or {}
+    digests = {"ml": lineage["ml"] if "ml" in lineage else net_digest(ml)}
+    digests.update(lineage)
     return GroundTruthTrace(
         run_id=config.run_id,
         seed=config.seed,

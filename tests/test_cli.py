@@ -5,6 +5,7 @@ import pytest
 
 from logforge import logio
 from logforge.cli import main
+from logforge.simulate import SimConfig
 
 
 def run_cli(capsys, *argv):
@@ -277,3 +278,71 @@ def test_transform_application_file_shapes(tmp_path, capsys, doc, code):
     got, _, err = run_cli(capsys, "transform", "--model", os.path.join(fdir, "m0.json"),
                           "--apply", apps_path, "--out", os.path.join(fdir, "ml.json"))
     assert got == code, err
+
+
+def write_package_config(tmp_path, capsys, edit):
+    """The package fixture's sim config with `edit` applied, as a config file."""
+    fdir = str(tmp_path / "fx")
+    run_cli(capsys, "fixture", "--name", "package_delivery", "--out", fdir)
+    config = logio.read_json(os.path.join(fdir, "grid.json"))["sim_configs"][0]
+    config["schema_version"] = "1"
+    edit(config)
+    cpath = os.path.join(fdir, "config.json")
+    open(cpath, "w").write(json.dumps(config))
+    return os.path.join(fdir, "m0.json"), cpath
+
+
+@pytest.mark.parametrize("edit", [
+    lambda c: c.update(weights={"ring": [[0, "x"]]}),
+    lambda c: c.update(weights={"ring": [[0]]}),
+    lambda c: c.update(arc_delays={"ring": {"kind": "constant", "a": 1.0}}),
+    lambda c: c.update(firing_limt=5),
+    lambda c: c.update(prng="mt19937"),
+    lambda c: c.update(firing_limit="100"),
+    lambda c: c.update(time_horizon=float("nan")),
+    lambda c: c["arrivals"][0].pop("count"),
+], ids=["non-numeric-weight", "short-piece", "arc-key-without-arrow", "unknown-key",
+        "foreign-prng", "string-firing-limit", "nan-horizon", "arrival-without-count"])
+def test_simulate_bad_config_is_one_diagnostic(tmp_path, capsys, edit):
+    model, cpath = write_package_config(tmp_path, capsys, edit)
+    out = str(tmp_path / "sim")
+    code, _, err = run_cli(capsys, "simulate", "--model", model, "--config", cpath, "--out", out)
+    assert code == 1
+    [diag] = stderr_diagnostics(err)
+    assert diag["code"] == "ConfigInvalid"
+    assert not os.path.exists(out)
+
+
+def test_simulate_accepts_every_key_to_dict_writes(tmp_path, capsys):
+    def edit(c):
+        c["arc_delays"] = {"ring->p_rung": {"kind": "constant", "a": 5.0, "b": 0.0}}
+        c["schedules"] = [{"place": "p_van_pool", "token": ["v_9"], "start": 0.0, "stop": 600.0}]
+        c["run_id"] = "every-key"
+    model, cpath = write_package_config(tmp_path, capsys, edit)
+    config = json.load(open(cpath))
+    assert set(config) == set(SimConfig().to_dict()) | {"schema_version"}
+    out = str(tmp_path / "sim")
+    code, _, err = run_cli(capsys, "simulate", "--model", model, "--config", cpath, "--out", out)
+    assert code == 0, err
+    assert logio.read_trace(os.path.join(out, "trace.gt.jsonl")).run_id == "every-key"
+    del config["schema_version"]
+    assert SimConfig.from_dict(config).to_dict() == config
+
+
+@pytest.mark.parametrize("app,field", [
+    ({"code": "BI_3", "mapping": {"t": "ring"}}, "application_id"),
+    ({"application_id": "a1", "mapping": {"t": "ring"}}, "code"),
+    ({"application_id": 7, "code": "BI_3", "mapping": {"t": "ring"}}, "application_id"),
+    ("BI_3", "object"),
+], ids=["no-application-id", "no-code", "numeric-id", "not-object"])
+def test_transform_incomplete_application_exits_two(tmp_path, capsys, app, field):
+    fdir = str(tmp_path / "fx")
+    run_cli(capsys, "fixture", "--name", "package_delivery", "--out", fdir)
+    apps_path = os.path.join(fdir, "apps.json")
+    open(apps_path, "w").write(json.dumps([app]))
+    code, _, err = run_cli(capsys, "transform", "--model", os.path.join(fdir, "m0.json"),
+                           "--apply", apps_path, "--out", os.path.join(fdir, "ml.json"))
+    assert code == 2
+    [diag] = stderr_diagnostics(err)
+    assert diag["code"] == "ParseError"
+    assert field in diag["message"]

@@ -275,3 +275,19 @@ def test_delay_parameters_validated():
         Delay.uniform(5.0, 1.0)
     rng = np.random.default_rng(0)
     assert Delay.constant(-5.0).sample(rng) == 0.0  # clamped, never negative
+
+
+def test_ml_digest_is_computed_once(monkeypatch):
+    from logforge import simulate
+    from logforge.serialize import net_digest
+    net = loop_net()
+    config = SimConfig(firing_limit=3)
+    assert run(net, config).model_digests == {"ml": net_digest(net)}
+
+    calls = []
+    monkeypatch.setattr(simulate, "net_digest", lambda n: calls.append(n) or "fresh")
+    lineage = {"m0": "d0", "ml": "given"}
+    assert run(net, config, lineage=lineage).model_digests == {"ml": "given", "m0": "d0"}
+    assert calls == []
+    assert run(net, config, lineage={"m0": "d0"}).model_digests == {"ml": "fresh", "m0": "d0"}
+    assert calls == [net]
