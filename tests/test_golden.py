@@ -1,10 +1,13 @@
-"""Golden bytes: the trace and both log files of every fixture cell.
+"""Golden bytes: the trace and both log files of every fixture cell, and the
+transformed net and ledger of every pattern.
 
 Criterion c5 compares two runs of the same code, so a change that alters the
 output the same way on both runs passes it.  These digests pin the bytes
 themselves at the fixtures' pinned seeds.  `model.json` and the manifest are
 left out on purpose: their annotation format may change without any change
-to the simulated behaviour.
+to the simulated behaviour.  The pattern digests pin what each catalog
+entry builds, so a refactor of the catalog can be checked for changing
+nothing.
 """
 import hashlib
 import os
@@ -13,6 +16,8 @@ import pytest
 
 from logforge import fixtures
 from logforge.dataset import generate
+from logforge.serialize import digest_of, net_to_dict
+from logforge.transform import apply_sequence
 
 FILES = ("trace", "log_jsonl", "log_csv")
 
@@ -82,3 +87,47 @@ def test_fixture_outputs_are_byte_identical_to_golden(tmp_path, name):
                                    for k in FILES)
            for entry in manifest.cells}
     assert got == GOLDEN[name]
+
+
+# additivity case -> sha256 of the canonical JSON of (net_to_dict, ledger.to_dict())
+PATTERN_GOLDEN = {
+    'RI_mi^e': ('22da53b16f1e061fefc3ee5a81d81e62fd9495dd209fb7a2b66c2d8325d3a6cb',
+                'bf7271612bcc2b72cb8daa529161f2e1712ea83312d7d0ce2115f9a24f2194cf'),
+    'RI_in^e': ('b06bc3d8e612ec735f790a703ff59d0d6beec26848d0f0835611c7da14bc2282',
+                'c7abd9372cf3ce278f9ab729217796f340e40408cb8a47b260c016d957aae841'),
+    'RI_in^a': ('547d8a617e3d68e2e7de4bf1d3ff78d78884b3ce99555bcf0a5d53ff145d6131',
+                '7cad7528100f6c330f92532c910ae9049a25a724aee38ff8f53dc809cab9c5b9'),
+    'RI_mi^o': ('08e71442896c245529203bfffc1cd8d931398e99794df75f0985c928603803e8',
+                'e3f99123b4b05033e6885a77ce41266359c1a406015e0e23eac7fee452e67b7a'),
+    'RI_in^o': ('92051ebdfd99d42c2f7da4f3290cecfe7f7801188c2d28ac299f3fe400a25e8d',
+                '1df15e395cc86c7083c98b9f92e960cec467391215967d92201a341021a237fd'),
+    'RI_in^p': ('c93306baeeea3cf0618e37f7870825b85ca8a6e657007817149ee108cd361b7b',
+                'a64e95bfcb0844ff5f373a470b9ee5d71b3d90a7c502ff0f7abfdafc191c92e8'),
+    'RI_mi^p': ('7696464680fd5c18e424f9c2c8826f1fea161bebde5d8de27b64c30844cac482',
+                '3aaa6282a5ce87197186aa514317762c38ac59804b1126499e05fd9936cb3122'),
+    'BI_1':    ('e33328af1ab6e9a49150b3c8583d362583a9dc1d1d108eb965f0f6757a293cff',
+                '6483999088ac33d50da5914edee8576e1b0ca5a743560b4fbc8be9b29c6dbf59'),
+    'BI_2':    ('92e58b0bfcb39b5b5024ab83192a8759e67bdfcfcd4b8932f98f32839e06ff35',
+                '28aaaf359b8c03c6d9cda739f6d83644454398d6e7ea48201aa4c175c5bf99bc'),
+    'BI_3':    ('09743d35d63c209b78ee0b93a406a82c8b00d960cd962326065eee23189fb619',
+                'b9eb71af6eafdf52776029353fa63abb7e181694d72ee57ecd565a7551608686'),
+    'BI_5':    ('f6a126a558d2624bccee8dc6e9a982ca2dc11c567fdb440c1530927d026e599d',
+                'a90d92d2115d579813ebc462b9c5057a67907be44f8b364fe5c57b59670fac98'),
+    'BI_6':    ('1f419a25e1488f3a61212865eef04eb38c7a8faa87c991a68f3ddfd52350dc49',
+                '688499668258ea695ffedb6596b1a28b931be0fa0f619cd6092a4d1c2521f941'),
+    'BI_7':    ('4fc4a99f076eb91153d0687fc959152441b87c645dde41abfc3317b03536c3f3',
+                '5ee4cd01e32b74899a268888300a9ccd4be13d1f9a125df5f6b4d7b675fc8253'),
+    'BI_9':    ('c8d55b3b54735cf5f6cdbe079340fd580e48fa57f71eae4ee86d28c7e926416d',
+                '7b1a0f994565ef5b4f8e702814b0c3a8b721452be8772c3323c0a97144904db9'),
+    'BI_10':   ('d89162d8b5398cdbb8a8735805efd8f86b5467d51715aa62ced7a7d4eb56ec43',
+                '44dbf5541ecbe35667d4a0e3227fa7cdcb96b308481e6996cac7359bb259aef7'),
+    'BI_11':   ('084a58e022b2258cf6a7836567ef9232dd706b78e34464290d8370b6a58ac7cc',
+                '02148b62808d8397cb1bfff2b51668fc0fb9b2db93f2ff909d18e24892b8423e'),
+}
+
+
+@pytest.mark.parametrize("case", fixtures.additivity_cases(), ids=lambda c: c[0])
+def test_pattern_net_and_ledger_are_identical_to_golden(case):
+    name, net, app = case
+    out, ledger = apply_sequence(net, [app])
+    assert (digest_of(net_to_dict(out)), digest_of(ledger.to_dict())) == PATTERN_GOLDEN[name]
