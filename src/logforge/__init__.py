@@ -9,7 +9,7 @@ transition that produced it.
 from .nets import (Arc, Binding, Marking, Net, ObjectType, Place,
                    ProvenanceTag, Transition, Variable, bounded_language,
                    enabled_bindings, fire, replay, validate_net)
-from .patterns import PatternApplication, catalog, instantiate, wildcard_requirements
+from .patterns import CATALOG, PatternApplication
 from .simulate import GroundTruthTrace, SimConfig, run
 from .timing import Delay
 from .transform import apply, apply_sequence, validate_mapping
@@ -17,9 +17,9 @@ from .transform import apply, apply_sequence, validate_mapping
 __version__ = "0.1.0"
 
 __all__ = [
-    "Arc", "Binding", "Delay", "GroundTruthTrace", "Marking", "Net",
+    "Arc", "Binding", "CATALOG", "Delay", "GroundTruthTrace", "Marking", "Net",
     "ObjectType", "PatternApplication", "Place", "ProvenanceTag", "SimConfig",
     "Transition", "Variable", "apply", "apply_sequence", "bounded_language",
-    "catalog", "enabled_bindings", "fire", "instantiate", "replay", "run",
-    "validate_mapping", "validate_net", "wildcard_requirements",
+    "enabled_bindings", "fire", "replay", "run", "validate_mapping",
+    "validate_net",
 ]

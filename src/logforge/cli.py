@@ -16,7 +16,7 @@ from dataclasses import replace
 from . import dataset as ds
 from . import fixtures, logio, oracle
 from .nets import validate_net
-from .patterns import MissingParam, PatternApplication, UnknownPattern
+from .patterns import PatternApplication, UnknownPattern
 from .serialize import SCHEMA_VERSION
 from .simulate import ConfigInvalid, SimConfig, run
 from .transform import InvalidMapping, OrderViolation, apply_sequence
@@ -187,7 +187,7 @@ def main(argv=None) -> int:
         for d in e.diagnostics:
             _emit_diagnostic(d.code, d.element, d.message)
         return 1
-    except (OrderViolation, UnknownPattern, MissingParam, ConfigInvalid,
+    except (OrderViolation, UnknownPattern, ConfigInvalid,
             fixtures.UnknownFixture, ds.GenerationError,
             oracle.LogTraceMismatch, oracle.CoverageMismatch) as e:
         _emit_diagnostic(type(e).__name__, "", str(e))

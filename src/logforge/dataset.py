@@ -17,7 +17,7 @@ from . import logio
 from .nets import Net
 from .patterns import PatternApplication
 from .serialize import net_from_dict, net_to_dict, net_digest
-from .simulate import SimConfig, run
+from .simulate import ConfigInvalid, SimConfig, run
 from .transform import apply_sequence
 
 
@@ -44,9 +44,9 @@ class GridSpec:
 
     def validate(self) -> None:
         if not self.behavioral_sets or not self.recording_sets or not self.sim_configs:
-            raise ValueError("grid axes must be non-empty (use [[]] for 'no patterns')")
+            raise ConfigInvalid("grid axes must be non-empty (use [[]] for 'no patterns')")
         if self.paired and len(self.behavioral_sets) != len(self.recording_sets):
-            raise ValueError("paired grids need equally many behavioral and recording sets")
+            raise ConfigInvalid("paired grids need equally many behavioral and recording sets")
 
     def to_dict(self) -> dict:
         return {
@@ -59,15 +59,31 @@ class GridSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GridSpec":
+        """Read what `to_dict` writes, plus the `schema_version` of a grid
+        file.  An unknown key, a non-boolean `paired` or a non-integer
+        `master_seed` raises ConfigInvalid."""
+        unknown = sorted(set(d) - _GRID_KEYS)
+        if unknown:
+            raise ConfigInvalid(f"unknown grid key(s) {unknown}; "
+                                f"known keys are {sorted(_GRID_KEYS)}")
+        paired = d.get("paired", False)
+        if type(paired) is not bool:
+            raise ConfigInvalid(f"grid 'paired' must be true or false, got {paired!r}")
+        master_seed = d.get("master_seed", 0)
+        if type(master_seed) is not int:
+            raise ConfigInvalid(f"grid 'master_seed' must be an integer, got {master_seed!r}")
         return cls(
             behavioral_sets=[[PatternApplication.from_dict(a) for a in s]
                              for s in d.get("behavioral_sets", [])],
             recording_sets=[[PatternApplication.from_dict(a) for a in s]
                             for s in d.get("recording_sets", [])],
             sim_configs=[SimConfig.from_dict(c) for c in d.get("sim_configs", [])],
-            paired=bool(d.get("paired", False)),
-            master_seed=int(d.get("master_seed", 0)),
+            paired=paired,
+            master_seed=master_seed,
         )
+
+
+_GRID_KEYS = frozenset(GridSpec().to_dict()) | {"schema_version"}
 
 
 @dataclass(frozen=True)
@@ -137,7 +153,7 @@ def _generate_cell(payload: dict) -> dict:
 
     ms, ledger_b = apply_sequence(m0, behavioral)
     ml, ledger_r = apply_sequence(ms, recording)
-    digests = {"m0": net_digest(m0), "ms": net_digest(ms), "ml": net_digest(ml)}
+    digests = {"m0": payload["m0_digest"], "ms": net_digest(ms), "ml": net_digest(ml)}
     trace = run(ml, config, lineage=digests)
     log = logio.project_observed(trace)
 
@@ -186,6 +202,8 @@ def generate(m0: Net, grid: GridSpec, out_dir: str, jobs: int = 1,
              keep_going: bool = False) -> DatasetManifest:
     cells = enumerate_cells(grid)
     m0_dict = net_to_dict(m0)
+    # the digest of m0 as every cell and `read_model("m0.json")` see it
+    m0_digest = net_digest(net_from_dict(m0_dict))
     payloads = []
     for cell in cells:
         config = replace(
@@ -195,6 +213,7 @@ def generate(m0: Net, grid: GridSpec, out_dir: str, jobs: int = 1,
         )
         payloads.append({
             "m0": m0_dict,
+            "m0_digest": m0_digest,
             "cell_id": cell.cell_id,
             "b_index": cell.b_index,
             "r_index": cell.r_index,
@@ -226,7 +245,7 @@ def generate(m0: Net, grid: GridSpec, out_dir: str, jobs: int = 1,
             collect(payload, lambda p=payload: _generate_cell(p))
 
     manifest = DatasetManifest(master_seed=grid.master_seed,
-                               m0_digest=net_digest(m0), cells=entries)
+                               m0_digest=m0_digest, cells=entries)
     logio.write_model(m0, os.path.join(out_dir, "m0.json"))
     logio.write_json(manifest.to_dict(), os.path.join(out_dir, "manifest.json"))
     return manifest

@@ -1,17 +1,18 @@
 """Model transformations: the union of a net with a mapped pattern fragment.
 
-`apply` never touches pre-existing elements; it only adds the fragment's
-created places, transitions, arcs, object types and initial tokens, and
-attaches the fragment's simulation annotations.  `apply_sequence` chains
-transformations and keeps a provenance ledger attributing every created
-element to exactly one application.
+`apply` looks up the pattern of an application's code, checks the mapping
+against it and builds the fragment.  It never touches pre-existing elements;
+it only adds the fragment's created places, transitions, arcs, object types
+and initial tokens, and attaches the fragment's simulation annotations.
+`apply_sequence` chains transformations and keeps a provenance ledger
+attributing every created element to exactly one application.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .nets import Diagnostic, Net
-from .patterns import PatternApplication, PatternFragment, instantiate
+from .patterns import PatternApplication, _mapping_to_json, _params_to_json, lookup
 
 
 class InvalidMapping(Exception):
@@ -32,16 +33,17 @@ _KIND_SPACE = {"place": "places", "transition": "transitions",
                "label": "labels"}
 
 
-def validate_mapping(net: Net, fragment: PatternFragment,
-                     app: PatternApplication) -> list[Diagnostic]:
-    """Check that `app` maps every wildcard to a suitable element of `net`."""
+def validate_mapping(net: Net, app: PatternApplication) -> list[Diagnostic]:
+    """Check that `app` maps every wildcard of its pattern to a suitable
+    element of `net` and meets the pattern's requirements."""
+    pattern = lookup(app.code)
     out: list[Diagnostic] = []
     seen_per_kind: dict[str, dict] = {}
 
-    for wc in fragment.wildcards:
+    for wc in pattern.wildcards:
         if wc.name not in app.mapping:
             out.append(Diagnostic("MissingMapping", wc.name,
-                                  f"wildcard <{wc.name}> of {fragment.code} is unmapped"))
+                                  f"wildcard <{wc.name}> of {app.code} is unmapped"))
             continue
         values = app.many(wc.name) if wc.many else (app.one(wc.name),)
         if wc.many and not values:
@@ -72,22 +74,21 @@ def validate_mapping(net: Net, fragment: PatternFragment,
     if out:
         return out
 
-    params = {**fragment.params, **app.params}
-    for req in fragment.requirements:
-        msg = req.check(net, app, params)
+    for req in pattern.requirements:
+        msg = req.check(net, app)
         if msg:
             code = "RoleMismatch" if "role" in req.name else "RequirementFailed"
-            out.append(Diagnostic(code, req.name, f"{fragment.code}: {msg}"))
+            out.append(Diagnostic(code, req.name, f"{app.code}: {msg}"))
     return out
 
 
-def apply(net: Net, fragment: PatternFragment, app: PatternApplication) -> Net:
-    """The net unioned with the mapped fragment's created elements."""
-    diagnostics = validate_mapping(net, fragment, app)
+def apply(net: Net, app: PatternApplication) -> Net:
+    """The net unioned with the elements `app`'s pattern creates."""
+    diagnostics = validate_mapping(net, app)
     if diagnostics:
         raise InvalidMapping(diagnostics)
 
-    built = fragment.build(net, app)
+    built = lookup(app.code).build(net, app)
     clashes = [p.id for p in built.places if p.id in net.place_map]
     clashes += [t.id for t in built.transitions if t.id in net.transition_map]
     if clashes:
@@ -126,7 +127,6 @@ class LedgerEntry:
     params: dict
 
     def to_dict(self) -> dict:
-        from .patterns import _params_to_json
         return {
             "application_id": self.application_id,
             "code": self.code,
@@ -134,39 +134,17 @@ class LedgerEntry:
             "created_places": list(self.created_places),
             "created_transitions": list(self.created_transitions),
             "created_arc_count": self.created_arc_count,
-            "mapping": {k: (list(v) if isinstance(v, (list, tuple)) else v)
-                        for k, v in self.mapping.items()},
+            "mapping": _mapping_to_json(self.mapping),
             "params": _params_to_json(self.params),
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LedgerEntry":
-        from .patterns import _params_from_json
-        return cls(d["application_id"], d["code"], d["origin"],
-                   tuple(d["created_places"]), tuple(d["created_transitions"]),
-                   d["created_arc_count"], dict(d["mapping"]),
-                   _params_from_json(d.get("params", {})))
 
 
 @dataclass(frozen=True)
 class ProvenanceLedger:
     entries: tuple[LedgerEntry, ...] = ()
 
-    def application_ids(self) -> tuple[str, ...]:
-        return tuple(e.application_id for e in self.entries)
-
-    def entry(self, application_id: str) -> LedgerEntry | None:
-        for e in self.entries:
-            if e.application_id == application_id:
-                return e
-        return None
-
     def to_dict(self) -> dict:
         return {"entries": [e.to_dict() for e in self.entries]}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ProvenanceLedger":
-        return cls(tuple(LedgerEntry.from_dict(e) for e in d.get("entries", [])))
 
 
 def apply_sequence(net: Net, apps) -> tuple[Net, ProvenanceLedger]:
@@ -179,8 +157,7 @@ def apply_sequence(net: Net, apps) -> tuple[Net, ProvenanceLedger]:
             raise InvalidMapping([Diagnostic("DuplicateId", app.application_id,
                                              "application id reused")], index=i)
         seen_ids.add(app.application_id)
-        frag = instantiate(app.code, app.params)
-        if frag.origin == "recording":
+        if lookup(app.code).origin == "recording":
             seen_recording = True
         elif seen_recording:
             raise OrderViolation(
@@ -189,22 +166,21 @@ def apply_sequence(net: Net, apps) -> tuple[Net, ProvenanceLedger]:
     entries: list[LedgerEntry] = []
     current = net
     for i, app in enumerate(apps):
-        frag = instantiate(app.code, app.params)
         before_p = {p.id for p in current.places}
         before_t = {t.id for t in current.transitions}
         before_a = len(current.arcs)
         try:
-            current = apply(current, frag, app)
+            current = apply(current, app)
         except InvalidMapping as e:
             raise InvalidMapping(e.diagnostics, index=i) from None
         entries.append(LedgerEntry(
             application_id=app.application_id,
             code=app.code,
-            origin=frag.origin,
+            origin=lookup(app.code).origin,
             created_places=tuple(p.id for p in current.places if p.id not in before_p),
             created_transitions=tuple(t.id for t in current.transitions if t.id not in before_t),
             created_arc_count=len(current.arcs) - before_a,
             mapping=dict(app.mapping),
-            params={**frag.params, **app.params},
+            params=dict(app.params),
         ))
     return current, ProvenanceLedger(tuple(entries))

@@ -16,7 +16,6 @@ from logforge import fixtures, logio
 from logforge.dataset import GridSpec, cell_seed, generate
 from logforge.nets import bounded_language, enabled_bindings
 from logforge.oracle import gt_alignment, move_distance
-from logforge.patterns import instantiate
 from logforge.serialize import net_canonical_digest, net_to_dict
 from logforge.simulate import WeightSpec, run, sample_firing, trace_replays
 from logforge.transform import apply, apply_sequence
@@ -93,7 +92,7 @@ def test_c3_additivity_for_every_pattern():
     for name, net, app in fixtures.additivity_cases():
         if id(net) not in base_langs:
             base_langs[id(net)] = bounded_language(net, 4)
-        transformed = apply(net, instantiate(app.code, app.params), app)
+        transformed = apply(net, app)
         assert base_langs[id(net)] <= bounded_language(transformed, 4), name
     report("criterion 3 (additivity, all sixteen patterns)", time.monotonic() - t0, 60.0)
 
@@ -101,7 +100,7 @@ def test_c3_additivity_for_every_pattern():
 def test_c4_superset_and_commutativity():
     t0 = time.monotonic()
     for name, net, app in fixtures.additivity_cases():
-        out = apply(net, instantiate(app.code, app.params), app)
+        out = apply(net, app)
         before = net_to_dict(net)
         after = net_to_dict(out)
         places = {p["id"]: p for p in after["places"]}

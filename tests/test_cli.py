@@ -346,3 +346,47 @@ def test_transform_incomplete_application_exits_two(tmp_path, capsys, app, field
     [diag] = stderr_diagnostics(err)
     assert diag["code"] == "ParseError"
     assert field in diag["message"]
+
+
+@pytest.mark.parametrize("app", [
+    {"code": "BI_10", "mapping": {"t": "depart"}, "params": {"drop": ["a"]}},
+    {"code": "BI_10", "mapping": {"t": "depart"}, "params": {}},
+    {"code": "BI_6", "mapping": {"p_c": "p_c"}, "params": {"variant": "sideways"}},
+], ids=["non-integer-drop", "no-drop", "unknown-variant"])
+def test_transform_bad_pattern_param_is_one_requirement_failure(tmp_path, capsys, app):
+    fdir = str(tmp_path / "fx")
+    run_cli(capsys, "fixture", "--name", "package_delivery", "--out", fdir)
+    apps_path = os.path.join(fdir, "apps.json")
+    open(apps_path, "w").write(json.dumps([{"application_id": "a1", **app}]))
+    out = os.path.join(fdir, "ml.json")
+    code, _, err = run_cli(capsys, "transform", "--model", os.path.join(fdir, "m0.json"),
+                           "--apply", apps_path, "--out", out)
+    assert code == 1
+    [diag] = stderr_diagnostics(err)
+    assert diag["code"] == "RequirementFailed" and diag["message"].startswith(app["code"])
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda g: g.update(paried=True),
+    lambda g: g.update(master_sed=5),
+    lambda g: g.update(paired="false"),
+    lambda g: g.update(master_seed="7"),
+    lambda g: g.update(recording_sets=[]),
+    lambda g: g["recording_sets"].pop(),
+], ids=["unknown-key-paired", "unknown-key-seed", "string-paired", "string-seed",
+        "empty-axis", "unequal-pairs"])
+def test_dataset_bad_grid_is_one_diagnostic(tmp_path, capsys, edit):
+    fdir = str(tmp_path / "fx")
+    run_cli(capsys, "fixture", "--name", "package_delivery", "--out", fdir)
+    gpath = os.path.join(fdir, "grid.json")
+    grid = logio.read_json(gpath)
+    edit(grid)
+    open(gpath, "w").write(json.dumps(grid))
+    out = str(tmp_path / "ds")
+    code, _, err = run_cli(capsys, "dataset", "--model", os.path.join(fdir, "m0.json"),
+                           "--grid", gpath, "--out", out)
+    assert code == 1
+    [diag] = stderr_diagnostics(err)
+    assert diag["code"] == "ConfigInvalid"
+    assert not os.path.exists(out)

@@ -1,4 +1,5 @@
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -6,6 +7,7 @@ from logforge import fixtures, logio
 from logforge.dataset import (GenerationError, GridSpec, cell_seed,
                               enumerate_cells, generate, read_manifest)
 from logforge.patterns import PatternApplication
+from logforge.serialize import net_digest
 from logforge.simulate import SimConfig, trace_replays
 
 
@@ -97,6 +99,19 @@ def test_manifest_round_trip(package_dataset):
     back = read_manifest(os.path.join(out, "manifest.json"))
     assert back.to_dict() == manifest.to_dict()
     assert back.entry("b0-r0-c0")["seed"] == manifest.cells[0]["seed"]
+
+
+def test_m0_digest_agrees_for_a_library_net_with_integer_weights(tmp_path):
+    # an integer weight turns into a float on the way through model.json, so
+    # the manifest must digest m0 as the cells and a reader see it
+    net, grid = fixtures.fixture("package_delivery")
+    m0 = replace(net, annotations=net.annotations.merged_with(weights=[("ring", ((0, 1),))]))
+    small = GridSpec(behavioral_sets=[[], grid.behavioral_sets[0]], recording_sets=[[]],
+                     sim_configs=grid.sim_configs)
+    manifest = generate(m0, small, str(tmp_path))
+    read_back = net_digest(logio.read_model(os.path.join(tmp_path, "m0.json")))
+    assert read_back != net_digest(m0)
+    assert {manifest.m0_digest} | {e["digests"]["m0"] for e in manifest.cells} == {read_back}
 
 
 def test_designated_pattern_fires_and_no_others(package_dataset):

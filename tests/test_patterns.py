@@ -1,52 +1,65 @@
 import pytest
 
 from logforge import fixtures
-from logforge.patterns import (CODES, MissingParam, PatternApplication,
-                               UnknownPattern, catalog, instantiate,
-                               wildcard_requirements)
+from logforge.patterns import (CATALOG, CODES, PatternApplication, UnknownPattern,
+                               Wildcard, lookup)
+from logforge.transform import validate_mapping
 
 EXPECTED_CODES = {"RI_mi^e", "RI_in^e", "RI_in^a", "RI_mi^o", "RI_in^o", "RI_in^p",
                   "RI_mi^p", "BI_1", "BI_2", "BI_3", "BI_5", "BI_6", "BI_7",
                   "BI_9", "BI_10", "BI_11"}
 
+# patterns that only annotate timing and create no element
+TIMING_ONLY = {"RI_mi^p", "BI_11"}
+
+
+def _build(net, app):
+    return lookup(app.code).build(net, app)
+
 
 def test_catalog_has_the_sixteen_patterns():
-    entries = catalog()
-    assert len(entries) == 16
-    assert {code for code, _, _ in entries} == EXPECTED_CODES
+    assert len(CATALOG) == 16
+    assert set(CATALOG) == EXPECTED_CODES
+    assert CODES == tuple(CATALOG)
+    assert all(code == p.code and p.description for code, p in CATALOG.items())
+    assert {p.origin for p in CATALOG.values() if p.code.startswith("RI")} == {"recording"}
+    assert {p.origin for p in CATALOG.values() if p.code.startswith("BI")} == {"behavioral"}
 
 
 def test_catalog_signatures():
-    sig = {code: s for code, _, s in catalog()}
-    assert sig["RI_mi^o"] == {"t": "transition", "O": "object_type set"}
-    assert sig["BI_5"] == {"p_q1": "place", "p_q2": "place"}
-    assert sig["RI_mi^p"] == {"T": "transition set"}
+    assert CATALOG["RI_mi^o"].wildcards == (Wildcard("t", "transition"),
+                                            Wildcard("O", "object_type", many=True))
+    assert CATALOG["BI_5"].wildcards == (Wildcard("p_q1", "place"), Wildcard("p_q2", "place"))
+    assert CATALOG["RI_mi^p"].wildcards == (Wildcard("T", "transition", many=True),)
 
 
 def test_bi6_covers_both_variants():
-    _, description, _ = next(e for e in catalog() if e[0] == "BI_6")
-    frag = instantiate("BI_6")
-    locals_ = [t.local for t in frag.created_transitions]
-    assert any("inc" in x for x in locals_) and any("dec" in x for x in locals_)
-    only_dec = instantiate("BI_6", {"variant": "decrease"})
-    assert all("dec" in t.local for t in only_dec.created_transitions)
+    net = fixtures.mini_cap()
+    both = _build(net, PatternApplication("c", "BI_6", {"p_c": "p_cap"}))
+    ids = [t.id for t in both.transitions]
+    assert any("inc" in x for x in ids) and any("dec" in x for x in ids)
+    only_dec = _build(net, PatternApplication("c", "BI_6", {"p_c": "p_cap"},
+                                              {"variant": "decrease"}))
+    assert only_dec.transitions and all("dec" in t.id for t in only_dec.transitions)
+    assert only_dec.places and all("dec" in p.id for p in only_dec.places)
 
 
-def test_instantiate_counts():
-    bi5 = instantiate("BI_5")
-    assert len(bi5.created_transitions) == 1 and len(bi5.created_places) == 1
-    ria = instantiate("RI_in^a")
-    assert len(ria.created_transitions) == 1 and len(ria.created_places) == 0
-    rimp = instantiate("RI_mi^p", {"window_s": 3600.0})
-    assert rimp.timing_only
-    assert rimp.created_transitions == () and rimp.created_places == ()
+def test_created_element_counts():
+    bi5 = _build(fixtures.mini_queue(),
+                 PatternApplication("o", "BI_5", {"p_q1": "p_qa", "p_q2": "p_qb"}))
+    assert len(bi5.transitions) == 1 and len(bi5.places) == 1
+    ria = _build(fixtures.mini_chain(),
+                 PatternApplication("a", "RI_in^a", {"t": "alpha", "t_prime": "gamma"}))
+    assert len(ria.transitions) == 1 and len(ria.places) == 0
+    rimp = _build(fixtures.mini_chain(), PatternApplication(
+        "p", "RI_mi^p", {"T": ["alpha", "beta"]}, {"window_s": 3600.0}))
+    assert rimp.transitions == [] and rimp.places == [] and rimp.arcs == []
 
 
 def test_timing_only_patterns_build_exactly_one_override():
     for name, net, app in fixtures.additivity_cases():
-        frag = instantiate(app.code, app.params)
-        built = frag.build(net, app)
-        if frag.timing_only:
+        built = _build(net, app)
+        if app.code in TIMING_ONLY:
             assert not built.places and not built.transitions
             assert len(built.overrides) == 1
         else:
@@ -55,8 +68,7 @@ def test_timing_only_patterns_build_exactly_one_override():
 
 def test_created_elements_carry_matching_provenance():
     for name, net, app in fixtures.additivity_cases():
-        frag = instantiate(app.code, app.params)
-        built = frag.build(net, app)
+        built = _build(net, app)
         expected = "behavioral" if app.code.startswith("BI") else "recording"
         for t in built.transitions:
             assert t.provenance.origin == expected
@@ -66,36 +78,43 @@ def test_created_elements_carry_matching_provenance():
 
 def test_distinct_application_ids_yield_disjoint_created_ids():
     net = fixtures.mini_chain()
-    frag = instantiate("BI_3")
-    a = frag.build(net, PatternApplication("one", "BI_3", {"t": "alpha"}))
-    b = frag.build(net, PatternApplication("two", "BI_3", {"t": "alpha"}))
+    a = _build(net, PatternApplication("one", "BI_3", {"t": "alpha"}))
+    b = _build(net, PatternApplication("two", "BI_3", {"t": "alpha"}))
     ids_a = {t.id for t in a.transitions} | {p.id for p in a.places}
     ids_b = {t.id for t in b.transitions} | {p.id for p in b.places}
     assert ids_a and not ids_a & ids_b
 
 
-def test_unknown_pattern_and_missing_param():
+BAD_PARAMS = [
+    ("BI_10", fixtures.mini_batch, {"t": "release"}, {}),  # the dropped-arc indices
+    ("BI_10", fixtures.mini_batch, {"t": "release"}, {"drop": ["a"]}),
+    ("BI_10", fixtures.mini_batch, {"t": "release"}, {"drop": 1}),
+    ("BI_6", fixtures.mini_cap, {"p_c": "p_cap"}, {"variant": "sideways"}),
+    ("BI_1", fixtures.mini_corr, {"p": "p_b", "p_r": "p_r"}, {"component": "1"}),
+    ("RI_in^o", fixtures.mini_pool, {"t": "work", "p_w": "p_r"}, {"var": "x"}),
+]
+
+
+def test_unknown_pattern_and_required_params():
     with pytest.raises(UnknownPattern):
-        instantiate("BI_99")
+        lookup("BI_99")
     with pytest.raises(UnknownPattern):
-        wildcard_requirements("nope")
-    with pytest.raises(MissingParam):
-        instantiate("BI_10")  # requires the dropped-arc indices
-    with pytest.raises(MissingParam):
-        instantiate("BI_6", {"variant": "sideways"})
+        validate_mapping(fixtures.mini_chain(), PatternApplication("x", "nope", {"t": "alpha"}))
+    for code, make_net, mapping, params in BAD_PARAMS:
+        diags = validate_mapping(make_net(), PatternApplication("x", code, mapping, params))
+        assert [d.code for d in diags] == ["RequirementFailed"], (code, params)
 
 
 def test_requirements_are_named_and_checkable():
-    for code in CODES:
-        reqs = wildcard_requirements(code)
-        assert all(r.name and r.description for r in reqs)
+    for pattern in CATALOG.values():
+        assert all(r.name and r.description and callable(r.check) for r in pattern.requirements)
 
 
 def test_missing_object_record_spec_excludes_bypassed():
     net = fixtures.mini_sideloop()
     app = PatternApplication("m1", "RI_mi^o", {"t": "scan", "O": ["gadget"]},
                              {"vars": ["d"]})
-    built = instantiate(app.code, app.params).build(net, app)
+    built = _build(net, app)
     twin = next(t for t in built.transitions if t.activity_label == "scan")
     assert twin.record_spec == ("x",)
     silents = [t for t in built.transitions if t.silent]
@@ -105,7 +124,7 @@ def test_missing_object_record_spec_excludes_bypassed():
 def test_wrong_object_records_the_substitute():
     net = fixtures.mini_pool()
     app = PatternApplication("w1", "RI_in^o", {"t": "work", "p_w": "p_r"}, {"var": "rr"})
-    built = instantiate(app.code, app.params).build(net, app)
+    built = _build(net, app)
     dup = built.transitions[0]
     assert dup.record_spec == ("x", "wrong_rr")
     loops = [a for a in built.arcs if a.source == "p_r" or a.target == "p_r"]
@@ -115,7 +134,7 @@ def test_wrong_object_records_the_substitute():
 def test_switch_role_uses_a_fresh_alias():
     net = fixtures.mini_roles()
     app = PatternApplication("s1", "BI_7", {"p_r1": "p_ra", "p_r2": "p_rb"})
-    built = instantiate(app.code, app.params).build(net, app)
+    built = _build(net, app)
     fresh_vars = [v for a in built.arcs for v in a.inscription if v.fresh]
     assert fresh_vars and all(v.object_type == "helper" for v in fresh_vars)
 
@@ -123,7 +142,7 @@ def test_switch_role_uses_a_fresh_alias():
 def test_batch_log_reroutes_through_twin_places():
     net = fixtures.mini_chain()
     app = PatternApplication("b1", "RI_in^p", {"t1": "alpha", "t2": "beta"})
-    built = instantiate(app.code, app.params).build(net, app)
+    built = _build(net, app)
     assert len(built.places) == 1  # the twin of the shared place p1
     twin = built.places[0].id
     assert any(a.target == twin for a in built.arcs)
@@ -138,7 +157,7 @@ def test_multitasking_reclaims_the_exact_resource():
     from logforge.transform import apply
     net = fixtures.mini_corr()
     app = PatternApplication("mt", "BI_2", {"p1": "p_b", "p2": "p_r"})
-    out = apply(net, instantiate("BI_2"), app)
+    out = apply(net, app)
     gen = out.id_generator()
     release = next(f for f in enabled_bindings(out, out.initial_marking)
                    if f[0].startswith("tau_early_release"))

@@ -2,7 +2,7 @@ import pytest
 
 from logforge import fixtures
 from logforge.nets import Net, bounded_language, validate_net
-from logforge.patterns import PatternApplication, instantiate
+from logforge.patterns import PatternApplication
 from logforge.serialize import net_canonical_digest, net_digest, net_to_dict
 from logforge.transform import (InvalidMapping, OrderViolation, apply,
                                 apply_sequence, validate_mapping)
@@ -10,35 +10,33 @@ from logforge.transform import (InvalidMapping, OrderViolation, apply,
 
 def test_all_demo_mappings_validate():
     for name, net, app in fixtures.additivity_cases():
-        frag = instantiate(app.code, app.params)
-        assert validate_mapping(net, frag, app) == [], name
+        assert validate_mapping(net, app) == [], name
 
 
 def test_role_mismatch_diagnostic():
     net = fixtures.mini_corr()
     app = PatternApplication("x", "BI_1", {"p": "p_b", "p_r": "p_out"})
-    frag = instantiate("BI_1")
-    diags = validate_mapping(net, frag, app)
+    diags = validate_mapping(net, app)
     assert any(d.code == "RoleMismatch" for d in diags)
 
 
 def test_unresolved_element_diagnostic():
     net = fixtures.mini_chain()
     app = PatternApplication("x", "BI_3", {"t": "does_not_exist"})
-    diags = validate_mapping(net, instantiate("BI_3"), app)
+    diags = validate_mapping(net, app)
     assert any(d.code == "UnresolvedElement" for d in diags)
 
 
 def test_injectivity_diagnostic():
     net = fixtures.mini_roles()
     app = PatternApplication("x", "BI_7", {"p_r1": "p_ra", "p_r2": "p_ra"})
-    diags = validate_mapping(net, instantiate("BI_7"), app)
+    diags = validate_mapping(net, app)
     assert any(d.code == "InjectivityViolation" for d in diags)
 
 
 def test_missing_mapping_diagnostic():
     net = fixtures.mini_chain()
-    diags = validate_mapping(net, instantiate("BI_3"), PatternApplication("x", "BI_3"))
+    diags = validate_mapping(net, PatternApplication("x", "BI_3"))
     assert any(d.code == "MissingMapping" for d in diags)
 
 
@@ -51,7 +49,7 @@ def _element_dicts(net: Net) -> dict:
 
 def test_apply_is_a_strict_element_superset():
     for name, net, app in fixtures.additivity_cases():
-        out = apply(net, instantiate(app.code, app.params), app)
+        out = apply(net, app)
         p0, t0, a0 = _element_dicts(net)
         p1, t1, a1 = _element_dicts(out)
         for pid, pd in p0.items():
@@ -68,7 +66,7 @@ def test_apply_is_a_strict_element_superset():
 def test_overtake_adds_one_place_and_one_transition():
     net = fixtures.mini_queue()
     app = PatternApplication("o1", "BI_5", {"p_q1": "p_qa", "p_q2": "p_qb"})
-    out = apply(net, instantiate("BI_5"), app)
+    out = apply(net, app)
     assert len(out.places) == len(net.places) + 1
     assert len(out.transitions) == len(net.transitions) + 1
 
@@ -77,7 +75,7 @@ def test_timing_only_apply_is_structurally_identity():
     net = fixtures.mini_chain()
     app = PatternApplication("t1", "RI_mi^p", {"T": ["alpha", "beta"]},
                              {"window_s": 3600.0})
-    out = apply(net, instantiate(app.code, app.params), app)
+    out = apply(net, app)
     assert len(out.places) == len(net.places)
     assert len(out.transitions) == len(net.transitions)
     assert len(out.arcs) == len(net.arcs)
@@ -87,7 +85,7 @@ def test_timing_only_apply_is_structurally_identity():
 def test_apply_rejects_invalid_mapping():
     net = fixtures.mini_chain()
     with pytest.raises(InvalidMapping):
-        apply(net, instantiate("BI_3"), PatternApplication("x", "BI_3", {"t": "missing"}))
+        apply(net, PatternApplication("x", "BI_3", {"t": "missing"}))
 
 
 def test_apply_sequence_empty():
@@ -164,7 +162,7 @@ def test_commutativity_on_disjoint_mappings():
 
 def test_additivity_smoke():
     name, net, app = fixtures.additivity_cases()[0]
-    out = apply(net, instantiate(app.code, app.params), app)
+    out = apply(net, app)
     assert bounded_language(net, 3) <= bounded_language(out, 3)
 
 
