@@ -1,17 +1,20 @@
 """Grid generation: behavioral-set x recording-set x sim-config fan-out.
 
-Every cell independently derives M^S and M^L from the base model, simulates,
-and writes model/ledger/trace/log files under its own directory; the manifest
+The cells of a (behavioral, recording) row share one build of M^S and M^L,
+digested and encoded once; each cell simulates M^L under its own config and
+writes model/ledger/trace/log files under its own directory; the manifest
 ties everything together.  Cells get their seeds from (master_seed, indices),
-so extending the grid never perturbs existing cells, and they are
-embarrassingly parallel (`jobs` > 1 uses a process pool).
+so extending the grid never perturbs existing cells, and `jobs` > 1 runs
+them in a process pool, one cell per task.
 """
 from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass, field, replace
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
+from dataclasses import dataclass, field, replace
 
 from . import logio
 from .nets import Net
@@ -127,12 +130,6 @@ class DatasetManifest:
     m0_digest: str
     cells: list
 
-    def entry(self, cell_id: str) -> dict | None:
-        for e in self.cells:
-            if e["cell_id"] == cell_id:
-                return e
-        return None
-
     def to_dict(self) -> dict:
         return {"master_seed": self.master_seed, "m0_digest": self.m0_digest,
                 "cells": self.cells}
@@ -142,107 +139,94 @@ class DatasetManifest:
         return cls(d["master_seed"], d["m0_digest"], list(d["cells"]))
 
 
-def _generate_cell(payload: dict) -> dict:
-    """Build, simulate and write one cell; module-level so pools can pickle it."""
-    m0 = net_from_dict(payload["m0"])
-    cell_id = payload["cell_id"]
-    out_dir = payload["out_dir"]
-    behavioral = [PatternApplication.from_dict(a) for a in payload["behavioral"]]
-    recording = [PatternApplication.from_dict(a) for a in payload["recording"]]
-    config = SimConfig.from_dict(payload["config"])
+@dataclass(frozen=True)
+class ModelPair:
+    """M^L of one (behavioral, recording) row, its lineage digests, and the
+    model.json and ledger.json text every cell of the row writes."""
 
-    ms, ledger_b = apply_sequence(m0, behavioral)
-    ml, ledger_r = apply_sequence(ms, recording)
-    digests = {"m0": payload["m0_digest"], "ms": net_digest(ms), "ml": net_digest(ml)}
-    trace = run(ml, config, lineage=digests)
-    log = logio.project_observed(trace)
+    ml: Net
+    digests: dict
+    model_text: str
+    ledger_text: str
 
-    cell_dir = os.path.join(out_dir, "cells", cell_id)
-    paths = {
-        "model": os.path.join("cells", cell_id, "model.json"),
-        "ledger": os.path.join("cells", cell_id, "ledger.json"),
-        "trace": os.path.join("cells", cell_id, "trace.gt.jsonl"),
-        "log_jsonl": os.path.join("cells", cell_id, "log.jsonl"),
-        "log_csv": os.path.join("cells", cell_id, "log.csv"),
-    }
-    os.makedirs(cell_dir, exist_ok=True)
-    logio.write_model(ml, os.path.join(out_dir, paths["model"]))
-    ledger = {"entries": [e.to_dict() for e in ledger_b.entries + ledger_r.entries]}
-    logio.write_json(ledger, os.path.join(out_dir, paths["ledger"]))
-    logio.write_trace(trace, os.path.join(out_dir, paths["trace"]))
-    logio.write_observed_jsonl(log, os.path.join(out_dir, paths["log_jsonl"]))
-    logio.write_observed_csv(log, os.path.join(out_dir, paths["log_csv"]))
 
-    object_counts: dict[str, int] = {}
-    for otype in log.objects.values():
-        object_counts[otype] = object_counts.get(otype, 0) + 1
+def _build_pair(m0: Net, m0_digest: str, cell: Cell) -> ModelPair | Exception:
+    """The pair of `cell`'s row, or the error that stopped its build."""
+    try:
+        ms, ledger_b = apply_sequence(m0, cell.behavioral)
+        ml, ledger_r = apply_sequence(ms, cell.recording)
+        model_text, ml_digest = logio.encode_model(ml)
+        ledger = {"entries": [e.to_dict() for e in ledger_b.entries + ledger_r.entries]}
+        return ModelPair(ml, {"m0": m0_digest, "ms": net_digest(ms), "ml": ml_digest},
+                         model_text, logio.json_text(ledger))
+    except Exception as e:  # noqa: BLE001 - each cell of the row reports it
+        return e
 
+
+def _generate_cell(job: tuple) -> tuple[dict, Exception | None]:
+    """Simulate one cell on its row's pair and write its files (module-level
+    so pools can pickle it): the cell's manifest entry, and its error."""
+    cell, config, pair, out_dir = job
+    try:
+        if isinstance(pair, Exception):
+            raise pair
+        trace = run(pair.ml, config, lineage=pair.digests)
+        log = logio.project_observed(trace)
+        paths = {key: os.path.join("cells", cell.cell_id, name) for key, name in (
+            ("model", "model.json"), ("ledger", "ledger.json"), ("trace", "trace.gt.jsonl"),
+            ("log_jsonl", "log.jsonl"), ("log_csv", "log.csv"))}
+        logio.atomic_write(os.path.join(out_dir, paths["model"]), pair.model_text)
+        logio.atomic_write(os.path.join(out_dir, paths["ledger"]), pair.ledger_text)
+        logio.write_trace(trace, os.path.join(out_dir, paths["trace"]))
+        logio.write_observed_jsonl(log, os.path.join(out_dir, paths["log_jsonl"]))
+        logio.write_observed_csv(log, os.path.join(out_dir, paths["log_csv"]))
+    except Exception as e:  # noqa: BLE001 - per-cell failures surface with the cell id
+        return {"cell_id": cell.cell_id, "status": "failed", "error": str(e)}, e
     return {
-        "cell_id": cell_id,
-        "b_index": payload["b_index"],
-        "r_index": payload["r_index"],
-        "c_index": payload["c_index"],
+        "cell_id": cell.cell_id,
+        "b_index": cell.b_index,
+        "r_index": cell.r_index,
+        "c_index": cell.c_index,
         "seed": config.seed,
-        "behavioral_codes": [a.code for a in behavioral],
-        "recording_codes": [a.code for a in recording],
-        "application_ids": [a.application_id for a in behavioral + recording],
-        "digests": digests,
+        "behavioral_codes": [a.code for a in cell.behavioral],
+        "recording_codes": [a.code for a in cell.recording],
+        "application_ids": [a.application_id for a in cell.behavioral + cell.recording],
+        "digests": dict(pair.digests),
         "config_digest": config.digest(),
         "paths": paths,
         "pattern_counts": {app: dict(stats) for app, stats in trace.pattern_stats.items()},
-        "object_counts": object_counts,
+        "object_counts": dict(Counter(log.objects.values())),
         "events": len(log.events),
         "firings": len(trace.records),
         "termination": trace.termination,
         "status": "ok",
-    }
+    }, None
+
+
+def _cell_jobs(m0: Net, m0_digest: str, grid: GridSpec, out_dir: str):
+    """One job per cell, in cell order; a row's pair is built when its first
+    cell is reached and shared by the rest of the row."""
+    row = pair = None
+    for cell in enumerate_cells(grid):
+        if (cell.b_index, cell.r_index) != row:
+            row, pair = (cell.b_index, cell.r_index), _build_pair(m0, m0_digest, cell)
+        seed = cell_seed(grid.master_seed, cell.b_index, cell.r_index, cell.c_index)
+        config = replace(grid.sim_configs[cell.c_index], seed=seed, run_id=cell.cell_id)
+        yield cell, config, pair, out_dir
 
 
 def generate(m0: Net, grid: GridSpec, out_dir: str, jobs: int = 1,
              keep_going: bool = False) -> DatasetManifest:
-    cells = enumerate_cells(grid)
-    m0_dict = net_to_dict(m0)
-    # the digest of m0 as every cell and `read_model("m0.json")` see it
-    m0_digest = net_digest(net_from_dict(m0_dict))
-    payloads = []
-    for cell in cells:
-        config = replace(
-            grid.sim_configs[cell.c_index],
-            seed=cell_seed(grid.master_seed, cell.b_index, cell.r_index, cell.c_index),
-            run_id=cell.cell_id,
-        )
-        payloads.append({
-            "m0": m0_dict,
-            "m0_digest": m0_digest,
-            "cell_id": cell.cell_id,
-            "b_index": cell.b_index,
-            "r_index": cell.r_index,
-            "c_index": cell.c_index,
-            "behavioral": [a.to_dict() for a in cell.behavioral],
-            "recording": [a.to_dict() for a in cell.recording],
-            "config": config.to_dict(),
-            "out_dir": out_dir,
-        })
-
+    # m0 as every cell and `read_model("m0.json")` see it
+    m0_read = net_from_dict(net_to_dict(m0))
+    m0_digest = net_digest(m0_read)
     entries: list[dict] = []
-
-    def collect(payload, runner):
-        try:
-            entries.append(runner())
-        except Exception as e:  # noqa: BLE001 - per-cell failures surface with the cell id
-            if not keep_going:
-                raise GenerationError(payload["cell_id"], e) from e
-            entries.append({"cell_id": payload["cell_id"], "status": "failed",
-                            "error": str(e)})
-
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [(p, pool.submit(_generate_cell, p)) for p in payloads]
-            for payload, fut in futures:
-                collect(payload, fut.result)
-    else:
-        for payload in payloads:
-            collect(payload, lambda p=payload: _generate_cell(p))
+    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+        mapper = map if pool is None else pool.map
+        for entry, error in mapper(_generate_cell, _cell_jobs(m0_read, m0_digest, grid, out_dir)):
+            if error is not None and not keep_going:
+                raise GenerationError(entry["cell_id"], error) from error
+            entries.append(entry)
 
     manifest = DatasetManifest(master_seed=grid.master_seed,
                                m0_digest=m0_digest, cells=entries)

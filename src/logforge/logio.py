@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 from .nets import Net
 from .serialize import (SCHEMA_VERSION, canonical_json, net_from_dict,
-                        net_to_dict, provenance_from_dict, provenance_to_dict)
+                        net_to_dict, provenance_from_dict, provenance_to_dict,
+                        text_digest)
 from .simulate import FiringRecord, GroundTruthTrace, render_timestamp
 from .timing import ReportRule
 
@@ -105,8 +106,14 @@ def _read_headed_jsonl(path: str, kind: str, decode_header, decode_line):
 
 # -- models -----------------------------------------------------------------
 
+def encode_model(net: Net) -> tuple[str, str]:
+    """model.json's text for `net` and `net_digest(net)`, from one encoding."""
+    body = canonical_json(net_to_dict(net))
+    return body + "\n", text_digest(body)
+
+
 def write_model(net: Net, path: str) -> None:
-    atomic_write(path, canonical_json(net_to_dict(net)) + "\n")
+    atomic_write(path, encode_model(net)[0])
 
 
 def read_model(path: str) -> Net:
@@ -324,9 +331,13 @@ def read_observed_csv(path: str) -> ObservedLog:
 
 # -- small json documents -------------------------------------------------------
 
+def json_text(doc: dict) -> str:
+    """The file text of a small JSON document: `doc` under the schema version."""
+    return canonical_json({"schema_version": SCHEMA_VERSION, **doc}) + "\n"
+
+
 def write_json(doc: dict, path: str) -> None:
-    doc = {"schema_version": SCHEMA_VERSION, **doc}
-    atomic_write(path, canonical_json(doc) + "\n")
+    atomic_write(path, json_text(doc))
 
 
 def read_json(path: str) -> dict:

@@ -10,12 +10,12 @@ alignments at all; they appear in the deviation report only.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .logio import (ObservedLog, ParseError, atomic_write, event_id_for,
                     project_observed, read_jsonl)
 from .nets import Net
+from .serialize import canonical_json
 from .simulate import FiringRecord, GroundTruthTrace
 
 INSERTION_CODES = ("RI_in^e", "RI_in^a")
@@ -99,7 +99,10 @@ class Move:
 
 @dataclass
 class GtAlignment:
-    system: tuple[Move, ...]
+    """The systemic moves and their projection onto each object.  `system` is
+    None when read from a file, whose per-object lines lose the system order."""
+
+    system: tuple[Move, ...] | None
     per_object: dict
 
     def covered_event_ids(self) -> set[str]:
@@ -353,8 +356,7 @@ def write_alignment(alignment: GtAlignment, path: str) -> None:
     lines = []
     for obj, moves in sorted(alignment.per_object.items()):
         for i, m in enumerate(moves):
-            lines.append(json.dumps({"object": obj, "seq": i, **m.to_dict()},
-                                    sort_keys=True, separators=(",", ":")))
+            lines.append(canonical_json({"object": obj, "seq": i, **m.to_dict()}))
     atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -371,5 +373,4 @@ def read_alignment(path: str) -> GtAlignment:
         grouped.setdefault(d["object"], []).append((d.get("seq", lineno), move))
     per_object = {obj: tuple(m for _, m in sorted(pairs, key=lambda p: p[0]))
                   for obj, pairs in grouped.items()}
-    system = tuple(m for moves in per_object.values() for m in moves)
-    return GtAlignment(system=system, per_object=per_object)
+    return GtAlignment(system=None, per_object=per_object)

@@ -13,6 +13,7 @@ keeps repeated applications of the same pattern disjoint.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -269,6 +270,31 @@ def _arity(wc: str, minimum: int = 1, exact: int | None = None) -> Requirement:
     return check
 
 
+def _param(name: str, need: str, ok: Callable[[object], bool]) -> Requirement:
+    """The one check of a parameter a builder converts."""
+    @_req(f"{name}_param", f"params[{name!r}], when given, must be {need}")
+    def check(net, app):
+        if name in app.params and not ok(app.params[name]):
+            return f"params[{name!r}] must be {need}, got {app.params[name]!r}"
+        return None
+    return check
+
+
+def _number(name: str, need: str = "a finite number >= 0", ok=lambda v: v >= 0) -> Requirement:
+    return _param(name, need, lambda v: type(v) in (int, float) and math.isfinite(v) and ok(v))
+
+
+# what `_weight` reads; a period <= 0 would never reach the horizon
+_WEIGHT = (*map(_number, ("weight", "weight_until", "weight_window", "weight_offset",
+                          "weight_horizon")),
+           _number("weight_period", "a finite number > 0", lambda v: v > 0))
+_PACE = _number("pace_s")
+
+
+def _delay(name: str) -> Requirement:
+    return _param(name, "a delay", lambda v: isinstance(v, Delay))
+
+
 def _resource_component(p: Place, pool: Place, params: dict) -> int:
     """Index of the component of p holding pool's resource:
     params['component'], or else the only component of pool's type."""
@@ -429,6 +455,9 @@ def _build_missing_object(net: Net, app: PatternApplication) -> BuiltFragment:
 
 @_req("bypass_pure", "bypassed objects must ride pure side arcs of <t>")
 def _bypass_pure(net, app):
+    names = app.params.get("vars", [])
+    if not isinstance(names, (list, tuple)) or any(type(v) is not str for v in names):
+        return f"params['vars'] must be a list of variable names, got {names!r}"
     t = _transition(net, app, "t")
     otypes = app.many("O")
     vtypes = net.variable_types(t.id)
@@ -484,6 +513,8 @@ def _var_of_pool_type(net, app):
         return f"pool place {pool.id!r} must have arity 1"
     rtype = pool.type_tuple[0]
     var = app.params.get("var")
+    if var is not None and type(var) is not str:
+        return f"params['var'] must be a variable name, got {var!r}"
     if not var:
         hits = _vars_of_type(net, t, rtype)
         if len(hits) != 1:
@@ -844,70 +875,75 @@ _T = Wildcard("t", "transition")
 
 CATALOG: dict[str, Pattern] = {p.code: p for p in (
     Pattern("RI_mi^e", "missing event: a silent twin of <t> executes the activity unrecorded",
-            (_T,), (_labeled("t"),), _build_shadow_silent("tau_missing")),
+            (_T,), (_labeled("t"), *_WEIGHT), _build_shadow_silent("tau_missing")),
     Pattern("RI_in^e", "incorrect event: a duplicate of <t> records the wrong activity <t_prime>",
-            (_T, Wildcard("t_prime", "label")), (_labeled("t"), _t_prime_differs),
+            (_T, Wildcard("t_prime", "label")), (_labeled("t"), _t_prime_differs, *_WEIGHT),
             _build_wrong_label),
     Pattern("RI_in^a", "incorrect activity name: duplicate of <t> labeled <t_prime>",
-            (_T, Wildcard("t_prime", "label")), (_labeled("t"), _t_prime_differs),
+            (_T, Wildcard("t_prime", "label")), (_labeled("t"), _t_prime_differs, *_WEIGHT),
             _build_wrong_label),
     Pattern("RI_mi^o", "missing object(s): twin of <t> unaware of <O>, which bypasses "
                        "through a created place",
-            (_T, Wildcard("O", "object_type", many=True)), (_labeled("t"), _bypass_pure),
-            _build_missing_object),
+            (_T, Wildcard("O", "object_type", many=True)),
+            (_labeled("t"), _bypass_pure, *_WEIGHT, _PACE), _build_missing_object),
     Pattern("RI_in^o", "incorrect object: duplicate of <t> records an idle object from <p_w> "
                        "instead of the real one",
             (_T, Wildcard("p_w", "place")),
-            (_labeled("t"), _role("p_w", ("resource_idle",)), _var_of_pool_type),
+            (_labeled("t"), _role("p_w", ("resource_idle",)), _var_of_pool_type, *_WEIGHT),
             _build_wrong_object),
     Pattern("RI_in^p", "incorrect position: batch-logged pair; <t1> absorbs the batch "
                        "duration, <t2> takes none",
             (Wildcard("t1", "transition"), Wildcard("t2", "transition")),
-            (_labeled("t1"), _labeled("t2"), _connected), _build_batch_log),
+            (_labeled("t1"), _labeled("t2"), _connected, *_WEIGHT,
+             _number("t2_delay_s"), _delay("batch_delay")), _build_batch_log),
     Pattern("RI_mi^p", "missing position: emitted timestamps of <T> coarsen to a window",
-            (Wildcard("T", "transition", many=True),), (_targets_labeled,),
+            (Wildcard("T", "transition", many=True),), (_targets_labeled, _number("window_s")),
             _build_coarse_timestamps),
     Pattern("BI_1", "changing correlation: a silent transition hands the work over to a "
                     "new resource from <p_r>",
             (Wildcard("p", "place"), Wildcard("p_r", "place")),
             (_arity("p", minimum=2), _arity("p_r", exact=1), _role("p_r", ("resource_idle",)),
-             _pool_match("p", "p_r")),
+             _pool_match("p", "p_r"), *_WEIGHT, _PACE),
             _build_change_correlation("tau_change_correlation", claim=True)),
     Pattern("BI_2", "multitasking: early release parks the correlation, late claim "
                     "restores the same resource",
             (Wildcard("p1", "place"), Wildcard("p2", "place")),
             (_arity("p1", minimum=2), _arity("p2", exact=1),
              _role("p1", ("correlation", "resource_busy")), _role("p2", ("resource_idle",)),
-             _pool_match("p1", "p2")),
+             _pool_match("p1", "p2"), *_WEIGHT, _PACE),
             _build_multitask),
     Pattern("BI_3", "skipping an activity: a silent twin of <t> on the same pre/post-set",
-            (_T,), (_labeled("t"),), _build_shadow_silent("tau_skip")),
+            (_T,), (_labeled("t"), *_WEIGHT), _build_shadow_silent("tau_skip")),
     Pattern("BI_5", "overtaking: swap two objects' queue positions; a permit place "
                     "prevents endless cycling",
             (Wildcard("p_q1", "place"), Wildcard("p_q2", "place")),
-            (_role("p_q1", ("queue",)), _role("p_q2", ("queue",)), _queues_compatible),
+            (_role("p_q1", ("queue",)), _role("p_q2", ("queue",)), _queues_compatible,
+             *_WEIGHT, _param("budget", "an integer >= 0", lambda v: type(v) is int and v >= 0)),
             _build_overtake),
     Pattern("BI_6", "capacity change: duplicate or park a capacity token, memorized so it "
                     "can be undone",
-            (Wildcard("p_c", "place"),), (_variant,), _build_capacity),
+            (Wildcard("p_c", "place"),), (_variant, *_WEIGHT, _PACE), _build_capacity),
     Pattern("BI_7", "switching roles: move a resource to another role under a fresh alias, "
                     "memorized for the switch back",
             (Wildcard("p_r1", "place"), Wildcard("p_r2", "place")),
             (_role("p_r1", ("resource_idle",)), _role("p_r2", ("resource_idle",)),
-             _distinct_types),
+             _distinct_types, *_WEIGHT, _PACE, _number("undo_weight")),
             _build_switch_role),
     Pattern("BI_9", "different resource memory: reroute a memorized resource to another "
                     "one from the pool",
             (Wildcard("p", "place"), Wildcard("p_r", "place")),
             (_arity("p", minimum=2), _arity("p_r", exact=1),
-             _role("p_r", ("resource_idle", "regular")), _pool_match("p", "p_r")),
+             _role("p_r", ("resource_idle", "regular")), _pool_match("p", "p_r"),
+             *_WEIGHT, _PACE),
             _build_change_correlation("tau_reroute", claim=False)),
     Pattern("BI_10", "ignored batching: fire the batch release <t> before its completion "
                      "condition holds",
-            (_T,), (_droppable,), _build_early_release),
+            (_T,), (_droppable, *_WEIGHT), _build_early_release),
     Pattern("BI_11", "long duration: a heavy-tailed delay occasionally replaces <t>'s "
                      "usual one",
-            (_T,), (_labeled("t"),), _build_long_duration),
+            (_T,), (_labeled("t"), _delay("delay"),
+                    _number("probability", "a number in [0, 1]", lambda v: 0 <= v <= 1)),
+            _build_long_duration),
 )}
 
 CODES = tuple(CATALOG)

@@ -20,7 +20,12 @@ def canonical_json(obj) -> str:
 
 
 def digest_of(obj) -> str:
-    return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
+    return text_digest(canonical_json(obj))
+
+
+def text_digest(text: str) -> str:
+    """The digest of a canonical JSON text (`digest_of` of what it encodes)."""
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _variable_to_dict(v: Variable) -> dict:

@@ -23,6 +23,9 @@ class InvalidMapping(Exception):
         super().__init__("invalid mapping" + where + ": " +
                          "; ".join(d.message for d in self.diagnostics))
 
+    def __reduce__(self):  # a dataset cell's error is pickled under --jobs
+        return type(self), (self.diagnostics, self.index)
+
 
 class OrderViolation(Exception):
     pass

@@ -352,7 +352,22 @@ def test_transform_incomplete_application_exits_two(tmp_path, capsys, app, field
     {"code": "BI_10", "mapping": {"t": "depart"}, "params": {"drop": ["a"]}},
     {"code": "BI_10", "mapping": {"t": "depart"}, "params": {}},
     {"code": "BI_6", "mapping": {"p_c": "p_c"}, "params": {"variant": "sideways"}},
-], ids=["non-integer-drop", "no-drop", "unknown-variant"])
+    {"code": "BI_3", "mapping": {"t": "ring"}, "params": {"weight": "heavy"}},
+    {"code": "BI_3", "mapping": {"t": "ring"}, "params": {"weight_period": "x"}},
+    {"code": "BI_3", "mapping": {"t": "ring"}, "params": {"weight_period": -3600.0}},
+    {"code": "BI_3", "mapping": {"t": "ring"}, "params": {"weight_horizon": float("inf")}},
+    {"code": "BI_5", "mapping": {"p_q1": "p_q1", "p_q2": "p_q2"}, "params": {"budget": "two"}},
+    {"code": "BI_7", "mapping": {"p_r1": "p_c", "p_r2": "p_we"}, "params": {"pace_s": "slow"}},
+    {"code": "BI_7", "mapping": {"p_r1": "p_c", "p_r2": "p_we"}, "params": {"undo_weight": -1}},
+    {"code": "BI_11", "mapping": {"t": "ring"}, "params": {"probability": 2}},
+    {"code": "BI_11", "mapping": {"t": "ring"}, "params": {"delay": 5}},
+    {"code": "RI_in^o", "mapping": {"t": "ring", "p_w": "p_c"}, "params": {"var": ["cr"]}},
+    {"code": "RI_mi^o", "mapping": {"t": "load", "O": ["van"]}, "params": {"vars": "vn"}},
+    {"code": "RI_mi^p", "mapping": {"T": ["collect"]}, "params": {"window_s": "1h"}},
+], ids=["non-integer-drop", "no-drop", "unknown-variant", "string-weight",
+        "string-weight-period", "negative-weight-period", "infinite-horizon", "string-budget",
+        "string-pace", "negative-undo-weight", "probability-above-one", "number-delay",
+        "list-var", "string-vars", "string-window"])
 def test_transform_bad_pattern_param_is_one_requirement_failure(tmp_path, capsys, app):
     fdir = str(tmp_path / "fx")
     run_cli(capsys, "fixture", "--name", "package_delivery", "--out", fdir)

@@ -98,7 +98,8 @@ def test_manifest_round_trip(package_dataset):
     _, _, manifest, out = package_dataset
     back = read_manifest(os.path.join(out, "manifest.json"))
     assert back.to_dict() == manifest.to_dict()
-    assert back.entry("b0-r0-c0")["seed"] == manifest.cells[0]["seed"]
+    assert back.cells[0]["cell_id"] == "b0-r0-c0"
+    assert back.cells[0]["seed"] == manifest.cells[0]["seed"]
 
 
 def test_m0_digest_agrees_for_a_library_net_with_integer_weights(tmp_path):
@@ -140,21 +141,92 @@ def test_parallel_generation_matches_serial(tmp_path, package_dataset):
             assert a == b, (entry["cell_id"], key)
 
 
-def test_fail_fast_and_keep_going(tmp_path):
-    net, grid = fixtures.fixture("package_delivery")
-    bad = GridSpec(
+def _bad_pair_grid(grid, configs=1):
+    """A paired grid whose first row's behavioral set names no transition."""
+    return GridSpec(
         behavioral_sets=[[PatternApplication("oops", "BI_3", {"t": "ghost"})], []],
         recording_sets=[[], []],
-        sim_configs=[grid.sim_configs[0]],
+        sim_configs=[grid.sim_configs[0]] * configs,
         paired=True,
         master_seed=1,
     )
+
+
+def test_fail_fast_and_keep_going(tmp_path):
+    net, grid = fixtures.fixture("package_delivery")
+    bad = _bad_pair_grid(grid)
     with pytest.raises(GenerationError):
         generate(net, bad, str(tmp_path / "ff"))
     manifest = generate(net, bad, str(tmp_path / "kg"), keep_going=True)
     statuses = {e["cell_id"]: e["status"] for e in manifest.cells}
     assert statuses["b0-r0-c0"] == "failed"
     assert statuses["b1-r1-c0"] == "ok"
+
+
+def test_parallel_fail_fast_names_the_first_failing_cell(tmp_path):
+    net, grid = fixtures.fixture("package_delivery")
+    with pytest.raises(GenerationError) as info:
+        generate(net, _bad_pair_grid(grid), str(tmp_path / "ff"), jobs=2)
+    assert info.value.cell_id == "b0-r0-c0"
+    assert "ghost" in str(info.value.cause)
+
+
+def test_parallel_keep_going_gives_the_serial_manifest(tmp_path):
+    net, grid = fixtures.fixture("package_delivery")
+    bad = _bad_pair_grid(grid)
+    serial = generate(net, bad, str(tmp_path / "serial"), keep_going=True)
+    parallel = generate(net, bad, str(tmp_path / "par"), jobs=2, keep_going=True)
+    assert parallel.to_dict() == serial.to_dict()
+    assert [e["status"] for e in serial.cells] == ["failed", "ok"]
+
+
+def test_failed_pair_marks_each_of_its_cells_failed(tmp_path):
+    net, grid = fixtures.fixture("package_delivery")
+    manifest = generate(net, _bad_pair_grid(grid, configs=2), str(tmp_path / "kg"),
+                        keep_going=True)
+    failed = [e for e in manifest.cells if e["status"] == "failed"]
+    assert [e["cell_id"] for e in failed] == ["b0-r0-c0", "b0-r0-c1"]
+    assert failed[0]["error"] == failed[1]["error"] and "ghost" in failed[0]["error"]
+    assert [e["status"] for e in manifest.cells[2:]] == ["ok", "ok"]
+
+
+def test_trace_does_not_depend_on_earlier_runs_of_the_same_ml(tmp_path):
+    from logforge.simulate import run
+    from logforge.transform import apply_sequence
+    net, grid = fixtures.fixture("package_delivery")
+    for cell in enumerate_cells(grid)[:8:3]:
+        ml, _ = apply_sequence(apply_sequence(net, cell.behavioral)[0], cell.recording)
+        fresh, _ = apply_sequence(apply_sequence(net, cell.behavioral)[0], cell.recording)
+        for seed in (3, 4, 5):
+            run(ml, replace(grid.sim_configs[0], seed=seed))
+        config = replace(grid.sim_configs[0], seed=11, run_id=cell.cell_id)
+        served, new = str(tmp_path / "served.jsonl"), str(tmp_path / "fresh.jsonl")
+        logio.write_trace(run(ml, config), served)
+        logio.write_trace(run(fresh, config), new)
+        assert open(served, "rb").read() == open(new, "rb").read(), cell.cell_id
+
+
+def test_cells_of_a_shared_pair_do_not_depend_on_their_order(tmp_path):
+    from logforge import dataset
+    net, grid = fixtures.fixture("package_delivery")
+    grid = replace(grid, behavioral_sets=grid.behavioral_sets[:2],
+                   recording_sets=grid.recording_sets[:2],
+                   sim_configs=grid.sim_configs * 3)
+    forward = str(tmp_path / "forward")
+    manifest = generate(net, grid, forward)
+    backward = str(tmp_path / "backward")
+    m0 = logio.read_model(os.path.join(forward, "m0.json"))
+    jobs = list(dataset._cell_jobs(m0, manifest.m0_digest, grid, backward))
+    # every cell of a row shares one pair, so reversing the row reuses it
+    assert len({id(pair) for _, _, pair, _ in jobs}) == 2
+    entries = [dataset._generate_cell(job) for job in reversed(jobs)]
+    assert [error for _, error in entries] == [None] * len(jobs)
+    assert [entry for entry, _ in reversed(entries)] == manifest.cells
+    for entry in manifest.cells:
+        for rel in entry["paths"].values():
+            a = open(os.path.join(forward, rel), "rb").read()
+            b = open(os.path.join(backward, rel), "rb").read()
+            assert a == b, (entry["cell_id"], rel)
 
 
 def test_fixture_package_vocabulary():

@@ -226,6 +226,16 @@ def test_alignment_interchange_round_trip(tmp_path, m0, package_cells):
     for obj in al.per_object:
         assert back.per_object[obj] == al.per_object[obj]
     assert move_distance(back, al) == 0.0
+    # the per-object lines cannot give back the systemic order
+    assert back.system is None
+
+
+def test_alignment_file_holds_labels_as_utf8(tmp_path):
+    move = Move("synchronous", "prüfen", ("o1",), "e1", "t_check")
+    path = tmp_path / "align.jsonl"
+    write_alignment(GtAlignment(system=(move,), per_object={"o1": (move,)}), str(path))
+    assert "prüfen".encode("utf-8") in path.read_bytes()
+    assert read_alignment(str(path)).per_object == {"o1": (move,)}
 
 
 # responsible/affected object types per package cell, frozen from the pinned
