@@ -21,6 +21,7 @@ from .nets import Net
 from .patterns import PatternApplication
 from .serialize import net_from_dict, net_to_dict, net_digest
 from .simulate import ConfigInvalid, SimConfig, run
+from .timing import reject_unknown_keys
 from .transform import apply_sequence
 
 
@@ -65,10 +66,7 @@ class GridSpec:
         """Read what `to_dict` writes, plus the `schema_version` of a grid
         file.  An unknown key, a non-boolean `paired` or a non-integer
         `master_seed` raises ConfigInvalid."""
-        unknown = sorted(set(d) - _GRID_KEYS)
-        if unknown:
-            raise ConfigInvalid(f"unknown grid key(s) {unknown}; "
-                                f"known keys are {sorted(_GRID_KEYS)}")
+        reject_unknown_keys(d, _GRID_KEYS, "grid")
         paired = d.get("paired", False)
         if type(paired) is not bool:
             raise ConfigInvalid(f"grid 'paired' must be true or false, got {paired!r}")

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from .dataset import GridSpec
 from .nets import Arc, Marking, Net, ObjectType, Place, Transition, Variable
-from .patterns import PatternApplication
+from .patterns import PatternApplication, duty_cycle
 from .simulate import Arrival, SimConfig
 from .timing import Delay
 
@@ -519,11 +519,7 @@ def _assembly_config() -> SimConfig:
     # reverts stay an option, but only in short windows; otherwise a briefly
     # blocked product would revert with certainty the moment nothing else is
     # enabled (the categorical sampler renormalizes over whatever is left)
-    revert_pieces = []
-    t = 0.0
-    while t < 86400.0:
-        revert_pieces += [(t, 0.05), (t + 600.0, 0.0)]
-        t += 14400.0
+    revert_pieces = duty_cycle(0.05, period=14400.0, window=600.0, horizon=86400.0)
     weights = {f"revert_{s}": list(revert_pieces) for s in "bcdefg"}
     delays = {f"stage_{s}": Delay.normal(600.0, 120.0) for s in "acdefg"}
     delays["start_b"] = Delay.normal(600.0, 120.0)

@@ -112,13 +112,8 @@ class Marking:
 
     __slots__ = ("_tokens",)
 
-    def __init__(self, tokens: dict[str, Counter] | None = None):
+    def __init__(self):
         self._tokens: dict[str, Counter] = {}
-        if tokens:
-            for pid, cnt in tokens.items():
-                c = Counter({tuple(tok): n for tok, n in cnt.items() if n})
-                if c:
-                    self._tokens[pid] = c
 
     @classmethod
     def of(cls, tokens: dict[str, list] | None = None) -> "Marking":
@@ -134,27 +129,27 @@ class Marking:
     def count(self, place_id: str, token: tuple[str, ...]) -> int:
         return self._tokens.get(place_id, _NO_TOKENS).get(tuple(token), 0)
 
-    def add(self, place_id: str, token: tuple[str, ...], n: int = 1) -> None:
-        if n <= 0:
-            return
+    def add(self, place_id: str, token: tuple[str, ...]) -> None:
         cnt = self._tokens.get(place_id)
         if cnt is None:
             cnt = self._tokens[place_id] = Counter()
-        cnt[tuple(token)] += n
+        cnt[tuple(token)] += 1
 
-    def remove(self, place_id: str, token: tuple[str, ...], n: int = 1) -> None:
+    def remove(self, place_id: str, token: tuple[str, ...]) -> None:
         token = tuple(token)
         cnt = self._tokens.get(place_id)
-        if cnt is None or cnt.get(token, 0) < n:
-            raise ValueError(f"cannot remove {n} x {token} from {place_id}")
-        cnt[token] -= n
+        if not cnt or not cnt.get(token):
+            raise ValueError(f"cannot remove {token} from {place_id}")
+        cnt[token] -= 1
         if cnt[token] == 0:
             del cnt[token]
         if not cnt:
             del self._tokens[place_id]
 
     def copy(self) -> "Marking":
-        return Marking(self._tokens)
+        m = Marking()
+        m._tokens = {pid: cnt.copy() for pid, cnt in self._tokens.items()}
+        return m
 
     def move(self, consumed, produced) -> None:
         """Remove the consumed and add the produced (place, token) pairs."""

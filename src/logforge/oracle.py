@@ -21,7 +21,6 @@ from .simulate import FiringRecord, GroundTruthTrace
 INSERTION_CODES = ("RI_in^e", "RI_in^a")
 SKIP_CODES = ("RI_mi^e", "BI_3")
 OBJECT_ERROR_CODES = ("RI_mi^o", "RI_in^o")
-TIMING_CODES = ("RI_mi^p", "BI_11")
 
 
 class LogTraceMismatch(Exception):

@@ -120,7 +120,8 @@ class Requirement:
 @dataclass
 class BuiltFragment:
     """A pattern made concrete under one mapping: the elements to be
-    unioned into the target net."""
+    unioned into the target net.  Builders add each created transition with
+    `create`, so `weights` and `report_rules` follow `transitions` one to one."""
 
     places: list[Place] = field(default_factory=list)
     transitions: list[Transition] = field(default_factory=list)
@@ -131,6 +132,23 @@ class BuiltFragment:
     weights: dict = field(default_factory=dict)
     probe: FrequencyProbe | None = None
     report_rules: list[ReportRule] = field(default_factory=list)
+
+    def create(self, app: PatternApplication, local: str, weight, *,
+               label: str | None = None, shadow: str | None = None,
+               record_spec: tuple[str, ...] | None = None,
+               responsible: tuple[str, ...] | None = None,
+               affected: tuple[str, ...] | None = (), delay: Delay | None = None) -> str:
+        """Add the transition `local` creates under `app`, together with its
+        weight, its report rule and, when given, a fixed production delay;
+        return its id."""
+        tid = _eid(local, app)
+        self.transitions.append(Transition(tid, label, _prov(app, shadow), record_spec))
+        self.weights[tid] = weight
+        if delay is not None:
+            self.overrides.append(TimingOverride("delay", (tid,), app.application_id,
+                                                 app.code, delay=delay))
+        self.report_rules.append(ReportRule(tid, responsible, affected))
+        return tid
 
 
 @dataclass(frozen=True)
@@ -163,28 +181,47 @@ def _prov(app: PatternApplication, shadow: str | None = None) -> ProvenanceTag:
 
 
 def _copy_arcs(net: Net, tid: str, new_tid: str) -> list[Arc]:
-    arcs = []
-    for a in net.inputs_of(tid):
-        arcs.append(Arc(a.source, new_tid, a.inscription))
-    for a in net.outputs_of(tid):
-        arcs.append(Arc(new_tid, a.target, a.inscription))
-    return arcs
+    return [*(Arc(a.source, new_tid, a.inscription) for a in net.inputs_of(tid)),
+            *(Arc(new_tid, a.target, a.inscription) for a in net.outputs_of(tid))]
 
 
 def _recorded_vars(net: Net, t: Transition) -> tuple[str, ...]:
     if t.record_spec is not None:
         return t.record_spec
-    seen: list[str] = []
-    for a in list(net.inputs_of(t.id)) + list(net.outputs_of(t.id)):
-        for v in a.inscription:
-            if v.name not in seen:
-                seen.append(v.name)
-    return tuple(seen)
+    arcs = (*net.inputs_of(t.id), *net.outputs_of(t.id))
+    return tuple(dict.fromkeys(v.name for a in arcs for v in a.inscription))
 
 
 def _probe(app: PatternApplication, deviation, competitors=None) -> FrequencyProbe:
     comp = tuple(competitors) if competitors is not None else app.competitors
     return FrequencyProbe(app.application_id, app.code, tuple(deviation), comp)
+
+
+# a duty cycle is expanded into two weight pieces per period
+_MAX_DUTY_PERIODS = 10 ** 5
+
+
+def duty_cycle(weight: float, period: float, window: float, horizon: float,
+               offset: float = 0.0) -> tuple[tuple[float, float], ...]:
+    """Piecewise weight that is `weight` for `window` seconds at the start of
+    each `period` from `offset` until `horizon`, and 0 otherwise."""
+    pieces = [(0.0, 0.0)] if offset > 0 else []
+    t = offset
+    while t < horizon:
+        pieces += [(t, weight), (t + window, 0.0)]
+        t += period
+    return tuple(pieces)
+
+
+def _cycle(params: dict) -> tuple[float, float, float, float] | None:
+    """(period, window, horizon, offset) of the duty cycle `params` ask for."""
+    period = params.get("weight_period")
+    if not period:
+        return None
+    until = params.get("weight_until")
+    return (float(period), float(params.get("weight_window", period / 8.0)),
+            float(params.get("weight_horizon", until if until else 1e7)),
+            float(params.get("weight_offset", 0.0)))
 
 
 def _weight(params: dict) -> tuple[tuple[float, float], ...]:
@@ -196,20 +233,10 @@ def _weight(params: dict) -> tuple[tuple[float, float], ...]:
     always-enabled deviations from soaking up every quiet moment of a run.
     """
     w = float(params.get("weight", 0.05))
+    cycle = _cycle(params)
+    if cycle:
+        return duty_cycle(w, *cycle)
     until = params.get("weight_until")
-    period = params.get("weight_period")
-    if period:
-        period = float(period)
-        window = float(params.get("weight_window", period / 8.0))
-        horizon = float(params.get("weight_horizon", until if until else 1e7))
-        offset = float(params.get("weight_offset", 0.0))
-        pieces: list[tuple[float, float]] = [(0.0, 0.0)] if offset > 0 else []
-        t = offset
-        while t < horizon:
-            pieces.append((t, w))
-            pieces.append((t + window, 0.0))
-            t += period
-        return tuple(pieces)
     if until is None:
         return ((0.0, w),)
     return ((0.0, w), (float(until), 0.0))
@@ -280,14 +307,36 @@ def _param(name: str, need: str, ok: Callable[[object], bool]) -> Requirement:
     return check
 
 
+def _finite(v) -> bool:
+    return type(v) in (int, float) and math.isfinite(v)
+
+
 def _number(name: str, need: str = "a finite number >= 0", ok=lambda v: v >= 0) -> Requirement:
-    return _param(name, need, lambda v: type(v) in (int, float) and math.isfinite(v) and ok(v))
+    return _param(name, need, lambda v: _finite(v) and ok(v))
 
 
-# what `_weight` reads; a period <= 0 would never reach the horizon
-_WEIGHT = (*map(_number, ("weight", "weight_until", "weight_window", "weight_offset",
-                          "weight_horizon")),
-           _number("weight_period", "a finite number > 0", lambda v: v > 0))
+_WEIGHT_KEYS = ("weight", "weight_until", "weight_window", "weight_offset", "weight_horizon")
+
+
+@_req("weight_periods", f"a duty cycle has at most {_MAX_DUTY_PERIODS} periods before its horizon")
+def _weight_periods(net, app):
+    if not all(_finite(app.params[k]) for k in (*_WEIGHT_KEYS, "weight_period")
+               if k in app.params):
+        return None  # the parameter's own requirement reports it
+    cycle = _cycle(app.params)
+    if cycle is None or cycle[0] <= 0:
+        return None
+    period, _, horizon, offset = cycle
+    if (horizon - offset) / period > _MAX_DUTY_PERIODS:
+        return (f"weight_period {period} gives more than {_MAX_DUTY_PERIODS} periods before "
+                f"the horizon {horizon}; lengthen the period or set weight_horizon")
+    return None
+
+
+# what `_weight` reads; a period <= 0 would never reach the horizon, a tiny
+# one would expand into an unbounded number of pieces
+_WEIGHT = (*map(_number, _WEIGHT_KEYS),
+           _number("weight_period", "a finite number > 0", lambda v: v > 0), _weight_periods)
 _PACE = _number("pace_s")
 
 
@@ -330,40 +379,30 @@ def _pool_match(p_wc: str, pool_wc: str) -> Requirement:
 # ---------------------------------------------------------------------------
 # blueprints, each with the requirements only it has
 
+def _twin(net: Net, app: PatternApplication, local: str, **created) -> BuiltFragment:
+    """A created transition on the same pre- and post-set as <t>, competing
+    with it; `created` goes to `BuiltFragment.create`."""
+    t = net.transition_map[app.one("t")]
+    built = BuiltFragment()
+    tid = built.create(app, local, _weight(app.params), shadow=t.id, **created)
+    built.arcs = _copy_arcs(net, t.id, tid)
+    built.probe = _probe(app, [tid], app.competitors or (t.id,))
+    return built
+
+
 def _build_shadow_silent(local_prefix: str):
-    """Shared blueprint of RI_mi^e and BI_3: a silent twin of <t> on the same
-    pre- and post-set, so the activity happens without leaving an event."""
-
-    def build(net: Net, app: PatternApplication) -> BuiltFragment:
-        t = net.transition_map[app.one("t")]
-        tid = _eid(f"{local_prefix}_{t.id}", app)
-        twin = Transition(tid, activity_label=None, provenance=_prov(app, shadow=t.id))
-        return BuiltFragment(
-            transitions=[twin],
-            arcs=_copy_arcs(net, t.id, tid),
-            weights={tid: _weight(app.params)},
-            probe=_probe(app, [tid], app.competitors or (t.id,)),
-            report_rules=[ReportRule(tid, responsible=None, affected=())],
-        )
-
-    return build
+    """Shared blueprint of RI_mi^e and BI_3: a silent twin of <t>, so the
+    activity happens without leaving an event."""
+    return lambda net, app: _twin(net, app, f"{local_prefix}_{app.one('t')}")
 
 
 def _build_wrong_label(net: Net, app: PatternApplication) -> BuiltFragment:
-    """RI_in^e / RI_in^a: a labeled duplicate of <t> carrying the wrong
-    activity name <t_prime>."""
+    """RI_in^e / RI_in^a: a labeled twin of <t> carrying the wrong activity
+    name <t_prime>."""
     t = net.transition_map[app.one("t")]
     label = app.one("t_prime")
-    tid = _eid(f"{t.id}_as_{label.replace(' ', '_')}", app)
-    dup = Transition(tid, activity_label=label, provenance=_prov(app, shadow=t.id),
-                     record_spec=t.record_spec)
-    return BuiltFragment(
-        transitions=[dup],
-        arcs=_copy_arcs(net, t.id, tid),
-        weights={tid: _weight(app.params)},
-        probe=_probe(app, [tid], app.competitors or (t.id,)),
-        report_rules=[ReportRule(tid, responsible=None, affected=())],
-    )
+    return _twin(net, app, f"{t.id}_as_{label.replace(' ', '_')}",
+                 label=label, record_spec=t.record_spec)
 
 
 @_req("t_prime_differs", "<t_prime> must be a non-empty label different from <t>'s")
@@ -383,13 +422,9 @@ def _bypass_vars(net: Net, t: Transition, app: PatternApplication) -> tuple[str,
     if "vars" in app.params:
         return tuple(app.params["vars"])
     otypes = app.many("O")
-    hits = []
-    for a in net.inputs_of(t.id):
-        if all(v.object_type in otypes for v in a.inscription):
-            for v in a.inscription:
-                if v.name not in hits:
-                    hits.append(v.name)
-    return tuple(hits)
+    return tuple(dict.fromkeys(v.name for a in net.inputs_of(t.id)
+                               if all(v.object_type in otypes for v in a.inscription)
+                               for v in a.inscription))
 
 
 def _bypass_sides(net: Net, t: Transition, bypass: tuple[str, ...]):
@@ -406,51 +441,31 @@ def _build_missing_object(net: Net, app: PatternApplication) -> BuiltFragment:
     bypass = _bypass_vars(net, t, app)
     ins, outs = _bypass_sides(net, t, bypass)
     bset = set(bypass)
+    w = _weight(app.params)
+    built = BuiltFragment()
 
-    miss_id = _eid(f"{t.id}_missing_{'_'.join(app.many('O'))}", app)
     recorded = tuple(v for v in _recorded_vars(net, t) if v not in bset)
-    miss = Transition(miss_id, activity_label=t.activity_label,
-                      provenance=_prov(app, shadow=t.id), record_spec=recorded)
-    arcs = []
-    for a in net.inputs_of(t.id):
-        if a not in ins:
-            arcs.append(Arc(a.source, miss_id, a.inscription))
-    for a in net.outputs_of(t.id):
-        if a not in outs:
-            arcs.append(Arc(miss_id, a.target, a.inscription))
+    miss_id = built.create(app, f"{t.id}_missing_{'_'.join(app.many('O'))}", w,
+                           label=t.activity_label, shadow=t.id, record_spec=recorded,
+                           responsible=(), affected=None)
+    # the bypass window has a duration, which also paces the pre/post cycle
+    pre_id = built.create(app, f"tau_pre_{t.id}", w, shadow=t.id,
+                          delay=Delay.constant(_pace(app.params)))
+    post_id = built.create(app, f"tau_post_{t.id}", _ALWAYS, shadow=t.id)
+    built.arcs = [Arc(a.source, miss_id, a.inscription) for a in net.inputs_of(t.id)
+                  if a not in ins]
+    built.arcs += [Arc(miss_id, a.target, a.inscription) for a in net.outputs_of(t.id)
+                   if a not in outs]
 
     # bypass place p' holds the unrecorded objects while the twin fires
-    order = [v for a in ins for v in a.inscription]
-    ptypes = tuple(v.object_type for v in order)
+    order = tuple(v for a in ins for v in a.inscription)
     byp_pid = _eid(f"p_bypass_{t.id}", app)
-    byp = Place(byp_pid, ptypes, role_hint="other")
-    pre_id = _eid(f"tau_pre_{t.id}", app)
-    post_id = _eid(f"tau_post_{t.id}", app)
-    pre = Transition(pre_id, provenance=_prov(app, shadow=t.id))
-    post = Transition(post_id, provenance=_prov(app, shadow=t.id))
-    for a in ins:
-        arcs.append(Arc(a.source, pre_id, a.inscription))
-    arcs.append(Arc(pre_id, byp_pid, tuple(order)))
-    arcs.append(Arc(byp_pid, post_id, tuple(order)))
-    for a in outs:
-        arcs.append(Arc(post_id, a.target, a.inscription))
-
-    w = _weight(app.params)
-    return BuiltFragment(
-        places=[byp],
-        transitions=[miss, pre, post],
-        arcs=arcs,
-        weights={miss_id: w, pre_id: w, post_id: _ALWAYS},
-        # the bypass window has a duration, which also paces the pre/post cycle
-        overrides=[TimingOverride("delay", (pre_id,), app.application_id, app.code,
-                                  delay=Delay.constant(_pace(app.params)))],
-        probe=_probe(app, [miss_id], app.competitors or (t.id,)),
-        report_rules=[
-            ReportRule(miss_id, responsible=(), affected=None),
-            ReportRule(pre_id, responsible=None, affected=()),
-            ReportRule(post_id, responsible=None, affected=()),
-        ],
-    )
+    built.places.append(Place(byp_pid, tuple(v.object_type for v in order), role_hint="other"))
+    built.arcs += [Arc(a.source, pre_id, a.inscription) for a in ins]
+    built.arcs += [Arc(pre_id, byp_pid, order), Arc(byp_pid, post_id, order)]
+    built.arcs += [Arc(post_id, a.target, a.inscription) for a in outs]
+    built.probe = _probe(app, [miss_id], app.competitors or (t.id,))
+    return built
 
 
 @_req("bypass_pure", "bypassed objects must ride pure side arcs of <t>")
@@ -487,22 +502,14 @@ def _build_wrong_object(net: Net, app: PatternApplication) -> BuiltFragment:
     t = net.transition_map[app.one("t")]
     pool = net.place_map[app.one("p_w")]
     var = app.params.get("var") or _vars_of_type(net, t, pool.type_tuple[0])[0]
-    tid = _eid(f"{t.id}_wrong_{var}", app)
     wrong = "wrong_" + var
     recorded = tuple(wrong if v == var else v for v in _recorded_vars(net, t))
-    dup = Transition(tid, activity_label=t.activity_label,
-                     provenance=_prov(app, shadow=t.id), record_spec=recorded)
-    arcs = _copy_arcs(net, t.id, tid)
+    built = _twin(net, app, f"{t.id}_wrong_{var}", label=t.activity_label,
+                  record_spec=recorded, responsible=(var, wrong), affected=None)
+    tid = built.transitions[0].id
     loop = (Variable(wrong, pool.type_tuple[0]),)
-    arcs.append(Arc(pool.id, tid, loop))
-    arcs.append(Arc(tid, pool.id, loop))
-    return BuiltFragment(
-        transitions=[dup],
-        arcs=arcs,
-        weights={tid: _weight(app.params)},
-        probe=_probe(app, [tid], app.competitors or (t.id,)),
-        report_rules=[ReportRule(tid, responsible=(var, wrong), affected=None)],
-    )
+    built.arcs += [Arc(pool.id, tid, loop), Arc(tid, pool.id, loop)]
+    return built
 
 
 @_req("var_of_pool_type", "the misrecorded variable must have <p_w>'s type")
@@ -529,46 +536,29 @@ def _var_of_pool_type(net, app):
 def _build_batch_log(net: Net, app: PatternApplication) -> BuiltFragment:
     t1 = net.transition_map[app.one("t1")]
     t2 = net.transition_map[app.one("t2")]
-    d1 = app.params.get("batch_delay", Delay.constant(1800.0))
-    d2 = Delay.constant(float(app.params.get("t2_delay_s", 0.0)))
-    id1 = _eid(f"{t1.id}_batch_log", app)
-    id2 = _eid(f"{t2.id}_batch_log", app)
-    dup1 = Transition(id1, activity_label=t1.activity_label,
-                      provenance=_prov(app, shadow=t1.id), record_spec=t1.record_spec)
-    dup2 = Transition(id2, activity_label=t2.activity_label,
-                      provenance=_prov(app, shadow=t2.id), record_spec=t2.record_spec)
+    built = BuiltFragment()
+    id1 = built.create(app, f"{t1.id}_batch_log", _weight(app.params),
+                       label=t1.activity_label, shadow=t1.id, record_spec=t1.record_spec,
+                       delay=app.params.get("batch_delay", Delay.constant(1800.0)))
+    id2 = built.create(app, f"{t2.id}_batch_log", _ALWAYS,
+                       label=t2.activity_label, shadow=t2.id, record_spec=t2.record_spec,
+                       delay=Delay.constant(float(app.params.get("t2_delay_s", 0.0))))
 
     # tokens of a batch-logged run travel through twins of the places shared
     # by <t1> and <t2>, so the pair only ever processes its own batches
-    shared = ({a.target for a in net.outputs_of(t1.id)}
-              & {a.source for a in net.inputs_of(t2.id)})
-    twin = {pid: _eid(f"p_{pid}_batch_log", app) for pid in sorted(shared)}
-    places = [Place(twin[pid], net.place_map[pid].type_tuple, role_hint="other")
-              for pid in sorted(shared)]
-    arcs = []
-    for a in net.inputs_of(t1.id):
-        arcs.append(Arc(a.source, id1, a.inscription))
-    for a in net.outputs_of(t1.id):
-        arcs.append(Arc(id1, twin.get(a.target, a.target), a.inscription))
-    for a in net.inputs_of(t2.id):
-        arcs.append(Arc(twin.get(a.source, a.source), id2, a.inscription))
-    for a in net.outputs_of(t2.id):
-        arcs.append(Arc(id2, a.target, a.inscription))
-
-    w = _weight(app.params)
-    return BuiltFragment(
-        places=places,
-        transitions=[dup1, dup2],
-        arcs=arcs,
-        weights={id1: w, id2: _ALWAYS},
-        overrides=[
-            TimingOverride("delay", (id1,), app.application_id, app.code, delay=d1),
-            TimingOverride("delay", (id2,), app.application_id, app.code, delay=d2),
-        ],
-        probe=_probe(app, [id1], app.competitors or (t1.id,)),
-        report_rules=[ReportRule(id1, responsible=None, affected=()),
-                      ReportRule(id2, responsible=None, affected=())],
-    )
+    shared = sorted({a.target for a in net.outputs_of(t1.id)}
+                    & {a.source for a in net.inputs_of(t2.id)})
+    twin = {pid: _eid(f"p_{pid}_batch_log", app) for pid in shared}
+    built.places = [Place(twin[pid], net.place_map[pid].type_tuple, role_hint="other")
+                    for pid in shared]
+    built.arcs = [
+        *(Arc(a.source, id1, a.inscription) for a in net.inputs_of(t1.id)),
+        *(Arc(id1, twin.get(a.target, a.target), a.inscription) for a in net.outputs_of(t1.id)),
+        *(Arc(twin.get(a.source, a.source), id2, a.inscription) for a in net.inputs_of(t2.id)),
+        *(Arc(id2, a.target, a.inscription) for a in net.outputs_of(t2.id)),
+    ]
+    built.probe = _probe(app, [id1], app.competitors or (t1.id,))
+    return built
 
 
 @_req("connected", "post(<t1>) must intersect pre(<t2>)")
@@ -614,28 +604,21 @@ def _build_change_correlation(local: str, claim: bool):
         p = net.place_map[app.one("p")]
         pool = net.place_map[app.one("p_r")]
         idx = _resource_component(p, pool, app.params)
-        tid = _eid(f"{local}_{p.id}", app)
-        tau = Transition(tid, provenance=_prov(app))
+        others = tuple(f"v{i}" for i in range(len(p.type_tuple)) if i != idx)
+        built = BuiltFragment()
+        # handing the work over takes a moment; also paces repeated swaps
+        tid = built.create(app, f"{local}_{p.id}", _weight(app.params),
+                           responsible=others, affected=(f"v{idx}", "w"),
+                           delay=Delay.constant(_pace(app.params)))
         invars = tuple(Variable(f"v{i}", tn) for i, tn in enumerate(p.type_tuple))
         outvars = tuple(Variable("w", p.type_tuple[idx]) if i == idx else v
                         for i, v in enumerate(invars))
         w = (Variable("w", pool.type_tuple[0]),)
-        arcs = [Arc(p.id, tid, invars), Arc(pool.id, tid, w), Arc(tid, p.id, outvars)]
-        if claim:
-            arcs.append(Arc(tid, pool.id, (Variable(f"v{idx}", pool.type_tuple[0]),)))
-        else:
-            arcs.append(Arc(tid, pool.id, w))
-        others = tuple(f"v{i}" for i in range(len(p.type_tuple)) if i != idx)
-        return BuiltFragment(
-            transitions=[tau],
-            arcs=arcs,
-            weights={tid: _weight(app.params)},
-            # handing the work over takes a moment; also paces repeated swaps
-            overrides=[TimingOverride("delay", (tid,), app.application_id, app.code,
-                                      delay=Delay.constant(_pace(app.params)))],
-            probe=_probe(app, [tid]),
-            report_rules=[ReportRule(tid, responsible=others, affected=(f"v{idx}", "w"))],
-        )
+        released = (Variable(f"v{idx}", pool.type_tuple[0]),) if claim else w
+        built.arcs = [Arc(p.id, tid, invars), Arc(pool.id, tid, w), Arc(tid, p.id, outvars),
+                      Arc(tid, pool.id, released)]
+        built.probe = _probe(app, [tid])
+        return built
 
     return build
 
@@ -644,15 +627,16 @@ def _build_multitask(net: Net, app: PatternApplication) -> BuiltFragment:
     p1 = net.place_map[app.one("p1")]
     p2 = net.place_map[app.one("p2")]
     idx = _resource_component(p1, p2, app.params)
+    others = tuple(f"v{i}" for i in range(len(p1.type_tuple)) if i != idx)
     mem_id = _eid(f"p_interrupted_{p1.id}", app)
-    rel_id = _eid(f"tau_early_release_{p1.id}", app)
-    clm_id = _eid(f"tau_late_claim_{p1.id}", app)
-    mem = Place(mem_id, p1.type_tuple, role_hint="other")
-    rel = Transition(rel_id, provenance=_prov(app))
-    clm = Transition(clm_id, provenance=_prov(app))
+    built = BuiltFragment(places=[Place(mem_id, p1.type_tuple, role_hint="other")])
+    rel_id = built.create(app, f"tau_early_release_{p1.id}", _weight(app.params),
+                          responsible=(f"v{idx}",), affected=others,
+                          delay=Delay.constant(_pace(app.params)))
+    clm_id = built.create(app, f"tau_late_claim_{p1.id}", _ALWAYS, responsible=())
     invars = tuple(Variable(f"v{i}", tn) for i, tn in enumerate(p1.type_tuple))
     res = (Variable(f"v{idx}", p2.type_tuple[0]),)
-    arcs = [
+    built.arcs = [
         Arc(p1.id, rel_id, invars),
         Arc(rel_id, mem_id, invars),
         Arc(rel_id, p2.id, res),
@@ -660,18 +644,8 @@ def _build_multitask(net: Net, app: PatternApplication) -> BuiltFragment:
         Arc(p2.id, clm_id, res),  # same variable: the exact resource is reclaimed
         Arc(clm_id, p1.id, invars),
     ]
-    others = tuple(f"v{i}" for i in range(len(p1.type_tuple)) if i != idx)
-    return BuiltFragment(
-        places=[mem],
-        transitions=[rel, clm],
-        arcs=arcs,
-        weights={rel_id: _weight(app.params), clm_id: _ALWAYS},
-        overrides=[TimingOverride("delay", (rel_id,), app.application_id, app.code,
-                                  delay=Delay.constant(_pace(app.params)))],
-        probe=_probe(app, [rel_id]),
-        report_rules=[ReportRule(rel_id, responsible=(f"v{idx}",), affected=others),
-                      ReportRule(clm_id, responsible=(), affected=())],
-    )
+    built.probe = _probe(app, [rel_id])
+    return built
 
 
 def _build_overtake(net: Net, app: PatternApplication) -> BuiltFragment:
@@ -680,32 +654,28 @@ def _build_overtake(net: Net, app: PatternApplication) -> BuiltFragment:
     budget = int(app.params.get("budget", 1))
     ot_name = ObjectType(f"overtake_permit#{app.application_id}", prefix="permit")
     guard_id = _eid(f"p_{q1.id}_overtake", app)
-    tid = _eid(f"tau_overtake_{q1.id}_{q2.id}", app)
-    guard = Place(guard_id, (ot_name.name,), role_hint="other")
-    tau = Transition(tid, provenance=_prov(app))
-    a1 = (Variable("a1", q1.type_tuple[0]), Variable("s1", q1.type_tuple[1]))
+    built = BuiltFragment(
+        places=[Place(guard_id, (ot_name.name,), role_hint="other")],
+        object_types=[ot_name],
+        initial_tokens=[(guard_id, (f"permit_{app.application_id}_{i + 1}",))
+                        for i in range(budget)],
+    )
+    tid = built.create(app, f"tau_overtake_{q1.id}_{q2.id}", _weight(app.params),
+                       responsible=("a2",), affected=("a1",))
+    a1 =(Variable("a1", q1.type_tuple[0]), Variable("s1", q1.type_tuple[1]))
     a2 = (Variable("a2", q2.type_tuple[0]), Variable("s2", q2.type_tuple[1]))
     swapped1 = (Variable("a2", q1.type_tuple[0]), Variable("s1", q1.type_tuple[1]))
     swapped2 = (Variable("a1", q2.type_tuple[0]), Variable("s2", q2.type_tuple[1]))
     g = (Variable("g", ot_name.name),)
-    arcs = [
+    built.arcs = [
         Arc(q1.id, tid, a1),
         Arc(q2.id, tid, a2),
         Arc(guard_id, tid, g),  # finite permits prevent a continuous swap cycle
         Arc(tid, q1.id, swapped1),
         Arc(tid, q2.id, swapped2),
     ]
-    tokens = [(guard_id, (f"permit_{app.application_id}_{i + 1}",)) for i in range(budget)]
-    return BuiltFragment(
-        places=[guard],
-        transitions=[tau],
-        arcs=arcs,
-        object_types=[ot_name],
-        initial_tokens=tokens,
-        weights={tid: _weight(app.params)},
-        probe=_probe(app, [tid]),
-        report_rules=[ReportRule(tid, responsible=("a2",), affected=("a1",))],
-    )
+    built.probe = _probe(app, [tid])
+    return built
 
 
 @_req("queues_compatible", "<p_q1> and <p_q2> must be distinct queue places of equal type")
@@ -722,49 +692,28 @@ def _queues_compatible(net, app):
 
 
 def _build_capacity(net: Net, app: PatternApplication) -> BuiltFragment:
+    """A decrease parks a capacity token of <p_c> in a memory place; an
+    increase puts it back twice, so the duplicate and its memory token carry
+    the same identifiers.  Each has its own undo."""
     pc = net.place_map[app.one("p_c")]
     variant = app.params.get("variant", "both")
     pace = Delay.constant(_pace(app.params))
     w = _weight(app.params)
     invars = tuple(Variable(f"v{i}", tn) for i, tn in enumerate(pc.type_tuple))
     built = BuiltFragment()
-
-    if variant in ("decrease", "both"):
-        mem_id = _eid(f"p_{pc.id}_dec", app)
-        dec_id = _eid(f"tau_{pc.id}_dec", app)
-        undo_id = _eid(f"tau_{pc.id}_dec_undo", app)
+    deviations = []
+    for name, kind, extra in (("decrease", "dec", 0), ("increase", "inc", 2)):
+        if variant not in (name, "both"):
+            continue
+        mem_id = _eid(f"p_{pc.id}_{kind}", app)
         built.places.append(Place(mem_id, pc.type_tuple, role_hint="other"))
-        built.transitions += [Transition(dec_id, provenance=_prov(app)),
-                              Transition(undo_id, provenance=_prov(app))]
-        built.arcs += [Arc(pc.id, dec_id, invars), Arc(dec_id, mem_id, invars),
+        tid = built.create(app, f"tau_{pc.id}_{kind}", w, delay=pace)
+        undo_id = built.create(app, f"tau_{pc.id}_{kind}_undo", _ALWAYS, responsible=())
+        built.arcs += [Arc(pc.id, tid, invars), *[Arc(tid, pc.id, invars)] * extra,
+                       Arc(tid, mem_id, invars), *[Arc(pc.id, undo_id, invars)] * extra,
                        Arc(mem_id, undo_id, invars), Arc(undo_id, pc.id, invars)]
-        built.weights.update({dec_id: w, undo_id: _ALWAYS})
-        built.overrides.append(TimingOverride("delay", (dec_id,), app.application_id,
-                                              app.code, delay=pace))
-        built.report_rules += [ReportRule(dec_id, responsible=None, affected=()),
-                               ReportRule(undo_id, responsible=(), affected=())]
-
-    if variant in ("increase", "both"):
-        mem_id = _eid(f"p_{pc.id}_inc", app)
-        inc_id = _eid(f"tau_{pc.id}_inc", app)
-        undo_id = _eid(f"tau_{pc.id}_inc_undo", app)
-        built.places.append(Place(mem_id, pc.type_tuple, role_hint="other"))
-        built.transitions += [Transition(inc_id, provenance=_prov(app)),
-                              Transition(undo_id, provenance=_prov(app))]
-        # the duplicate and its memory token carry the same identifiers
-        built.arcs += [Arc(pc.id, inc_id, invars),
-                       Arc(inc_id, pc.id, invars), Arc(inc_id, pc.id, invars),
-                       Arc(inc_id, mem_id, invars),
-                       Arc(pc.id, undo_id, invars), Arc(pc.id, undo_id, invars),
-                       Arc(mem_id, undo_id, invars),
-                       Arc(undo_id, pc.id, invars)]
-        built.weights.update({inc_id: w, undo_id: _ALWAYS})
-        built.overrides.append(TimingOverride("delay", (inc_id,), app.application_id,
-                                              app.code, delay=pace))
-        built.report_rules += [ReportRule(inc_id, responsible=None, affected=()),
-                               ReportRule(undo_id, responsible=(), affected=())]
-
-    built.probe = _probe(app, [t.id for t in built.transitions if "undo" not in t.id])
+        deviations.append(tid)
+    built.probe = _probe(app, deviations)
     return built
 
 
@@ -780,16 +729,17 @@ def _build_switch_role(net: Net, app: PatternApplication) -> BuiltFragment:
     r2 = net.place_map[app.one("p_r2")]
     t1, t2 = r1.type_tuple[0], r2.type_tuple[0]
     mem_id = _eid(f"p_{r1.id}_{r2.id}", app)
-    sw_id = _eid(f"tau_switch_{r1.id}_{r2.id}", app)
-    back_id = _eid(f"tau_switch_back_{r1.id}_{r2.id}", app)
-    mem = Place(mem_id, (t1, t2), role_hint="other")
-    sw = Transition(sw_id, provenance=_prov(app))
-    back = Transition(back_id, provenance=_prov(app))
+    built = BuiltFragment(places=[Place(mem_id, (t1, t2), role_hint="other")])
+    sw_id = built.create(app, f"tau_switch_{r1.id}_{r2.id}", _weight(app.params),
+                         delay=Delay.constant(_pace(app.params)))
+    back_id = built.create(app, f"tau_switch_back_{r1.id}_{r2.id}",
+                           ((0.0, float(app.params.get("undo_weight", 1.0))),),
+                           responsible=())
     r = Variable("r", t1)
     # nu-variable: the borrowed role gets a fresh identifier referencing r
     alias_fresh = Variable("alias", t2, fresh=True)
     alias = Variable("alias", t2)
-    arcs = [
+    built.arcs = [
         Arc(r1.id, sw_id, (r,)),
         Arc(sw_id, r2.id, (alias_fresh,)),
         Arc(sw_id, mem_id, (r, alias_fresh)),
@@ -797,18 +747,8 @@ def _build_switch_role(net: Net, app: PatternApplication) -> BuiltFragment:
         Arc(r2.id, back_id, (alias,)),
         Arc(back_id, r1.id, (r,)),
     ]
-    return BuiltFragment(
-        places=[mem],
-        transitions=[sw, back],
-        arcs=arcs,
-        weights={sw_id: _weight(app.params),
-                 back_id: ((0.0, float(app.params.get("undo_weight", 1.0))),)},
-        overrides=[TimingOverride("delay", (sw_id,), app.application_id, app.code,
-                                  delay=Delay.constant(_pace(app.params)))],
-        probe=_probe(app, [sw_id]),
-        report_rules=[ReportRule(sw_id, responsible=None, affected=()),
-                      ReportRule(back_id, responsible=(), affected=())],
-    )
+    built.probe = _probe(app, [sw_id])
+    return built
 
 
 @_req("distinct_types", "role places must hold resources of different types")
@@ -828,19 +768,13 @@ def _build_early_release(net: Net, app: PatternApplication) -> BuiltFragment:
     ins = net.inputs_of(t.id)
     kept_in = [a for i, a in enumerate(ins) if i not in drop]
     bound = {v.name for a in kept_in for v in a.inscription}
-    tid = _eid(f"tau_early_{t.id}", app)
-    tau = Transition(tid, provenance=_prov(app, shadow=t.id))
-    arcs = [Arc(a.source, tid, a.inscription) for a in kept_in]
-    for a in net.outputs_of(t.id):
-        if all(v.fresh or v.name in bound for v in a.inscription):
-            arcs.append(Arc(tid, a.target, a.inscription))
-    return BuiltFragment(
-        transitions=[tau],
-        arcs=arcs,
-        weights={tid: _weight(app.params)},
-        probe=_probe(app, [tid], app.competitors or (t.id,)),
-        report_rules=[ReportRule(tid, responsible=None, affected=())],
-    )
+    built = BuiltFragment()
+    tid = built.create(app, f"tau_early_{t.id}", _weight(app.params), shadow=t.id)
+    built.arcs = [Arc(a.source, tid, a.inscription) for a in kept_in]
+    built.arcs += [Arc(tid, a.target, a.inscription) for a in net.outputs_of(t.id)
+                   if all(v.fresh or v.name in bound for v in a.inscription)]
+    built.probe = _probe(app, [tid], app.competitors or (t.id,))
+    return built
 
 
 @_req("droppable", "dropped arcs must leave a well-formed early release")

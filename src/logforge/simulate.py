@@ -17,7 +17,7 @@ import heapq
 import math
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from itertools import accumulate
 from operator import itemgetter
@@ -26,7 +26,7 @@ import numpy as np
 
 from .nets import Binding, Net, ProvenanceTag, transition_bindings
 from .serialize import digest_of, net_digest
-from .timing import ConfigInvalid, Delay, ReportRule
+from .timing import ConfigInvalid, Delay, ReportRule, reject_unknown_keys
 
 PRNG_NAME = "numpy-pcg64"
 DEFAULT_EPOCH = "2024-03-04T08:00:00Z"
@@ -53,6 +53,8 @@ class Arrival:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Arrival":
+        reject_unknown_keys(d, [f.name for f in fields(cls)], "arrival")
+        _optional_number(d, "count", integral=True)  # rather than truncate 2.7 to 2
         return cls(d["object_type"], d["target_place"], Delay.from_dict(d["inter_arrival"]),
                    int(d["count"]), float(d.get("first_at", 0.0)))
 
@@ -72,7 +74,11 @@ class ScheduleEntry:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScheduleEntry":
-        return cls(d["place"], tuple(d["token"]), float(d["start"]),
+        reject_unknown_keys(d, [f.name for f in fields(cls)], "schedule")
+        token = d["token"]
+        if not isinstance(token, (list, tuple)) or any(type(x) is not str for x in token):
+            raise ConfigInvalid(f"a schedule token must be a list of identifiers, got {token!r}")
+        return cls(d["place"], tuple(token), float(d["start"]),
                    None if d.get("stop") is None else float(d["stop"]))
 
 
@@ -112,10 +118,7 @@ class SimConfig:
         file.  An unknown key or a malformed value raises ConfigInvalid."""
         if type(d) is not dict:
             raise ConfigInvalid(f"a sim config must be an object, got {d!r}")
-        unknown = sorted(set(d) - _CONFIG_KEYS)
-        if unknown:
-            raise ConfigInvalid(f"unknown sim config key(s) {unknown}; "
-                                f"known keys are {sorted(_CONFIG_KEYS)}")
+        reject_unknown_keys(d, _CONFIG_KEYS, "sim config")
         if d.get("prng", PRNG_NAME) != PRNG_NAME:
             raise ConfigInvalid(f"prng {d['prng']!r} is not supported, only {PRNG_NAME!r}")
         try:

@@ -15,6 +15,13 @@ class ConfigInvalid(ValueError):
     """A simulation setting that would make a run meaningless."""
 
 
+def reject_unknown_keys(d: dict, known, what: str) -> None:
+    """Raise ConfigInvalid naming every key of `d` outside `known`."""
+    unknown = sorted(set(d) - set(known))
+    if unknown:
+        raise ConfigInvalid(f"unknown {what} key(s) {unknown}; known keys are {sorted(known)}")
+
+
 DELAY_KINDS = ("constant", "normal", "exponential", "uniform")
 
 
@@ -77,6 +84,7 @@ class Delay:
     def from_dict(cls, d: dict) -> "Delay":
         if not (isinstance(d, dict) and "kind" in d):
             raise ConfigInvalid(f"a delay must be an object with a 'kind', got {d!r}")
+        reject_unknown_keys(d, ("kind", "a", "b"), "delay")
         return cls(d["kind"], d.get("a", 0.0), d.get("b", 0.0))
 
 

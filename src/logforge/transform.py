@@ -4,15 +4,16 @@
 against it and builds the fragment.  It never touches pre-existing elements;
 it only adds the fragment's created places, transitions, arcs, object types
 and initial tokens, and attaches the fragment's simulation annotations.
-`apply_sequence` chains transformations and keeps a provenance ledger
-attributing every created element to exactly one application.
+`apply_sequence` chains transformations and keeps a provenance ledger whose
+entry for each application lists the elements its fragment created.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .nets import Diagnostic, Net
-from .patterns import PatternApplication, _mapping_to_json, _params_to_json, lookup
+from .patterns import (BuiltFragment, PatternApplication, _mapping_to_json,
+                       _params_to_json, lookup)
 
 
 class InvalidMapping(Exception):
@@ -87,6 +88,11 @@ def validate_mapping(net: Net, app: PatternApplication) -> list[Diagnostic]:
 
 def apply(net: Net, app: PatternApplication) -> Net:
     """The net unioned with the elements `app`'s pattern creates."""
+    return _union(net, app)[0]
+
+
+def _union(net: Net, app: PatternApplication) -> tuple[Net, BuiltFragment]:
+    """`apply`'s net, and the fragment whose elements it added."""
     diagnostics = validate_mapping(net, app)
     if diagnostics:
         raise InvalidMapping(diagnostics)
@@ -115,7 +121,7 @@ def apply(net: Net, app: PatternApplication) -> Net:
             probes=(built.probe,) if built.probe else (),
             report_rules=tuple(built.report_rules),
         ),
-    )
+    ), built
 
 
 @dataclass(frozen=True)
@@ -169,20 +175,17 @@ def apply_sequence(net: Net, apps) -> tuple[Net, ProvenanceLedger]:
     entries: list[LedgerEntry] = []
     current = net
     for i, app in enumerate(apps):
-        before_p = {p.id for p in current.places}
-        before_t = {t.id for t in current.transitions}
-        before_a = len(current.arcs)
         try:
-            current = apply(current, app)
+            current, built = _union(current, app)
         except InvalidMapping as e:
             raise InvalidMapping(e.diagnostics, index=i) from None
         entries.append(LedgerEntry(
             application_id=app.application_id,
             code=app.code,
             origin=lookup(app.code).origin,
-            created_places=tuple(p.id for p in current.places if p.id not in before_p),
-            created_transitions=tuple(t.id for t in current.transitions if t.id not in before_t),
-            created_arc_count=len(current.arcs) - before_a,
+            created_places=tuple(p.id for p in built.places),
+            created_transitions=tuple(t.id for t in built.transitions),
+            created_arc_count=len(built.arcs),
             mapping=dict(app.mapping),
             params=dict(app.params),
         ))

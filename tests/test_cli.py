@@ -301,8 +301,16 @@ def write_package_config(tmp_path, capsys, edit):
     lambda c: c.update(firing_limit="100"),
     lambda c: c.update(time_horizon=float("nan")),
     lambda c: c["arrivals"][0].pop("count"),
+    lambda c: c["delays"].update(ring={"kind": "normal", "mu": 300, "sigma": 60}),
+    lambda c: c["delays"].update(ring={"kind": "constant", "c": 60}),
+    lambda c: c["arrivals"][0].update(frist_at=500),
+    lambda c: c["arrivals"][0].update(count=2.7),
+    lambda c: c.update(schedules=[{"place": "p_van_pool", "token": "abc", "start": 0.0,
+                                   "stop": 600.0}]),
 ], ids=["non-numeric-weight", "short-piece", "arc-key-without-arrow", "unknown-key",
-        "foreign-prng", "string-firing-limit", "nan-horizon", "arrival-without-count"])
+        "foreign-prng", "string-firing-limit", "nan-horizon", "arrival-without-count",
+        "delay-key-mu", "delay-key-c", "arrival-key-frist-at", "fractional-count",
+        "string-token"])
 def test_simulate_bad_config_is_one_diagnostic(tmp_path, capsys, edit):
     model, cpath = write_package_config(tmp_path, capsys, edit)
     out = str(tmp_path / "sim")
@@ -364,10 +372,13 @@ def test_transform_incomplete_application_exits_two(tmp_path, capsys, app, field
     {"code": "RI_in^o", "mapping": {"t": "ring", "p_w": "p_c"}, "params": {"var": ["cr"]}},
     {"code": "RI_mi^o", "mapping": {"t": "load", "O": ["van"]}, "params": {"vars": "vn"}},
     {"code": "RI_mi^p", "mapping": {"T": ["collect"]}, "params": {"window_s": "1h"}},
+    {"code": "BI_3", "mapping": {"t": "ring"}, "params": {"weight_period": 0.001}},
+    {"code": "BI_3", "mapping": {"t": "ring"}, "params": {"weight_period": 1.0}},
 ], ids=["non-integer-drop", "no-drop", "unknown-variant", "string-weight",
         "string-weight-period", "negative-weight-period", "infinite-horizon", "string-budget",
         "string-pace", "negative-undo-weight", "probability-above-one", "number-delay",
-        "list-var", "string-vars", "string-window"])
+        "list-var", "string-vars", "string-window", "tiny-weight-period",
+        "second-weight-period"])
 def test_transform_bad_pattern_param_is_one_requirement_failure(tmp_path, capsys, app):
     fdir = str(tmp_path / "fx")
     run_cli(capsys, "fixture", "--name", "package_delivery", "--out", fdir)

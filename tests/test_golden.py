@@ -4,10 +4,10 @@ transformed net and ledger of every pattern.
 Criterion c5 compares two runs of the same code, so a change that alters the
 output the same way on both runs passes it.  These digests pin the bytes
 themselves at the fixtures' pinned seeds.  `model.json` and the manifest are
-left out on purpose: their annotation format may change without any change
-to the simulated behaviour.  The pattern digests pin what each catalog
-entry builds, so a refactor of the catalog can be checked for changing
-nothing.
+not hashed here, but they are not free either: every trace header carries
+the `ml` digest, so any change to `model.json`'s annotations also changes
+the pinned trace bytes.  The pattern digests pin what each catalog entry
+builds, so a refactor of the catalog can be checked for changing nothing.
 """
 import hashlib
 import os

@@ -1,9 +1,10 @@
 import pytest
 
 from logforge import fixtures
+from logforge.dataset import enumerate_cells
 from logforge.patterns import (CATALOG, CODES, PatternApplication, UnknownPattern,
                                Wildcard, lookup)
-from logforge.transform import validate_mapping
+from logforge.transform import apply, apply_sequence, validate_mapping
 
 EXPECTED_CODES = {"RI_mi^e", "RI_in^e", "RI_in^a", "RI_mi^o", "RI_in^o", "RI_in^p",
                   "RI_mi^p", "BI_1", "BI_2", "BI_3", "BI_5", "BI_6", "BI_7",
@@ -154,7 +155,6 @@ def test_batch_log_reroutes_through_twin_places():
 
 def test_multitasking_reclaims_the_exact_resource():
     from logforge.nets import Marking, enabled_bindings, fire
-    from logforge.transform import apply
     net = fixtures.mini_corr()
     app = PatternApplication("mt", "BI_2", {"p1": "p_b", "p2": "p_r"})
     out = apply(net, app)
@@ -167,3 +167,27 @@ def test_multitasking_reclaims_the_exact_resource():
     claims = [f for f in enabled_bindings(out, marking)
               if f[0].startswith("tau_late_claim")]
     assert claims and all(dict(b.values)["v1"] == "r_1" for _, b in claims)
+
+
+def _sequences():
+    """(net, applications) of every additivity case and every fixture grid row."""
+    for name, net, app in fixtures.additivity_cases():
+        yield net, [app]
+    for name in fixtures.FIXTURES:
+        net, grid = fixtures.fixture(name)
+        for b, r in dict.fromkeys((c.b_index, c.r_index) for c in enumerate_cells(grid)):
+            yield net, [*grid.behavioral_sets[b], *grid.recording_sets[r]]
+
+
+def test_each_created_transition_has_one_weight_and_one_report_rule():
+    for net, apps in _sequences():
+        _, ledger = apply_sequence(net, apps)
+        for app, entry in zip(apps, ledger.entries, strict=True):
+            built = _build(net, app)
+            ids = [t.id for t in built.transitions]
+            assert list(built.weights) == ids
+            assert [r.transition for r in built.report_rules] == ids
+            assert entry.created_transitions == tuple(ids)
+            assert entry.created_places == tuple(p.id for p in built.places)
+            assert entry.created_arc_count == len(built.arcs)
+            net = apply(net, app)
