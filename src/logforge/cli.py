@@ -11,11 +11,11 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 from . import dataset as ds
 from . import fixtures, logio, oracle
-from .nets import validate_net
+from .nets import Net, validate_net
 from .patterns import PatternApplication, UnknownPattern
 from .serialize import SCHEMA_VERSION
 from .simulate import ConfigInvalid, SimConfig, run
@@ -27,12 +27,23 @@ def _emit_diagnostic(code: str, element: str, message: str) -> None:
                                  "message": message}, sort_keys=True) + "\n")
 
 
+@dataclass
+class InvalidModel(Exception):
+    """A model that `validate_net` rejects."""
+    diagnostics: list
+
+
+def _read_model(path: str) -> Net:
+    """The model in `path`; one that `validate_net` rejects raises InvalidModel."""
+    net = logio.read_model(path)
+    if diagnostics := validate_net(net):
+        raise InvalidModel(diagnostics)
+    return net
+
+
 def _cmd_validate(args) -> int:
-    net = logio.read_model(args.model)
-    diagnostics = validate_net(net)
-    for d in diagnostics:
-        _emit_diagnostic(d.code, d.element, d.message)
-    return 1 if diagnostics else 0
+    _read_model(args.model)
+    return 0
 
 
 def _read_applications(path: str) -> list[PatternApplication]:
@@ -47,7 +58,7 @@ def _read_applications(path: str) -> list[PatternApplication]:
 
 
 def _cmd_transform(args) -> int:
-    net = logio.read_model(args.model)
+    net = _read_model(args.model)
     apps = _read_applications(args.apply)
     transformed, ledger = apply_sequence(net, apps)
     logio.write_model(transformed, args.out)
@@ -57,7 +68,7 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    net = logio.read_model(args.model)
+    net = _read_model(args.model)
     config = SimConfig.from_dict(logio.read_json(args.config)) if args.config else SimConfig()
     if args.seed is not None:
         config = replace(config, seed=args.seed)
@@ -71,7 +82,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_dataset(args) -> int:
-    net = logio.read_model(args.model)
+    net = _read_model(args.model)
     grid = ds.GridSpec.from_dict(logio.read_json(args.grid))
     if args.seed is not None:
         grid.master_seed = args.seed
@@ -91,8 +102,8 @@ def _cmd_fixture(args) -> int:
 
 def _cmd_oracle(args) -> int:
     if args.oracle_cmd == "align":
-        m0 = logio.read_model(args.model)
-        net = logio.read_model(args.net) if args.net else None
+        m0 = _read_model(args.model)
+        net = _read_model(args.net) if args.net else None
         trace = logio.read_trace(args.trace, net=net)
         log = logio.read_observed_jsonl(args.log)
         alignment = oracle.gt_alignment(m0, trace, log)
@@ -183,7 +194,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except InvalidMapping as e:
+    except (InvalidMapping, InvalidModel) as e:
         for d in e.diagnostics:
             _emit_diagnostic(d.code, d.element, d.message)
         return 1

@@ -21,7 +21,7 @@ from .nets import Net
 from .patterns import PatternApplication
 from .serialize import net_from_dict, net_to_dict, net_digest
 from .simulate import ConfigInvalid, SimConfig, run
-from .timing import reject_unknown_keys
+from .timing import reject_unknown_keys, typed
 from .transform import apply_sequence
 
 
@@ -64,27 +64,25 @@ class GridSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "GridSpec":
         """Read what `to_dict` writes, plus the `schema_version` of a grid
-        file.  An unknown key, a non-boolean `paired` or a non-integer
-        `master_seed` raises ConfigInvalid."""
+        file.  An unknown key or a mistyped value raises ConfigInvalid."""
         reject_unknown_keys(d, _GRID_KEYS, "grid")
-        paired = d.get("paired", False)
-        if type(paired) is not bool:
-            raise ConfigInvalid(f"grid 'paired' must be true or false, got {paired!r}")
-        master_seed = d.get("master_seed", 0)
-        if type(master_seed) is not int:
-            raise ConfigInvalid(f"grid 'master_seed' must be an integer, got {master_seed!r}")
         return cls(
-            behavioral_sets=[[PatternApplication.from_dict(a) for a in s]
-                             for s in d.get("behavioral_sets", [])],
-            recording_sets=[[PatternApplication.from_dict(a) for a in s]
-                            for s in d.get("recording_sets", [])],
-            sim_configs=[SimConfig.from_dict(c) for c in d.get("sim_configs", [])],
-            paired=paired,
-            master_seed=master_seed,
+            behavioral_sets=_application_sets(d, "behavioral_sets"),
+            recording_sets=_application_sets(d, "recording_sets"),
+            sim_configs=[SimConfig.from_dict(c) for c in typed(d, "sim_configs", (list,), [])],
+            paired=typed(d, "paired", (bool,), False),
+            master_seed=typed(d, "master_seed", (int,), 0),
         )
 
 
 _GRID_KEYS = frozenset(GridSpec().to_dict()) | {"schema_version"}
+
+
+def _application_sets(d: dict, key: str) -> list:
+    """The grid axis `key`: a list of lists of pattern applications."""
+    sets = typed(d, key, (list,), [])
+    return [[PatternApplication.from_dict(a) for a in typed(sets, i, (list,))]
+            for i in range(len(sets))]
 
 
 @dataclass(frozen=True)

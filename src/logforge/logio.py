@@ -16,12 +16,12 @@ import os
 import tempfile
 from dataclasses import dataclass
 
-from .nets import Net
+from .nets import OBJECT_SEPARATOR, Net
 from .serialize import (SCHEMA_VERSION, canonical_json, net_from_dict,
                         net_to_dict, provenance_from_dict, provenance_to_dict,
                         text_digest)
 from .simulate import FiringRecord, GroundTruthTrace, render_timestamp
-from .timing import ReportRule
+from .timing import NUMBER, ReportRule, typed
 
 
 class ParseError(Exception):
@@ -144,18 +144,11 @@ def record_to_dict(r: FiringRecord) -> dict:
     }
 
 
-def _typed(d: dict, key: str, types):
-    value = d[key]
-    if not isinstance(value, types) or isinstance(value, bool):
-        raise TypeError(f"field {key!r} has type {type(value).__name__}")
-    return value
-
-
 def record_from_dict(d: dict) -> FiringRecord:
     return FiringRecord(
-        seq_no=_typed(d, "seq_no", int),
-        time=_typed(d, "time", (int, float)),
-        transition=_typed(d, "transition", str),
+        seq_no=typed(d, "seq_no", (int,)),
+        time=typed(d, "time", NUMBER),
+        transition=typed(d, "transition", (str,)),
         activity=d.get("activity"),
         values=tuple((k, v) for k, v in d.get("values", [])),
         fresh=tuple((k, v) for k, v in d.get("fresh", [])),
@@ -194,9 +187,9 @@ def write_trace(trace: GroundTruthTrace, path: str) -> None:
 
 def _trace_header(h: dict) -> dict:
     return dict(
-        run_id=_typed(h, "run_id", str),
-        seed=_typed(h, "seed", int),
-        epoch=_typed(h, "epoch", str),
+        run_id=typed(h, "run_id", (str,)),
+        seed=typed(h, "seed", (int,)),
+        epoch=typed(h, "epoch", (str,)),
         model_digests=h.get("model_digests", {}),
         config_digest=h.get("config_digest", ""),
         object_types=h.get("object_types", {}),
@@ -236,8 +229,8 @@ class ObservedEvent:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ObservedEvent":
-        return cls(_typed(d, "event_id", str), _typed(d, "timestamp", str),
-                   _typed(d, "activity", str), tuple(d.get("objects", [])),
+        return cls(typed(d, "event_id", (str,)), typed(d, "timestamp", (str,)),
+                   typed(d, "activity", (str,)), tuple(d.get("objects", [])),
                    d.get("run_id", ""))
 
 
@@ -303,7 +296,8 @@ def write_observed_csv(log: ObservedLog, path: str) -> None:
     writer = csv.writer(buf)
     writer.writerow(CSV_FIELDS)
     for e in log.events:
-        writer.writerow([e.event_id, e.timestamp, e.activity, ";".join(e.objects), e.run_id])
+        writer.writerow([e.event_id, e.timestamp, e.activity,
+                         OBJECT_SEPARATOR.join(e.objects), e.run_id])
     atomic_write(path, buf.getvalue())
 
 
@@ -324,7 +318,7 @@ def read_observed_csv(path: str) -> ObservedLog:
             event_id, timestamp, activity, objects, run_id = row
             events.append(ObservedEvent(
                 event_id, timestamp, activity,
-                tuple(o for o in objects.split(";") if o), run_id))
+                tuple(o for o in objects.split(OBJECT_SEPARATOR) if o), run_id))
     return ObservedLog(events=tuple(events), objects={},
                        run_id=events[0].run_id if events else "")
 

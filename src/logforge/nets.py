@@ -32,6 +32,12 @@ from .timing import SimAnnotations
 
 ROLE_HINTS = ("regular", "resource_idle", "resource_busy", "queue", "correlation", "other")
 ORIGINS = ("base", "behavioral", "recording")
+OBJECT_SEPARATOR = ";"  # joins an event's objects in log.csv
+
+
+def is_identifier(x) -> bool:
+    """Whether `x` can name an object: a string without OBJECT_SEPARATOR."""
+    return type(x) is str and OBJECT_SEPARATOR not in x
 
 
 class NotEnabled(Exception):
@@ -429,6 +435,11 @@ class Diagnostic:
 
 def _check_marking(net: Net, marking: Marking, label: str, out: list[Diagnostic]) -> None:
     for pid, tok, _ in marking.items():
+        for ident in tok:
+            if not is_identifier(ident):
+                out.append(Diagnostic(
+                    "BadIdentifier", pid,
+                    f"{label} identifier {ident!r} is not a string without {OBJECT_SEPARATOR!r}"))
         place = net.place_map.get(pid)
         if place is None:
             out.append(Diagnostic("MarkingUnknownPlace", pid, f"{label} marks unknown place {pid!r}"))
@@ -445,6 +456,10 @@ def validate_net(net: Net) -> list[Diagnostic]:
     names = [t.name for t in net.object_types]
     for name in sorted({n for n in names if names.count(n) > 1}):
         out.append(Diagnostic("DuplicateTypeName", name, f"object type {name!r} declared twice"))
+    for t in net.object_types:
+        if not is_identifier(t.prefix):  # fresh identifiers are <prefix>_N
+            out.append(Diagnostic("BadIdentifier", t.name,
+                                  f"type prefix {t.prefix!r} is not a string without {OBJECT_SEPARATOR!r}"))
 
     pids = [p.id for p in net.places]
     for pid in sorted({i for i in pids if pids.count(i) > 1}):

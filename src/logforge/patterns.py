@@ -49,9 +49,7 @@ class PatternApplication:
 
     def many(self, name: str) -> tuple:
         v = self.mapping[name]
-        if isinstance(v, (list, tuple, set, frozenset)):
-            return tuple(sorted(v)) if isinstance(v, (set, frozenset)) else tuple(v)
-        return (v,)
+        return tuple(v) if isinstance(v, (list, tuple)) else (v,)
 
     def to_dict(self) -> dict:
         return {

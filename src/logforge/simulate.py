@@ -24,9 +24,11 @@ from operator import itemgetter
 
 import numpy as np
 
-from .nets import Binding, Net, ProvenanceTag, transition_bindings
+from .nets import (OBJECT_SEPARATOR, Binding, Net, ProvenanceTag,
+                   is_identifier, transition_bindings)
 from .serialize import digest_of, net_digest
-from .timing import ConfigInvalid, Delay, ReportRule, reject_unknown_keys
+from .timing import (NUMBER, ConfigInvalid, Delay, ReportRule,
+                     reject_unknown_keys, typed)
 
 PRNG_NAME = "numpy-pcg64"
 DEFAULT_EPOCH = "2024-03-04T08:00:00Z"
@@ -54,9 +56,10 @@ class Arrival:
     @classmethod
     def from_dict(cls, d: dict) -> "Arrival":
         reject_unknown_keys(d, [f.name for f in fields(cls)], "arrival")
-        _optional_number(d, "count", integral=True)  # rather than truncate 2.7 to 2
-        return cls(d["object_type"], d["target_place"], Delay.from_dict(d["inter_arrival"]),
-                   int(d["count"]), float(d.get("first_at", 0.0)))
+        return cls(typed(d, "object_type", (str,)), typed(d, "target_place", (str,)),
+                   Delay.from_dict(typed(d, "inter_arrival", (dict,))),
+                   int(typed(d, "count", (int,), whole=True)),
+                   float(typed(d, "first_at", NUMBER, 0.0)))
 
 
 @dataclass(frozen=True)
@@ -75,11 +78,12 @@ class ScheduleEntry:
     @classmethod
     def from_dict(cls, d: dict) -> "ScheduleEntry":
         reject_unknown_keys(d, [f.name for f in fields(cls)], "schedule")
-        token = d["token"]
-        if not isinstance(token, (list, tuple)) or any(type(x) is not str for x in token):
+        token = typed(d, "token", (list,))
+        if not all(map(is_identifier, token)):
             raise ConfigInvalid(f"a schedule token must be a list of identifiers, got {token!r}")
-        return cls(d["place"], tuple(token), float(d["start"]),
-                   None if d.get("stop") is None else float(d["stop"]))
+        stop = typed(d, "stop", NUMBER, None)
+        return cls(typed(d, "place", (str,)), tuple(token), float(typed(d, "start", NUMBER)),
+                   None if stop is None else float(stop))
 
 
 @dataclass
@@ -116,37 +120,28 @@ class SimConfig:
     def from_dict(cls, d: dict) -> "SimConfig":
         """Read what `to_dict` writes, plus the `schema_version` of a config
         file.  An unknown key or a malformed value raises ConfigInvalid."""
-        if type(d) is not dict:
-            raise ConfigInvalid(f"a sim config must be an object, got {d!r}")
         reject_unknown_keys(d, _CONFIG_KEYS, "sim config")
-        if d.get("prng", PRNG_NAME) != PRNG_NAME:
+        if typed(d, "prng", (str,), PRNG_NAME) != PRNG_NAME:
             raise ConfigInvalid(f"prng {d['prng']!r} is not supported, only {PRNG_NAME!r}")
-        try:
-            arc_delays = {}
-            for key, dd in d.get("arc_delays", {}).items():
-                tid, arrow, pid = key.partition("->")
-                if not arrow:
-                    raise ConfigInvalid(f"arc delay key {key!r} is not 'transition->place'")
-                arc_delays[(tid, pid)] = Delay.from_dict(dd)
-            return cls(
-                seed=int(d.get("seed", 0)),
-                weights={t: [(float(f), float(w)) for f, w in pieces]
-                         for t, pieces in d.get("weights", {}).items()},
-                delays={t: Delay.from_dict(dd) for t, dd in d.get("delays", {}).items()},
-                arc_delays=arc_delays,
-                arrivals=[Arrival.from_dict(a) for a in d.get("arrivals", [])],
-                schedules=[ScheduleEntry.from_dict(s) for s in d.get("schedules", [])],
-                firing_limit=_optional_number(d, "firing_limit", integral=True),
-                time_horizon=_optional_number(d, "time_horizon", integral=False),
-                timestamp_epoch=d.get("timestamp_epoch", DEFAULT_EPOCH),
-                run_id=d.get("run_id", "run"),
-            )
-        except ConfigInvalid:
-            raise
-        except KeyError as e:
-            raise ConfigInvalid(f"sim config entry lacks {e.args[0]!r}") from None
-        except (TypeError, ValueError, AttributeError) as e:
-            raise ConfigInvalid(f"malformed sim config: {e}") from None
+        arc_delays = {}
+        for key, dd in typed(d, "arc_delays", (dict,), {}).items():
+            tid, arrow, pid = key.partition("->")
+            if not arrow:
+                raise ConfigInvalid(f"arc delay key {key!r} is not 'transition->place'")
+            arc_delays[(tid, pid)] = Delay.from_dict(dd)
+        weights = typed(d, "weights", (dict,), {})
+        return cls(
+            seed=typed(d, "seed", (int,), 0),
+            weights={t: [_weight_piece(p) for p in typed(weights, t, (list,))] for t in weights},
+            delays={t: Delay.from_dict(dd) for t, dd in typed(d, "delays", (dict,), {}).items()},
+            arc_delays=arc_delays,
+            arrivals=[Arrival.from_dict(a) for a in typed(d, "arrivals", (list,), [])],
+            schedules=[ScheduleEntry.from_dict(s) for s in typed(d, "schedules", (list,), [])],
+            firing_limit=typed(d, "firing_limit", (int,), None, whole=True),
+            time_horizon=typed(d, "time_horizon", NUMBER, None),
+            timestamp_epoch=typed(d, "timestamp_epoch", (str,), DEFAULT_EPOCH),
+            run_id=typed(d, "run_id", (str,), "run"),
+        )
 
     def digest(self) -> str:
         return digest_of(self.to_dict())
@@ -155,16 +150,11 @@ class SimConfig:
 _CONFIG_KEYS = frozenset(SimConfig().to_dict()) | {"schema_version"}
 
 
-def _optional_number(d: dict, key: str, integral: bool):
-    """d[key], unchanged, after checking it is null or a (whole) number."""
-    value = d.get(key)
-    if integral:
-        ok = type(value) is int or (type(value) is float and value.is_integer())
-    else:
-        ok = type(value) is int or (type(value) is float and not math.isnan(value))
-    if value is not None and not ok:
-        raise ConfigInvalid(f"{key} must be {'a whole' if integral else 'a'} number, got {value!r}")
-    return value
+def _weight_piece(piece) -> tuple[float, float]:
+    """A config weight piece, [from_time, weight], as a pair of floats."""
+    if type(piece) is not list or len(piece) != 2:
+        raise ConfigInvalid(f"a weight piece must be [from_time, weight], got {piece!r}")
+    return float(typed(piece, 0, NUMBER)), float(typed(piece, 1, NUMBER))
 
 
 def epoch_seconds(stamp: str) -> float:
@@ -279,10 +269,6 @@ class GroundTruthTrace:
 
     def firing_sequence(self) -> list[tuple[str, Binding]]:
         return [(r.transition, r.binding()) for r in self.records]
-
-    def digest(self) -> str:
-        from .logio import trace_to_dicts
-        return digest_of(trace_to_dicts(self))
 
 
 def _shares(enabled, weights: WeightSpec, eta: float) -> tuple[list[float], float]:
@@ -575,14 +561,25 @@ def _validate_config(net: Net, config: SimConfig):
             "need a firing_limit, a time_horizon, or a final marking to terminate")
     if config.firing_limit is not None and config.firing_limit < 0:
         raise ConfigInvalid("firing_limit must be >= 0")
+    if config.seed < 0:
+        raise ConfigInvalid(f"seed must be >= 0, got {config.seed}")
+    try:
+        epoch_seconds(config.timestamp_epoch)
+    except ValueError:
+        raise ConfigInvalid(f"timestamp_epoch {config.timestamp_epoch!r} is not ISO 8601") from None
     for spec in config.arrivals:
         if spec.count < 0:
             raise ConfigInvalid("arrival count must be >= 0")
         if spec.target_place not in net.place_map:
             raise ConfigInvalid(f"arrival target {spec.target_place!r} unknown")
+        if not is_identifier(spec.object_type):  # an undeclared type's ids start with it
+            raise ConfigInvalid(f"arrival object type {spec.object_type!r} "
+                                f"contains {OBJECT_SEPARATOR!r}")
     for s in config.schedules:
         if s.place not in net.place_map:
             raise ConfigInvalid(f"schedule place {s.place!r} unknown")
+        if not all(map(is_identifier, s.token)):
+            raise ConfigInvalid(f"schedule token {list(s.token)!r} contains {OBJECT_SEPARATOR!r}")
 
 
 def step(state: SimState) -> tuple[SimState, FiringRecord | None]:

@@ -16,10 +16,35 @@ class ConfigInvalid(ValueError):
 
 
 def reject_unknown_keys(d: dict, known, what: str) -> None:
-    """Raise ConfigInvalid naming every key of `d` outside `known`."""
+    """Raise ConfigInvalid unless `d` is an object whose keys are all in
+    `known`; the message names every other key."""
+    if type(d) is not dict:
+        raise ConfigInvalid(f"{what} must be an object, got {d!r}")
     unknown = sorted(set(d) - set(known))
     if unknown:
         raise ConfigInvalid(f"unknown {what} key(s) {unknown}; known keys are {sorted(known)}")
+
+
+_REQUIRED = object()
+NUMBER = (int, float)
+
+
+def typed(d, key, types: tuple, default=_REQUIRED, whole: bool = False):
+    """d[key], unchanged, once its type is exactly one of `types` (so a bool
+    is no number) and it is not NaN; a missing key, or null where `default`
+    is None, gives `default`.  With `whole`, an integral float counts as an
+    int.  `d` may be a list indexed by `key`.  Else raise ConfigInvalid."""
+    try:
+        value = d[key]
+    except (KeyError, IndexError):
+        if default is _REQUIRED:
+            raise ConfigInvalid(f"missing field {key!r}") from None
+        return default
+    if type(value) in types and value == value:  # NaN != NaN
+        return value
+    if (value is None and default is None) or (whole and type(value) is float and value.is_integer()):
+        return value
+    raise ConfigInvalid(f"field {key!r} is not {'/'.join(x.__name__ for x in types)}: {value!r}")
 
 
 DELAY_KINDS = ("constant", "normal", "exponential", "uniform")
@@ -82,10 +107,8 @@ class Delay:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Delay":
-        if not (isinstance(d, dict) and "kind" in d):
-            raise ConfigInvalid(f"a delay must be an object with a 'kind', got {d!r}")
         reject_unknown_keys(d, ("kind", "a", "b"), "delay")
-        return cls(d["kind"], d.get("a", 0.0), d.get("b", 0.0))
+        return cls(typed(d, "kind", (str,)), typed(d, "a", NUMBER, 0.0), typed(d, "b", NUMBER, 0.0))
 
 
 @dataclass(frozen=True)

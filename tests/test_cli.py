@@ -307,10 +307,26 @@ def write_package_config(tmp_path, capsys, edit):
     lambda c: c["arrivals"][0].update(count=2.7),
     lambda c: c.update(schedules=[{"place": "p_van_pool", "token": "abc", "start": 0.0,
                                    "stop": 600.0}]),
+    lambda c: c.update(seed="7"),
+    lambda c: c.update(seed=7.9),
+    lambda c: c.update(seed=-1),
+    lambda c: c.update(run_id=5),
+    lambda c: c.update(timestamp_epoch=5),
+    lambda c: c.update(timestamp_epoch="yesterday"),
+    lambda c: c.update(weights={"ring": [["0", "1.5"]]}),
+    lambda c: c["arrivals"][0].update(first_at="500"),
+    lambda c: c["delays"].update(ring={"kind": "constant", "a": True}),
+    lambda c: c.update(schedules=[{"place": "p_van_pool", "token": ["v_9"], "start": "0",
+                                   "stop": 600.0}]),
+    lambda c: c.update(schedules=[{"place": "p_van_pool", "token": ["v;9"], "start": 0.0,
+                                   "stop": 600.0}]),
+    lambda c: c["arrivals"][0].update(object_type="pack;age"),
 ], ids=["non-numeric-weight", "short-piece", "arc-key-without-arrow", "unknown-key",
         "foreign-prng", "string-firing-limit", "nan-horizon", "arrival-without-count",
         "delay-key-mu", "delay-key-c", "arrival-key-frist-at", "fractional-count",
-        "string-token"])
+        "string-token", "string-seed", "fractional-seed", "negative-seed", "numeric-run-id",
+        "numeric-epoch", "unparsable-epoch", "string-weight-piece", "string-first-at",
+        "boolean-delay", "string-start", "separator-in-token", "separator-in-arrival-type"])
 def test_simulate_bad_config_is_one_diagnostic(tmp_path, capsys, edit):
     model, cpath = write_package_config(tmp_path, capsys, edit)
     out = str(tmp_path / "sim")
@@ -400,8 +416,9 @@ def test_transform_bad_pattern_param_is_one_requirement_failure(tmp_path, capsys
     lambda g: g.update(master_seed="7"),
     lambda g: g.update(recording_sets=[]),
     lambda g: g["recording_sets"].pop(),
+    lambda g: g.update(behavioral_sets="abc"),
 ], ids=["unknown-key-paired", "unknown-key-seed", "string-paired", "string-seed",
-        "empty-axis", "unequal-pairs"])
+        "empty-axis", "unequal-pairs", "string-axis"])
 def test_dataset_bad_grid_is_one_diagnostic(tmp_path, capsys, edit):
     fdir = str(tmp_path / "fx")
     run_cli(capsys, "fixture", "--name", "package_delivery", "--out", fdir)
@@ -415,4 +432,50 @@ def test_dataset_bad_grid_is_one_diagnostic(tmp_path, capsys, edit):
     assert code == 1
     [diag] = stderr_diagnostics(err)
     assert diag["code"] == "ConfigInvalid"
+    assert not os.path.exists(out)
+
+
+def _unbind_an_output(model):
+    tids = {t["id"] for t in model["transitions"]}
+    arc = next(a for a in model["arcs"] if a["source"] in tids)
+    arc["inscription"][0] = {"name": "unbound", "object_type": arc["inscription"][0]["object_type"]}
+
+
+BAD_MODELS = {
+    "unknown-place": (lambda m: m["arcs"][0].update(source="p_nowhere"), "UnresolvedElement"),
+    "string-token": (lambda m: m["initial_marking"]["p_we"].__setitem__(0, "we_1"),
+                     "MarkingArityMismatch"),
+    "unbound-output": (_unbind_an_output, "UnboundOutputVariable"),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(BAD_MODELS))
+@pytest.mark.parametrize("command", ["simulate", "dataset", "transform", "oracle-align"])
+def test_commands_reject_an_invalid_model(tmp_path, capsys, command, defect):
+    m0, cpath = write_package_config(tmp_path, capsys, lambda c: None)
+    fdir = os.path.dirname(m0)
+    edit, diag_code = BAD_MODELS[defect]
+    model = logio.read_json(m0)
+    edit(model)
+    bad = os.path.join(fdir, "bad.json")
+    open(bad, "w").write(json.dumps(model))
+    out = str(tmp_path / "out")
+    if command == "simulate":
+        argv = ["simulate", "--model", bad, "--config", cpath, "--out", out]
+    elif command == "dataset":
+        argv = ["dataset", "--model", bad, "--grid", os.path.join(fdir, "grid.json"),
+                "--out", out]
+    elif command == "transform":
+        apps = os.path.join(fdir, "apps.json")
+        open(apps, "w").write("[]")
+        argv = ["transform", "--model", bad, "--apply", apps, "--out", out]
+    else:
+        sim = str(tmp_path / "sim")
+        run_cli(capsys, "simulate", "--model", m0, "--config", cpath, "--out", sim)
+        argv = ["oracle", "align", "--model", bad, "--trace", os.path.join(sim, "trace.gt.jsonl"),
+                "--log", os.path.join(sim, "log.jsonl"), "--out", out]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1
+    [diag] = stderr_diagnostics(err)
+    assert diag["code"] == diag_code
     assert not os.path.exists(out)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from logforge import fixtures, logio
 from logforge.nets import Net, Transition
-from logforge.serialize import net_digest
+from logforge.serialize import digest_of, net_digest
 from logforge.simulate import SimConfig, run
 
 
@@ -25,7 +25,7 @@ def test_trace_round_trip(tmp_path, package_cells):
     path = str(tmp_path / "trace.gt.jsonl")
     logio.write_trace(trace, path)
     back = logio.read_trace(path)
-    assert back.digest() == trace.digest()
+    assert digest_of(logio.trace_to_dicts(back)) == digest_of(logio.trace_to_dicts(trace))
     assert back.records == trace.records
     assert back.pattern_stats == trace.pattern_stats
 

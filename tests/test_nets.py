@@ -95,6 +95,17 @@ def test_marking_diagnostics():
     assert "MarkingUnknownPlace" in codes and "MarkingArityMismatch" in codes
 
 
+def test_separator_in_an_identifier_is_rejected():
+    # log.csv joins an event's objects with ';', so 'i;1' would read back as two objects
+    net = pick_net()
+    bad = Net((ObjectType("package", "pkg;x"), net.object_types[1]), net.places,
+              net.transitions, net.arcs,
+              Marking.of({"p1": [["pkg;1"]], "p_we": [["we_1"], [7]]}))
+    diags = [(d.code, d.element) for d in validate_net(bad)]
+    assert sorted(diags) == [("BadIdentifier", "p1"), ("BadIdentifier", "p_we"),
+                             ("BadIdentifier", "package")]
+
+
 # -- enabled bindings -----------------------------------------------------------
 
 def test_empty_marking_has_no_firings():

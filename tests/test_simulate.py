@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from logforge import fixtures
+from logforge.logio import trace_to_dicts
 from logforge.nets import (Arc, Marking, Net, ObjectType, Place, Transition,
                            Variable)
+from logforge.serialize import digest_of
 from logforge.simulate import (AllWeightsZero, Arrival, ConfigInvalid,
                                ScheduleEntry, SimConfig, WeightSpec,
                                SimState, firing_probabilities, run,
@@ -115,6 +117,21 @@ def test_config_requires_a_stop_condition():
         run(net, SimConfig(seed=1))
 
 
+def test_whole_floats_read_as_before_only_where_accepted():
+    # count and firing_limit take 3.0; count is converted, firing_limit kept,
+    # so such configs keep their to_dict bytes and config digest
+    _, grid = fixtures.fixture("package_delivery")
+    d = grid.sim_configs[0].to_dict()
+    d["arrivals"][0]["count"] = 2.0
+    d["firing_limit"] = 3000.0
+    config = SimConfig.from_dict(d)
+    assert type(config.arrivals[0].count) is int and config.arrivals[0].count == 2
+    assert type(config.firing_limit) is float and config.to_dict()["firing_limit"] == 3000.0
+    for key, value in (("seed", 7.0), ("seed", True), ("time_horizon", True)):
+        with pytest.raises(ConfigInvalid):
+            SimConfig.from_dict({**d, key: value})
+
+
 def test_delayed_tokens_materialize_later():
     net = fixtures.mini_chain()
     config = SimConfig(seed=3, delays={"alpha": Delay.constant(30.0)}, firing_limit=10)
@@ -153,9 +170,9 @@ def test_seed_determinism_bit_identical():
     config = replace(grid.sim_configs[0], seed=7, run_id="twice")
     one = run(net, config)
     two = run(net, config)
-    assert one.digest() == two.digest()
+    assert digest_of(trace_to_dicts(one)) == digest_of(trace_to_dicts(two))
     different = run(net, replace(config, seed=8))
-    assert different.digest() != one.digest()
+    assert digest_of(trace_to_dicts(different)) != digest_of(trace_to_dicts(one))
 
 
 def test_arrivals_enter_with_fresh_type_prefixed_ids():
