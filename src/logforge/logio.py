@@ -15,13 +15,14 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .nets import OBJECT_SEPARATOR, Net
 from .serialize import (SCHEMA_VERSION, canonical_json, net_from_dict,
                         net_to_dict, provenance_from_dict, provenance_to_dict,
                         text_digest)
-from .simulate import FiringRecord, GroundTruthTrace, render_timestamp
-from .timing import NUMBER, ReportRule, typed
+from .simulate import FiringRecord, GroundTruthTrace, epoch_seconds, timestamp_at
+from .timing import NUMBER, ConfigInvalid, ReportRule, typed
 
 
 class ParseError(Exception):
@@ -121,26 +122,37 @@ def read_model(path: str) -> Net:
     check_version(d, path)
     try:
         return net_from_dict(d)
-    except (KeyError, TypeError) as e:
+    except (KeyError, TypeError, ConfigInvalid) as e:
         raise ParseError(f"malformed model: {e!r}", path) from None
 
 
 # -- ground-truth traces ------------------------------------------------------
 
+# encodes a dict whose keys, at every level, are in sorted order as
+# `canonical_json` does, without sorting them again
+_IN_KEY_ORDER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False)
+
+
+@lru_cache(maxsize=None)
+def _provenance_in_key_order(p) -> dict:
+    return dict(sorted(provenance_to_dict(p).items()))
+
+
 def record_to_dict(r: FiringRecord) -> dict:
+    """The record's JSON object, keys in sorted order (tuples encode as lists)."""
     return {
+        "activity": r.activity,
+        "coarsen_window": r.coarsen_window,
+        "consumed": r.consumed,
+        "fresh": r.fresh,
+        "produced": r.produced,
+        "provenance": _provenance_in_key_order(r.provenance),
+        "recorded_objects": r.recorded_objects,
         "seq_no": r.seq_no,
         "time": r.time,
+        "timing_causes": r.timing_causes,
         "transition": r.transition,
-        "activity": r.activity,
-        "values": [[k, v] for k, v in r.values],
-        "fresh": [[k, v] for k, v in r.fresh],
-        "provenance": provenance_to_dict(r.provenance),
-        "consumed": [[pid, list(tok)] for pid, tok in r.consumed],
-        "produced": [[pid, list(tok), avail] for pid, tok, avail in r.produced],
-        "recorded_objects": list(r.recorded_objects),
-        "coarsen_window": r.coarsen_window,
-        "timing_causes": list(r.timing_causes),
+        "values": r.values,
     }
 
 
@@ -181,7 +193,9 @@ def trace_to_dicts(trace: GroundTruthTrace) -> list[dict]:
 
 
 def write_trace(trace: GroundTruthTrace, path: str) -> None:
-    lines = [canonical_json(d) for d in trace_to_dicts(trace)]
+    header, *records = trace_to_dicts(trace)
+    encode = _IN_KEY_ORDER.encode
+    lines = [canonical_json(header)] + [encode(d) for d in records]
     atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -223,9 +237,10 @@ class ObservedEvent:
     run_id: str
 
     def to_dict(self) -> dict:
-        return {"event_id": self.event_id, "timestamp": self.timestamp,
-                "activity": self.activity, "objects": list(self.objects),
-                "run_id": self.run_id}
+        """The event's JSON object, keys in sorted order."""
+        return {"activity": self.activity, "event_id": self.event_id,
+                "objects": list(self.objects), "run_id": self.run_id,
+                "timestamp": self.timestamp}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ObservedEvent":
@@ -258,10 +273,11 @@ def project_observed(trace: GroundTruthTrace) -> ObservedLog:
             eta = math.floor(eta / r.coarsen_window) * r.coarsen_window
         rows.append((eta, r.seq_no, r))
     rows.sort(key=lambda row: (row[0], row[1]))  # ties keep true order
+    epoch_s = epoch_seconds(trace.epoch)
     events = tuple(
         ObservedEvent(
             event_id=event_id_for(trace.run_id, seq_no),
-            timestamp=render_timestamp(trace.epoch, eta),
+            timestamp=timestamp_at(epoch_s, eta),
             activity=r.activity,
             objects=r.recorded_objects,
             run_id=trace.run_id,
@@ -276,7 +292,8 @@ def project_observed(trace: GroundTruthTrace) -> ObservedLog:
 def write_observed_jsonl(log: ObservedLog, path: str) -> None:
     header = {"schema_version": SCHEMA_VERSION, "kind": "observed_log",
               "run_id": log.run_id, "objects": dict(sorted(log.objects.items()))}
-    lines = [canonical_json(header)] + [canonical_json(e.to_dict()) for e in log.events]
+    encode = _IN_KEY_ORDER.encode
+    lines = [canonical_json(header)] + [encode(e.to_dict()) for e in log.events]
     atomic_write(path, "\n".join(lines) + "\n")
 
 

@@ -17,16 +17,24 @@ The firing rule, compiled once per transition (`Net.rules`) and used by
   arcs (from an IdGenerator, from the recorded trace, or as ~1, ~2, ...).
 - Each output arc produces the token its variables spell under the completed
   binding into its target place.  An unbound variable raises NotEnabled.
+
+Internally a binding is positional: `transition_bindings` returns rows, the
+values of the input variables in sorted-name order (`FiringRule.order`),
+and a firing's values are that row followed by the minted nu-identifiers in
+`FiringRule.nu` order.  `Binding`, with its (name, identifier) pairs, is the
+public form that `enabled_bindings`, `fire`, `replay` and `bounded_language`
+take and give, and that a trace records.
 """
 from __future__ import annotations
 
 import itertools
 import re
-from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .timing import SimAnnotations
 
@@ -119,7 +127,7 @@ class Marking:
     __slots__ = ("_tokens",)
 
     def __init__(self):
-        self._tokens: dict[str, Counter] = {}
+        self._tokens: dict[str, dict[tuple[str, ...], int]] = {}
 
     @classmethod
     def of(cls, tokens: dict[str, list] | None = None) -> "Marking":
@@ -136,21 +144,25 @@ class Marking:
         return self._tokens.get(place_id, _NO_TOKENS).get(tuple(token), 0)
 
     def add(self, place_id: str, token: tuple[str, ...]) -> None:
+        token = tuple(token)
         cnt = self._tokens.get(place_id)
         if cnt is None:
-            cnt = self._tokens[place_id] = Counter()
-        cnt[tuple(token)] += 1
+            self._tokens[place_id] = {token: 1}
+        else:
+            cnt[token] = cnt.get(token, 0) + 1
 
     def remove(self, place_id: str, token: tuple[str, ...]) -> None:
         token = tuple(token)
         cnt = self._tokens.get(place_id)
-        if not cnt or not cnt.get(token):
+        n = cnt.get(token, 0) if cnt else 0
+        if not n:
             raise ValueError(f"cannot remove {token} from {place_id}")
-        cnt[token] -= 1
-        if cnt[token] == 0:
+        if n > 1:
+            cnt[token] = n - 1
+        else:
             del cnt[token]
-        if not cnt:
-            del self._tokens[place_id]
+            if not cnt:
+                del self._tokens[place_id]
 
     def copy(self) -> "Marking":
         m = Marking()
@@ -237,6 +249,27 @@ class FireResult:
     produced: tuple[tuple[str, tuple[str, ...]], ...]
 
 
+class FiringPlan(NamedTuple):
+    """A firing rule over positions.
+
+    A firing's values are its row (the input variables in sorted-name order,
+    `FiringRule.order`) followed by its minted identifiers (the
+    nu-variables in `FiringRule.nu` order); `names` names them.  Each input
+    and output arc is (place, a `_picker` of its variables' positions among
+    the values).  `fresh_order` lists the positions of the minted
+    identifiers in sorted-name order, as a Binding's `fresh` holds them.
+    `unbound` is an output variable that is neither input-bound nor nu, if
+    there is one; then nothing is produced.
+    """
+
+    names: tuple[str, ...]
+    inputs: tuple[tuple[str, itemgetter], ...]
+    outputs: tuple[tuple[str, itemgetter], ...]
+    nu_types: tuple[str, ...]
+    fresh_order: tuple[int, ...]
+    unbound: str | None
+
+
 @dataclass(frozen=True)
 class FiringRule:
     """The firing rule of one transition, compiled from its arcs.
@@ -261,31 +294,68 @@ class FiringRule:
 
     def consumed(self, binding: Binding) -> tuple[tuple[str, tuple[str, ...]], ...]:
         """The (place, token) pairs a firing under `binding` consumes."""
-        return self._tokens(self.inputs, binding)
+        return self.take(self.values(binding, self.order))
 
     def produced(self, binding: Binding) -> tuple[tuple[str, tuple[str, ...]], ...]:
         """The (place, token) pairs a firing under the completed `binding` produces."""
-        return self._tokens(self.outputs, binding)
+        return self.give(self.values(binding))
 
-    def _tokens(self, arcs, binding: Binding):
+    def values(self, binding: Binding, names=None) -> tuple[str, ...]:
+        """The positional values of the completed `binding` (its row when
+        `names` is `order`); a name it leaves unbound raises NotEnabled."""
         full = binding.as_dict()
         try:
-            return tuple([(pid, tuple([full[n] for n in names])) for pid, names in arcs])
+            return tuple([full[n] for n in (self.plan.names if names is None else names)])
         except KeyError as e:
             raise NotEnabled(f"{self.transition}: variable {e.args[0]!r} unbound") from None
+
+    def take(self, values: tuple[str, ...]) -> tuple[tuple[str, tuple[str, ...]], ...]:
+        """The (place, token) pairs a firing with the positional `values`
+        (a row, or a row followed by minted identifiers) consumes."""
+        return _spell(self.plan.inputs, values)
+
+    def give(self, values: tuple[str, ...]) -> tuple[tuple[str, tuple[str, ...]], ...]:
+        """The (place, token) pairs a firing with `values`, its row followed by
+        its minted identifiers, produces."""
+        plan = self.plan
+        if plan.unbound is not None:
+            raise NotEnabled(f"{self.transition}: variable {plan.unbound!r} unbound")
+        return _spell(plan.outputs, values)
+
+    @cached_property
+    def order(self) -> tuple[str, ...]:
+        """The input variables in sorted-name order: what a row's values name."""
+        return tuple(sorted({name for _, names in self.inputs for name in names}))
+
+    @cached_property
+    def plan(self) -> "FiringPlan":
+        """The positional rule (see FiringPlan), built on first use."""
+        order, nu = self.order, self.nu
+        names = order + tuple([name for name, _ in nu]) if nu else order
+        slot = {name: i for i, name in enumerate(names)}
+        unbound = [n for _, vars_ in self.outputs for n in vars_ if n not in slot]
+        return FiringPlan(
+            names,
+            tuple([(pid, _picker([slot[n] for n in vars_])) for pid, vars_ in self.inputs]),
+            () if unbound else tuple(
+                [(pid, _picker([slot[n] for n in vars_])) for pid, vars_ in self.outputs]),
+            tuple([otype for _, otype in nu]),
+            tuple(sorted(range(len(order), len(names)), key=names.__getitem__)) if nu else (),
+            unbound[0] if unbound else None)
 
     @cached_property
     def join(self) -> tuple:
         """How `transition_bindings` joins the input arcs, built on first use.
 
         A row holds the values of the input variables in order of first
-        appearance.  Per arc: (place, kind, positions, checks, key).  A "free"
-        arc appends its whole token; a "fixed" arc, all of whose names are
-        bound, looks up the token spelled by the row's `key` slots; a "mixed"
-        arc appends the token positions of its new names and checks each
-        (position, slot) pair.  Also returned: the sorted variable names with
-        their slots (None when the rows already hold them in that order), and
-        per place read by several arcs the key slots of each such arc.
+        appearance.  Per arc: (place, kind, new, checks, key), where `new`
+        picks the token positions of the arc's new names and `key` picks the
+        arc's token from a row (see `_picker`).  A "free" arc appends its whole
+        token; a "fixed" arc, all of whose names are bound, looks up its `key`
+        token; a "mixed" arc appends its `new` values and checks each (token
+        position, row slot) pair.  Also returned: a `_picker` of the slots
+        in `order` (None when the rows already hold them in that order), and
+        per place read by several arcs the `key` of each such arc.
         """
         slot: dict[str, int] = {}
         arcs, keys = [], {}
@@ -297,14 +367,26 @@ class FiringRule:
                 else:
                     new.append(i)
                     slot[name] = len(slot)
-            key = tuple(slot[name] for name in names)
+            key = _picker(tuple(slot[name] for name in names))
             kind = "fixed" if not new else "free" if not checks else "mixed"
-            arcs.append((pid, kind, tuple(new), tuple(checks), key))
+            arcs.append((pid, kind, _picker(tuple(new)), tuple(checks), key))
             keys.setdefault(pid, []).append(key)
-        order = tuple(sorted(slot))
-        slots = None if order == tuple(slot) else tuple(slot[name] for name in order)
+        slots = None if self.order == tuple(slot) else _picker(
+            tuple(slot[name] for name in self.order))
         shared = tuple((pid, tuple(ks)) for pid, ks in keys.items() if len(ks) > 1)
-        return order, slots, tuple(arcs), shared
+        return slots, tuple(arcs), shared
+
+
+def _picker(positions):
+    """A callable giving the tuple of a tuple's items at `positions`."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    return itemgetter(slice(positions[0], positions[0] + 1) if positions else slice(0))
+
+
+def _spell(arcs, values: tuple[str, ...]) -> tuple[tuple[str, tuple[str, ...]], ...]:
+    """The (place, token) pair of each (place, `_picker`) arc under `values`."""
+    return tuple([(pid, pick(values)) for pid, pick in arcs])
 
 
 class IdGenerator:
@@ -551,27 +633,27 @@ def validate_net(net: Net) -> list[Diagnostic]:
     return out
 
 
-def transition_bindings(net: Net, marking: Marking, tid: str) -> list[Binding]:
-    """All bindings enabling `tid` in `marking` (input variables only), in
-    order of their sorted values."""
+def transition_bindings(net: Net, marking: Marking, tid: str) -> list[tuple[str, ...]]:
+    """All bindings enabling `tid` in `marking`, as sorted rows: the values of
+    the input variables in the order of `net.rules[tid].order`."""
     rule = net.rules[tid]
     held = marking._tokens
     for place, _ in rule.inputs:
         if place not in held:
             return []
-    order, slots, arcs, shared = rule.join
+    slots, arcs, shared = rule.join
     rows: list[tuple[str, ...]] = [()]
     for place, kind, new, checks, key in arcs:
         avail = held[place]
         if kind == "free":
             rows = [row + token for row in rows for token in avail]
         elif kind == "fixed":
-            rows = [row for row in rows if tuple([row[s] for s in key]) in avail]
+            rows = [row for row in rows if key(row) in avail]
         else:
             matched = []
             for row in rows:
                 for token in avail:
-                    ext = row + tuple([token[i] for i in new])
+                    ext = row + new(token)
                     if all(token[i] == ext[s] for i, s in checks):
                         matched.append(ext)
             rows = matched
@@ -580,29 +662,28 @@ def transition_bindings(net: Net, marking: Marking, tid: str) -> list[Binding]:
     for place, keys in shared:
         # arcs on one place that pick the same token need as many copies
         avail = held[place]
-        rows = [row for row in rows
-                if _available(avail, [tuple([row[s] for s in key]) for key in keys])]
-    found = sorted(set(rows) if slots is None else {tuple([row[s] for s in slots]) for row in rows})
-    return [Binding(tuple(zip(order, values))) for values in found]
+        rows = [row for row in rows if _available(avail, [key(row) for key in keys])]
+    return sorted(set(rows) if slots is None else set(map(slots, rows)))
 
 
 def _available(avail: Mapping, tokens: list) -> bool:
     return len(set(tokens)) == len(tokens) or all(
-        avail.get(token, 0) >= n for token, n in Counter(tokens).items())
+        avail.get(token, 0) >= tokens.count(token) for token in tokens)
 
 
 def enabled_bindings(net: Net, marking: Marking) -> list[tuple[str, Binding]]:
     """Deterministic list of every enabled (transition, binding) firing."""
     out: list[tuple[str, Binding]] = []
     for t in net.transitions:
-        out.extend((t.id, b) for b in transition_bindings(net, marking, t.id))
+        order = net.rules[t.id].order
+        out.extend((t.id, Binding(tuple(zip(order, row))))
+                   for row in transition_bindings(net, marking, t.id))
     out.sort(key=lambda f: (f[0], f[1].values))
     return out
 
 
 def _check_available(marking: Marking, consumed) -> bool:
-    need = Counter(consumed)
-    return all(marking.count(pid, tok) >= n for (pid, tok), n in need.items())
+    return all(marking.count(pid, tok) >= consumed.count((pid, tok)) for pid, tok in consumed)
 
 
 def fire(net: Net, marking: Marking, firing: tuple[str, Binding],
@@ -640,7 +721,8 @@ def replay(net: Net, trace, extra_tokens=()) -> bool:
         if rule is None:
             return False
         try:
-            consumed, produced = rule.consumed(binding), rule.produced(binding)
+            values = rule.values(binding)
+            consumed, produced = rule.take(values), rule.give(values)
         except NotEnabled:
             return False
         if not _check_available(marking, consumed):

@@ -62,19 +62,27 @@ class PatternApplication:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PatternApplication":
-        """Read what `to_dict` writes; a missing or non-string
-        `application_id` or `code` raises ParseError."""
+        """Read what `to_dict` writes.  ParseError for a missing or
+        non-string `application_id` or `code`, a `mapping` or `params` that
+        is not an object, and `competitors` that are not a list of strings."""
         if type(d) is not dict:
             raise ParseError(f"a pattern application must be an object, got {d!r}")
         for key in ("application_id", "code"):
             if type(d.get(key)) is not str:
                 raise ParseError(f"pattern application lacks a string {key!r}: {d!r}")
+        mapping, params = d.get("mapping", {}), d.get("params", {})
+        for key, value in (("mapping", mapping), ("params", params)):
+            if type(value) is not dict:
+                raise ParseError(f"pattern application {key!r} is not an object: {d!r}")
+        competitors = d.get("competitors", [])
+        if type(competitors) is not list or not all(type(c) is str for c in competitors):
+            raise ParseError(f"pattern application 'competitors' is not a list of strings: {d!r}")
         return cls(
             application_id=d["application_id"],
             code=d["code"],
-            mapping=dict(d.get("mapping", {})),
-            params=_params_from_json(d.get("params", {})),
-            competitors=tuple(d.get("competitors", ())),
+            mapping=dict(mapping),
+            params=_params_from_json(params),
+            competitors=tuple(competitors),
         )
 
 

@@ -20,15 +20,15 @@ from collections import Counter
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from itertools import accumulate
-from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
-from .nets import (OBJECT_SEPARATOR, Binding, Net, ProvenanceTag,
-                   is_identifier, transition_bindings)
+from .nets import (OBJECT_SEPARATOR, Binding, FiringRule, Net, ProvenanceTag,
+                   Transition, is_identifier, transition_bindings)
 from .serialize import digest_of, net_digest
 from .timing import (NUMBER, ConfigInvalid, Delay, ReportRule,
-                     reject_unknown_keys, typed)
+                     reject_unknown_keys, typed, weight_piece)
 
 PRNG_NAME = "numpy-pcg64"
 DEFAULT_EPOCH = "2024-03-04T08:00:00Z"
@@ -132,7 +132,7 @@ class SimConfig:
         weights = typed(d, "weights", (dict,), {})
         return cls(
             seed=typed(d, "seed", (int,), 0),
-            weights={t: [_weight_piece(p) for p in typed(weights, t, (list,))] for t in weights},
+            weights={t: [weight_piece(p) for p in typed(weights, t, (list,))] for t in weights},
             delays={t: Delay.from_dict(dd) for t, dd in typed(d, "delays", (dict,), {}).items()},
             arc_delays=arc_delays,
             arrivals=[Arrival.from_dict(a) for a in typed(d, "arrivals", (list,), [])],
@@ -150,19 +150,18 @@ class SimConfig:
 _CONFIG_KEYS = frozenset(SimConfig().to_dict()) | {"schema_version"}
 
 
-def _weight_piece(piece) -> tuple[float, float]:
-    """A config weight piece, [from_time, weight], as a pair of floats."""
-    if type(piece) is not list or len(piece) != 2:
-        raise ConfigInvalid(f"a weight piece must be [from_time, weight], got {piece!r}")
-    return float(typed(piece, 0, NUMBER)), float(typed(piece, 1, NUMBER))
-
-
 def epoch_seconds(stamp: str) -> float:
     return datetime.fromisoformat(stamp.replace("Z", "+00:00")).timestamp()
 
 
 def render_timestamp(epoch: str, eta: float) -> str:
-    dt = datetime.fromtimestamp(epoch_seconds(epoch) + eta, tz=timezone.utc)
+    return timestamp_at(epoch_seconds(epoch), eta)
+
+
+def timestamp_at(epoch_s: float, eta: float) -> str:
+    """The ISO 8601 UTC stamp `eta` seconds after `epoch_s`, the epoch
+    in seconds."""
+    dt = datetime.fromtimestamp(epoch_s + eta, tz=timezone.utc)
     return dt.isoformat().replace("+00:00", "Z")
 
 
@@ -274,8 +273,11 @@ class GroundTruthTrace:
 def _shares(enabled, weights: WeightSpec, eta: float) -> tuple[list[float], float]:
     """Each enabled firing's share of its transition's weight (split uniformly
     over the transition's enabled bindings), and the sum of the shares."""
-    share = {tid: weights.at(tid, eta) / n
-             for tid, n in Counter(map(itemgetter(0), enabled)).items()}
+    count: dict[str, int] = {}
+    for tid, _ in enabled:
+        count[tid] = count.get(tid, 0) + 1
+    at = weights.at
+    share = {tid: at(tid, eta) / n for tid, n in count.items()}
     shares = [share[tid] for tid, _ in enabled]
     total = sum(shares)
     if total <= 0:
@@ -289,9 +291,16 @@ def firing_probabilities(enabled, weights: WeightSpec, eta: float) -> list[float
     return [s / total for s in shares]
 
 
-def sample_firing(enabled, weights: WeightSpec, eta: float, rng) -> tuple[str, Binding]:
+def sample_firing(enabled, weights: WeightSpec, eta: float, rng):
     """The first firing whose running share sum exceeds one uniform draw
-    scaled to the total."""
+    scaled to the total.  Only each firing's transition, `enabled[i][0]`, is
+    read, so a firing may carry a Binding or a positional row."""
+    if len(enabled) == 1:
+        # the draw cannot pick another firing, but the law still makes it
+        if weights.at(enabled[0][0], eta) <= 0:
+            raise AllWeightsZero("all enabled firings have zero weight")
+        rng.random()
+        return enabled[0]
     if not enabled:
         raise ValueError("no enabled firings to sample from")
     shares, total = _shares(enabled, weights, eta)
@@ -299,12 +308,27 @@ def sample_firing(enabled, weights: WeightSpec, eta: float, rng) -> tuple[str, B
     return enabled[i] if i < len(enabled) else enabled[-1]
 
 
+class _TransitionPlan(NamedTuple):
+    """What a firing of one transition needs, resolved once per run."""
+
+    transition: Transition
+    rule: FiringRule
+    vtypes: tuple[str, ...]           # object type of each value position
+    recorded: tuple[int, ...]         # value positions of the recorded objects
+    delay: Delay | None               # production delay (override, else config)
+    arc_delays: tuple                 # per output arc: its configured Delay or None
+    slow: tuple | None                # (probability, Delay, application id)
+    coarsen: tuple | None             # (window_s, application id)
+    deviation_stats: dict | None      # stats of the probe a firing is a deviation of
+
+
 class SimState:
     """Mutable state of one run: clock, marking, pending tokens, RNG.
 
-    Also keeps the enabled set: each transition's bindings are re-enumerated
-    only when one of its input places changed, and the flat list of firings
-    is rebuilt only when some transition's bindings did change.
+    Also keeps the enabled set, as positional rows (see `nets`): each
+    transition's rows are re-enumerated only when one of its input places
+    changed, and the flat list of (transition, row) firings is rebuilt only
+    when some transition's rows did change.
     """
 
     def __init__(self, net: Net, config: SimConfig):
@@ -326,25 +350,25 @@ class SimState:
         self.pending_removals: Counter = Counter()
         self.injected: list[tuple[str, tuple[str, ...]]] = []
 
-        self._tids = sorted(t.id for t in net.transitions)
-        self._dirty = set(self._tids)
-        self._bindings: dict[str, list[Binding]] = dict.fromkeys(self._tids, [])
-        self._enabled: list[tuple[str, Binding]] = []
-        self._vtypes = {t.id: net.variable_types(t.id) for t in net.transitions}
+        self._dirty = {t.id for t in net.transitions}
+        self._rows: dict[str, list[tuple[str, ...]]] = dict.fromkeys(self._dirty, [])
+        self._live: set[str] = set()   # the transitions with rows
+        self._consumers = net.consumers_of
+        self._firings: list[tuple[str, tuple[str, ...]]] = []
 
-        self._delay_t = dict(config.delays)
-        self._coarsen: dict[str, tuple[float, str]] = {}
-        self._slow: dict[str, tuple[float, Delay, str]] = {}
+        delays = dict(config.delays)
+        coarsen: dict[str, tuple[float, str]] = {}
+        slow: dict[str, tuple[float, Delay, str]] = {}
         for ov in net.annotations.overrides:
             if ov.kind == "delay":
                 for tid in ov.transitions:
-                    self._delay_t[tid] = ov.delay
+                    delays[tid] = ov.delay
             elif ov.kind == "coarsen":
                 for tid in ov.transitions:
-                    self._coarsen[tid] = (ov.window_s, ov.application_id)
+                    coarsen[tid] = (ov.window_s, ov.application_id)
             elif ov.kind == "slow_branch":
                 for tid in ov.transitions:
-                    self._slow[tid] = (ov.probability, ov.delay, ov.application_id)
+                    slow[tid] = (ov.probability, ov.delay, ov.application_id)
 
         self._probes = net.annotations.probes
         self.pattern_stats = {
@@ -360,7 +384,7 @@ class SimState:
         # probe with both sides that names tid on a side
         self._choice_probes: dict[str, list] = {}
         # tid -> stats of the probe whose deviation a firing of tid is
-        self._deviation_stats: dict[str, dict] = {}
+        deviation_stats: dict[str, dict] = {}
         for probe in self._probes:
             if probe.deviation and probe.competitors:
                 stats = self.pattern_stats[probe.application_id]
@@ -371,7 +395,10 @@ class SimState:
         for t in net.transitions:
             app = t.provenance.application_id
             if any(p.application_id == app and t.id in p.deviation for p in self._probes):
-                self._deviation_stats[t.id] = self.pattern_stats[app]
+                deviation_stats[t.id] = self.pattern_stats[app]
+        self._plans = {t.id: self._plan(t, delays.get(t.id), slow.get(t.id), coarsen.get(t.id),
+                                        deviation_stats.get(t.id))
+                       for t in net.transitions}
 
         for pid, token, _ in net.initial_marking.items():
             place = net.place_map[pid]
@@ -382,6 +409,19 @@ class SimState:
         self._schedule_events()
 
     # -- setup ------------------------------------------------------------
+
+    def _plan(self, t: Transition, delay, slow, coarsen, deviation_stats) -> _TransitionPlan:
+        rule = self.net.rules[t.id]
+        names = rule.plan.names
+        vtypes = self.net.variable_types(t.id)
+        slot = {name: i for i, name in enumerate(names)}
+        recorded = sorted(names) if t.record_spec is None else t.record_spec
+        arc_delays = self.config.arc_delays
+        return _TransitionPlan(
+            t, rule, tuple([vtypes[name] for name in names]),
+            tuple([slot[name] for name in recorded if name in slot]),
+            delay, tuple([arc_delays.get((t.id, pid)) for pid, _ in rule.outputs]),
+            slow, coarsen, deviation_stats)
 
     def _push(self, time: float, kind: str, place: str, token: tuple[str, ...]):
         self._tie += 1
@@ -418,28 +458,38 @@ class SimState:
             self.pending_removals[(place, token)] -= 1
             return
         self.marking.add(place, token)
-        self._dirty.update(self.net.consumers_of.get(place, ()))
+        self._dirty.update(self._consumers.get(place, ()))
 
     def _remove_token(self, place: str, token: tuple[str, ...]):
         self.marking.remove(place, token)
         # fewer tokens never enable a firing: only enabled consumers can change
-        for tid in self.net.consumers_of.get(place, ()):
-            if self._bindings[tid]:
+        for tid in self._consumers.get(place, ()):
+            if tid in self._live:
                 self._dirty.add(tid)
 
-    def enabled(self) -> list[tuple[str, Binding]]:
-        """Every enabled (transition, binding) firing, in transition id order,
-        then binding order.  The list is replaced, never changed in place."""
+    def firings(self) -> list[tuple[str, tuple[str, ...]]]:
+        """Every enabled (transition, row) firing, in transition id order,
+        then row order.  The list is replaced, never changed in place."""
         changed = False
         for tid in self._dirty:
-            bindings = transition_bindings(self.net, self.marking, tid)
-            if bindings != self._bindings[tid]:
-                self._bindings[tid] = bindings
+            rows = transition_bindings(self.net, self.marking, tid)
+            if rows != self._rows[tid]:
+                self._rows[tid] = rows
+                if rows:
+                    self._live.add(tid)
+                else:
+                    self._live.discard(tid)
                 changed = True
         self._dirty.clear()
         if changed:
-            self._enabled = [(tid, b) for tid in self._tids for b in self._bindings[tid]]
-        return self._enabled
+            kept = self._rows
+            self._firings = [(tid, row) for tid in sorted(self._live) for row in kept[tid]]
+        return self._firings
+
+    def enabled(self) -> list[tuple[str, Binding]]:
+        """The kept enabled set, `firings()`, with each row as a Binding."""
+        return [(tid, Binding(tuple(zip(self._plans[tid].rule.order, row))))
+                for tid, row in self.firings()]
 
     def _count_choice_point(self, tid: str):
         """Count a choice point for every probe that names `tid` and has a
@@ -448,7 +498,7 @@ class SimState:
         if probes is None:
             return
         at, eta = self.weights.at, self.eta
-        live = {t for t, bindings in self._bindings.items() if bindings and at(t, eta) > 0}
+        live = {t for t in self._live if at(t, eta) > 0}
         for stats, deviation, competitors, chosen in probes:
             if not live.isdisjoint(deviation) and not live.isdisjoint(competitors):
                 stats["choice_points"] += 1
@@ -482,34 +532,32 @@ class SimState:
                     self.pending_removals[(place, token)] += 1
         return True
 
-    def _fire(self, tid: str, binding: Binding) -> FiringRecord:
-        t = self.net.transition_map[tid]
-        rule = self.net.rules[tid]
-        consumed = rule.consumed(binding)
+    def _fire(self, tid: str, row: tuple[str, ...]) -> FiringRecord:
+        t, rule, vtypes, recorded, base_delay, arc_delays, slow, coarsen, stats = self._plans[tid]
+        consumed = rule.take(row)
         for pid, token in consumed:
             self._remove_token(pid, token)
-        binding = rule.complete(binding, self.id_gen.fresh)
-        full = binding.as_dict()
+        plan = rule.plan
+        minted = tuple([self.id_gen.fresh(otype) for otype in plan.nu_types])
+        values = row + minted if minted else row
 
         timing_causes: list[str] = []
         slow_sample = None
-        if tid in self._slow:
-            prob, delay, app = self._slow[tid]
+        if slow is not None:
+            prob, delay, app = slow
             if float(self.rng.random()) < prob:
                 slow_sample = delay.sample(self.rng)
                 timing_causes.append(app)
                 self.pattern_stats[app]["fired"] += 1
-        base_delay = self._delay_t.get(tid)
         base_sample = base_delay.sample(self.rng) if base_delay is not None else 0.0
 
+        # every identifier produced is known to id_gen already: it was read
+        # from a token or minted above
         produced = []
-        for pid, token in rule.produced(binding):
-            for ident in token:
-                self.id_gen.register(ident)
+        for (pid, token), arc_spec in zip(rule.give(values), arc_delays):
             if slow_sample is not None:
                 delay = slow_sample
             else:
-                arc_spec = self.config.arc_delays.get((tid, pid))
                 delay = arc_spec.sample(self.rng) if arc_spec is not None else base_sample
             avail = self.eta + delay
             produced.append((pid, token, avail))
@@ -518,29 +566,26 @@ class SimState:
             else:
                 self._push(avail, "token", pid, token)
 
-        coarsen = self._coarsen.get(tid)
         if coarsen is not None:
             timing_causes.append(coarsen[1])
             self.pattern_stats[coarsen[1]]["fired"] += 1
 
-        names = sorted(full) if t.record_spec is None else t.record_spec
-        recorded = dict.fromkeys(full[name] for name in names if name in full)
+        setdefault = self.object_types.setdefault
+        for ident, otype in zip(values, vtypes):
+            setdefault(ident, otype)
 
-        vtypes = self._vtypes[tid]
-        for name, ident in full.items():
-            self.object_types.setdefault(ident, vtypes.get(name, ""))
-
+        names = plan.names
         record = FiringRecord(
             seq_no=self.seq_no,
             time=self.eta,
             transition=tid,
             activity=t.activity_label,
-            values=binding.values,
-            fresh=binding.fresh,
+            values=tuple(zip(names, row)),
+            fresh=tuple([(names[i], values[i]) for i in plan.fresh_order]),
             provenance=t.provenance,
             consumed=consumed,
             produced=tuple(produced),
-            recorded_objects=tuple(recorded),
+            recorded_objects=tuple(dict.fromkeys([values[i] for i in recorded])),
             coarsen_window=coarsen[0] if coarsen else None,
             timing_causes=tuple(timing_causes),
         )
@@ -548,7 +593,6 @@ class SimState:
         self.fired += 1
         self.records.append(record)
 
-        stats = self._deviation_stats.get(tid)
         if stats is not None:
             stats["fired"] += 1
         return record
@@ -598,7 +642,7 @@ def step(state: SimState) -> tuple[SimState, FiringRecord | None]:
         state.done = "firing_limit"
         return state, None
 
-    enabled = state.enabled()
+    enabled = state.firings()
     if enabled:
         try:
             firing = sample_firing(enabled, state.weights, state.eta, state.rng)

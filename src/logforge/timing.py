@@ -47,6 +47,13 @@ def typed(d, key, types: tuple, default=_REQUIRED, whole: bool = False):
     raise ConfigInvalid(f"field {key!r} is not {'/'.join(x.__name__ for x in types)}: {value!r}")
 
 
+def weight_piece(piece) -> tuple[float, float]:
+    """A weight piece, [from_time, weight], as a pair of floats."""
+    if type(piece) is not list or len(piece) != 2:
+        raise ConfigInvalid(f"a weight piece must be [from_time, weight], got {piece!r}")
+    return float(typed(piece, 0, NUMBER)), float(typed(piece, 1, NUMBER))
+
+
 DELAY_KINDS = ("constant", "normal", "exponential", "uniform")
 
 
@@ -239,7 +246,7 @@ class SimAnnotations:
     @classmethod
     def from_dict(cls, d: dict) -> "SimAnnotations":
         return cls(
-            weights=tuple((t, tuple((float(f), float(w)) for f, w in pieces))
+            weights=tuple((t, tuple(map(weight_piece, pieces)))
                           for t, pieces in d.get("weights", [])),
             overrides=tuple(TimingOverride.from_dict(o) for o in d.get("overrides", [])),
             probes=tuple(FrequencyProbe.from_dict(p) for p in d.get("probes", [])),

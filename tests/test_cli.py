@@ -372,6 +372,45 @@ def test_transform_incomplete_application_exits_two(tmp_path, capsys, app, field
     assert field in diag["message"]
 
 
+@pytest.mark.parametrize("app,field", [
+    ({"mapping": "ring"}, "mapping"),
+    ({"mapping": 5}, "mapping"),
+    ({"params": "x"}, "params"),
+    ({"params": None}, "params"),
+    ({"competitors": "ab"}, "competitors"),
+    ({"competitors": [1]}, "competitors"),
+], ids=["string-mapping", "number-mapping", "string-params", "null-params",
+        "string-competitors", "number-competitor"])
+def test_transform_mistyped_application_exits_two(tmp_path, capsys, app, field):
+    fdir = str(tmp_path / "fx")
+    run_cli(capsys, "fixture", "--name", "package_delivery", "--out", fdir)
+    apps_path = os.path.join(fdir, "apps.json")
+    base = {"application_id": "a1", "code": "BI_3", "mapping": {"t": "ring"}}
+    open(apps_path, "w").write(json.dumps([{**base, **app}]))
+    code, _, err = run_cli(capsys, "transform", "--model", os.path.join(fdir, "m0.json"),
+                           "--apply", apps_path, "--out", os.path.join(fdir, "ml.json"))
+    assert code == 2
+    [diag] = stderr_diagnostics(err)
+    assert diag["code"] == "ParseError"
+    assert field in diag["message"]
+
+
+@pytest.mark.parametrize("piece", [[0, "x"], [0, "1.5"], [0], "0"], ids=[
+    "string-weight", "numeric-string-weight", "short-piece", "string-piece"])
+def test_validate_mistyped_model_weight_exits_two(tmp_path, capsys, piece):
+    fdir = str(tmp_path / "fx")
+    run_cli(capsys, "fixture", "--name", "package_delivery", "--out", fdir)
+    model = os.path.join(fdir, "m0.json")
+    doc = json.load(open(model))
+    doc["annotations"]["weights"] = [["ring", [[0, 1.0], piece]]]
+    open(model, "w").write(json.dumps(doc))
+    code, _, err = run_cli(capsys, "validate", "--model", model)
+    assert code == 2
+    [diag] = stderr_diagnostics(err)
+    assert diag["code"] == "ParseError"
+    assert "malformed model" in diag["message"]
+
+
 @pytest.mark.parametrize("app", [
     {"code": "BI_10", "mapping": {"t": "depart"}, "params": {"drop": ["a"]}},
     {"code": "BI_10", "mapping": {"t": "depart"}, "params": {}},

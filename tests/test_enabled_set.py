@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from logforge import fixtures
 from logforge.nets import (Arc, Marking, Net, ObjectType, Place, Transition,
-                           Variable, enabled_bindings)
+                           Variable, enabled_bindings, transition_bindings)
 from logforge.patterns import PatternApplication
 from logforge.simulate import (Arrival, ScheduleEntry, SimConfig, SimState, WeightSpec,
                                step)
@@ -92,7 +92,8 @@ def test_kept_enabled_set_equals_a_fresh_enumeration(name, seed):
 def join_net():
     """Transitions whose input arcs are matched each way: free arcs, an arc
     fully bound by earlier ones, partly bound arcs, a name repeated on one
-    arc, and places read by more than one arc."""
+    arc, places read by more than one arc, and names first bound out of
+    sorted order."""
     types = (ObjectType("item", "i"),)
     places = (Place("p", ("item",)), Place("q", ("item", "item")), Place("r", ("item", "item")))
     x, y, z = Variable("x", "item"), Variable("y", "item"), Variable("z", "item")
@@ -102,6 +103,7 @@ def join_net():
         "twice": [("p", (x,)), ("p", (x,))],
         "pair": [("p", (x,)), ("p", (y,)), ("r", (y, z))],
         "diagonal": [("q", (x, x))],
+        "reversed": [("r", (y, x)), ("p", (x,))],
     }
     arcs = tuple(Arc(pid, tid, names) for tid, arcs in inputs.items() for pid, names in arcs)
     arcs += tuple(Arc(tid, "p", (x,)) for tid in inputs)
@@ -127,6 +129,17 @@ def test_every_join_kind_matches_brute_force(marking):
     net = join_net()
     got = [(tid, b.values) for tid, b in enabled_bindings(net, marking)]
     assert got == brute_force(net, marking)
+
+
+@given(join_markings())
+@settings(max_examples=200, deadline=None)
+def test_rows_are_bindings_in_sorted_variable_order(marking):
+    net = join_net()
+    rows = [(t.id, tuple(zip(net.rules[t.id].order, row)))
+            for t in sorted(net.transitions, key=lambda t: t.id)
+            for row in transition_bindings(net, marking, t.id)]
+    assert rows == [(tid, b.values) for tid, b in enabled_bindings(net, marking)]
+    assert rows == brute_force(net, marking)
 
 
 def resolve(defaults, schedule, tid, eta):

@@ -10,7 +10,7 @@ from logforge.nets import (Arc, Binding, Marking, Net, NotEnabled, ObjectType,
                            Place, Transition, Variable, bounded_language, fire,
                            validate_net)
 from logforge.patterns import PatternApplication
-from logforge.simulate import Arrival, SimConfig, run, trace_replays
+from logforge.simulate import Arrival, SimConfig, SimState, run, step, trace_replays
 from logforge.timing import Delay
 from logforge.transform import apply_sequence
 
@@ -52,6 +52,21 @@ def test_fire_that_is_not_enabled_draws_no_identifier():
     with pytest.raises(NotEnabled):
         fire(net, net.initial_marking, ("t", Binding(values=(("x", "i_1"),))), id_gen)
     assert id_gen.fresh("tag") == "g_1"
+
+
+def test_unbound_output_variable_raises_at_the_first_firing():
+    types = (ObjectType("item", "i"),)
+    places = (Place("a", ("item",)), Place("b", ("item",)))
+    arcs = (Arc("a", "t", (Variable("x", "item"),)),
+            Arc("t", "b", (Variable("y", "item"),)))
+    net = Net(types, places, (Transition("t", "t"),), arcs, Marking.of({"a": [["i_1"]]}))
+    firing = ("t", Binding(values=(("x", "i_1"),)))
+    with pytest.raises(NotEnabled, match="'y' unbound"):
+        fire(net, net.initial_marking, firing, net.id_generator())
+    state = SimState(net, SimConfig(firing_limit=1))
+    assert state.firings() == [("t", ("i_1",))]
+    with pytest.raises(NotEnabled, match="'y' unbound"):
+        step(state)
 
 
 def roles_switched():

@@ -96,6 +96,37 @@ def test_all_weights_zero_raises():
         sample_firing(enabled_of(net), ws, 0.0, np.random.default_rng(0))
 
 
+def lone_net():
+    """One self-loop transition `a` on one token: a lone enabled firing."""
+    types = (ObjectType("tok", "t"),)
+    arcs = (Arc("p", "a", (v("x", "tok"),)), Arc("a", "p", (v("x", "tok"),)))
+    return Net(types, (Place("p", ("tok",)),), (Transition("a", "a"),), arcs,
+               Marking.of({"p": [["t_1"]]}))
+
+
+def test_lone_zero_weight_firing_draws_nothing_and_the_clock_advances():
+    net = lone_net()
+    state = SimState(net, SimConfig(firing_limit=5, weights={"a": [[0.0, 0.0], [10.0, 1.0]]}))
+    before = state.rng.bit_generator.state
+    with pytest.raises(AllWeightsZero):
+        sample_firing(state.firings(), state.weights, 0.0, state.rng)
+    assert state.rng.bit_generator.state == before
+    _, record = step(state)
+    assert record is None and state.eta == 10.0
+    assert state.rng.bit_generator.state == before
+    _, record = step(state)
+    assert record.transition == "a" and record.time == 10.0
+
+
+def test_lone_positive_weight_firing_draws_exactly_one_uniform():
+    net = lone_net()
+    rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+    [firing] = SimState(net, SimConfig(firing_limit=1)).firings()
+    assert sample_firing([firing], WeightSpec(), 0.0, rng) == firing
+    twin.random()
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_non_finite_weight_rejected(bad):
     # a NaN or inf share would make sample_firing pick the last enabled firing
