@@ -15,7 +15,6 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .nets import OBJECT_SEPARATOR, Net
 from .serialize import (SCHEMA_VERSION, canonical_json, net_from_dict,
@@ -133,11 +132,6 @@ def read_model(path: str) -> Net:
 _IN_KEY_ORDER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False)
 
 
-@lru_cache(maxsize=None)
-def _provenance_in_key_order(p) -> dict:
-    return dict(sorted(provenance_to_dict(p).items()))
-
-
 def record_to_dict(r: FiringRecord) -> dict:
     """The record's JSON object, keys in sorted order (tuples encode as lists)."""
     return {
@@ -146,7 +140,7 @@ def record_to_dict(r: FiringRecord) -> dict:
         "consumed": r.consumed,
         "fresh": r.fresh,
         "produced": r.produced,
-        "provenance": _provenance_in_key_order(r.provenance),
+        "provenance": provenance_to_dict(r.provenance),
         "recorded_objects": r.recorded_objects,
         "seq_no": r.seq_no,
         "time": r.time,

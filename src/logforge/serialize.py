@@ -40,11 +40,13 @@ def _variable_from_dict(d: dict) -> Variable:
 
 
 def provenance_to_dict(p: ProvenanceTag) -> dict:
-    d: dict = {"origin": p.origin}
-    if p.pattern_code is not None:
-        d["pattern_code"] = p.pattern_code
+    """The tag's JSON object, keys in sorted order."""
+    d: dict = {}
     if p.application_id is not None:
         d["application_id"] = p.application_id
+    d["origin"] = p.origin
+    if p.pattern_code is not None:
+        d["pattern_code"] = p.pattern_code
     if p.shadow_of is not None:
         d["shadow_of"] = p.shadow_of
     return d

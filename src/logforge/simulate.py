@@ -154,10 +154,6 @@ def epoch_seconds(stamp: str) -> float:
     return datetime.fromisoformat(stamp.replace("Z", "+00:00")).timestamp()
 
 
-def render_timestamp(epoch: str, eta: float) -> str:
-    return timestamp_at(epoch_seconds(epoch), eta)
-
-
 def timestamp_at(epoch_s: float, eta: float) -> str:
     """The ISO 8601 UTC stamp `eta` seconds after `epoch_s`, the epoch
     in seconds."""
@@ -295,12 +291,6 @@ def sample_firing(enabled, weights: WeightSpec, eta: float, rng):
     """The first firing whose running share sum exceeds one uniform draw
     scaled to the total.  Only each firing's transition, `enabled[i][0]`, is
     read, so a firing may carry a Binding or a positional row."""
-    if len(enabled) == 1:
-        # the draw cannot pick another firing, but the law still makes it
-        if weights.at(enabled[0][0], eta) <= 0:
-            raise AllWeightsZero("all enabled firings have zero weight")
-        rng.random()
-        return enabled[0]
     if not enabled:
         raise ValueError("no enabled firings to sample from")
     shares, total = _shares(enabled, weights, eta)

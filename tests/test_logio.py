@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from logforge import fixtures, logio
 from logforge.nets import Net, Transition
 from logforge.serialize import digest_of, net_digest
-from logforge.simulate import SimConfig, run
+from logforge.simulate import SimConfig, epoch_seconds, run, timestamp_at
 
 
 def test_model_round_trip(tmp_path, package_cells):
@@ -76,11 +76,11 @@ def test_projection_coarsens_timestamps(cell_by_pattern):
     coarse = [r for r in trace.records if r.coarsen_window]
     assert coarse
     by_id = {e.event_id: e for e in log.events}
-    from logforge.simulate import render_timestamp
+    epoch_s = epoch_seconds(trace.epoch)
     for r in coarse:
         event = by_id[logio.event_id_for(trace.run_id, r.seq_no)]
         floored = math.floor(r.time / r.coarsen_window) * r.coarsen_window
-        assert event.timestamp == render_timestamp(trace.epoch, floored)
+        assert event.timestamp == timestamp_at(epoch_s, floored)
         # idempotent: flooring a floored value changes nothing
         assert math.floor(floored / r.coarsen_window) * r.coarsen_window == floored
 
