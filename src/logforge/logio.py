@@ -14,6 +14,7 @@ import json
 import math
 import os
 import tempfile
+import threading
 from dataclasses import dataclass
 
 from .nets import OBJECT_SEPARATOR, Net
@@ -56,13 +57,23 @@ def check_version(d, path: str):
         raise SchemaVersionMismatch(f"{path}: schema_version {v!r}, expected {SCHEMA_VERSION!r}")
 
 
-def load_json(path: str):
-    """The one JSON document in `path`; a syntax error becomes a ParseError."""
+def _read_text(path: str) -> str:
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
+def _parse_json(text: str, path: str):
+    """The JSON document `text`, read from `path`; a syntax error becomes a
+    ParseError."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+        return json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(e.msg, path, e.lineno) from None
+
+
+def load_json(path: str):
+    """The one JSON document in `path`; a syntax error becomes a ParseError."""
+    return _parse_json(_read_text(path), path)
 
 
 def read_jsonl(path: str):
@@ -116,13 +127,38 @@ def write_model(net: Net, path: str) -> None:
     atomic_write(path, encode_model(net)[0])
 
 
+# how many models `read_model` keeps, one per distinct file text
+_MODELS_HELD = 64
+_models: dict[str, Net] = {}  # file text -> its Net, least recently read first
+_models_lock = threading.Lock()
+
+
 def read_model(path: str) -> Net:
-    d = load_json(path)
+    """The model in `path`.
+
+    Files with equal text give one shared Net, built on the first read and
+    kept for the last `_MODELS_HELD` distinct texts, so its compiled rules
+    serve every later reader.  The Net is read-only: copy a marking (for
+    instance `net.initial_marking.copy()`) before changing it.  A file that
+    fails to read raises on every read; nothing is kept for it.
+    """
+    text = _read_text(path)
+    with _models_lock:
+        net = _models.pop(text, None)
+        if net is not None:
+            _models[text] = net
+            return net
+    d = _parse_json(text, path)
     check_version(d, path)
     try:
-        return net_from_dict(d)
+        net = net_from_dict(d)
     except (KeyError, TypeError, ConfigInvalid) as e:
         raise ParseError(f"malformed model: {e!r}", path) from None
+    with _models_lock:
+        net = _models.setdefault(text, net)  # another thread may have read it meanwhile
+        if len(_models) > _MODELS_HELD:
+            del _models[next(iter(_models))]
+    return net
 
 
 # -- ground-truth traces ------------------------------------------------------

@@ -2,7 +2,10 @@
 
 Places are typed by tuples of object types and hold multisets of identifier
 tuples; arcs carry variable inscriptions.  Nets and markings are value-like:
-the public operations never mutate them in place.
+the public operations never mutate them in place.  A Net may be shared:
+`logio.read_model` hands every reader of equal model text the same one, and
+a dataset's cells share their models, so it is read-only (copy a marking
+before changing it) and compiles its rules and tables once, on first use.
 
 The firing rule, compiled once per transition (`Net.rules`) and used by
 `fire`, `replay`, `bounded_language` and the simulator alike:
@@ -117,7 +120,7 @@ class Arc:
     inscription: tuple[Variable, ...]
 
 
-_NO_TOKENS: Mapping = MappingProxyType({})
+_EMPTY: Mapping = MappingProxyType({})
 
 
 class Marking:
@@ -138,10 +141,10 @@ class Marking:
         return m
 
     def tokens(self, place_id: str) -> Mapping[tuple[str, ...], int]:
-        return self._tokens.get(place_id, _NO_TOKENS)
+        return self._tokens.get(place_id, _EMPTY)
 
     def count(self, place_id: str, token: tuple[str, ...]) -> int:
-        return self._tokens.get(place_id, _NO_TOKENS).get(tuple(token), 0)
+        return self._tokens.get(place_id, _EMPTY).get(tuple(token), 0)
 
     def add(self, place_id: str, token: tuple[str, ...]) -> None:
         token = tuple(token)
@@ -494,12 +497,39 @@ class Net:
             rules[tid] = FiringRule(tid, tuple(arcs), tuple(outs[tid]), nu)
         return rules
 
-    def variable_types(self, tid: str) -> dict[str, str]:
-        types: dict[str, str] = {}
-        for a in list(self.inputs_of(tid)) + list(self.outputs_of(tid)):
-            for v in a.inscription:
-                types.setdefault(v.name, v.object_type)
-        return types
+    @cached_property
+    def firing_layouts(self) -> dict[str, tuple]:
+        """Per transition, what a simulator needs of its firings that depends
+        on the net alone: (transition, rule, the object type of each value
+        position in `rule.plan.names`, the value positions of the objects its
+        events record: its `record_spec` names, else all its variables in
+        sorted-name order)."""
+        layouts = {}
+        for t in self.transitions:
+            rule = self.rules[t.id]
+            names = rule.plan.names
+            types = self._variable_types[t.id]
+            slot = {name: i for i, name in enumerate(names)}
+            recorded = sorted(names) if t.record_spec is None else t.record_spec
+            layouts[t.id] = (t, rule, tuple([types[name] for name in names]),
+                             tuple([slot[name] for name in recorded if name in slot]))
+        return layouts
+
+    @cached_property
+    def _variable_types(self) -> dict[str, Mapping[str, str]]:
+        out = {}
+        for tid, ins in self._inputs.items():
+            types: dict[str, str] = {}
+            for a in ins + self._outputs[tid]:
+                for v in a.inscription:
+                    types.setdefault(v.name, v.object_type)
+            out[tid] = MappingProxyType(types)
+        return out
+
+    def variable_types(self, tid: str) -> Mapping[str, str]:
+        """The object type of each variable on `tid`'s arcs; where a name has
+        several, the first on its input arcs, then on its output arcs."""
+        return self._variable_types.get(tid, _EMPTY)
 
     def id_generator(self) -> IdGenerator:
         seen = self.initial_marking.identifiers()

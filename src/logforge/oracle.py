@@ -12,10 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .logio import (ObservedLog, ParseError, atomic_write, event_id_for,
-                    project_observed, read_jsonl)
+from .logio import (_IN_KEY_ORDER, ObservedLog, ParseError, atomic_write,
+                    event_id_for, project_observed, read_jsonl)
 from .nets import Net
-from .serialize import canonical_json
 from .simulate import FiringRecord, GroundTruthTrace
 
 INSERTION_CODES = ("RI_in^e", "RI_in^a")
@@ -41,8 +40,9 @@ class Cause:
     origin: str
 
     def to_dict(self) -> dict:
-        return {"pattern_code": self.pattern_code,
-                "application_id": self.application_id, "origin": self.origin}
+        """The cause's JSON object, keys in sorted order."""
+        return {"application_id": self.application_id, "origin": self.origin,
+                "pattern_code": self.pattern_code}
 
     @classmethod
     def from_dict(cls, d: dict) -> "Cause":
@@ -63,17 +63,22 @@ class Move:
     cause: Cause | None = None
     discrepancy: dict | None = None
 
-    def to_dict(self) -> dict:
-        d: dict = {"kind": self.kind, "activity": self.activity,
-                   "objects": list(self.objects)}
-        if self.event_id is not None:
-            d["event_id"] = self.event_id
-        if self.transition is not None:
-            d["transition"] = self.transition
+    def to_line(self, obj: str, seq: int) -> dict:
+        """The interchange line of this move as move `seq` of `obj`, keys in
+        sorted order at every level (tuples encode as lists)."""
+        d: dict = {"activity": self.activity}
         if self.cause is not None:
             d["cause"] = self.cause.to_dict()
         if self.discrepancy is not None:
-            d["discrepancy"] = self.discrepancy
+            d["discrepancy"] = _in_key_order(self.discrepancy)
+        if self.event_id is not None:
+            d["event_id"] = self.event_id
+        d["kind"] = self.kind
+        d["object"] = obj
+        d["objects"] = self.objects
+        d["seq"] = seq
+        if self.transition is not None:
+            d["transition"] = self.transition
         return d
 
     @classmethod
@@ -94,6 +99,15 @@ class Move:
             raise ValueError("'transition' must be a string or null")
         return cls(kind, activity, tuple(objects), event_id, transition,
                    Cause.from_dict(cause) if cause else None, get("discrepancy"))
+
+
+def _in_key_order(value):
+    """`value` with the keys of each of its dicts, at every level, in sorted order."""
+    if type(value) is dict:
+        return {k: _in_key_order(value[k]) for k in sorted(value)}
+    if type(value) is list:
+        return [_in_key_order(v) for v in value]
+    return value
 
 
 @dataclass
@@ -352,10 +366,10 @@ def move_distance(candidate: GtAlignment, gt: GtAlignment) -> float:
 # -- interchange ---------------------------------------------------------------
 
 def write_alignment(alignment: GtAlignment, path: str) -> None:
-    lines = []
-    for obj, moves in sorted(alignment.per_object.items()):
-        for i, m in enumerate(moves):
-            lines.append(canonical_json({"object": obj, "seq": i, **m.to_dict()}))
+    encode = _IN_KEY_ORDER.encode
+    lines = [encode(m.to_line(obj, i))
+             for obj, moves in sorted(alignment.per_object.items())
+             for i, m in enumerate(moves)]
     atomic_write(path, "\n".join(lines) + "\n")
 
 

@@ -299,7 +299,8 @@ def sample_firing(enabled, weights: WeightSpec, eta: float, rng):
 
 
 class _TransitionPlan(NamedTuple):
-    """What a firing of one transition needs, resolved once per run."""
+    """What a firing of one transition needs, resolved once per run: the
+    net's `firing_layouts` entry, then the run's delays and annotations."""
 
     transition: Transition
     rule: FiringRule
@@ -386,8 +387,8 @@ class SimState:
             app = t.provenance.application_id
             if any(p.application_id == app and t.id in p.deviation for p in self._probes):
                 deviation_stats[t.id] = self.pattern_stats[app]
-        self._plans = {t.id: self._plan(t, delays.get(t.id), slow.get(t.id), coarsen.get(t.id),
-                                        deviation_stats.get(t.id))
+        self._plans = {t.id: self._plan(t.id, delays.get(t.id), slow.get(t.id),
+                                        coarsen.get(t.id), deviation_stats.get(t.id))
                        for t in net.transitions}
 
         for pid, token, _ in net.initial_marking.items():
@@ -400,17 +401,12 @@ class SimState:
 
     # -- setup ------------------------------------------------------------
 
-    def _plan(self, t: Transition, delay, slow, coarsen, deviation_stats) -> _TransitionPlan:
-        rule = self.net.rules[t.id]
-        names = rule.plan.names
-        vtypes = self.net.variable_types(t.id)
-        slot = {name: i for i, name in enumerate(names)}
-        recorded = sorted(names) if t.record_spec is None else t.record_spec
+    def _plan(self, tid: str, delay, slow, coarsen, deviation_stats) -> _TransitionPlan:
+        t, rule, vtypes, recorded = self.net.firing_layouts[tid]
         arc_delays = self.config.arc_delays
         return _TransitionPlan(
-            t, rule, tuple([vtypes[name] for name in names]),
-            tuple([slot[name] for name in recorded if name in slot]),
-            delay, tuple([arc_delays.get((t.id, pid)) for pid, _ in rule.outputs]),
+            t, rule, vtypes, recorded,
+            delay, tuple([arc_delays.get((tid, pid)) for pid, _ in rule.outputs]),
             slow, coarsen, deviation_stats)
 
     def _push(self, time: float, kind: str, place: str, token: tuple[str, ...]):

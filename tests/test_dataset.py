@@ -229,6 +229,48 @@ def test_cells_of_a_shared_pair_do_not_depend_on_their_order(tmp_path):
             assert a == b, (entry["cell_id"], rel)
 
 
+def test_a_read_model_is_left_unchanged_and_serves_the_next_cell(tmp_path, monkeypatch):
+    from logforge import oracle, simulate
+    net, grid = fixtures.fixture("package_delivery")
+    # the row whose recording error annotates object discrepancies, twice
+    grid = replace(grid, behavioral_sets=grid.behavioral_sets[10:11],
+                   recording_sets=grid.recording_sets[10:11],
+                   sim_configs=grid.sim_configs * 2)
+    out = str(tmp_path / "ds")
+    first, second = generate(net, grid, out).cells
+
+    def models(entry):
+        return (logio.read_model(os.path.join(out, "m0.json")),
+                logio.read_model(os.path.join(out, entry["paths"]["model"])))
+
+    def align(entry, m0, ml, path):
+        at = {key: os.path.join(out, rel) for key, rel in entry["paths"].items()}
+        trace = logio.read_trace(at["trace"], net=ml)
+        oracle.write_alignment(
+            oracle.gt_alignment(m0, trace, logio.read_observed_jsonl(at["log_jsonl"])), path)
+        return trace, open(path, "rb").read()
+
+    def state(n):
+        final = None if n.final_marking is None else n.final_marking.to_lists()
+        return net_digest(n), n.initial_marking.to_lists(), final
+
+    monkeypatch.setattr(logio, "_models", {})
+    _, cold = align(second, *models(second), str(tmp_path / "cold.jsonl"))
+
+    monkeypatch.setattr(logio, "_models", {})
+    m0, ml = models(first)
+    before = [state(m0), state(ml)]
+    trace, _ = align(first, m0, ml, str(tmp_path / "first.jsonl"))
+    simulate.run(ml, replace(grid.sim_configs[0], seed=5))
+    assert simulate.trace_replays(ml, trace)
+    assert oracle.deviation_report(trace).entries
+    assert [state(m0), state(ml)] == before
+    warm_m0, warm_ml = models(second)
+    assert warm_m0 is m0 and warm_ml is ml
+    _, warm = align(second, m0, ml, str(tmp_path / "warm.jsonl"))
+    assert b'"discrepancy"' in warm and warm == cold
+
+
 def test_fixture_package_vocabulary():
     net, grid = fixtures.fixture("package_delivery")
     assert {t.name for t in net.object_types} == {

@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+import threading
 from dataclasses import replace
 
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 
 from logforge import fixtures, logio
 from logforge.nets import Net, Transition
-from logforge.serialize import digest_of, net_digest
+from logforge.serialize import digest_of, net_digest, net_from_dict
 from logforge.simulate import SimConfig, epoch_seconds, run, timestamp_at
 
 
@@ -135,6 +137,123 @@ def test_schema_version_mismatch(tmp_path, package_cells):
     open(path, "w").write(json.dumps(doc))
     with pytest.raises(logio.SchemaVersionMismatch):
         logio.read_model(path)
+
+
+@pytest.fixture
+def model_table(monkeypatch):
+    """An empty `read_model` table, and a count of the models it parses."""
+    monkeypatch.setattr(logio, "_models", {})
+    parsed = []
+
+    def counting(d):
+        parsed.append(d)
+        return net_from_dict(d)
+
+    monkeypatch.setattr(logio, "net_from_dict", counting)
+    return parsed
+
+
+def test_equal_model_bytes_read_as_one_net(tmp_path, package_cells, model_table):
+    text = logio.encode_model(package_cells[0]["ml"])[0]
+    (tmp_path / "a.json").write_text(text)
+    (tmp_path / "b.json").write_text(text)
+    first = logio.read_model(str(tmp_path / "a.json"))
+    assert logio.read_model(str(tmp_path / "b.json")) is first
+    assert logio.read_model(str(tmp_path / "a.json")) is first
+    assert len(model_table) == 1
+
+
+def test_model_rewritten_with_other_bytes_reads_as_a_new_net(tmp_path, package_cells,
+                                                             model_table):
+    path = tmp_path / "model.json"
+    path.write_text(logio.encode_model(package_cells[0]["ml"])[0])
+    first = logio.read_model(str(path))
+    path.write_text(logio.encode_model(package_cells[6]["ml"])[0])
+    second = logio.read_model(str(path))
+    assert second is not first and len(model_table) == 2
+    assert net_digest(second) == net_digest(package_cells[6]["ml"])
+
+
+@pytest.mark.parametrize("broken, error, ending", [
+    (lambda text: text[:40], logio.ParseError, " at {path}:1"),
+    (lambda text: text.replace('"schema_version":"1"', '"schema_version":"9"'),
+     logio.SchemaVersionMismatch, "{path}: schema_version '9', expected '1'"),
+    (lambda text: text.replace('"places"', '"plaices"'), logio.ParseError,
+     "malformed model: KeyError('places') at {path}"),
+], ids=["truncated", "wrong_version", "no_places"])
+def test_unreadable_model_fails_on_every_read(tmp_path, package_cells, model_table,
+                                              broken, error, ending):
+    good = logio.encode_model(package_cells[0]["ml"])[0]
+    path = tmp_path / "model.json"
+    path.write_text(broken(good))
+    messages = []
+    for _ in range(2):
+        with pytest.raises(error) as caught:
+            logio.read_model(str(path))
+        messages.append(str(caught.value))
+    assert messages[0] == messages[1] and messages[0].endswith(ending.format(path=path))
+    assert logio._models == {}
+    path.write_text(good)
+    assert net_digest(logio.read_model(str(path))) == net_digest(package_cells[0]["ml"])
+
+
+def test_model_table_keeps_the_most_recently_read(tmp_path, package_cells, model_table):
+    # equal JSON in different text is a different key
+    text = logio.encode_model(package_cells[0]["ml"])[0]
+    paths = []
+    for i in range(logio._MODELS_HELD + 3):
+        paths.append(tmp_path / f"m{i}.json")
+        paths[-1].write_text(text + " " * i)
+    nets = [logio.read_model(str(p)) for p in paths]
+    assert len(logio._models) == logio._MODELS_HELD
+    assert logio.read_model(str(paths[-1])) is nets[-1]
+    assert len(model_table) == len(paths)
+    assert logio.read_model(str(paths[0])) is not nets[0]
+    assert len(logio._models) == logio._MODELS_HELD
+
+
+def test_model_table_under_concurrent_readers(tmp_path, package_cells, monkeypatch):
+    monkeypatch.setattr(logio, "_models", {})
+    texts = [logio.encode_model(package_cells[i]["ml"])[0] for i in (0, 6, 9)]
+    paths = []
+    for i, text in enumerate(texts):
+        paths.append(str(tmp_path / f"m{i}.json"))
+        open(paths[-1], "w").write(text)
+    digests = [net_digest(package_cells[i]["ml"]) for i in (0, 6, 9)]
+    seen: dict = {}
+    errors = []
+
+    def reader(k):
+        try:
+            for n in range(30):
+                i = (n + k) % len(paths)
+                net = logio.read_model(paths[i])
+                seen.setdefault(i, set()).add(id(net))
+                assert net_digest(net) == digests[i]
+        except Exception as e:  # noqa: BLE001 - reported by the main thread
+            errors.append(e)
+
+    def run_readers():
+        threads = [threading.Thread(target=reader, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads) and errors == []
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        run_readers()
+        # every reader of one text got the same Net
+        assert all(len(ids) == 1 for ids in seen.values()) and len(logio._models) == 3
+        # a table smaller than the texts read evicts on nearly every read
+        monkeypatch.setattr(logio, "_models", {})
+        monkeypatch.setattr(logio, "_MODELS_HELD", 2)
+        run_readers()
+        assert len(logio._models) == 2
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_atomic_write_replaces_only_on_success(tmp_path):

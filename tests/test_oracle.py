@@ -1,3 +1,4 @@
+import json
 import random
 from dataclasses import replace
 
@@ -7,9 +8,10 @@ from hypothesis import strategies as st
 
 from logforge import fixtures
 from logforge.logio import project_observed
-from logforge.oracle import (CoverageMismatch, GtAlignment, LogTraceMismatch,
+from logforge.oracle import (Cause, CoverageMismatch, GtAlignment, LogTraceMismatch,
                              Move, _levenshtein, deviation_report, gt_alignment,
                              move_distance, read_alignment, write_alignment)
+from logforge.serialize import canonical_json
 from logforge.simulate import run
 from logforge.transform import apply_sequence
 
@@ -236,6 +238,23 @@ def test_alignment_file_holds_labels_as_utf8(tmp_path):
     write_alignment(GtAlignment(system=(move,), per_object={"o1": (move,)}), str(path))
     assert "prüfen".encode("utf-8") in path.read_bytes()
     assert read_alignment(str(path)).per_object == {"o1": (move,)}
+
+
+def test_alignment_lines_are_canonical_json(tmp_path, m0, package_cells):
+    # each line is encoded in key order without a sort: check it against one
+    cause = Cause("RI_in^o", "rino", "recording")
+    odd = Move("synchronous", "prüfen", ("o2", "o1"), "e1", None, cause,
+               {"unrecorded": ["o3"], "b": {"z": 1, "a": [{"y": 2, "x": None}]}})
+    alignments = [GtAlignment(system=(odd,), per_object={"o1": (odd,), "o2": (odd,)})]
+    alignments += [gt_alignment(m0, item["trace"], item["log"]) for item in package_cells]
+    discrepancies = 0
+    for i, al in enumerate(alignments):
+        path = tmp_path / f"align{i}.jsonl"
+        write_alignment(al, str(path))
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines == [canonical_json(json.loads(line)) for line in lines]
+        discrepancies += sum('"discrepancy"' in line for line in lines)
+    assert discrepancies > 1
 
 
 # responsible/affected object types per package cell, frozen from the pinned

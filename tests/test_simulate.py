@@ -127,6 +127,22 @@ def test_lone_positive_weight_firing_draws_exactly_one_uniform():
     assert rng.bit_generator.state == twin.bit_generator.state
 
 
+def test_runs_on_one_net_each_keep_their_own_arc_delays():
+    # the net-level half of each transition's plan is shared; the delays are not
+    net = lone_net()
+
+    def produced(delay):
+        config = SimConfig(firing_limit=3, arc_delays={("a", "p"): Delay.constant(delay)})
+        return [(r.time, r.produced[0][2]) for r in run(net, config).records]
+
+    five = [(0.0, 5.0), (5.0, 10.0), (10.0, 15.0)]
+    assert produced(5) == five
+    assert produced(9) == [(0.0, 9.0), (9.0, 18.0), (18.0, 27.0)]
+    assert produced(5) == five
+    plain = SimState(net, SimConfig(firing_limit=1))._plans["a"]
+    assert plain.rule is net.rules["a"] and plain.arc_delays == (None,)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_non_finite_weight_rejected(bad):
     # a NaN or inf share would make sample_firing pick the last enabled firing
