@@ -188,7 +188,7 @@ def _generate_cell(job: tuple) -> tuple[dict, Exception | None]:
         "recording_codes": [a.code for a in cell.recording],
         "application_ids": [a.application_id for a in cell.behavioral + cell.recording],
         "digests": dict(pair.digests),
-        "config_digest": config.digest(),
+        "config_digest": trace.config_digest,
         "paths": paths,
         "pattern_counts": {app: dict(stats) for app, stats in trace.pattern_stats.items()},
         "object_counts": dict(Counter(log.objects.values())),

@@ -17,12 +17,12 @@ import tempfile
 import threading
 from dataclasses import dataclass
 
-from .nets import OBJECT_SEPARATOR, Net
+from .nets import OBJECT_SEPARATOR, Net, ProvenanceTag
 from .serialize import (SCHEMA_VERSION, canonical_json, net_from_dict,
-                        net_to_dict, provenance_from_dict, provenance_to_dict,
-                        text_digest)
-from .simulate import FiringRecord, GroundTruthTrace, epoch_seconds, timestamp_at
-from .timing import NUMBER, ConfigInvalid, ReportRule, typed
+                        net_to_dict, provenance_to_dict, text_digest)
+from .simulate import (FiringRecord, GroundTruthTrace, epoch_seconds, new_record,
+                       timestamp_at)
+from .timing import NUMBER, ConfigInvalid, ReportRule, frozen_builder, typed
 
 
 class ParseError(Exception):
@@ -76,20 +76,30 @@ def load_json(path: str):
     return _parse_json(_read_text(path), path)
 
 
+# decodes one JSON value at the start of a string, without `json.loads`'s
+# per-call checks; `read_jsonl` makes those itself
+_raw_decode = json.JSONDecoder().raw_decode
+
+
 def read_jsonl(path: str):
     """Yield (line number, object) for each non-blank line of a JSONL file.
 
-    A line that is not valid JSON, or not a JSON object, raises ParseError.
+    A line that is not valid JSON, or not a JSON object, raises ParseError
+    with the message `json.loads` gives for the line.
     """
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
+            if line[0] == "\ufeff":
+                raise ParseError("Unexpected UTF-8 BOM (decode using utf-8-sig)", path, lineno)
             try:
-                d = json.loads(line)
+                d, end = _raw_decode(line)
             except json.JSONDecodeError as e:
                 raise ParseError(e.msg, path, lineno) from None
+            if end != len(line):  # the stripped line ends in no JSON whitespace
+                raise ParseError("Extra data", path, lineno)
             if type(d) is not dict:
                 raise ParseError("line is not a JSON object", path, lineno)
             yield lineno, d
@@ -186,20 +196,86 @@ def record_to_dict(r: FiringRecord) -> dict:
     }
 
 
-def record_from_dict(d: dict) -> FiringRecord:
-    return FiringRecord(
-        seq_no=typed(d, "seq_no", (int,)),
-        time=typed(d, "time", NUMBER),
-        transition=typed(d, "transition", (str,)),
-        activity=d.get("activity"),
-        values=tuple((k, v) for k, v in d.get("values", [])),
-        fresh=tuple((k, v) for k, v in d.get("fresh", [])),
-        provenance=provenance_from_dict(d.get("provenance", {})),
-        consumed=tuple((pid, tuple(tok)) for pid, tok in d.get("consumed", [])),
-        produced=tuple((pid, tuple(tok), avail) for pid, tok, avail in d.get("produced", [])),
-        recorded_objects=tuple(d.get("recorded_objects", [])),
-        coarsen_window=d.get("coarsen_window"),
-        timing_causes=tuple(d.get("timing_causes", [])),
+def _identifiers(value, what: str) -> tuple[str, ...]:
+    """`value`, a JSON list of strings, as a tuple.  A value that is not
+    iterable raises TypeError as `tuple` does; any other value that is not a
+    list of strings raises ValueError naming `what`."""
+    ids = tuple(value)
+    if type(value) is list:
+        for ident in ids:
+            if type(ident) is not str:
+                break
+        else:
+            return ids
+    raise ValueError(f"{what!r} must be a list of strings, got {value!r}")
+
+
+def _bound_pairs(value, what: str) -> tuple[tuple[str, str], ...]:
+    """`value`, a JSON list of [variable, identifier] pairs, as a tuple of
+    pairs.  An entry of another length raises ValueError as unpacking does."""
+    pairs = []
+    for pair in value:
+        k, v = pair
+        if type(pair) is not list or type(k) is not str or type(v) is not str:
+            raise ValueError(f"{what!r} must be a list of [variable, identifier] string pairs, "
+                             f"got {value!r}")
+        pairs.append((k, v))
+    return tuple(pairs)
+
+
+def _placed_tokens(value, what: str) -> tuple[tuple[str, tuple[str, ...]], ...]:
+    """`value`, a JSON list of [place, token] entries, as a tuple of pairs."""
+    entries = []
+    for pid, tok in value:
+        entries.append((pid, _identifiers(tok, what)))
+    return tuple(entries)
+
+
+def _produced_tokens(value) -> tuple[tuple[str, tuple[str, ...], float], ...]:
+    """`value`, a JSON list of [place, token, available at] entries, as a tuple."""
+    entries = []
+    for pid, tok, avail in value:
+        entries.append((pid, _identifiers(tok, "produced"), avail))
+    return tuple(entries)
+
+
+def _provenance(d, tags: dict) -> ProvenanceTag:
+    """The provenance tag a trace record holds; equal tags in one `tags`
+    table are one ProvenanceTag."""
+    if type(d) is not dict:
+        raise ValueError(f"'provenance' must be an object, got {d!r}")
+    key = (d.get("origin", "base"), d.get("pattern_code"), d.get("application_id"),
+           d.get("shadow_of"))
+    try:
+        return tags[key]
+    except (KeyError, TypeError):  # a new tag, or an unhashable and so malformed one
+        pass
+    origin, *rest = key
+    if type(origin) is not str or not all(v is None or type(v) is str for v in rest):
+        raise ValueError(f"'provenance' must hold a string 'origin' and strings or nulls, "
+                         f"got {d!r}")
+    tag = tags[key] = ProvenanceTag(*key)
+    return tag
+
+
+def record_from_dict(d: dict, tags: dict) -> FiringRecord:
+    """Decode a trace record; a missing or mistyped field raises
+    ConfigInvalid, ValueError or TypeError.  Records decoded with one `tags`
+    table (a file's) share their equal provenance tags."""
+    get = d.get
+    return new_record(
+        typed(d, "seq_no", (int,)),
+        typed(d, "time", NUMBER),
+        typed(d, "transition", (str,)),
+        get("activity"),
+        _bound_pairs(get("values", []), "values"),
+        _bound_pairs(get("fresh", []), "fresh"),
+        _provenance(get("provenance", {}), tags),
+        _placed_tokens(get("consumed", []), "consumed"),
+        _produced_tokens(get("produced", [])),
+        _identifiers(get("recorded_objects", []), "recorded_objects"),
+        get("coarsen_window"),
+        _identifiers(get("timing_causes", []), "timing_causes"),
     )
 
 
@@ -234,20 +310,21 @@ def _trace_header(h: dict) -> dict:
         run_id=typed(h, "run_id", (str,)),
         seed=typed(h, "seed", (int,)),
         epoch=typed(h, "epoch", (str,)),
-        model_digests=h.get("model_digests", {}),
+        model_digests=typed(h, "model_digests", (dict,), {}),
         config_digest=h.get("config_digest", ""),
-        object_types=h.get("object_types", {}),
-        pattern_stats=h.get("pattern_stats", {}),
+        object_types=typed(h, "object_types", (dict,), {}),
+        pattern_stats=typed(h, "pattern_stats", (dict,), {}),
         report_rules=tuple(ReportRule.from_dict(r) for r in h.get("report_rules", [])),
         termination=h.get("termination", ""),
         final_time=h.get("final_time", 0.0),
-        injected=tuple((pid, tuple(tok)) for pid, tok in h.get("injected", [])),
+        injected=_placed_tokens(h.get("injected", []), "injected"),
     )
 
 
 def read_trace(path: str, net: Net | None = None) -> GroundTruthTrace:
-    header, records = _read_headed_jsonl(path, "ground_truth_trace",
-                                         _trace_header, record_from_dict)
+    tags: dict = {}
+    header, records = _read_headed_jsonl(path, "ground_truth_trace", _trace_header,
+                                         lambda d: record_from_dict(d, tags))
     if net is not None:
         for i, r in enumerate(records):
             if r.transition not in net.transition_map:
@@ -258,7 +335,7 @@ def read_trace(path: str, net: Net | None = None) -> GroundTruthTrace:
 
 # -- observed logs -------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ObservedEvent:
     event_id: str
     timestamp: str
@@ -274,9 +351,15 @@ class ObservedEvent:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ObservedEvent":
-        return cls(typed(d, "event_id", (str,)), typed(d, "timestamp", (str,)),
-                   typed(d, "activity", (str,)), tuple(d.get("objects", [])),
-                   d.get("run_id", ""))
+        """Decode an event; a missing or mistyped field raises ConfigInvalid,
+        ValueError or TypeError."""
+        return _new_event(typed(d, "event_id", (str,)), typed(d, "timestamp", (str,)),
+                          typed(d, "activity", (str,)),
+                          _identifiers(d.get("objects", []), "objects"),
+                          typed(d, "run_id", (str,), ""))
+
+
+_new_event = frozen_builder(ObservedEvent)
 
 
 @dataclass(frozen=True)

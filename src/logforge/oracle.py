@@ -16,6 +16,7 @@ from .logio import (_IN_KEY_ORDER, ObservedLog, ParseError, atomic_write,
                     event_id_for, project_observed, read_jsonl)
 from .nets import Net
 from .simulate import FiringRecord, GroundTruthTrace
+from .timing import frozen_builder
 
 INSERTION_CODES = ("RI_in^e", "RI_in^a")
 SKIP_CODES = ("RI_mi^e", "BI_3")
@@ -44,16 +45,8 @@ class Cause:
         return {"application_id": self.application_id, "origin": self.origin,
                 "pattern_code": self.pattern_code}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "Cause":
-        """Decode a cause; ValueError says which field is malformed."""
-        if type(d) is not dict or not (type(d.get("pattern_code")) is str
-                                       and type(d.get("application_id")) is str):
-            raise ValueError("'cause' must hold a string 'pattern_code' and 'application_id'")
-        return cls(d["pattern_code"], d["application_id"], d.get("origin", ""))
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Move:
     kind: str  # synchronous | log | model | silent_model
     activity: str | None
@@ -81,24 +74,8 @@ class Move:
             d["transition"] = self.transition
         return d
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "Move":
-        """Decode a move; ValueError says which field is malformed."""
-        get = d.get
-        kind, activity, objects = get("kind"), get("activity"), get("objects", [])
-        event_id, transition, cause = get("event_id"), get("transition"), get("cause")
-        if type(kind) is not str:
-            raise ValueError("'kind' must be a string")
-        if type(objects) is not list or not all(map(str.__instancecheck__, objects)):
-            raise ValueError("'objects' must be a list of strings")
-        if not isinstance(activity, _TEXT_OR_NULL):
-            raise ValueError("'activity' must be a string or null")
-        if not isinstance(event_id, _TEXT_OR_NULL):
-            raise ValueError("'event_id' must be a string or null")
-        if not isinstance(transition, _TEXT_OR_NULL):
-            raise ValueError("'transition' must be a string or null")
-        return cls(kind, activity, tuple(objects), event_id, transition,
-                   Cause.from_dict(cause) if cause else None, get("discrepancy"))
+
+_new_move = frozen_builder(Move)
 
 
 def _in_key_order(value):
@@ -373,17 +350,70 @@ def write_alignment(alignment: GtAlignment, path: str) -> None:
     atomic_write(path, "\n".join(lines) + "\n")
 
 
+def _read_cause(d, causes: dict) -> Cause:
+    """The cause an alignment line holds; equal causes in one `causes` table
+    are one Cause.  ValueError says which field is malformed."""
+    if type(d) is not dict or not (type(d.get("pattern_code")) is str
+                                   and type(d.get("application_id")) is str):
+        raise ValueError("'cause' must hold a string 'pattern_code' and 'application_id'")
+    key = (d["pattern_code"], d["application_id"], d.get("origin", ""))
+    try:
+        return causes[key]
+    except (KeyError, TypeError):  # a new cause, or an unhashable and so malformed origin
+        pass
+    if type(key[2]) is not str:
+        raise ValueError("'cause' must hold a string 'origin' if any")
+    cause = causes[key] = Cause(*key)
+    return cause
+
+
 def read_alignment(path: str) -> GtAlignment:
-    grouped: dict[str, list[tuple[int, Move]]] = {}
+    """The alignment in an interchange file.  A malformed line raises
+    ParseError naming the first malformed field and path:line."""
+    grouped: dict[str, tuple[list[int], list[Move]]] = {}  # object -> its seqs and moves
+    causes: dict = {}
+    object_tuples: dict = {}  # equal `objects` of one file share one tuple
     for lineno, d in read_jsonl(path):
-        if not (type(d.get("object")) is str and type(d.get("seq", lineno)) is int):
+        get = d.get
+        obj, seq = get("object"), get("seq", lineno)
+        if not (type(obj) is str and type(seq) is int):
             raise ParseError("alignment line needs a string 'object' and an integer 'seq'",
                              path, lineno)
+        kind, activity, objects = get("kind"), get("activity"), get("objects", [])
+        event_id, transition, cause = get("event_id"), get("transition"), get("cause")
+        if type(kind) is not str:
+            problem = "'kind' must be a string"
+        elif type(objects) is not list or not all(map(str.__instancecheck__, objects)):
+            problem = "'objects' must be a list of strings"
+        elif type(activity) not in _TEXT_OR_NULL:
+            problem = "'activity' must be a string or null"
+        elif type(event_id) not in _TEXT_OR_NULL:
+            problem = "'event_id' must be a string or null"
+        elif type(transition) not in _TEXT_OR_NULL:
+            problem = "'transition' must be a string or null"
+        else:
+            problem = None
+            if cause:
+                try:
+                    cause = _read_cause(cause, causes)
+                except ValueError as e:
+                    problem = str(e)
+            else:
+                cause = None
+        if problem is not None:
+            raise ParseError(f"malformed alignment move: {problem}", path, lineno)
+        objects = tuple(objects)
+        objects = object_tuples.setdefault(objects, objects)
+        move = _new_move(kind, activity, objects, event_id, transition, cause,
+                         get("discrepancy"))
         try:
-            move = Move.from_dict(d)
-        except ValueError as e:
-            raise ParseError(f"malformed alignment move: {e}", path, lineno) from None
-        grouped.setdefault(d["object"], []).append((d.get("seq", lineno), move))
-    per_object = {obj: tuple(m for _, m in sorted(pairs, key=lambda p: p[0]))
-                  for obj, pairs in grouped.items()}
+            seqs, moves = grouped[obj]
+        except KeyError:
+            seqs, moves = grouped[obj] = [], []
+        seqs.append(seq)
+        moves.append(move)
+    # each object's moves in the stable order of their seqs
+    per_object = {obj: tuple(map(moves.__getitem__,
+                                 sorted(range(len(moves)), key=seqs.__getitem__)))
+                  for obj, (seqs, moves) in grouped.items()}
     return GtAlignment(system=None, per_object=per_object)

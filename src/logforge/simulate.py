@@ -27,7 +27,7 @@ import numpy as np
 from .nets import (OBJECT_SEPARATOR, Binding, FiringRule, Net, ProvenanceTag,
                    Transition, is_identifier, transition_bindings)
 from .serialize import digest_of, net_digest
-from .timing import (NUMBER, ConfigInvalid, Delay, ReportRule,
+from .timing import (NUMBER, ConfigInvalid, Delay, ReportRule, frozen_builder,
                      reject_unknown_keys, typed, weight_piece)
 
 PRNG_NAME = "numpy-pcg64"
@@ -223,7 +223,7 @@ class WeightSpec:
         return self._breakpoints[i] if i < len(self._breakpoints) else None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FiringRecord:
     """One firing of the ground-truth trace, fully linked to the model."""
 
@@ -242,6 +242,9 @@ class FiringRecord:
 
     def binding(self) -> Binding:
         return Binding(self.values, self.fresh)
+
+
+new_record = frozen_builder(FiringRecord)
 
 
 @dataclass
@@ -561,7 +564,7 @@ class SimState:
             setdefault(ident, otype)
 
         names = plan.names
-        record = FiringRecord(
+        record = new_record(
             seq_no=self.seq_no,
             time=self.eta,
             transition=tid,

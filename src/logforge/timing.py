@@ -8,7 +8,7 @@ simulator and the oracle consume.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 
 class ConfigInvalid(ValueError):
@@ -45,6 +45,29 @@ def typed(d, key, types: tuple, default=_REQUIRED, whole: bool = False):
     if (value is None and default is None) or (whole and type(value) is float and value.is_integer()):
         return value
     raise ConfigInvalid(f"field {key!r} is not {'/'.join(x.__name__ for x in types)}: {value!r}")
+
+
+def frozen_builder(cls):
+    """A function that builds an instance of the frozen, slotted dataclass
+    `cls` from its field values, by position or by name, with the same
+    defaults as `cls(...)`.  It stores each value through its slot, not
+    through the frozen class's `__setattr__` as the generated `__init__`
+    does, so `cls` must have no `__post_init__` and no default factories."""
+    fs = fields(cls)
+    if ("__slots__" not in vars(cls) or hasattr(cls, "__post_init__")
+            or any(f.default_factory is not MISSING for f in fs)):
+        raise TypeError(f"{cls.__name__} needs its own __init__")
+    names = [f.name for f in fs]
+    namespace = {"_new": object.__new__, "_cls": cls}
+    namespace.update((f"_set_{n}", getattr(cls, n).__set__) for n in names)
+    exec(f"def build({', '.join(names)}):\n"
+         f"    self = _new(_cls)\n"
+         + "".join(f"    _set_{n}(self, {n})\n" for n in names)
+         + "    return self\n", namespace)
+    build = namespace["build"]
+    build.__defaults__ = tuple(f.default for f in fs if f.default is not MISSING) or None
+    build.__qualname__ = build.__name__ = f"new_{cls.__name__}"
+    return build
 
 
 def weight_piece(piece) -> tuple[float, float]:

@@ -2,7 +2,7 @@ import pytest
 from dataclasses import replace
 
 from logforge import fixtures
-from logforge.dataset import cell_seed, enumerate_cells
+from logforge.dataset import cell_seed, enumerate_cells, generate
 from logforge.logio import project_observed
 from logforge.simulate import run
 from logforge.transform import apply_sequence
@@ -43,3 +43,14 @@ def cell_by_pattern(package_cells):
                 return item
         raise KeyError(application_id)
     return find
+
+
+@pytest.fixture(scope="session")
+def fixture_datasets(tmp_path_factory):
+    """Each bundled fixture's dataset, generated once: name -> (directory,
+    manifest).  Readers may add files to a cell directory but change none."""
+    out = {}
+    for name in fixtures.FIXTURES:
+        directory = str(tmp_path_factory.mktemp(name))
+        out[name] = directory, generate(*fixtures.fixture(name), directory)
+    return out

@@ -143,70 +143,177 @@ def test_oracle_align_report_score(tmp_path, capsys):
 
 
 GOOD_MOVE = '{"object":"o_1","seq":0,"kind":"synchronous","activity":"a","objects":["o_1"]}'
+NO_PLACE = "alignment line needs a string 'object' and an integer 'seq'"
+BAD_CAUSE = "malformed alignment move: 'cause' must hold a string 'pattern_code' and 'application_id'"
 
 
-@pytest.mark.parametrize("bad_line", [
-    '{"seq":1,"kind":"log","activity":"a","objects":["o_1"]}',  # no object
-    '{"object":"o_1","seq":1,"activity":"a","objects":["o_1"]}',  # no kind
-    '[1,2]',
-    '"o_1"',
-    '{"object":"o_1","seq":"1","kind":"log"}',
-    '{"object":"o_1","seq":1,"kind":"log","objects":[["o_1"]]}',
-    '{"object":"o_1","seq":1,"kind":"log","activity":["a"]}',
-    '{"object":"o_1","seq":1,"kind":"log","cause":"BI_3"}',
-    '{"object":"o_1","seq":1,"kind":"log","cause":{"pattern_code":"BI_3"}}',
+@pytest.mark.parametrize("bad_line,message", [
+    ('{"seq":1,"kind":"log","activity":"a","objects":["o_1"]}', NO_PLACE),  # no object
+    ('{"object":"o_1","seq":1,"activity":"a","objects":["o_1"]}',
+     "malformed alignment move: 'kind' must be a string"),
+    ('[1,2]', "line is not a JSON object"),
+    ('"o_1"', "line is not a JSON object"),
+    ('{"object":"o_1","seq":"1","kind":"log"}', NO_PLACE),
+    ('{"object":"o_1","seq":1,"kind":"log","objects":[["o_1"]]}',
+     "malformed alignment move: 'objects' must be a list of strings"),
+    ('{"object":"o_1","seq":1,"kind":"log","activity":["a"]}',
+     "malformed alignment move: 'activity' must be a string or null"),
+    ('{"object":"o_1","seq":1,"kind":"log","cause":"BI_3"}', BAD_CAUSE),
+    ('{"object":"o_1","seq":1,"kind":"log","cause":{"pattern_code":"BI_3"}}', BAD_CAUSE),
+    ('\ufeff' + GOOD_MOVE, "Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+    ('{} x', "Extra data"),
+    ('{"object":"o_1","seq":1,"kind":"log",'
+     '"cause":{"pattern_code":"BI_3","application_id":"a","origin":5}}',
+     "malformed alignment move: 'cause' must hold a string 'origin' if any"),
 ], ids=["no-object", "no-kind", "array", "string", "text-seq", "nested-objects",
-        "list-activity", "text-cause", "incomplete-cause"])
-def test_oracle_score_malformed_alignment_exits_two(tmp_path, capsys, bad_line):
+        "list-activity", "text-cause", "incomplete-cause", "bom", "trailing-data",
+        "number-cause-origin"])
+def test_oracle_score_malformed_alignment_exits_two(tmp_path, capsys, bad_line, message):
     good = tmp_path / "gt.jsonl"
     good.write_text(GOOD_MOVE + "\n")
     bad = tmp_path / "cand.jsonl"
-    bad.write_text(GOOD_MOVE + "\n" + bad_line + "\n")
+    bad.write_text(GOOD_MOVE + "\n" + bad_line + "\n", encoding="utf-8")
     code, out, err = run_cli(capsys, "oracle", "score", "--candidate", str(bad),
                              "--gt", str(good))
     assert code == 2 and not out
     [diag] = stderr_diagnostics(err)
     assert diag["code"] == "ParseError"
-    assert diag["message"].endswith(f"{bad}:2")
+    assert diag["message"] == f"{message} at {bad}:2"
 
 
 TRACE_HEADER = ('{"schema_version":"1","kind":"ground_truth_trace","run_id":"r","seed":0,'
                 '"epoch":"2024-03-04T08:00:00Z"}')
 GOOD_RECORD = '{"seq_no":0,"time":0.0,"transition":"t","activity":"a"}'
+BAD_RECORD = "malformed ground_truth_trace line: "
+LOG_HEADER = '{"schema_version":"1","kind":"observed_log","run_id":"r","objects":{}}'
 
 
-@pytest.mark.parametrize("lines,bad_at", [
-    ([TRACE_HEADER, GOOD_RECORD, '{"time":1.0,"transition":"t","activity":"a"}'], 3),
-    ([TRACE_HEADER, GOOD_RECORD, '[1,2]'], 3),
-    ([TRACE_HEADER, GOOD_RECORD, '{"seq_no":"1","time":1.0,"transition":"t"}'], 3),
-    ([TRACE_HEADER, GOOD_RECORD, '{"seq_no":1,"time":1.0,"transition":"t","values":[["x"]]}'], 3),
-    ([TRACE_HEADER, GOOD_RECORD, '{"seq_no":1,'], 3),
-    (['[' + TRACE_HEADER + ']', GOOD_RECORD], 1),
-    ([TRACE_HEADER.replace('"run_id":"r",', ''), GOOD_RECORD], 1),
-    ([TRACE_HEADER.replace('"seed":0', '"seed":"0"'), GOOD_RECORD], 1),
-], ids=["no-seq-no", "array-record", "text-seq-no", "short-value-pair", "bad-json",
-        "list-header", "no-run-id", "text-seed"])
-def test_oracle_report_malformed_trace_exits_two(tmp_path, capsys, lines, bad_at):
+def with_record_field(field):
+    """The firing after GOOD_RECORD, with one more field."""
+    return '{"seq_no":1,"time":1.0,"transition":"t",' + field + '}'
+
+
+def with_header_field(field):
+    return TRACE_HEADER[:-1] + "," + field + "}"
+
+
+BAD_TRACES = {
+    "no-seq-no": ([TRACE_HEADER, GOOD_RECORD, '{"time":1.0,"transition":"t","activity":"a"}'],
+                  3, BAD_RECORD + """ConfigInvalid("missing field 'seq_no'")"""),
+    "array-record": ([TRACE_HEADER, GOOD_RECORD, '[1,2]'], 3, "line is not a JSON object"),
+    "text-seq-no": ([TRACE_HEADER, GOOD_RECORD, '{"seq_no":"1","time":1.0,"transition":"t"}'],
+                    3, BAD_RECORD + """ConfigInvalid("field 'seq_no' is not int: '1'")"""),
+    "short-value-pair": (
+        [TRACE_HEADER, GOOD_RECORD, with_record_field('"values":[["x"]]')], 3,
+        BAD_RECORD + "ValueError('not enough values to unpack (expected 2, got 1)')"),
+    "bad-json": ([TRACE_HEADER, GOOD_RECORD, '{"seq_no":1,'], 3,
+                 "Expecting property name enclosed in double quotes"),
+    "list-header": (['[' + TRACE_HEADER + ']', GOOD_RECORD], 1, "line is not a JSON object"),
+    "no-run-id": ([TRACE_HEADER.replace('"run_id":"r",', ''), GOOD_RECORD], 1,
+                  BAD_RECORD + """ConfigInvalid("missing field 'run_id'")"""),
+    "text-seed": ([TRACE_HEADER.replace('"seed":0', '"seed":"0"'), GOOD_RECORD], 1,
+                  BAD_RECORD + """ConfigInvalid("field 'seed' is not int: '0'")"""),
+    "bom": (['\ufeff' + TRACE_HEADER, GOOD_RECORD], 1,
+            "Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+    "trailing-data": ([TRACE_HEADER, GOOD_RECORD + ' x'], 2, "Extra data"),
+    "list-provenance": (
+        [TRACE_HEADER, GOOD_RECORD, with_record_field('"provenance":[]')], 3,
+        BAD_RECORD + """ValueError("'provenance' must be an object, got []")"""),
+    "number-provenance-origin": (
+        [TRACE_HEADER, GOOD_RECORD, with_record_field('"provenance":{"origin":5}')], 3,
+        BAD_RECORD + """ValueError("'provenance' must hold a string 'origin' and strings or """
+        """nulls, got {'origin': 5}")"""),
+    "text-consumed-token": (
+        [TRACE_HEADER, GOOD_RECORD, with_record_field('"consumed":[["p","abc"]]')], 3,
+        BAD_RECORD + """ValueError("'consumed' must be a list of strings, got 'abc'")"""),
+    "text-produced-token": (
+        [TRACE_HEADER, GOOD_RECORD, with_record_field('"produced":[["p","abc",1.0]]')], 3,
+        BAD_RECORD + """ValueError("'produced' must be a list of strings, got 'abc'")"""),
+    "text-injected-token": (
+        [with_header_field('"injected":[["p","abc"]]'), GOOD_RECORD], 1,
+        BAD_RECORD + """ValueError("'injected' must be a list of strings, got 'abc'")"""),
+    "number-value": (
+        [TRACE_HEADER, GOOD_RECORD, with_record_field('"values":[["x",5]]')], 3,
+        BAD_RECORD + """ValueError("'values' must be a list of [variable, identifier] string """
+        """pairs, got [['x', 5]]")"""),
+    "text-value-pair": (
+        [TRACE_HEADER, GOOD_RECORD, with_record_field('"fresh":["ab"]')], 3,
+        BAD_RECORD + """ValueError("'fresh' must be a list of [variable, identifier] string """
+        """pairs, got ['ab']")"""),
+    "number-recorded-object": (
+        [TRACE_HEADER, GOOD_RECORD, with_record_field('"recorded_objects":[1]')], 3,
+        BAD_RECORD + """ValueError("'recorded_objects' must be a list of strings, got [1]")"""),
+    "text-recorded-objects": (
+        [TRACE_HEADER, GOOD_RECORD, with_record_field('"recorded_objects":"abc"')], 3,
+        BAD_RECORD + """ValueError("'recorded_objects' must be a list of strings, got 'abc'")"""),
+    "text-timing-causes": (
+        [TRACE_HEADER, GOOD_RECORD, with_record_field('"timing_causes":"abc"')], 3,
+        BAD_RECORD + """ValueError("'timing_causes' must be a list of strings, got 'abc'")"""),
+    "list-object-types": (
+        [with_header_field('"object_types":[1]'), GOOD_RECORD], 1,
+        BAD_RECORD + """ConfigInvalid("field 'object_types' is not dict: [1]")"""),
+    "text-model-digests": (
+        [with_header_field('"model_digests":"abc"'), GOOD_RECORD], 1,
+        BAD_RECORD + """ConfigInvalid("field 'model_digests' is not dict: 'abc'")"""),
+    "list-pattern-stats": (
+        [with_header_field('"pattern_stats":[]'), GOOD_RECORD], 1,
+        BAD_RECORD + """ConfigInvalid("field 'pattern_stats' is not dict: []")"""),
+}
+
+
+@pytest.mark.parametrize("lines,bad_at,message", BAD_TRACES.values(), ids=BAD_TRACES)
+def test_oracle_report_malformed_trace_exits_two(tmp_path, capsys, lines, bad_at, message):
     trace = tmp_path / "trace.gt.jsonl"
-    trace.write_text("\n".join(lines) + "\n")
+    trace.write_text("\n".join(lines) + "\n", encoding="utf-8")
     code, out, err = run_cli(capsys, "oracle", "report", "--trace", str(trace))
     assert code == 2 and not out
     [diag] = stderr_diagnostics(err)
     assert diag["code"] == "ParseError"
-    assert diag["message"].endswith(f"{trace}:{bad_at}")
+    assert diag["message"] == f"{message} at {trace}:{bad_at}"
 
 
-LOG_HEADER = '{"schema_version":"1","kind":"observed_log","run_id":"r","objects":{}}'
+@pytest.mark.parametrize("lines,bad_at,message", BAD_TRACES.values(), ids=BAD_TRACES)
+def test_oracle_align_malformed_trace_exits_two(tmp_path, capsys, lines, bad_at, message):
+    fdir = str(tmp_path / "fx")
+    run_cli(capsys, "fixture", "--name", "package_delivery", "--out", fdir)
+    trace = tmp_path / "trace.gt.jsonl"
+    trace.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    log = tmp_path / "log.jsonl"
+    log.write_text(LOG_HEADER + "\n")
+    code, out, err = run_cli(capsys, "oracle", "align", "--model", os.path.join(fdir, "m0.json"),
+                             "--trace", str(trace), "--log", str(log),
+                             "--out", str(tmp_path / "gt.jsonl"))
+    assert code == 2 and not out
+    [diag] = stderr_diagnostics(err)
+    assert diag["code"] == "ParseError"
+    assert diag["message"] == f"{message} at {trace}:{bad_at}"
+    assert not os.path.exists(tmp_path / "gt.jsonl")
+
+
 GOOD_EVENT = '{"event_id":"r-000000","timestamp":"2024-03-04T08:00:00Z","activity":"a"}'
+BAD_EVENT = "malformed observed_log line: "
 
 
-@pytest.mark.parametrize("lines,bad_at", [
-    ([LOG_HEADER, GOOD_EVENT, '{"timestamp":"2024-03-04T08:00:00Z","activity":"a"}'], 3),
-    ([LOG_HEADER, GOOD_EVENT, GOOD_EVENT.replace('"activity":"a"', '"activity":7')], 3),
-    ([LOG_HEADER, '"r-000000"'], 2),
-    (['[' + LOG_HEADER + ']'], 1),
-], ids=["no-event-id", "number-activity", "string-event", "list-header"])
-def test_oracle_align_malformed_log_exits_two(tmp_path, capsys, lines, bad_at):
+def with_event_field(field):
+    return GOOD_EVENT[:-1] + "," + field + "}"
+
+
+@pytest.mark.parametrize("lines,bad_at,message", [
+    ([LOG_HEADER, GOOD_EVENT, '{"timestamp":"2024-03-04T08:00:00Z","activity":"a"}'], 3,
+     BAD_EVENT + """ConfigInvalid("missing field 'event_id'")"""),
+    ([LOG_HEADER, GOOD_EVENT, GOOD_EVENT.replace('"activity":"a"', '"activity":7')], 3,
+     BAD_EVENT + """ConfigInvalid("field 'activity' is not str: 7")"""),
+    ([LOG_HEADER, '"r-000000"'], 2, "line is not a JSON object"),
+    (['[' + LOG_HEADER + ']'], 1, "line is not a JSON object"),
+    ([LOG_HEADER, with_event_field('"objects":"abc"')], 2,
+     BAD_EVENT + """ValueError("'objects' must be a list of strings, got 'abc'")"""),
+    ([LOG_HEADER, with_event_field('"objects":[1]')], 2,
+     BAD_EVENT + """ValueError("'objects' must be a list of strings, got [1]")"""),
+    ([LOG_HEADER, with_event_field('"run_id":5')], 2,
+     BAD_EVENT + """ConfigInvalid("field 'run_id' is not str: 5")"""),
+], ids=["no-event-id", "number-activity", "string-event", "list-header", "text-objects",
+        "number-object", "number-run-id"])
+def test_oracle_align_malformed_log_exits_two(tmp_path, capsys, lines, bad_at, message):
     fdir = str(tmp_path / "fx")
     run_cli(capsys, "fixture", "--name", "package_delivery", "--out", fdir)
     trace = tmp_path / "trace.gt.jsonl"
@@ -219,7 +326,7 @@ def test_oracle_align_malformed_log_exits_two(tmp_path, capsys, lines, bad_at):
     assert code == 2 and not out
     [diag] = stderr_diagnostics(err)
     assert diag["code"] == "ParseError"
-    assert diag["message"].endswith(f"{log}:{bad_at}")
+    assert diag["message"] == f"{message} at {log}:{bad_at}"
     assert not os.path.exists(tmp_path / "gt.jsonl")
 
 

@@ -102,6 +102,24 @@ def test_manifest_round_trip(package_dataset):
     assert back.cells[0]["seed"] == manifest.cells[0]["seed"]
 
 
+def test_each_cell_digests_its_config_once(tmp_path, monkeypatch):
+    net, grid = fixtures.fixture("package_delivery")
+    digest = SimConfig.digest
+    digested = []
+
+    def counting(config):
+        digested.append(config.run_id)
+        return digest(config)
+
+    monkeypatch.setattr(SimConfig, "digest", counting)
+    out = str(tmp_path / "out")
+    manifest = generate(net, grid, out)
+    assert sorted(digested) == sorted(e["cell_id"] for e in manifest.cells)
+    for entry in manifest.cells:
+        trace = logio.read_trace(os.path.join(out, entry["paths"]["trace"]))
+        assert entry["config_digest"] == trace.config_digest
+
+
 def test_m0_digest_agrees_for_a_library_net_with_integer_weights(tmp_path):
     # an integer weight turns into a float on the way through model.json, so
     # the manifest must digest m0 as the cells and a reader see it

@@ -15,7 +15,6 @@ import os
 import pytest
 
 from logforge import fixtures
-from logforge.dataset import generate
 from logforge.serialize import digest_of, net_to_dict
 from logforge.transform import apply_sequence
 
@@ -80,10 +79,9 @@ def sha256_of(path: str) -> str:
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_fixture_outputs_are_byte_identical_to_golden(tmp_path, name):
-    net, grid = fixtures.fixture(name)
-    manifest = generate(net, grid, str(tmp_path))
-    got = {entry["cell_id"]: tuple(sha256_of(os.path.join(tmp_path, entry["paths"][k]))
+def test_fixture_outputs_are_byte_identical_to_golden(fixture_datasets, name):
+    out, manifest = fixture_datasets[name]
+    got = {entry["cell_id"]: tuple(sha256_of(os.path.join(out, entry["paths"][k]))
                                    for k in FILES)
            for entry in manifest.cells}
     assert got == GOLDEN[name]
