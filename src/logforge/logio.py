@@ -17,12 +17,12 @@ import tempfile
 import threading
 from dataclasses import dataclass
 
-from .nets import OBJECT_SEPARATOR, Net, ProvenanceTag
+from .nets import OBJECT_SEPARATOR, Net
 from .serialize import (SCHEMA_VERSION, canonical_json, net_from_dict,
-                        net_to_dict, provenance_to_dict, text_digest)
-from .simulate import (FiringRecord, GroundTruthTrace, epoch_seconds, new_record,
-                       timestamp_at)
-from .timing import NUMBER, ConfigInvalid, ReportRule, frozen_builder, typed
+                        net_to_dict, provenance_from_dict, provenance_to_dict,
+                        text_digest)
+from .simulate import FiringRecord, GroundTruthTrace, epoch_seconds, timestamp_at
+from .timing import NUMBER, ConfigInvalid, ReportRule, slot_init, typed
 
 
 class ParseError(Exception):
@@ -196,10 +196,10 @@ def record_to_dict(r: FiringRecord) -> dict:
     }
 
 
-def _identifiers(value, what: str) -> tuple[str, ...]:
+def _identifiers(value, what: str, problems: list) -> tuple[str, ...]:
     """`value`, a JSON list of strings, as a tuple.  A value that is not
-    iterable raises TypeError as `tuple` does; any other value that is not a
-    list of strings raises ValueError naming `what`."""
+    iterable raises TypeError as `tuple` does; for any other value that is
+    not a list of strings, a message naming `what` joins `problems`."""
     ids = tuple(value)
     if type(value) is list:
         for ident in ids:
@@ -207,76 +207,53 @@ def _identifiers(value, what: str) -> tuple[str, ...]:
                 break
         else:
             return ids
-    raise ValueError(f"{what!r} must be a list of strings, got {value!r}")
+    problems.append(f"{what!r} must be a list of strings, got {value!r}")
+    return ids
 
 
-def _bound_pairs(value, what: str) -> tuple[tuple[str, str], ...]:
+def _bound_pairs(value, what: str, problems: list) -> tuple[tuple[str, str], ...]:
     """`value`, a JSON list of [variable, identifier] pairs, as a tuple of
-    pairs.  An entry of another length raises ValueError as unpacking does."""
+    pairs.  An entry of another length raises ValueError as unpacking does;
+    for an entry that is not a pair of strings, a message naming `what`
+    joins `problems`."""
     pairs = []
     for pair in value:
         k, v = pair
         if type(pair) is not list or type(k) is not str or type(v) is not str:
-            raise ValueError(f"{what!r} must be a list of [variable, identifier] string pairs, "
-                             f"got {value!r}")
+            problems.append(f"{what!r} must be a list of [variable, identifier] string pairs, "
+                            f"got {value!r}")
         pairs.append((k, v))
     return tuple(pairs)
 
 
-def _placed_tokens(value, what: str) -> tuple[tuple[str, tuple[str, ...]], ...]:
-    """`value`, a JSON list of [place, token] entries, as a tuple of pairs."""
-    entries = []
-    for pid, tok in value:
-        entries.append((pid, _identifiers(tok, what)))
-    return tuple(entries)
-
-
-def _produced_tokens(value) -> tuple[tuple[str, tuple[str, ...], float], ...]:
-    """`value`, a JSON list of [place, token, available at] entries, as a tuple."""
-    entries = []
-    for pid, tok, avail in value:
-        entries.append((pid, _identifiers(tok, "produced"), avail))
-    return tuple(entries)
-
-
-def _provenance(d, tags: dict) -> ProvenanceTag:
-    """The provenance tag a trace record holds; equal tags in one `tags`
-    table are one ProvenanceTag."""
-    if type(d) is not dict:
-        raise ValueError(f"'provenance' must be an object, got {d!r}")
-    key = (d.get("origin", "base"), d.get("pattern_code"), d.get("application_id"),
-           d.get("shadow_of"))
-    try:
-        return tags[key]
-    except (KeyError, TypeError):  # a new tag, or an unhashable and so malformed one
-        pass
-    origin, *rest = key
-    if type(origin) is not str or not all(v is None or type(v) is str for v in rest):
-        raise ValueError(f"'provenance' must hold a string 'origin' and strings or nulls, "
-                         f"got {d!r}")
-    tag = tags[key] = ProvenanceTag(*key)
-    return tag
-
-
-def record_from_dict(d: dict, tags: dict) -> FiringRecord:
+def record_from_dict(d: dict, tags: dict | None = None) -> FiringRecord:
     """Decode a trace record; a missing or mistyped field raises
-    ConfigInvalid, ValueError or TypeError.  Records decoded with one `tags`
-    table (a file's) share their equal provenance tags."""
+    ConfigInvalid, ValueError or TypeError.  The type checks on identifiers
+    and provenance come last, so a record with several defects reports the
+    one an unchecked decode trips over first.  Records decoded with one
+    `tags` table (a file's) share their equal provenance tags."""
     get = d.get
-    return new_record(
-        typed(d, "seq_no", (int,)),
-        typed(d, "time", NUMBER),
-        typed(d, "transition", (str,)),
-        get("activity"),
-        _bound_pairs(get("values", []), "values"),
-        _bound_pairs(get("fresh", []), "fresh"),
-        _provenance(get("provenance", {}), tags),
-        _placed_tokens(get("consumed", []), "consumed"),
-        _produced_tokens(get("produced", [])),
-        _identifiers(get("recorded_objects", []), "recorded_objects"),
-        get("coarsen_window"),
-        _identifiers(get("timing_causes", []), "timing_causes"),
-    )
+    problems: list = []
+    seq_no, time = typed(d, "seq_no", (int,)), typed(d, "time", NUMBER)
+    transition = typed(d, "transition", (str,))
+    values = _bound_pairs(get("values", []), "values", problems)
+    fresh = _bound_pairs(get("fresh", []), "fresh", problems)
+    try:
+        provenance = provenance_from_dict(get("provenance", {}), tags)
+    except ConfigInvalid as e:
+        problems.append(str(e))
+        provenance = None
+    consumed = tuple([(pid, _identifiers(tok, "consumed", problems))
+                      for pid, tok in get("consumed", [])])
+    produced = tuple([(pid, _identifiers(tok, "produced", problems), avail)
+                      for pid, tok, avail in get("produced", [])])
+    record = FiringRecord(
+        seq_no, time, transition, get("activity"), values, fresh, provenance, consumed,
+        produced, _identifiers(get("recorded_objects", []), "recorded_objects", problems),
+        get("coarsen_window"), _identifiers(get("timing_causes", []), "timing_causes", problems))
+    if problems:
+        raise ValueError(problems[0])
+    return record
 
 
 def trace_to_dicts(trace: GroundTruthTrace) -> list[dict]:
@@ -306,19 +283,28 @@ def write_trace(trace: GroundTruthTrace, path: str) -> None:
 
 
 def _trace_header(h: dict) -> dict:
-    return dict(
+    """The header's fields.  As in `record_from_dict`, the checks that its
+    maps are objects and its injected tokens lists of strings come last."""
+    problems: list = []
+    header = dict(
         run_id=typed(h, "run_id", (str,)),
         seed=typed(h, "seed", (int,)),
         epoch=typed(h, "epoch", (str,)),
-        model_digests=typed(h, "model_digests", (dict,), {}),
+        model_digests=h.get("model_digests", {}),
         config_digest=h.get("config_digest", ""),
-        object_types=typed(h, "object_types", (dict,), {}),
-        pattern_stats=typed(h, "pattern_stats", (dict,), {}),
+        object_types=h.get("object_types", {}),
+        pattern_stats=h.get("pattern_stats", {}),
         report_rules=tuple(ReportRule.from_dict(r) for r in h.get("report_rules", [])),
         termination=h.get("termination", ""),
         final_time=h.get("final_time", 0.0),
-        injected=_placed_tokens(h.get("injected", []), "injected"),
+        injected=tuple([(pid, _identifiers(tok, "injected", problems))
+                        for pid, tok in h.get("injected", [])]),
     )
+    for key in ("model_digests", "object_types", "pattern_stats"):
+        typed(h, key, (dict,), {})
+    if problems:
+        raise ValueError(problems[0])
+    return header
 
 
 def read_trace(path: str, net: Net | None = None) -> GroundTruthTrace:
@@ -335,6 +321,7 @@ def read_trace(path: str, net: Net | None = None) -> GroundTruthTrace:
 
 # -- observed logs -------------------------------------------------------------
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class ObservedEvent:
     event_id: str
@@ -353,13 +340,14 @@ class ObservedEvent:
     def from_dict(cls, d: dict) -> "ObservedEvent":
         """Decode an event; a missing or mistyped field raises ConfigInvalid,
         ValueError or TypeError."""
-        return _new_event(typed(d, "event_id", (str,)), typed(d, "timestamp", (str,)),
-                          typed(d, "activity", (str,)),
-                          _identifiers(d.get("objects", []), "objects"),
-                          typed(d, "run_id", (str,), ""))
-
-
-_new_event = frozen_builder(ObservedEvent)
+        problems: list = []
+        event = cls(typed(d, "event_id", (str,)), typed(d, "timestamp", (str,)),
+                    typed(d, "activity", (str,)),
+                    _identifiers(d.get("objects", []), "objects", problems),
+                    typed(d, "run_id", (str,), ""))
+        if problems:
+            raise ValueError(problems[0])
+        return event
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from .logio import (_IN_KEY_ORDER, ObservedLog, ParseError, atomic_write,
                     event_id_for, project_observed, read_jsonl)
 from .nets import Net
 from .simulate import FiringRecord, GroundTruthTrace
-from .timing import frozen_builder
+from .timing import slot_init
 
 INSERTION_CODES = ("RI_in^e", "RI_in^a")
 SKIP_CODES = ("RI_mi^e", "BI_3")
@@ -46,6 +46,7 @@ class Cause:
                 "pattern_code": self.pattern_code}
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class Move:
     kind: str  # synchronous | log | model | silent_model
@@ -73,9 +74,6 @@ class Move:
         if self.transition is not None:
             d["transition"] = self.transition
         return d
-
-
-_new_move = frozen_builder(Move)
 
 
 def _in_key_order(value):
@@ -372,7 +370,8 @@ def read_alignment(path: str) -> GtAlignment:
     ParseError naming the first malformed field and path:line."""
     grouped: dict[str, tuple[list[int], list[Move]]] = {}  # object -> its seqs and moves
     causes: dict = {}
-    object_tuples: dict = {}  # equal `objects` of one file share one tuple
+    # equal `objects` of one file share one tuple: fewer objects for the collector
+    object_tuples: dict = {}
     for lineno, d in read_jsonl(path):
         get = d.get
         obj, seq = get("object"), get("seq", lineno)
@@ -404,8 +403,8 @@ def read_alignment(path: str) -> GtAlignment:
             raise ParseError(f"malformed alignment move: {problem}", path, lineno)
         objects = tuple(objects)
         objects = object_tuples.setdefault(objects, objects)
-        move = _new_move(kind, activity, objects, event_id, transition, cause,
-                         get("discrepancy"))
+        move = Move(kind, activity, objects, event_id, transition, cause,
+                    get("discrepancy"))
         try:
             seqs, moves = grouped[obj]
         except KeyError:

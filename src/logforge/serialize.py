@@ -10,7 +10,7 @@ import json
 
 from .nets import (Arc, Marking, Net, ObjectType, Place, ProvenanceTag,
                    Transition, Variable)
-from .timing import SimAnnotations
+from .timing import ConfigInvalid, SimAnnotations
 
 SCHEMA_VERSION = "1"
 
@@ -52,13 +52,26 @@ def provenance_to_dict(p: ProvenanceTag) -> dict:
     return d
 
 
-def provenance_from_dict(d: dict) -> ProvenanceTag:
-    return ProvenanceTag(
-        origin=d.get("origin", "base"),
-        pattern_code=d.get("pattern_code"),
-        application_id=d.get("application_id"),
-        shadow_of=d.get("shadow_of"),
-    )
+def provenance_from_dict(d: dict, tags: dict | None = None) -> ProvenanceTag:
+    """The tag in JSON object `d`; ConfigInvalid says what is malformed.
+    Equal tags decoded with one `tags` table are one ProvenanceTag."""
+    if type(d) is not dict:
+        raise ConfigInvalid(f"'provenance' must be an object, got {d!r}")
+    key = (d.get("origin", "base"), d.get("pattern_code"), d.get("application_id"),
+           d.get("shadow_of"))
+    if tags is not None:
+        try:
+            return tags[key]
+        except (KeyError, TypeError):  # a new tag, or an unhashable and so malformed one
+            pass
+    origin, *rest = key
+    if type(origin) is not str or not all(v is None or type(v) is str for v in rest):
+        raise ConfigInvalid(f"'provenance' must hold a string 'origin' and strings or nulls, "
+                            f"got {d!r}")
+    tag = ProvenanceTag(*key)
+    if tags is not None:
+        tags[key] = tag
+    return tag
 
 
 def net_to_dict(net: Net) -> dict:

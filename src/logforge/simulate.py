@@ -27,8 +27,8 @@ import numpy as np
 from .nets import (OBJECT_SEPARATOR, Binding, FiringRule, Net, ProvenanceTag,
                    Transition, is_identifier, transition_bindings)
 from .serialize import digest_of, net_digest
-from .timing import (NUMBER, ConfigInvalid, Delay, ReportRule, frozen_builder,
-                     reject_unknown_keys, typed, weight_piece)
+from .timing import (NUMBER, ConfigInvalid, Delay, ReportRule, reject_unknown_keys,
+                     slot_init, typed, weight_piece)
 
 PRNG_NAME = "numpy-pcg64"
 DEFAULT_EPOCH = "2024-03-04T08:00:00Z"
@@ -223,6 +223,7 @@ class WeightSpec:
         return self._breakpoints[i] if i < len(self._breakpoints) else None
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class FiringRecord:
     """One firing of the ground-truth trace, fully linked to the model."""
@@ -242,9 +243,6 @@ class FiringRecord:
 
     def binding(self) -> Binding:
         return Binding(self.values, self.fresh)
-
-
-new_record = frozen_builder(FiringRecord)
 
 
 @dataclass
@@ -564,7 +562,7 @@ class SimState:
             setdefault(ident, otype)
 
         names = plan.names
-        record = new_record(
+        record = FiringRecord(
             seq_no=self.seq_no,
             time=self.eta,
             transition=tid,

@@ -47,27 +47,24 @@ def typed(d, key, types: tuple, default=_REQUIRED, whole: bool = False):
     raise ConfigInvalid(f"field {key!r} is not {'/'.join(x.__name__ for x in types)}: {value!r}")
 
 
-def frozen_builder(cls):
-    """A function that builds an instance of the frozen, slotted dataclass
-    `cls` from its field values, by position or by name, with the same
-    defaults as `cls(...)`.  It stores each value through its slot, not
-    through the frozen class's `__setattr__` as the generated `__init__`
-    does, so `cls` must have no `__post_init__` and no default factories."""
+def slot_init(cls):
+    """Give the frozen, slotted dataclass `cls` an `__init__` with the same
+    parameters and defaults that stores each value through its slot, not
+    through the frozen class's `__setattr__` as the generated one does.
+    `cls` must have no `__post_init__` and no default factories."""
     fs = fields(cls)
     if ("__slots__" not in vars(cls) or hasattr(cls, "__post_init__")
             or any(f.default_factory is not MISSING for f in fs)):
         raise TypeError(f"{cls.__name__} needs its own __init__")
     names = [f.name for f in fs]
-    namespace = {"_new": object.__new__, "_cls": cls}
-    namespace.update((f"_set_{n}", getattr(cls, n).__set__) for n in names)
-    exec(f"def build({', '.join(names)}):\n"
-         f"    self = _new(_cls)\n"
-         + "".join(f"    _set_{n}(self, {n})\n" for n in names)
-         + "    return self\n", namespace)
-    build = namespace["build"]
-    build.__defaults__ = tuple(f.default for f in fs if f.default is not MISSING) or None
-    build.__qualname__ = build.__name__ = f"new_{cls.__name__}"
-    return build
+    namespace = {f"_set_{n}": getattr(cls, n).__set__ for n in names}
+    exec(f"def __init__(self, {', '.join(names)}):\n"
+         + "".join(f"    _set_{n}(self, {n})\n" for n in names), namespace)
+    init = namespace["__init__"]
+    init.__defaults__ = tuple(f.default for f in fs if f.default is not MISSING) or None
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    cls.__init__ = init
+    return cls
 
 
 def weight_piece(piece) -> tuple[float, float]:

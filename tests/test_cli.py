@@ -258,6 +258,24 @@ BAD_TRACES = {
     "list-pattern-stats": (
         [with_header_field('"pattern_stats":[]'), GOOD_RECORD], 1,
         BAD_RECORD + """ConfigInvalid("field 'pattern_stats' is not dict: []")"""),
+    # with two defects, the one an unchecked decode trips over is reported
+    "number-value-and-short-token": (
+        [TRACE_HEADER, GOOD_RECORD, with_record_field('"values":[["x",5]],"consumed":[["p"]]')],
+        3, BAD_RECORD + "ValueError('not enough values to unpack (expected 2, got 1)')"),
+    "number-provenance-origin-and-short-token": (
+        [TRACE_HEADER, GOOD_RECORD,
+         with_record_field('"provenance":{"origin":5},"produced":[["p",["a"]]]')],
+        3, BAD_RECORD + "ValueError('not enough values to unpack (expected 3, got 2)')"),
+    "text-recorded-objects-and-number-timing-causes": (
+        [TRACE_HEADER, GOOD_RECORD,
+         with_record_field('"recorded_objects":"abc","timing_causes":5')],
+        3, BAD_RECORD + """TypeError("'int' object is not iterable")"""),
+    "list-object-types-and-short-injected": (
+        [with_header_field('"object_types":[1],"injected":[["p"]]'), GOOD_RECORD], 1,
+        BAD_RECORD + "ValueError('not enough values to unpack (expected 2, got 1)')"),
+    "text-injected-token-and-bad-rule": (
+        [with_header_field('"injected":[["p","abc"]],"report_rules":[{}]'), GOOD_RECORD], 1,
+        BAD_RECORD + "KeyError('transition')"),
 }
 
 

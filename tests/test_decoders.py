@@ -2,7 +2,7 @@
 public constructors, over every cell of the three fixtures."""
 import json
 import os
-from dataclasses import FrozenInstanceError, fields, replace
+from dataclasses import fields
 
 import pytest
 
@@ -11,7 +11,7 @@ from logforge.logio import ObservedEvent, ObservedLog
 from logforge.nets import ProvenanceTag
 from logforge.oracle import Cause, Move
 from logforge.simulate import FiringRecord, GroundTruthTrace
-from logforge.timing import Delay, ReportRule, frozen_builder
+from logforge.timing import Delay, ReportRule, slot_init
 
 
 def json_lines(path):
@@ -112,24 +112,10 @@ def test_decoders_match_the_reference_on_every_fixture_cell(fixture_cells):
         assert len({id(c) for c in causes}) == len(set(causes))
 
 
-def test_built_instances_behave_as_constructed_ones():
-    new_move = frozen_builder(Move)
-    cause = Cause("BI_3", "skip1", "behavioral")
-    built = new_move("model", "ring", ("c_1",), transition="ring", cause=cause)
-    made = Move("model", "ring", ("c_1",), None, "ring", cause)
-    assert_same(built, made)
-    assert hash(built) == hash(made) and repr(built) == repr(made)
-    assert replace(built, kind="silent_model") == replace(made, kind="silent_model")
-    with pytest.raises(FrozenInstanceError):
-        built.kind = "log"
-    with pytest.raises(TypeError):
-        new_move("model")  # `activity` and `objects` have no default
-
-
 @pytest.mark.parametrize("cls", [Delay, ProvenanceTag], ids=["post-init", "no-slots"])
-def test_frozen_builder_refuses_a_class_it_cannot_fill(cls):
+def test_slot_init_refuses_a_class_it_cannot_fill(cls):
     with pytest.raises(TypeError):
-        frozen_builder(cls)
+        slot_init(cls)
 
 
 def test_alignment_moves_read_back_in_seq_order_with_ties_in_file_order(tmp_path):

@@ -180,7 +180,10 @@ def test_model_rewritten_with_other_bytes_reads_as_a_new_net(tmp_path, package_c
      logio.SchemaVersionMismatch, "{path}: schema_version '9', expected '1'"),
     (lambda text: text.replace('"places"', '"plaices"'), logio.ParseError,
      "malformed model: KeyError('places') at {path}"),
-], ids=["truncated", "wrong_version", "no_places"])
+    (lambda text: text.replace('"provenance":{"origin":"base"}', '"provenance":[]', 1),
+     logio.ParseError,
+     """malformed model: ConfigInvalid("'provenance' must be an object, got []") at {path}"""),
+], ids=["truncated", "wrong_version", "no_places", "list_provenance"])
 def test_unreadable_model_fails_on_every_read(tmp_path, package_cells, model_table,
                                               broken, error, ending):
     good = logio.encode_model(package_cells[0]["ml"])[0]
