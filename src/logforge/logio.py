@@ -282,10 +282,26 @@ def write_trace(trace: GroundTruthTrace, path: str) -> None:
     atomic_write(path, "\n".join(lines) + "\n")
 
 
+def _report_rules(value, problems: list) -> tuple[ReportRule, ...]:
+    """`value`, a JSON list of report rules, decoded.  A rule's KeyError or
+    TypeError is raised; a message for any other defect joins `problems`."""
+    if type(value) is not list:
+        problems.append(f"'report_rules' must be a list, got {value!r}")
+    rules = []
+    for d in value:
+        try:
+            rules.append(ReportRule.from_dict(d))
+        except ConfigInvalid as e:
+            problems.append(str(e))
+    return tuple(rules)
+
+
 def _trace_header(h: dict) -> dict:
     """The header's fields.  As in `record_from_dict`, the checks that its
-    maps are objects and its injected tokens lists of strings come last."""
+    maps are objects, its injected tokens lists of strings and its report
+    rules well typed come last, in that order."""
     problems: list = []
+    rule_problems: list = []
     header = dict(
         run_id=typed(h, "run_id", (str,)),
         seed=typed(h, "seed", (int,)),
@@ -294,7 +310,7 @@ def _trace_header(h: dict) -> dict:
         config_digest=h.get("config_digest", ""),
         object_types=h.get("object_types", {}),
         pattern_stats=h.get("pattern_stats", {}),
-        report_rules=tuple(ReportRule.from_dict(r) for r in h.get("report_rules", [])),
+        report_rules=_report_rules(h.get("report_rules", []), rule_problems),
         termination=h.get("termination", ""),
         final_time=h.get("final_time", 0.0),
         injected=tuple([(pid, _identifiers(tok, "injected", problems))
@@ -302,6 +318,7 @@ def _trace_header(h: dict) -> dict:
     )
     for key in ("model_digests", "object_types", "pattern_stats"):
         typed(h, key, (dict,), {})
+    problems += rule_problems
     if problems:
         raise ValueError(problems[0])
     return header
@@ -352,8 +369,12 @@ class ObservedEvent:
 
 @dataclass(frozen=True)
 class ObservedLog:
+    """An observed log.  `objects` maps each identifier its events name to its
+    object type; it is None when the source does not say, as in log.csv,
+    which has no type column."""
+
     events: tuple[ObservedEvent, ...]
-    objects: dict  # identifier -> object type
+    objects: dict | None
     run_id: str = ""
 
 
@@ -437,7 +458,7 @@ def read_observed_csv(path: str) -> ObservedLog:
             events.append(ObservedEvent(
                 event_id, timestamp, activity,
                 tuple(o for o in objects.split(OBJECT_SEPARATOR) if o), run_id))
-    return ObservedLog(events=tuple(events), objects={},
+    return ObservedLog(events=tuple(events), objects=None,
                        run_id=events[0].run_id if events else "")
 
 

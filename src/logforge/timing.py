@@ -47,6 +47,17 @@ def typed(d, key, types: tuple, default=_REQUIRED, whole: bool = False):
     raise ConfigInvalid(f"field {key!r} is not {'/'.join(x.__name__ for x in types)}: {value!r}")
 
 
+def names(d, key, default=_REQUIRED) -> tuple[str, ...] | None:
+    """d[key], a list of strings, as a tuple; a missing key, or null where
+    `default` is None, gives `default`.  Else raise ConfigInvalid."""
+    value = typed(d, key, (list,), default)
+    if type(value) is not list:
+        return value
+    if not all(type(x) is str for x in value):
+        raise ConfigInvalid(f"field {key!r} is not a list of strings: {value!r}")
+    return tuple(value)
+
+
 def slot_init(cls):
     """Give the frozen, slotted dataclass `cls` an `__init__` with the same
     parameters and defaults that stores each value through its slot, not
@@ -171,15 +182,23 @@ class TimingOverride:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TimingOverride":
+        if type(d) is not dict:
+            raise ConfigInvalid(f"a timing override must be an object, got {d!r}")
+        kind = typed(d, "kind", (str,))
+        if kind not in OVERRIDE_KINDS:
+            raise ConfigInvalid(f"unknown override kind {kind!r}, expected one of {OVERRIDE_KINDS}")
         return cls(
-            kind=d["kind"],
-            transitions=tuple(d["transitions"]),
-            application_id=d.get("application_id", ""),
-            pattern_code=d.get("pattern_code", ""),
-            window_s=d.get("window_s", 0.0),
-            probability=d.get("probability", 0.0),
+            kind=kind,
+            transitions=names(d, "transitions"),
+            application_id=typed(d, "application_id", (str,), ""),
+            pattern_code=typed(d, "pattern_code", (str,), ""),
+            window_s=typed(d, "window_s", NUMBER, 0.0),
+            probability=typed(d, "probability", NUMBER, 0.0),
             delay=Delay.from_dict(d["delay"]) if "delay" in d else None,
         )
+
+
+OVERRIDE_KINDS = ("coarsen", "slow_branch", "delay")
 
 
 @dataclass(frozen=True)
@@ -202,8 +221,10 @@ class FrequencyProbe:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FrequencyProbe":
-        return cls(d["application_id"], d["pattern_code"],
-                   tuple(d["deviation"]), tuple(d.get("competitors", ())))
+        if type(d) is not dict:
+            raise ConfigInvalid(f"a frequency probe must be an object, got {d!r}")
+        return cls(typed(d, "application_id", (str,)), typed(d, "pattern_code", (str,)),
+                   names(d, "deviation"), names(d, "competitors", ()))
 
 
 @dataclass(frozen=True)
@@ -227,11 +248,20 @@ class ReportRule:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ReportRule":
-        resp = d.get("responsible")
+        """Decode a rule; a non-object or a mistyped field raises ConfigInvalid.
+        A missing transition still raises KeyError, and a responsible or
+        affected value that is not iterable TypeError, before any type
+        check, as an unchecked decode did (see `logio._trace_header`)."""
+        if type(d) is not dict:
+            raise ConfigInvalid(f"a report rule must be an object, got {d!r}")
+        if "transition" not in d:
+            raise KeyError("transition")
         aff = d.get("affected", [])
-        return cls(d["transition"],
-                   None if resp is None else tuple(resp),
-                   None if aff is None else tuple(aff))
+        for value in (d.get("responsible"), aff):
+            if value is not None:
+                iter(value)  # a TypeError if it is not iterable
+        return cls(typed(d, "transition", (str,)), names(d, "responsible", None),
+                   None if aff is None else names(d, "affected", ()))
 
 
 @dataclass(frozen=True)
@@ -267,8 +297,8 @@ class SimAnnotations:
     def from_dict(cls, d: dict) -> "SimAnnotations":
         return cls(
             weights=tuple((t, tuple(map(weight_piece, pieces)))
-                          for t, pieces in d.get("weights", [])),
-            overrides=tuple(TimingOverride.from_dict(o) for o in d.get("overrides", [])),
-            probes=tuple(FrequencyProbe.from_dict(p) for p in d.get("probes", [])),
-            report_rules=tuple(ReportRule.from_dict(r) for r in d.get("report_rules", [])),
+                          for t, pieces in typed(d, "weights", (list,), [])),
+            overrides=tuple(map(TimingOverride.from_dict, typed(d, "overrides", (list,), []))),
+            probes=tuple(map(FrequencyProbe.from_dict, typed(d, "probes", (list,), []))),
+            report_rules=tuple(map(ReportRule.from_dict, typed(d, "report_rules", (list,), []))),
         )

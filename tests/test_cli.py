@@ -276,6 +276,27 @@ BAD_TRACES = {
     "text-injected-token-and-bad-rule": (
         [with_header_field('"injected":[["p","abc"]],"report_rules":[{}]'), GOOD_RECORD], 1,
         BAD_RECORD + "KeyError('transition')"),
+    "number-report-rule": (
+        [with_header_field('"report_rules":[1]'), GOOD_RECORD], 1,
+        BAD_RECORD + """ValueError('a report rule must be an object, got 1')"""),
+    "number-rule-transition": (
+        [with_header_field('"report_rules":[{"transition":5}]'), GOOD_RECORD], 1,
+        BAD_RECORD + """ValueError("field 'transition' is not str: 5")"""),
+    "text-rule-responsible": (
+        [with_header_field('"report_rules":[{"transition":"t","responsible":"ab"}]'),
+         GOOD_RECORD], 1,
+        BAD_RECORD + """ValueError("field 'responsible' is not list: 'ab'")"""),
+    "object-report-rules": (
+        [with_header_field('"report_rules":{"transition":"t"}'), GOOD_RECORD], 1,
+        BAD_RECORD + """ValueError("'report_rules' must be a list, got {'transition': 't'}")"""),
+    "number-rule-transition-and-text-injected-token": (
+        [with_header_field('"report_rules":[{"transition":5}],"injected":[["p","abc"]]'),
+         GOOD_RECORD], 1,
+        BAD_RECORD + """ValueError("'injected' must be a list of strings, got 'abc'")"""),
+    "number-rule-responsible-and-list-object-types": (
+        [with_header_field('"report_rules":[{"transition":"t","responsible":5}],'
+                           '"object_types":[1]'), GOOD_RECORD], 1,
+        BAD_RECORD + """TypeError("'int' object is not iterable")"""),
 }
 
 
@@ -528,6 +549,33 @@ def test_validate_mistyped_model_weight_exits_two(tmp_path, capsys, piece):
     model = os.path.join(fdir, "m0.json")
     doc = json.load(open(model))
     doc["annotations"]["weights"] = [["ring", [[0, 1.0], piece]]]
+    open(model, "w").write(json.dumps(doc))
+    code, _, err = run_cli(capsys, "validate", "--model", model)
+    assert code == 2
+    [diag] = stderr_diagnostics(err)
+    assert diag["code"] == "ParseError"
+    assert "malformed model" in diag["message"]
+
+
+@pytest.mark.parametrize("key,entry", [
+    ("report_rules", 1),
+    ("report_rules", {"transition": 5}),
+    ("report_rules", {"transition": "ring", "affected": "ab"}),
+    ("probes", {"application_id": 1, "pattern_code": "BI_3", "deviation": ["ring"]}),
+    ("probes", {"application_id": "a1", "pattern_code": "BI_3", "deviation": "ab"}),
+    ("probes", ["a1"]),
+    ("overrides", {"kind": "coarsen", "transitions": "ring", "window_s": "x"}),
+    ("overrides", {"kind": "coarsen", "transitions": ["ring"], "window_s": "x"}),
+    ("overrides", {"kind": "slower", "transitions": ["ring"]}),
+], ids=["number-rule", "number-rule-transition", "text-affected", "number-probe-id",
+        "text-deviation", "list-probe", "text-override-transitions", "text-window",
+        "unknown-override-kind"])
+def test_validate_mistyped_model_annotation_exits_two(tmp_path, capsys, key, entry):
+    fdir = str(tmp_path / "fx")
+    run_cli(capsys, "fixture", "--name", "package_delivery", "--out", fdir)
+    model = os.path.join(fdir, "m0.json")
+    doc = json.load(open(model))
+    doc["annotations"][key] = [entry]
     open(model, "w").write(json.dumps(doc))
     code, _, err = run_cli(capsys, "validate", "--model", model)
     assert code == 2
