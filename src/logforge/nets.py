@@ -7,8 +7,8 @@ the public operations never mutate them in place.  A Net may be shared:
 a dataset's cells share their models, so it is read-only (copy a marking
 before changing it) and compiles its rules and tables once, on first use.
 
-The firing rule, compiled once per transition (`Net.rules`) and used by
-`fire`, `replay`, `bounded_language` and the simulator alike:
+The firing rule of each transition is compiled once, into one FiringRule
+(`Net.rules`), and every path reads it:
 
 - A binding maps the variables of the input arcs to identifiers.  Each input
   arc consumes the token its variables spell, in inscription order, from its
@@ -23,10 +23,17 @@ The firing rule, compiled once per transition (`Net.rules`) and used by
 
 Internally a binding is positional: `transition_bindings` returns rows, the
 values of the input variables in sorted-name order (`FiringRule.order`),
-and a firing's values are that row followed by the minted nu-identifiers in
+and a firing's values are that row followed by the nu-identifiers in
 `FiringRule.nu` order.  `Binding`, with its (name, identifier) pairs, is the
 public form that `enabled_bindings`, `fire`, `replay` and `bounded_language`
 take and give, and that a trace records.
+
+`fire`, `replay` and `bounded_language` share one untimed step,
+`_fire_untimed` (take, check, mint, give, move), and differ only in how they
+mint: from an IdGenerator, not at all (a recorded binding names every
+identifier), and as ~n.  The simulator (`simulate.SimState._fire`) reads the
+same rule but moves tokens itself: a produced token becomes available after
+a sampled delay, and each move updates the enabled set it keeps.
 """
 from __future__ import annotations
 
@@ -37,7 +44,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
 from types import MappingProxyType
-from typing import NamedTuple
 
 from .timing import SimAnnotations
 
@@ -252,132 +258,108 @@ class FireResult:
     produced: tuple[tuple[str, tuple[str, ...]], ...]
 
 
-class FiringPlan(NamedTuple):
-    """A firing rule over positions.
+@dataclass(frozen=True, eq=False, slots=True)
+class FiringRule:
+    """The firing rule of one transition, compiled from its arcs by `Net.rules`.
 
-    A firing's values are its row (the input variables in sorted-name order,
-    `FiringRule.order`) followed by its minted identifiers (the
-    nu-variables in `FiringRule.nu` order); `names` names them.  Each input
-    and output arc is (place, a `_picker` of its variables' positions among
-    the values).  `fresh_order` lists the positions of the minted
-    identifiers in sorted-name order, as a Binding's `fresh` holds them.
+    A firing's values are its row, the input variables in sorted-name order
+    (`order`), followed by one identifier per nu-variable (`nu`, in order of
+    first appearance on the output arcs, of types `nu_types`); `names` names
+    the values and `types` gives the object type of each.  Each input and
+    output arc is (place, a `_picker` of its variables' positions among the
+    values).  `fresh_order` lists the positions of the nu-identifiers in
+    sorted-name order, as a Binding's `fresh` holds them, and `recorded` the
+    positions of the objects an event of the transition records: its
+    `record_spec` names, else all its variables in sorted-name order.
     `unbound` is an output variable that is neither input-bound nor nu, if
-    there is one; then nothing is produced.
+    there is one; then `outputs` is empty and `give` raises NotEnabled.
+    `join` is how `transition_bindings` joins the input arcs (see `_join`).
     """
 
+    transition: Transition
+    order: tuple[str, ...]
+    nu: tuple[str, ...]
+    nu_types: tuple[str, ...]
     names: tuple[str, ...]
+    types: tuple[str, ...]
     inputs: tuple[tuple[str, itemgetter], ...]
     outputs: tuple[tuple[str, itemgetter], ...]
-    nu_types: tuple[str, ...]
     fresh_order: tuple[int, ...]
+    recorded: tuple[int, ...]
     unbound: str | None
-
-
-@dataclass(frozen=True)
-class FiringRule:
-    """The firing rule of one transition, compiled from its arcs.
-
-    inputs/outputs hold (place, variable names) per arc in arc order; nu
-    holds the (name, object type) of each nu-variable in order of first
-    appearance on the output arcs.
-    """
-
-    transition: str
-    inputs: tuple[tuple[str, tuple[str, ...]], ...]
-    outputs: tuple[tuple[str, tuple[str, ...]], ...]
-    nu: tuple[tuple[str, str], ...]
-
-    def complete(self, binding: Binding, mint) -> Binding:
-        """`binding` with each nu-variable it leaves open bound to mint(type)."""
-        if not self.nu:
-            return binding
-        given = {name for name, _ in binding.fresh}
-        missing = [(name, mint(otype)) for name, otype in self.nu if name not in given]
-        return Binding(binding.values, binding.fresh + tuple(missing)) if missing else binding
-
-    def consumed(self, binding: Binding) -> tuple[tuple[str, tuple[str, ...]], ...]:
-        """The (place, token) pairs a firing under `binding` consumes."""
-        return self.take(self.values(binding, self.order))
-
-    def produced(self, binding: Binding) -> tuple[tuple[str, tuple[str, ...]], ...]:
-        """The (place, token) pairs a firing under the completed `binding` produces."""
-        return self.give(self.values(binding))
-
-    def values(self, binding: Binding, names=None) -> tuple[str, ...]:
-        """The positional values of the completed `binding` (its row when
-        `names` is `order`); a name it leaves unbound raises NotEnabled."""
-        full = binding.as_dict()
-        try:
-            return tuple([full[n] for n in (self.plan.names if names is None else names)])
-        except KeyError as e:
-            raise NotEnabled(f"{self.transition}: variable {e.args[0]!r} unbound") from None
+    join: tuple
 
     def take(self, values: tuple[str, ...]) -> tuple[tuple[str, tuple[str, ...]], ...]:
         """The (place, token) pairs a firing with the positional `values`
-        (a row, or a row followed by minted identifiers) consumes."""
-        return _spell(self.plan.inputs, values)
+        (a row, or a row followed by its nu-identifiers) consumes."""
+        return tuple([(pid, pick(values)) for pid, pick in self.inputs])
 
     def give(self, values: tuple[str, ...]) -> tuple[tuple[str, tuple[str, ...]], ...]:
         """The (place, token) pairs a firing with `values`, its row followed by
-        its minted identifiers, produces."""
-        plan = self.plan
-        if plan.unbound is not None:
-            raise NotEnabled(f"{self.transition}: variable {plan.unbound!r} unbound")
-        return _spell(plan.outputs, values)
+        its nu-identifiers, produces."""
+        if self.unbound is not None:
+            raise NotEnabled(f"{self.transition.id}: variable {self.unbound!r} unbound")
+        return tuple([(pid, pick(values)) for pid, pick in self.outputs])
 
-    @cached_property
-    def order(self) -> tuple[str, ...]:
-        """The input variables in sorted-name order: what a row's values name."""
-        return tuple(sorted({name for _, names in self.inputs for name in names}))
 
-    @cached_property
-    def plan(self) -> "FiringPlan":
-        """The positional rule (see FiringPlan), built on first use."""
-        order, nu = self.order, self.nu
-        names = order + tuple([name for name, _ in nu]) if nu else order
-        slot = {name: i for i, name in enumerate(names)}
-        unbound = [n for _, vars_ in self.outputs for n in vars_ if n not in slot]
-        return FiringPlan(
-            names,
-            tuple([(pid, _picker([slot[n] for n in vars_])) for pid, vars_ in self.inputs]),
-            () if unbound else tuple(
-                [(pid, _picker([slot[n] for n in vars_])) for pid, vars_ in self.outputs]),
-            tuple([otype for _, otype in nu]),
-            tuple(sorted(range(len(order), len(names)), key=names.__getitem__)) if nu else (),
-            unbound[0] if unbound else None)
+def _compile(t: Transition, in_arcs: tuple[Arc, ...], out_arcs: tuple[Arc, ...],
+             types: Mapping[str, str]) -> FiringRule:
+    """`t`'s rule from its input and output arcs, in arc order, and the type
+    of each of its variables."""
+    ins = [(a.source, tuple([v.name for v in a.inscription])) for a in in_arcs]
+    outs = [(a.target, tuple([v.name for v in a.inscription])) for a in out_arcs]
+    flagged: dict[str, str] = {}  # the type of each name flagged fresh, in order
+    for a in out_arcs:
+        for v in a.inscription:
+            if v.fresh:
+                flagged.setdefault(v.name, v.object_type)
+    order = tuple(sorted({name for _, names in ins for name in names}))
+    nu = tuple([name for name in flagged if name not in order])
+    names = order + nu
+    slot = {name: i for i, name in enumerate(names)}
+    unbound = next((n for _, vars_ in outs for n in vars_ if n not in slot), None)
+    recorded = sorted(names) if t.record_spec is None else t.record_spec
+    return FiringRule(
+        t, order, nu, tuple([flagged[name] for name in nu]), names,
+        tuple([types[name] for name in names]),
+        tuple([(pid, _picker([slot[n] for n in vars_])) for pid, vars_ in ins]),
+        () if unbound else tuple([(pid, _picker([slot[n] for n in vars_])) for pid, vars_ in outs]),
+        tuple(sorted(range(len(order), len(names)), key=names.__getitem__)),
+        tuple([slot[name] for name in recorded if name in slot]),
+        unbound, _join(ins, order))
 
-    @cached_property
-    def join(self) -> tuple:
-        """How `transition_bindings` joins the input arcs, built on first use.
 
-        A row holds the values of the input variables in order of first
-        appearance.  Per arc: (place, kind, new, checks, key), where `new`
-        picks the token positions of the arc's new names and `key` picks the
-        arc's token from a row (see `_picker`).  A "free" arc appends its whole
-        token; a "fixed" arc, all of whose names are bound, looks up its `key`
-        token; a "mixed" arc appends its `new` values and checks each (token
-        position, row slot) pair.  Also returned: a `_picker` of the slots
-        in `order` (None when the rows already hold them in that order), and
-        per place read by several arcs the `key` of each such arc.
-        """
-        slot: dict[str, int] = {}
-        arcs, keys = [], {}
-        for pid, names in self.inputs:
-            new, checks = [], []
-            for i, name in enumerate(names):
-                if name in slot:
-                    checks.append((i, slot[name]))
-                else:
-                    new.append(i)
-                    slot[name] = len(slot)
-            key = _picker(tuple(slot[name] for name in names))
-            kind = "fixed" if not new else "free" if not checks else "mixed"
-            arcs.append((pid, kind, _picker(tuple(new)), tuple(checks), key))
-            keys.setdefault(pid, []).append(key)
-        slots = None if self.order == tuple(slot) else _picker(
-            tuple(slot[name] for name in self.order))
-        shared = tuple((pid, tuple(ks)) for pid, ks in keys.items() if len(ks) > 1)
-        return slots, tuple(arcs), shared
+def _join(ins, order: tuple[str, ...]) -> tuple:
+    """How `transition_bindings` joins the input arcs `ins`, (place, variable
+    names) in arc order, into rows of the variables in `order`.
+
+    A row holds the values of the input variables in order of first
+    appearance.  Per arc: (place, kind, new, checks, key), where `new` picks
+    the token positions of the arc's new names and `key` picks the arc's
+    token from a row (see `_picker`).  A "free" arc appends its whole token;
+    a "fixed" arc, all of whose names are bound, looks up its `key` token; a
+    "mixed" arc appends its `new` values and checks each (token position, row
+    slot) pair.  Also returned: a `_picker` of the slots in `order` (None
+    when the rows already hold them in that order), and per place read by
+    several arcs the `key` of each such arc.
+    """
+    slot: dict[str, int] = {}
+    arcs, keys = [], {}
+    for pid, names in ins:
+        new, checks = [], []
+        for i, name in enumerate(names):
+            if name in slot:
+                checks.append((i, slot[name]))
+            else:
+                new.append(i)
+                slot[name] = len(slot)
+        key = _picker(tuple(slot[name] for name in names))
+        kind = "fixed" if not new else "free" if not checks else "mixed"
+        arcs.append((pid, kind, _picker(tuple(new)), tuple(checks), key))
+        keys.setdefault(pid, []).append(key)
+    slots = None if order == tuple(slot) else _picker(tuple(slot[name] for name in order))
+    shared = tuple((pid, tuple(ks)) for pid, ks in keys.items() if len(ks) > 1)
+    return slots, tuple(arcs), shared
 
 
 def _picker(positions):
@@ -385,11 +367,6 @@ def _picker(positions):
     if len(positions) > 1:
         return itemgetter(*positions)
     return itemgetter(slice(positions[0], positions[0] + 1) if positions else slice(0))
-
-
-def _spell(arcs, values: tuple[str, ...]) -> tuple[tuple[str, tuple[str, ...]], ...]:
-    """The (place, token) pair of each (place, `_picker`) arc under `values`."""
-    return tuple([(pid, pick(values)) for pid, pick in arcs])
 
 
 class IdGenerator:
@@ -477,43 +454,10 @@ class Net:
 
     @cached_property
     def rules(self) -> dict[str, FiringRule]:
-        """The firing rule of every transition, compiled in one pass over the arcs."""
-        ins: dict[str, list] = {t.id: [] for t in self.transitions}
-        outs: dict[str, list] = {t.id: [] for t in self.transitions}
-        flagged: dict[str, dict[str, str]] = {t.id: {} for t in self.transitions}
-        for a in self.arcs:
-            names = tuple([v.name for v in a.inscription])
-            if a.target in ins:
-                ins[a.target].append((a.source, names))
-            if a.source in outs:
-                outs[a.source].append((a.target, names))
-                for v in a.inscription:
-                    if v.fresh:
-                        flagged[a.source].setdefault(v.name, v.object_type)
-        rules = {}
-        for tid, arcs in ins.items():
-            bound = {name for _, names in arcs for name in names}
-            nu = tuple((name, otype) for name, otype in flagged[tid].items() if name not in bound)
-            rules[tid] = FiringRule(tid, tuple(arcs), tuple(outs[tid]), nu)
-        return rules
-
-    @cached_property
-    def firing_layouts(self) -> dict[str, tuple]:
-        """Per transition, what a simulator needs of its firings that depends
-        on the net alone: (transition, rule, the object type of each value
-        position in `rule.plan.names`, the value positions of the objects its
-        events record: its `record_spec` names, else all its variables in
-        sorted-name order)."""
-        layouts = {}
-        for t in self.transitions:
-            rule = self.rules[t.id]
-            names = rule.plan.names
-            types = self._variable_types[t.id]
-            slot = {name: i for i, name in enumerate(names)}
-            recorded = sorted(names) if t.record_spec is None else t.record_spec
-            layouts[t.id] = (t, rule, tuple([types[name] for name in names]),
-                             tuple([slot[name] for name in recorded if name in slot]))
-        return layouts
+        """The firing rule of every transition, compiled on first use."""
+        types = self._variable_types
+        return {tid: _compile(t, self._inputs[tid], self._outputs[tid], types[tid])
+                for tid, t in self.transition_map.items()}
 
     @cached_property
     def _variable_types(self) -> dict[str, Mapping[str, str]]:
@@ -712,8 +656,27 @@ def enabled_bindings(net: Net, marking: Marking) -> list[tuple[str, Binding]]:
     return out
 
 
-def _check_available(marking: Marking, consumed) -> bool:
-    return all(marking.count(pid, tok) >= consumed.count((pid, tok)) for pid, tok in consumed)
+def _fire_untimed(rule: FiringRule, marking: Marking, binding: Binding, mint):
+    """Fire `rule` under `binding` on `marking`, in place: take the row's
+    tokens (NotEnabled unless the marking holds them), bind each nu-variable
+    the binding leaves open to mint(type), in `rule.nu` order, and give.
+    Returns the completed binding and the consumed and produced pairs."""
+    full = binding.as_dict()
+    try:
+        row = tuple([full[name] for name in rule.order])
+    except KeyError as e:
+        raise NotEnabled(f"{rule.transition.id}: variable {e.args[0]!r} unbound") from None
+    consumed = rule.take(row)
+    if not all(marking.count(pid, tok) >= consumed.count((pid, tok)) for pid, tok in consumed):
+        raise NotEnabled(f"{rule.transition.id} not enabled under {dict(binding.values)}")
+    minted = tuple([(name, mint(otype)) for name, otype in zip(rule.nu, rule.nu_types)
+                    if name not in full])
+    if minted:
+        full.update(minted)
+        binding = Binding(binding.values, binding.fresh + minted)
+    produced = rule.give(row + tuple([full[name] for name in rule.nu]))
+    marking.move(consumed, produced)
+    return binding, consumed, produced
 
 
 def fire(net: Net, marking: Marking, firing: tuple[str, Binding],
@@ -724,17 +687,16 @@ def fire(net: Net, marking: Marking, firing: tuple[str, Binding],
     rule = net.rules.get(tid)
     if rule is None:
         raise NotEnabled(f"unknown transition {tid!r}")
-    consumed = rule.consumed(binding)
-    if not _check_available(marking, consumed):
-        raise NotEnabled(f"{tid} not enabled under {dict(binding.values)}")
-    binding = rule.complete(binding, id_gen.fresh)
-    produced = rule.produced(binding)
     result = marking.copy()
-    result.move(consumed, produced)
+    binding, consumed, produced = _fire_untimed(rule, result, binding, id_gen.fresh)
     for _, tok in produced:
         for ident in tok:
             id_gen.register(ident)
     return result, FireResult(tid, binding, consumed, produced)
+
+
+def _mint_none(otype: str):
+    raise NotEnabled(f"a replayed binding leaves a nu-variable of type {otype!r} open")
 
 
 def replay(net: Net, trace, extra_tokens=()) -> bool:
@@ -751,13 +713,9 @@ def replay(net: Net, trace, extra_tokens=()) -> bool:
         if rule is None:
             return False
         try:
-            values = rule.values(binding)
-            consumed, produced = rule.take(values), rule.give(values)
+            _fire_untimed(rule, marking, binding, _mint_none)
         except NotEnabled:
             return False
-        if not _check_available(marking, consumed):
-            return False
-        marking.move(consumed, produced)
     return True
 
 
@@ -779,9 +737,8 @@ def bounded_language(net: Net, depth: int, cap: int = 1_000_000) -> set:
                 raise ExplosionGuard(f"bounded_language explored more than {cap} nodes")
             rule = net.rules[tid]
             fresh_ids = itertools.count(nfresh + 1)
-            binding = rule.complete(binding, lambda _otype: f"~{next(fresh_ids)}")
             m2 = marking.copy()
-            m2.move(rule.consumed(binding), rule.produced(binding))
+            binding, _, _ = _fire_untimed(rule, m2, binding, lambda _otype: f"~{next(fresh_ids)}")
             seq2 = seq + ((tid, tuple(sorted(binding.as_dict().items()))),)
             sequences.add(seq2)
             stack.append((m2, seq2, nfresh + len(rule.nu)))

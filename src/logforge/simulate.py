@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .nets import (OBJECT_SEPARATOR, Binding, FiringRule, Net, ProvenanceTag,
-                   Transition, is_identifier, transition_bindings)
+                   is_identifier, transition_bindings)
 from .serialize import digest_of, net_digest
 from .timing import (NUMBER, ConfigInvalid, Delay, ReportRule, reject_unknown_keys,
                      slot_init, typed, weight_piece)
@@ -301,12 +301,9 @@ def sample_firing(enabled, weights: WeightSpec, eta: float, rng):
 
 class _TransitionPlan(NamedTuple):
     """What a firing of one transition needs, resolved once per run: the
-    net's `firing_layouts` entry, then the run's delays and annotations."""
+    net's rule, then the run's delays and annotations."""
 
-    transition: Transition
     rule: FiringRule
-    vtypes: tuple[str, ...]           # object type of each value position
-    recorded: tuple[int, ...]         # value positions of the recorded objects
     delay: Delay | None               # production delay (override, else config)
     arc_delays: tuple                 # per output arc: its configured Delay or None
     slow: tuple | None                # (probability, Delay, application id)
@@ -388,9 +385,12 @@ class SimState:
             app = t.provenance.application_id
             if any(p.application_id == app and t.id in p.deviation for p in self._probes):
                 deviation_stats[t.id] = self.pattern_stats[app]
-        self._plans = {t.id: self._plan(t.id, delays.get(t.id), slow.get(t.id),
-                                        coarsen.get(t.id), deviation_stats.get(t.id))
-                       for t in net.transitions}
+        arc_delays = config.arc_delays
+        self._plans = {
+            tid: _TransitionPlan(rule, delays.get(tid),
+                                 tuple([arc_delays.get((tid, pid)) for pid, _ in rule.outputs]),
+                                 slow.get(tid), coarsen.get(tid), deviation_stats.get(tid))
+            for tid, rule in net.rules.items()}
 
         for pid, token, _ in net.initial_marking.items():
             place = net.place_map[pid]
@@ -401,14 +401,6 @@ class SimState:
         self._schedule_events()
 
     # -- setup ------------------------------------------------------------
-
-    def _plan(self, tid: str, delay, slow, coarsen, deviation_stats) -> _TransitionPlan:
-        t, rule, vtypes, recorded = self.net.firing_layouts[tid]
-        arc_delays = self.config.arc_delays
-        return _TransitionPlan(
-            t, rule, vtypes, recorded,
-            delay, tuple([arc_delays.get((tid, pid)) for pid, _ in rule.outputs]),
-            slow, coarsen, deviation_stats)
 
     def _push(self, time: float, kind: str, place: str, token: tuple[str, ...]):
         self._tie += 1
@@ -473,11 +465,6 @@ class SimState:
             self._firings = [(tid, row) for tid in sorted(self._live) for row in kept[tid]]
         return self._firings
 
-    def enabled(self) -> list[tuple[str, Binding]]:
-        """The kept enabled set, `firings()`, with each row as a Binding."""
-        return [(tid, Binding(tuple(zip(self._plans[tid].rule.order, row))))
-                for tid, row in self.firings()]
-
     def _count_choice_point(self, tid: str):
         """Count a choice point for every probe that names `tid` and has a
         transition enabled with positive weight on both of its sides."""
@@ -520,12 +507,11 @@ class SimState:
         return True
 
     def _fire(self, tid: str, row: tuple[str, ...]) -> FiringRecord:
-        t, rule, vtypes, recorded, base_delay, arc_delays, slow, coarsen, stats = self._plans[tid]
+        rule, base_delay, arc_delays, slow, coarsen, stats = self._plans[tid]
         consumed = rule.take(row)
         for pid, token in consumed:
             self._remove_token(pid, token)
-        plan = rule.plan
-        minted = tuple([self.id_gen.fresh(otype) for otype in plan.nu_types])
+        minted = tuple([self.id_gen.fresh(otype) for otype in rule.nu_types])
         values = row + minted if minted else row
 
         timing_causes: list[str] = []
@@ -558,21 +544,21 @@ class SimState:
             self.pattern_stats[coarsen[1]]["fired"] += 1
 
         setdefault = self.object_types.setdefault
-        for ident, otype in zip(values, vtypes):
+        for ident, otype in zip(values, rule.types):
             setdefault(ident, otype)
 
-        names = plan.names
+        names, t = rule.names, rule.transition
         record = FiringRecord(
             seq_no=self.seq_no,
             time=self.eta,
             transition=tid,
             activity=t.activity_label,
             values=tuple(zip(names, row)),
-            fresh=tuple([(names[i], values[i]) for i in plan.fresh_order]),
+            fresh=tuple([(names[i], values[i]) for i in rule.fresh_order]),
             provenance=t.provenance,
             consumed=consumed,
             produced=tuple(produced),
-            recorded_objects=tuple(dict.fromkeys([values[i] for i in recorded])),
+            recorded_objects=tuple(dict.fromkeys([values[i] for i in rule.recorded])),
             coarsen_window=coarsen[0] if coarsen else None,
             timing_causes=tuple(timing_causes),
         )

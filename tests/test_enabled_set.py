@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logforge import fixtures
-from logforge.nets import (Arc, Marking, Net, ObjectType, Place, Transition,
+from logforge.nets import (Arc, Binding, Marking, Net, ObjectType, Place, Transition,
                            Variable, enabled_bindings, transition_bindings)
 from logforge.patterns import PatternApplication
 from logforge.simulate import (Arrival, ScheduleEntry, SimConfig, SimState, WeightSpec,
@@ -82,7 +82,8 @@ def test_kept_enabled_set_equals_a_fresh_enumeration(name, seed):
     while state.done is None:
         step(state)
         steps += 1
-        kept = state.enabled()
+        kept = [(tid, Binding(tuple(zip(net.rules[tid].order, row))))
+                for tid, row in state.firings()]
         assert kept == enabled_bindings(net, state.marking)
         if name != "energy20" or steps % 10 == 0:
             assert [(tid, b.values) for tid, b in kept] == brute_force(net, state.marking)
