@@ -669,12 +669,15 @@ def _fire_untimed(rule: FiringRule, marking: Marking, binding: Binding, mint):
     consumed = rule.take(row)
     if not all(marking.count(pid, tok) >= consumed.count((pid, tok)) for pid, tok in consumed):
         raise NotEnabled(f"{rule.transition.id} not enabled under {dict(binding.values)}")
-    minted = tuple([(name, mint(otype)) for name, otype in zip(rule.nu, rule.nu_types)
-                    if name not in full])
-    if minted:
-        full.update(minted)
-        binding = Binding(binding.values, binding.fresh + minted)
-    produced = rule.give(row + tuple([full[name] for name in rule.nu]))
+    values = row
+    if rule.nu:
+        minted = tuple([(name, mint(otype)) for name, otype in zip(rule.nu, rule.nu_types)
+                        if name not in full])
+        if minted:
+            full.update(minted)
+            binding = Binding(binding.values, binding.fresh + minted)
+        values = row + tuple([full[name] for name in rule.nu])
+    produced = rule.give(values)
     marking.move(consumed, produced)
     return binding, consumed, produced
 

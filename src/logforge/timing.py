@@ -149,6 +149,9 @@ class Delay:
         return cls(typed(d, "kind", (str,)), typed(d, "a", NUMBER, 0.0), typed(d, "b", NUMBER, 0.0))
 
 
+OVERRIDE_KINDS = ("coarsen", "slow_branch", "delay")
+
+
 @dataclass(frozen=True)
 class TimingOverride:
     """A timing contribution of a pattern application.
@@ -196,9 +199,6 @@ class TimingOverride:
             probability=typed(d, "probability", NUMBER, 0.0),
             delay=Delay.from_dict(d["delay"]) if "delay" in d else None,
         )
-
-
-OVERRIDE_KINDS = ("coarsen", "slow_branch", "delay")
 
 
 @dataclass(frozen=True)

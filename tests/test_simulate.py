@@ -128,7 +128,7 @@ def test_lone_positive_weight_firing_draws_exactly_one_uniform():
 
 
 def test_runs_on_one_net_each_keep_their_own_arc_delays():
-    # the net-level half of each transition's plan is shared; the delays are not
+    # each transition's compiled rule is shared by the runs; the delays are not
     net = lone_net()
 
     def produced(delay):
