@@ -412,6 +412,8 @@ def project_observed(trace: GroundTruthTrace) -> ObservedLog:
 
 
 def write_observed_jsonl(log: ObservedLog, path: str) -> None:
+    if log.objects is None:
+        raise ValueError("log.jsonl gives each object's type; this log's types are unknown")
     header = {"schema_version": SCHEMA_VERSION, "kind": "observed_log",
               "run_id": log.run_id, "objects": dict(sorted(log.objects.items()))}
     encode = _IN_KEY_ORDER.encode

@@ -44,6 +44,8 @@ def test_observed_round_trip_and_csv_cross_parse(tmp_path, package_cells):
     assert from_csv.events == from_jsonl.events  # same order, same multiset
     # log.csv has no type column: its objects are unknown, not absent
     assert from_csv.objects is None
+    with pytest.raises(ValueError, match="types are unknown"):
+        logio.write_observed_jsonl(from_csv, jpath)
 
 
 def test_projection_drops_silent_firings(cell_by_pattern):
