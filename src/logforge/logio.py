@@ -196,64 +196,54 @@ def record_to_dict(r: FiringRecord) -> dict:
     }
 
 
-def _identifiers(value, what: str, problems: list) -> tuple[str, ...]:
-    """`value`, a JSON list of strings, as a tuple.  A value that is not
-    iterable raises TypeError as `tuple` does; for any other value that is
-    not a list of strings, a message naming `what` joins `problems`."""
-    ids = tuple(value)
+def _identifiers(value, what: str) -> tuple[str, ...]:
+    """`value`, a JSON list of strings, as a tuple; else a ValueError naming
+    `what`."""
     if type(value) is list:
-        for ident in ids:
+        for ident in value:
             if type(ident) is not str:
                 break
         else:
-            return ids
-    problems.append(f"{what!r} must be a list of strings, got {value!r}")
-    return ids
+            return tuple(value)
+    raise ValueError(f"{what!r} must be a list of strings, got {value!r}")
 
 
-def _bound_pairs(value, what: str, problems: list) -> tuple[tuple[str, str], ...]:
+def _bound_pairs(value, what: str) -> tuple[tuple[str, str], ...]:
     """`value`, a JSON list of [variable, identifier] pairs, as a tuple of
     pairs.  An entry of another length raises ValueError as unpacking does;
-    for an entry that is not a pair of strings, a message naming `what`
-    joins `problems`."""
+    an entry that is not a pair of strings, a ValueError naming `what`."""
     pairs = []
     for pair in value:
         k, v = pair
         if type(pair) is not list or type(k) is not str or type(v) is not str:
-            problems.append(f"{what!r} must be a list of [variable, identifier] string pairs, "
-                            f"got {value!r}")
+            raise ValueError(f"{what!r} must be a list of [variable, identifier] string pairs, "
+                             f"got {value!r}")
         pairs.append((k, v))
     return tuple(pairs)
 
 
 def record_from_dict(d: dict, tags: dict | None = None) -> FiringRecord:
-    """Decode a trace record; a missing or mistyped field raises
-    ConfigInvalid, ValueError or TypeError.  The type checks on identifiers
-    and provenance come last, so a record with several defects reports the
-    one an unchecked decode trips over first.  Records decoded with one
-    `tags` table (a file's) share their equal provenance tags."""
+    """Decode a trace record, checking each field as it is read, in field
+    order: the first defect raises ConfigInvalid, ValueError or TypeError.
+    Records decoded with one `tags` table (a file's) share their equal
+    provenance tags."""
     get = d.get
-    problems: list = []
     seq_no, time = typed(d, "seq_no", (int,)), typed(d, "time", NUMBER)
     transition = typed(d, "transition", (str,))
-    values = _bound_pairs(get("values", []), "values", problems)
-    fresh = _bound_pairs(get("fresh", []), "fresh", problems)
+    activity = get("activity")
+    values = _bound_pairs(get("values", []), "values")
+    fresh = _bound_pairs(get("fresh", []), "fresh")
     try:
         provenance = provenance_from_dict(get("provenance", {}), tags)
-    except ConfigInvalid as e:
-        problems.append(str(e))
-        provenance = None
-    consumed = tuple([(pid, _identifiers(tok, "consumed", problems))
-                      for pid, tok in get("consumed", [])])
-    produced = tuple([(pid, _identifiers(tok, "produced", problems), avail)
-                      for pid, tok, avail in get("produced", [])])
-    record = FiringRecord(
-        seq_no, time, transition, get("activity"), values, fresh, provenance, consumed,
-        produced, _identifiers(get("recorded_objects", []), "recorded_objects", problems),
-        get("coarsen_window"), _identifiers(get("timing_causes", []), "timing_causes", problems))
-    if problems:
-        raise ValueError(problems[0])
-    return record
+    except ConfigInvalid as e:  # a line reports it as it reports its other list checks
+        raise ValueError(str(e)) from None
+    return FiringRecord(
+        seq_no, time, transition, activity, values, fresh, provenance,
+        tuple([(pid, _identifiers(tok, "consumed")) for pid, tok in get("consumed", [])]),
+        tuple([(pid, _identifiers(tok, "produced"), avail)
+               for pid, tok, avail in get("produced", [])]),
+        _identifiers(get("recorded_objects", []), "recorded_objects"),
+        get("coarsen_window"), _identifiers(get("timing_causes", []), "timing_causes"))
 
 
 def trace_to_dicts(trace: GroundTruthTrace) -> list[dict]:
@@ -282,46 +272,28 @@ def write_trace(trace: GroundTruthTrace, path: str) -> None:
     atomic_write(path, "\n".join(lines) + "\n")
 
 
-def _report_rules(value, problems: list) -> tuple[ReportRule, ...]:
-    """`value`, a JSON list of report rules, decoded.  A rule's KeyError or
-    TypeError is raised; a message for any other defect joins `problems`."""
-    if type(value) is not list:
-        problems.append(f"'report_rules' must be a list, got {value!r}")
-    rules = []
-    for d in value:
-        try:
-            rules.append(ReportRule.from_dict(d))
-        except ConfigInvalid as e:
-            problems.append(str(e))
-    return tuple(rules)
-
-
 def _trace_header(h: dict) -> dict:
-    """The header's fields.  As in `record_from_dict`, the checks that its
-    maps are objects, its injected tokens lists of strings and its report
-    rules well typed come last, in that order."""
-    problems: list = []
-    rule_problems: list = []
-    header = dict(
-        run_id=typed(h, "run_id", (str,)),
-        seed=typed(h, "seed", (int,)),
-        epoch=typed(h, "epoch", (str,)),
-        model_digests=h.get("model_digests", {}),
-        config_digest=h.get("config_digest", ""),
-        object_types=h.get("object_types", {}),
-        pattern_stats=h.get("pattern_stats", {}),
-        report_rules=_report_rules(h.get("report_rules", []), rule_problems),
-        termination=h.get("termination", ""),
-        final_time=h.get("final_time", 0.0),
-        injected=tuple([(pid, _identifiers(tok, "injected", problems))
-                        for pid, tok in h.get("injected", [])]),
-    )
-    for key in ("model_digests", "object_types", "pattern_stats"):
-        typed(h, key, (dict,), {})
-    problems += rule_problems
-    if problems:
-        raise ValueError(problems[0])
-    return header
+    """The header's fields, each checked as it is read, in field order."""
+    get = h.get
+    run_id, seed = typed(h, "run_id", (str,)), typed(h, "seed", (int,))
+    epoch = typed(h, "epoch", (str,))
+    model_digests = typed(h, "model_digests", (dict,), {})
+    config_digest = get("config_digest", "")
+    object_types = typed(h, "object_types", (dict,), {})
+    pattern_stats = typed(h, "pattern_stats", (dict,), {})
+    rules = get("report_rules", [])
+    if type(rules) is not list:
+        raise ValueError(f"'report_rules' must be a list, got {rules!r}")
+    try:
+        report_rules = tuple(map(ReportRule.from_dict, rules))
+    except ConfigInvalid as e:  # reported as a record's provenance is
+        raise ValueError(str(e)) from None
+    return dict(
+        run_id=run_id, seed=seed, epoch=epoch, model_digests=model_digests,
+        config_digest=config_digest, object_types=object_types, pattern_stats=pattern_stats,
+        report_rules=report_rules, termination=get("termination", ""),
+        final_time=get("final_time", 0.0),
+        injected=tuple([(pid, _identifiers(tok, "injected")) for pid, tok in get("injected", [])]))
 
 
 def read_trace(path: str, net: Net | None = None) -> GroundTruthTrace:
@@ -355,16 +327,11 @@ class ObservedEvent:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ObservedEvent":
-        """Decode an event; a missing or mistyped field raises ConfigInvalid,
-        ValueError or TypeError."""
-        problems: list = []
-        event = cls(typed(d, "event_id", (str,)), typed(d, "timestamp", (str,)),
-                    typed(d, "activity", (str,)),
-                    _identifiers(d.get("objects", []), "objects", problems),
-                    typed(d, "run_id", (str,), ""))
-        if problems:
-            raise ValueError(problems[0])
-        return event
+        """Decode an event, checking each field as it is read, in field order:
+        the first defect raises ConfigInvalid or ValueError."""
+        return cls(typed(d, "event_id", (str,)), typed(d, "timestamp", (str,)),
+                   typed(d, "activity", (str,)), _identifiers(d.get("objects", []), "objects"),
+                   typed(d, "run_id", (str,), ""))
 
 
 @dataclass(frozen=True)

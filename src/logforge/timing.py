@@ -248,20 +248,12 @@ class ReportRule:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ReportRule":
-        """Decode a rule; a non-object or a mistyped field raises ConfigInvalid.
-        A missing transition still raises KeyError, and a responsible or
-        affected value that is not iterable TypeError, before any type
-        check, as an unchecked decode did (see `logio._trace_header`)."""
+        """Decode a rule, checking each field as it is read, in field order;
+        a non-object or a missing or mistyped field raises ConfigInvalid."""
         if type(d) is not dict:
             raise ConfigInvalid(f"a report rule must be an object, got {d!r}")
-        if "transition" not in d:
-            raise KeyError("transition")
-        aff = d.get("affected", [])
-        for value in (d.get("responsible"), aff):
-            if value is not None:
-                iter(value)  # a TypeError if it is not iterable
         return cls(typed(d, "transition", (str,)), names(d, "responsible", None),
-                   None if aff is None else names(d, "affected", ()))
+                   names(d, "affected", None) if "affected" in d else ())
 
 
 @dataclass(frozen=True)

@@ -258,24 +258,27 @@ BAD_TRACES = {
     "list-pattern-stats": (
         [with_header_field('"pattern_stats":[]'), GOOD_RECORD], 1,
         BAD_RECORD + """ConfigInvalid("field 'pattern_stats' is not dict: []")"""),
-    # with two defects, the one an unchecked decode trips over is reported
+    # with two defects, the first defect in field order is reported
     "number-value-and-short-token": (
         [TRACE_HEADER, GOOD_RECORD, with_record_field('"values":[["x",5]],"consumed":[["p"]]')],
-        3, BAD_RECORD + "ValueError('not enough values to unpack (expected 2, got 1)')"),
+        3, BAD_RECORD + """ValueError("'values' must be a list of [variable, identifier] """
+        """string pairs, got [['x', 5]]")"""),
     "number-provenance-origin-and-short-token": (
         [TRACE_HEADER, GOOD_RECORD,
          with_record_field('"provenance":{"origin":5},"produced":[["p",["a"]]]')],
-        3, BAD_RECORD + "ValueError('not enough values to unpack (expected 3, got 2)')"),
+        3, BAD_RECORD + """ValueError("'provenance' must hold a string 'origin' and strings """
+        """or nulls, got {'origin': 5}")"""),
     "text-recorded-objects-and-number-timing-causes": (
         [TRACE_HEADER, GOOD_RECORD,
          with_record_field('"recorded_objects":"abc","timing_causes":5')],
-        3, BAD_RECORD + """TypeError("'int' object is not iterable")"""),
+        3, BAD_RECORD + """ValueError("'recorded_objects' must be a list of strings, """
+        """got 'abc'")"""),
     "list-object-types-and-short-injected": (
         [with_header_field('"object_types":[1],"injected":[["p"]]'), GOOD_RECORD], 1,
-        BAD_RECORD + "ValueError('not enough values to unpack (expected 2, got 1)')"),
+        BAD_RECORD + """ConfigInvalid("field 'object_types' is not dict: [1]")"""),
     "text-injected-token-and-bad-rule": (
         [with_header_field('"injected":[["p","abc"]],"report_rules":[{}]'), GOOD_RECORD], 1,
-        BAD_RECORD + "KeyError('transition')"),
+        BAD_RECORD + """ValueError("missing field 'transition'")"""),
     "number-report-rule": (
         [with_header_field('"report_rules":[1]'), GOOD_RECORD], 1,
         BAD_RECORD + """ValueError('a report rule must be an object, got 1')"""),
@@ -292,11 +295,11 @@ BAD_TRACES = {
     "number-rule-transition-and-text-injected-token": (
         [with_header_field('"report_rules":[{"transition":5}],"injected":[["p","abc"]]'),
          GOOD_RECORD], 1,
-        BAD_RECORD + """ValueError("'injected' must be a list of strings, got 'abc'")"""),
+        BAD_RECORD + """ValueError("field 'transition' is not str: 5")"""),
     "number-rule-responsible-and-list-object-types": (
         [with_header_field('"report_rules":[{"transition":"t","responsible":5}],'
                            '"object_types":[1]'), GOOD_RECORD], 1,
-        BAD_RECORD + """TypeError("'int' object is not iterable")"""),
+        BAD_RECORD + """ConfigInvalid("field 'object_types' is not dict: [1]")"""),
 }
 
 
