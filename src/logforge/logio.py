@@ -211,15 +211,32 @@ def _identifiers(value, what: str) -> tuple[str, ...]:
 def _bound_pairs(value, what: str) -> tuple[tuple[str, str], ...]:
     """`value`, a JSON list of [variable, identifier] pairs, as a tuple of
     pairs.  An entry of another length raises ValueError as unpacking does;
-    an entry that is not a pair of strings, a ValueError naming `what`."""
+    any other value that is not a list of string pairs, a ValueError naming
+    `what`."""
+    message = f"{what!r} must be a list of [variable, identifier] string pairs, got {value!r}"
+    if type(value) is not list:
+        raise ValueError(message)
     pairs = []
     for pair in value:
         k, v = pair
         if type(pair) is not list or type(k) is not str or type(v) is not str:
-            raise ValueError(f"{what!r} must be a list of [variable, identifier] string pairs, "
-                             f"got {value!r}")
+            raise ValueError(message)
         pairs.append((k, v))
     return tuple(pairs)
+
+
+def _place(pid, what: str) -> str:
+    """`pid`, the place id of a `what` entry, once it is a string."""
+    if type(pid) is not str:
+        raise ValueError(f"{what!r} place ids must be strings, got {pid!r}")
+    return pid
+
+
+def _availability(avail):
+    """`avail`, the availability time of a produced token, once it is a number."""
+    if type(avail) not in NUMBER or avail != avail:  # NaN != NaN
+        raise ValueError(f"'produced' availability times must be numbers, got {avail!r}")
+    return avail
 
 
 def record_from_dict(d: dict, tags: dict | None = None) -> FiringRecord:
@@ -230,7 +247,7 @@ def record_from_dict(d: dict, tags: dict | None = None) -> FiringRecord:
     get = d.get
     seq_no, time = typed(d, "seq_no", (int,)), typed(d, "time", NUMBER)
     transition = typed(d, "transition", (str,))
-    activity = get("activity")
+    activity = typed(d, "activity", (str,), None)
     values = _bound_pairs(get("values", []), "values")
     fresh = _bound_pairs(get("fresh", []), "fresh")
     try:
@@ -239,11 +256,13 @@ def record_from_dict(d: dict, tags: dict | None = None) -> FiringRecord:
         raise ValueError(str(e)) from None
     return FiringRecord(
         seq_no, time, transition, activity, values, fresh, provenance,
-        tuple([(pid, _identifiers(tok, "consumed")) for pid, tok in get("consumed", [])]),
-        tuple([(pid, _identifiers(tok, "produced"), avail)
-               for pid, tok, avail in get("produced", [])]),
+        tuple([(_place(pid, "consumed"), _identifiers(tok, "consumed"))
+               for pid, tok in typed(d, "consumed", (list,), [])]),
+        tuple([(_place(pid, "produced"), _identifiers(tok, "produced"), _availability(avail))
+               for pid, tok, avail in typed(d, "produced", (list,), [])]),
         _identifiers(get("recorded_objects", []), "recorded_objects"),
-        get("coarsen_window"), _identifiers(get("timing_causes", []), "timing_causes"))
+        typed(d, "coarsen_window", NUMBER, None),
+        _identifiers(get("timing_causes", []), "timing_causes"))
 
 
 def trace_to_dicts(trace: GroundTruthTrace) -> list[dict]:
@@ -274,14 +293,13 @@ def write_trace(trace: GroundTruthTrace, path: str) -> None:
 
 def _trace_header(h: dict) -> dict:
     """The header's fields, each checked as it is read, in field order."""
-    get = h.get
     run_id, seed = typed(h, "run_id", (str,)), typed(h, "seed", (int,))
     epoch = typed(h, "epoch", (str,))
     model_digests = typed(h, "model_digests", (dict,), {})
-    config_digest = get("config_digest", "")
+    config_digest = typed(h, "config_digest", (str,), "")
     object_types = typed(h, "object_types", (dict,), {})
     pattern_stats = typed(h, "pattern_stats", (dict,), {})
-    rules = get("report_rules", [])
+    rules = h.get("report_rules", [])
     if type(rules) is not list:
         raise ValueError(f"'report_rules' must be a list, got {rules!r}")
     try:
@@ -291,9 +309,10 @@ def _trace_header(h: dict) -> dict:
     return dict(
         run_id=run_id, seed=seed, epoch=epoch, model_digests=model_digests,
         config_digest=config_digest, object_types=object_types, pattern_stats=pattern_stats,
-        report_rules=report_rules, termination=get("termination", ""),
-        final_time=get("final_time", 0.0),
-        injected=tuple([(pid, _identifiers(tok, "injected")) for pid, tok in get("injected", [])]))
+        report_rules=report_rules, termination=typed(h, "termination", (str,), ""),
+        final_time=typed(h, "final_time", NUMBER, 0.0),
+        injected=tuple([(_place(pid, "injected"), _identifiers(tok, "injected"))
+                        for pid, tok in typed(h, "injected", (list,), [])]))
 
 
 def read_trace(path: str, net: Net | None = None) -> GroundTruthTrace:
@@ -388,11 +407,18 @@ def write_observed_jsonl(log: ObservedLog, path: str) -> None:
     atomic_write(path, "\n".join(lines) + "\n")
 
 
+def _log_header(h: dict) -> dict:
+    """The header's fields, each checked as it is read, in field order."""
+    objects = typed(h, "objects", (dict,), {})
+    for object_type in objects.values():
+        if type(object_type) is not str:
+            raise ValueError(f"'objects' must be an object of strings, got {objects!r}")
+    return dict(objects=objects, run_id=typed(h, "run_id", (str,), ""))
+
+
 def read_observed_jsonl(path: str) -> ObservedLog:
-    header, events = _read_headed_jsonl(
-        path, "observed_log",
-        lambda h: dict(objects=h.get("objects", {}), run_id=h.get("run_id", "")),
-        ObservedEvent.from_dict)
+    header, events = _read_headed_jsonl(path, "observed_log", _log_header,
+                                        ObservedEvent.from_dict)
     return ObservedLog(events=events, **header)
 
 

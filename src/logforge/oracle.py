@@ -32,6 +32,7 @@ class CoverageMismatch(Exception):
 
 
 _TEXT_OR_NULL = (str, type(None))
+_OBJECT_OR_NULL = (dict, type(None))
 
 
 @dataclass(frozen=True)
@@ -380,31 +381,27 @@ def read_alignment(path: str) -> GtAlignment:
                              path, lineno)
         kind, activity, objects = get("kind"), get("activity"), get("objects", [])
         event_id, transition, cause = get("event_id"), get("transition"), get("cause")
-        if type(kind) is not str:
-            problem = "'kind' must be a string"
-        elif type(objects) is not list or not all(map(str.__instancecheck__, objects)):
-            problem = "'objects' must be a list of strings"
-        elif type(activity) not in _TEXT_OR_NULL:
-            problem = "'activity' must be a string or null"
-        elif type(event_id) not in _TEXT_OR_NULL:
-            problem = "'event_id' must be a string or null"
-        elif type(transition) not in _TEXT_OR_NULL:
-            problem = "'transition' must be a string or null"
-        else:
-            problem = None
-            if cause:
-                try:
-                    cause = _read_cause(cause, causes)
-                except ValueError as e:
-                    problem = str(e)
-            else:
-                cause = None
-        if problem is not None:
-            raise ParseError(f"malformed alignment move: {problem}", path, lineno)
+        discrepancy = get("discrepancy")
+        try:  # a Move's fields, each checked in field order
+            if type(kind) is not str:
+                raise ValueError("'kind' must be a string")
+            if type(activity) not in _TEXT_OR_NULL:
+                raise ValueError("'activity' must be a string or null")
+            if type(objects) is not list or not all(map(str.__instancecheck__, objects)):
+                raise ValueError("'objects' must be a list of strings")
+            if type(event_id) not in _TEXT_OR_NULL:
+                raise ValueError("'event_id' must be a string or null")
+            if type(transition) not in _TEXT_OR_NULL:
+                raise ValueError("'transition' must be a string or null")
+            if cause is not None:
+                cause = _read_cause(cause, causes)
+            if type(discrepancy) not in _OBJECT_OR_NULL:
+                raise ValueError("'discrepancy' must be an object or null")
+        except ValueError as e:
+            raise ParseError(f"malformed alignment move: {e}", path, lineno) from None
         objects = tuple(objects)
         objects = object_tuples.setdefault(objects, objects)
-        move = Move(kind, activity, objects, event_id, transition, cause,
-                    get("discrepancy"))
+        move = Move(kind, activity, objects, event_id, transition, cause, discrepancy)
         try:
             seqs, moves = grouped[obj]
         except KeyError:

@@ -584,6 +584,14 @@ def _validate_config(net: Net, config: SimConfig):
         epoch_seconds(config.timestamp_epoch)
     except ValueError:
         raise ConfigInvalid(f"timestamp_epoch {config.timestamp_epoch!r} is not ISO 8601") from None
+    for what, table in (("weights", config.weights), ("delays", config.delays)):
+        for tid in table:
+            if tid not in net.transition_map:
+                raise ConfigInvalid(f"{what} names {tid!r}, which is no transition of the net")
+    for tid, pid in config.arc_delays:
+        if all(a.target != pid for a in net.outputs_of(tid)):
+            raise ConfigInvalid(f"arc_delays names {tid}->{pid}, which is no output arc of "
+                                f"the net")
     for spec in config.arrivals:
         if spec.count < 0:
             raise ConfigInvalid("arrival count must be >= 0")

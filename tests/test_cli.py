@@ -165,9 +165,16 @@ BAD_CAUSE = "malformed alignment move: 'cause' must hold a string 'pattern_code'
     ('{"object":"o_1","seq":1,"kind":"log",'
      '"cause":{"pattern_code":"BI_3","application_id":"a","origin":5}}',
      "malformed alignment move: 'cause' must hold a string 'origin' if any"),
+    ('{"object":"o_1","seq":1,"kind":"log","cause":0}', BAD_CAUSE),
+    ('{"object":"o_1","seq":1,"kind":"log","discrepancy":[]}',
+     "malformed alignment move: 'discrepancy' must be an object or null"),
+    # with two defects, the first defect in field order is reported
+    ('{"object":"o_1","seq":1,"kind":"log","activity":["a"],"objects":[["o_1"]]}',
+     "malformed alignment move: 'activity' must be a string or null"),
 ], ids=["no-object", "no-kind", "array", "string", "text-seq", "nested-objects",
         "list-activity", "text-cause", "incomplete-cause", "bom", "trailing-data",
-        "number-cause-origin"])
+        "number-cause-origin", "zero-cause", "list-discrepancy",
+        "list-activity-and-nested-objects"])
 def test_oracle_score_malformed_alignment_exits_two(tmp_path, capsys, bad_line, message):
     good = tmp_path / "gt.jsonl"
     good.write_text(GOOD_MOVE + "\n")
@@ -258,6 +265,34 @@ BAD_TRACES = {
     "list-pattern-stats": (
         [with_header_field('"pattern_stats":[]'), GOOD_RECORD], 1,
         BAD_RECORD + """ConfigInvalid("field 'pattern_stats' is not dict: []")"""),
+    "number-activity": (
+        [TRACE_HEADER, GOOD_RECORD, with_record_field('"activity":5')], 3,
+        BAD_RECORD + """ConfigInvalid("field 'activity' is not str: 5")"""),
+    "text-coarsen-window": (
+        [TRACE_HEADER, GOOD_RECORD, with_record_field('"coarsen_window":"x"')], 3,
+        BAD_RECORD + """ConfigInvalid("field 'coarsen_window' is not int/float: 'x'")"""),
+    "number-consumed-place": (
+        [TRACE_HEADER, GOOD_RECORD, with_record_field('"consumed":[[5,["a"]]]')], 3,
+        BAD_RECORD + """ValueError("'consumed' place ids must be strings, got 5")"""),
+    "number-produced-place": (
+        [TRACE_HEADER, GOOD_RECORD, with_record_field('"produced":[[5,["a"],1.0]]')], 3,
+        BAD_RECORD + """ValueError("'produced' place ids must be strings, got 5")"""),
+    "text-availability": (
+        [TRACE_HEADER, GOOD_RECORD, with_record_field('"produced":[["p",["a"],"x"]]')], 3,
+        BAD_RECORD + """ValueError("'produced' availability times must be numbers, """
+        """got 'x'")"""),
+    "number-injected-place": (
+        [with_header_field('"injected":[[5,["a"]]]'), GOOD_RECORD], 1,
+        BAD_RECORD + """ValueError("'injected' place ids must be strings, got 5")"""),
+    "number-config-digest": (
+        [with_header_field('"config_digest":5'), GOOD_RECORD], 1,
+        BAD_RECORD + """ConfigInvalid("field 'config_digest' is not str: 5")"""),
+    "number-termination": (
+        [with_header_field('"termination":5'), GOOD_RECORD], 1,
+        BAD_RECORD + """ConfigInvalid("field 'termination' is not str: 5")"""),
+    "text-final-time": (
+        [with_header_field('"final_time":"x"'), GOOD_RECORD], 1,
+        BAD_RECORD + """ConfigInvalid("field 'final_time' is not int/float: 'x'")"""),
     # with two defects, the first defect in field order is reported
     "number-value-and-short-token": (
         [TRACE_HEADER, GOOD_RECORD, with_record_field('"values":[["x",5]],"consumed":[["p"]]')],
@@ -353,8 +388,21 @@ def with_event_field(field):
      BAD_EVENT + """ValueError("'objects' must be a list of strings, got [1]")"""),
     ([LOG_HEADER, with_event_field('"run_id":5')], 2,
      BAD_EVENT + """ConfigInvalid("field 'run_id' is not str: 5")"""),
+    ([LOG_HEADER.replace('"objects":{}', '"objects":"abc"')], 1,
+     BAD_EVENT + """ConfigInvalid("field 'objects' is not dict: 'abc'")"""),
+    ([LOG_HEADER.replace('"objects":{}', '"objects":{"o_1":5}')], 1,
+     BAD_EVENT + """ValueError("'objects' must be an object of strings, got {'o_1': 5}")"""),
+    ([LOG_HEADER.replace('"run_id":"r"', '"run_id":5')], 1,
+     BAD_EVENT + """ConfigInvalid("field 'run_id' is not str: 5")"""),
+    # with two defects, the first defect in field order is reported
+    ([LOG_HEADER, GOOD_EVENT.replace('"activity":"a"', '"activity":7,"objects":"abc"')], 2,
+     BAD_EVENT + """ConfigInvalid("field 'activity' is not str: 7")"""),
+    ([LOG_HEADER, with_event_field('"objects":"abc","run_id":5')], 2,
+     BAD_EVENT + """ValueError("'objects' must be a list of strings, got 'abc'")"""),
 ], ids=["no-event-id", "number-activity", "string-event", "list-header", "text-objects",
-        "number-object", "number-run-id"])
+        "number-object", "number-run-id", "text-header-objects", "number-object-type",
+        "number-header-run-id", "number-activity-and-text-objects",
+        "text-objects-and-number-run-id"])
 def test_oracle_align_malformed_log_exits_two(tmp_path, capsys, lines, bad_at, message):
     fdir = str(tmp_path / "fx")
     run_cli(capsys, "fixture", "--name", "package_delivery", "--out", fdir)
@@ -470,12 +518,17 @@ def write_package_config(tmp_path, capsys, edit):
     lambda c: c.update(schedules=[{"place": "p_van_pool", "token": ["v;9"], "start": 0.0,
                                    "stop": 600.0}]),
     lambda c: c["arrivals"][0].update(object_type="pack;age"),
+    lambda c: c.update(weights={"rign": [[0, 5]]}),
+    lambda c: c["delays"].update(rign={"kind": "constant", "a": 1.0}),
+    lambda c: c.update(arc_delays={"ring->p_nowhere": {"kind": "constant", "a": 1.0}}),
 ], ids=["non-numeric-weight", "short-piece", "arc-key-without-arrow", "unknown-key",
         "foreign-prng", "string-firing-limit", "nan-horizon", "arrival-without-count",
         "delay-key-mu", "delay-key-c", "arrival-key-frist-at", "fractional-count",
         "string-token", "string-seed", "fractional-seed", "negative-seed", "numeric-run-id",
         "numeric-epoch", "unparsable-epoch", "string-weight-piece", "string-first-at",
-        "boolean-delay", "string-start", "separator-in-token", "separator-in-arrival-type"])
+        "boolean-delay", "string-start", "separator-in-token", "separator-in-arrival-type",
+        "weight-for-unknown-transition", "delay-for-unknown-transition",
+        "arc-delay-for-unknown-arc"])
 def test_simulate_bad_config_is_one_diagnostic(tmp_path, capsys, edit):
     model, cpath = write_package_config(tmp_path, capsys, edit)
     out = str(tmp_path / "sim")

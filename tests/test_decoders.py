@@ -129,3 +129,73 @@ def test_alignment_moves_read_back_in_seq_order_with_ties_in_file_order(tmp_path
     per_object = oracle.read_alignment(str(path)).per_object
     assert {obj: [m.activity for m in moves] for obj, moves in per_object.items()} == \
         {"o": ["a", "b", "c", "d"], "p": ["x"]}
+
+
+# One well-formed line of each kind, every field present.
+GOOD_TRACE_HEADER = {
+    "schema_version": "1", "kind": "ground_truth_trace", "run_id": "r", "seed": 0,
+    "epoch": "2024-03-04T08:00:00Z", "model_digests": {"ml": "d0"}, "config_digest": "d1",
+    "object_types": {"o_1": "package", "o_2": "van"}, "pattern_stats": {},
+    "report_rules": [{"transition": "t", "responsible": ["x"], "affected": None}],
+    "termination": "firing_limit", "final_time": 1.0, "injected": [["p", ["o_1"]]]}
+GOOD_TRACE_RECORD = {
+    "activity": "a", "coarsen_window": 60.0, "consumed": [["p", ["o_1"]]],
+    "fresh": [["y", "o_2"]], "produced": [["q", ["o_1", "o_2"], 1.5]],
+    "provenance": {"application_id": "a1", "origin": "deviation", "pattern_code": "BI_3"},
+    "recorded_objects": ["o_1"], "seq_no": 0, "time": 0.0, "timing_causes": ["a1"],
+    "transition": "t", "values": [["x", "o_1"]]}
+GOOD_LOG_HEADER = {"schema_version": "1", "kind": "observed_log", "run_id": "r",
+                   "objects": {"o_1": "package"}}
+GOOD_LOG_EVENT = {"activity": "a", "event_id": "r-000000", "objects": ["o_1"], "run_id": "r",
+                  "timestamp": "2024-03-04T08:00:00Z"}
+GOOD_MOVE_LINE = {
+    "activity": "a", "cause": {"application_id": "a1", "origin": "deviation",
+                               "pattern_code": "RI_in^o"},
+    "discrepancy": {"swapped": ["o_1"]}, "event_id": "r-000000", "kind": "synchronous",
+    "object": "o_1", "objects": ["o_1"], "seq": 0, "transition": "t"}
+
+ODD_VALUES = [None, True, 5, 1.5, "abc", [], [1], [["p"]], {}]
+DELETED = object()
+
+# per reader: the file's good lines, and the reader
+FUZZED_FILES = {
+    "trace": ([GOOD_TRACE_HEADER, GOOD_TRACE_RECORD], logio.read_trace),
+    "log": ([GOOD_LOG_HEADER, GOOD_LOG_EVENT], logio.read_observed_jsonl),
+    "alignment": ([GOOD_MOVE_LINE, GOOD_MOVE_LINE], oracle.read_alignment),
+}
+
+
+def fuzzed_inputs():
+    """Each good file with one field of one of its lines replaced by each odd
+    value, or deleted: (reader, lines, line number of the change, field)."""
+    for lines, read in FUZZED_FILES.values():
+        for at, good in enumerate(lines, start=1):
+            for key in good:
+                for odd in ODD_VALUES + [DELETED]:
+                    changed = {k: v for k, v in good.items() if k != key}
+                    if odd is not DELETED:
+                        changed[key] = odd
+                    yield read, lines[:at - 1] + [changed] + lines[at:], at, key
+
+
+def test_every_fuzzed_line_reads_back_or_is_a_parse_error_naming_its_line(tmp_path):
+    path = tmp_path / "fuzzed.jsonl"
+    for lines, read in FUZZED_FILES.values():
+        path.write_text("".join(json.dumps(d) + "\n" for d in lines))
+        read(str(path))
+    cases = rejected = 0
+    for read, lines, at, key in fuzzed_inputs():
+        path.write_text("".join(json.dumps(d) + "\n" for d in lines))
+        cases += 1
+        try:
+            read(str(path))
+        except logio.SchemaVersionMismatch:
+            assert key == "schema_version"  # the version gate, not a field decoder
+            rejected += 1
+        except logio.ParseError as e:
+            assert str(e).endswith(f" at {path}:{at}"), (key, lines[at - 1], str(e))
+            rejected += 1
+    assert cases == 10 * (len(GOOD_TRACE_HEADER) + len(GOOD_TRACE_RECORD)
+                          + len(GOOD_LOG_HEADER) + len(GOOD_LOG_EVENT)
+                          + 2 * len(GOOD_MOVE_LINE))
+    assert 0 < rejected < cases
