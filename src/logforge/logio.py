@@ -213,16 +213,17 @@ def _bound_pairs(value, what: str) -> tuple[tuple[str, str], ...]:
     pairs.  An entry of another length raises ValueError as unpacking does;
     any other value that is not a list of string pairs, a ValueError naming
     `what`."""
-    message = f"{what!r} must be a list of [variable, identifier] string pairs, got {value!r}"
-    if type(value) is not list:
-        raise ValueError(message)
-    pairs = []
-    for pair in value:
-        k, v = pair
-        if type(pair) is not list or type(k) is not str or type(v) is not str:
-            raise ValueError(message)
-        pairs.append((k, v))
-    return tuple(pairs)
+    if type(value) is list:
+        pairs = []
+        for pair in value:
+            k, v = pair
+            if type(pair) is not list or type(k) is not str or type(v) is not str:
+                break
+            pairs.append((k, v))
+        else:
+            return tuple(pairs)
+    raise ValueError(f"{what!r} must be a list of [variable, identifier] string pairs, "
+                     f"got {value!r}")
 
 
 def _place(pid, what: str) -> str:
@@ -252,7 +253,7 @@ def record_from_dict(d: dict, tags: dict | None = None) -> FiringRecord:
     fresh = _bound_pairs(get("fresh", []), "fresh")
     try:
         provenance = provenance_from_dict(get("provenance", {}), tags)
-    except ConfigInvalid as e:  # a line reports it as it reports its other list checks
+    except ConfigInvalid as e:  # a line reports a malformed tag as it does its lists
         raise ValueError(str(e)) from None
     return FiringRecord(
         seq_no, time, transition, activity, values, fresh, provenance,
@@ -304,7 +305,7 @@ def _trace_header(h: dict) -> dict:
         raise ValueError(f"'report_rules' must be a list, got {rules!r}")
     try:
         report_rules = tuple(map(ReportRule.from_dict, rules))
-    except ConfigInvalid as e:  # reported as a record's provenance is
+    except ConfigInvalid as e:  # reported as a record's malformed tag is
         raise ValueError(str(e)) from None
     return dict(
         run_id=run_id, seed=seed, epoch=epoch, model_digests=model_digests,
