@@ -296,6 +296,10 @@ def _trace_header(h: dict) -> dict:
     """The header's fields, each checked as it is read, in field order."""
     run_id, seed = typed(h, "run_id", (str,)), typed(h, "seed", (int,))
     epoch = typed(h, "epoch", (str,))
+    try:
+        epoch_seconds(epoch)
+    except ValueError:
+        raise ValueError(f"'epoch' must be an ISO 8601 time, got {epoch!r}") from None
     model_digests = typed(h, "model_digests", (dict,), {})
     config_digest = typed(h, "config_digest", (str,), "")
     object_types = typed(h, "object_types", (dict,), {})

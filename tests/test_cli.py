@@ -284,6 +284,9 @@ BAD_TRACES = {
     "number-injected-place": (
         [with_header_field('"injected":[[5,["a"]]]'), GOOD_RECORD], 1,
         BAD_RECORD + """ValueError("'injected' place ids must be strings, got 5")"""),
+    "unparsable-epoch": (
+        [TRACE_HEADER.replace("2024-03-04T08:00:00Z", "yesterday"), GOOD_RECORD], 1,
+        BAD_RECORD + """ValueError("'epoch' must be an ISO 8601 time, got 'yesterday'")"""),
     "number-config-digest": (
         [with_header_field('"config_digest":5'), GOOD_RECORD], 1,
         BAD_RECORD + """ConfigInvalid("field 'config_digest' is not str: 5")"""),
