@@ -1,11 +1,16 @@
 """Grid generation: behavioral-set x recording-set x sim-config fan-out.
 
 The cells of a (behavioral, recording) row share one build of M^S and M^L,
-digested and encoded once; each cell simulates M^L under its own config and
-writes model/ledger/trace/log files under its own directory; the manifest
-ties everything together.  Cells get their seeds from (master_seed, indices),
-so extending the grid never perturbs existing cells, and `jobs` > 1 runs
-them in a process pool, one cell per task.
+digested and encoded once.  Each cell simulates M^L under its own config and
+writes its trace and logs under its own directory.  The row's first cell
+that succeeds gets the row's model.json and ledger.json written; every later
+cell of the row gets a hard link to those two files (a copy where the
+filesystem refuses links), so the files of a dataset are read-only: an edit
+in place of one cell's model changes the whole row.  The manifest ties
+everything together.  Cells get their seeds from (master_seed, indices), so
+extending the grid never perturbs existing cells, and `jobs` > 1 runs them
+in a process pool, one cell per task; the main process writes and links the
+shared files, in cell order.
 """
 from __future__ import annotations
 
@@ -15,6 +20,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
+from itertools import tee
 
 from . import logio
 from .nets import Net
@@ -138,7 +144,7 @@ class DatasetManifest:
 @dataclass(frozen=True)
 class ModelPair:
     """M^L of one (behavioral, recording) row, its lineage digests, and the
-    model.json and ledger.json text every cell of the row writes."""
+    model.json and ledger.json text the cells of the row share."""
 
     ml: Net
     digests: dict
@@ -159,9 +165,16 @@ def _build_pair(m0: Net, m0_digest: str, cell: Cell) -> ModelPair | Exception:
         return e
 
 
+def _failed(cell: Cell, error: Exception) -> dict:
+    """The manifest entry of a cell that `error` stopped."""
+    return {"cell_id": cell.cell_id, "status": "failed", "error": str(error),
+            "error_type": type(error).__name__}
+
+
 def _generate_cell(job: tuple) -> tuple[dict, Exception | None]:
-    """Simulate one cell on its row's pair and write its files (module-level
-    so pools can pickle it): the cell's manifest entry, and its error."""
+    """Simulate one cell on its row's pair and write its trace and logs
+    (module-level so pools can pickle it): the cell's manifest entry, and its
+    error.  The entry's model and ledger paths are left to `_share_row_files`."""
     cell, config, pair, out_dir = job
     try:
         if isinstance(pair, Exception):
@@ -171,13 +184,11 @@ def _generate_cell(job: tuple) -> tuple[dict, Exception | None]:
         paths = {key: os.path.join("cells", cell.cell_id, name) for key, name in (
             ("model", "model.json"), ("ledger", "ledger.json"), ("trace", "trace.gt.jsonl"),
             ("log_jsonl", "log.jsonl"), ("log_csv", "log.csv"))}
-        logio.atomic_write(os.path.join(out_dir, paths["model"]), pair.model_text)
-        logio.atomic_write(os.path.join(out_dir, paths["ledger"]), pair.ledger_text)
         logio.write_trace(trace, os.path.join(out_dir, paths["trace"]))
         logio.write_observed_jsonl(log, os.path.join(out_dir, paths["log_jsonl"]))
         logio.write_observed_csv(log, os.path.join(out_dir, paths["log_csv"]))
     except Exception as e:  # noqa: BLE001 - per-cell failures surface with the cell id
-        return {"cell_id": cell.cell_id, "status": "failed", "error": str(e)}, e
+        return _failed(cell, e), e
     return {
         "cell_id": cell.cell_id,
         "b_index": cell.b_index,
@@ -199,6 +210,22 @@ def _generate_cell(job: tuple) -> tuple[dict, Exception | None]:
     }, None
 
 
+def _share_row_files(out_dir: str, paths: dict, pair: ModelPair,
+                     sources: tuple | None) -> tuple:
+    """Give a cell of `pair`'s row its model.json and ledger.json at `paths`:
+    hard links to `sources`, the row's files already written, or, when the
+    row has none yet, the texts written.  The row's sources after this cell."""
+    targets = os.path.join(out_dir, paths["model"]), os.path.join(out_dir, paths["ledger"])
+    texts = pair.model_text, pair.ledger_text
+    if sources is None:
+        for path, text in zip(targets, texts):
+            logio.atomic_write(path, text)
+        return targets
+    for src, path, text in zip(sources, targets, texts):
+        logio.link_write(src, path, text)
+    return sources
+
+
 def _cell_jobs(m0: Net, m0_digest: str, grid: GridSpec, out_dir: str):
     """One job per cell, in cell order; a row's pair is built when its first
     cell is reached and shared by the rest of the row."""
@@ -217,9 +244,20 @@ def generate(m0: Net, grid: GridSpec, out_dir: str, jobs: int = 1,
     m0_read = net_from_dict(net_to_dict(m0))
     m0_digest = net_digest(m0_read)
     entries: list[dict] = []
+    # the main process gives each cell that succeeded its row's shared files,
+    # holding only the current row's pair and sources
+    cell_jobs, placed = tee(_cell_jobs(m0_read, m0_digest, grid, out_dir))
+    row = sources = None
     with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
         mapper = map if pool is None else pool.map
-        for entry, error in mapper(_generate_cell, _cell_jobs(m0_read, m0_digest, grid, out_dir)):
+        for (cell, _, pair, _), (entry, error) in zip(placed, mapper(_generate_cell, cell_jobs)):
+            if error is None:
+                if (cell.b_index, cell.r_index) != row:
+                    row, sources = (cell.b_index, cell.r_index), None
+                try:
+                    sources = _share_row_files(out_dir, entry["paths"], pair, sources)
+                except OSError as e:
+                    entry, error = _failed(cell, e), e
             if error is not None and not keep_going:
                 raise GenerationError(entry["cell_id"], error) from error
             entries.append(entry)

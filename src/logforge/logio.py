@@ -17,7 +17,7 @@ import tempfile
 import threading
 from dataclasses import dataclass
 
-from .nets import OBJECT_SEPARATOR, Net
+from .nets import BASE, OBJECT_SEPARATOR, Net
 from .serialize import (SCHEMA_VERSION, canonical_json, net_from_dict,
                         net_to_dict, provenance_from_dict, provenance_to_dict,
                         text_digest)
@@ -49,6 +49,31 @@ def atomic_write(path: str, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def link_write(src: str, path: str, text: str) -> None:
+    """Give `path` the bytes of `src`, a file already written with `text`.
+
+    A hard link to `src` under a temporary name is renamed onto `path`, so
+    an existing `path` is replaced as `atomic_write` replaces it, and no
+    inode is created.  Where the filesystem refuses the link (no hard links,
+    too many of them, or no such directory yet), `text` is written by
+    `atomic_write`.  The two names then share one file: change neither in
+    place.
+    """
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
+                       f".tmp-{os.getpid()}-{os.path.basename(path)}.link")
+    try:
+        os.link(src, tmp)
+    except OSError:
+        atomic_write(path, text)
+        return
+    try:
+        os.replace(tmp, path)
+    finally:
+        # rename(2) keeps both names when they already name one file
+        if os.path.lexists(tmp):
+            os.unlink(tmp)
 
 
 def check_version(d, path: str):
@@ -226,6 +251,16 @@ def _bound_pairs(value, what: str) -> tuple[tuple[str, str], ...]:
                      f"got {value!r}")
 
 
+def _object_types(d: dict, key: str) -> dict:
+    """Field `key` of header `d`, a JSON object mapping identifiers to object
+    type names ({} if absent); else a ConfigInvalid or ValueError naming it."""
+    types = typed(d, key, (dict,), {})
+    for object_type in types.values():
+        if type(object_type) is not str:
+            raise ValueError(f"{key!r} must be an object of strings, got {types!r}")
+    return types
+
+
 def _place(pid, what: str) -> str:
     """`pid`, the place id of a `what` entry, once it is a string."""
     if type(pid) is not str:
@@ -252,7 +287,7 @@ def record_from_dict(d: dict, tags: dict | None = None) -> FiringRecord:
     values = _bound_pairs(get("values", []), "values")
     fresh = _bound_pairs(get("fresh", []), "fresh")
     try:
-        provenance = provenance_from_dict(get("provenance", {}), tags)
+        provenance = provenance_from_dict(d["provenance"], tags) if "provenance" in d else BASE
     except ConfigInvalid as e:  # a line reports a malformed tag as it does its lists
         raise ValueError(str(e)) from None
     return FiringRecord(
@@ -302,7 +337,7 @@ def _trace_header(h: dict) -> dict:
         raise ValueError(f"'epoch' must be an ISO 8601 time, got {epoch!r}") from None
     model_digests = typed(h, "model_digests", (dict,), {})
     config_digest = typed(h, "config_digest", (str,), "")
-    object_types = typed(h, "object_types", (dict,), {})
+    object_types = _object_types(h, "object_types")
     pattern_stats = typed(h, "pattern_stats", (dict,), {})
     rules = h.get("report_rules", [])
     if type(rules) is not list:
@@ -414,11 +449,7 @@ def write_observed_jsonl(log: ObservedLog, path: str) -> None:
 
 def _log_header(h: dict) -> dict:
     """The header's fields, each checked as it is read, in field order."""
-    objects = typed(h, "objects", (dict,), {})
-    for object_type in objects.values():
-        if type(object_type) is not str:
-            raise ValueError(f"'objects' must be an object of strings, got {objects!r}")
-    return dict(objects=objects, run_id=typed(h, "run_id", (str,), ""))
+    return dict(objects=_object_types(h, "objects"), run_id=typed(h, "run_id", (str,), ""))
 
 
 def read_observed_jsonl(path: str) -> ObservedLog:

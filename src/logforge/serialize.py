@@ -8,7 +8,7 @@ from __future__ import annotations
 import hashlib
 import json
 
-from .nets import (Arc, Marking, Net, ObjectType, Place, ProvenanceTag,
+from .nets import (BASE, Arc, Marking, Net, ObjectType, Place, ProvenanceTag,
                    Transition, Variable)
 from .timing import ConfigInvalid, SimAnnotations
 
@@ -53,11 +53,12 @@ def provenance_to_dict(p: ProvenanceTag) -> dict:
 
 
 def provenance_from_dict(d: dict, tags: dict | None = None) -> ProvenanceTag:
-    """The tag in JSON object `d`; ConfigInvalid says what is malformed.
-    Equal tags decoded with one `tags` table are one ProvenanceTag."""
+    """The tag in JSON object `d`, which names its `origin` even when it is
+    "base"; ConfigInvalid says what is malformed.  Equal tags decoded with
+    one `tags` table are one ProvenanceTag."""
     if type(d) is not dict:
         raise ConfigInvalid(f"'provenance' must be an object, got {d!r}")
-    key = (d.get("origin", "base"), d.get("pattern_code"), d.get("application_id"),
+    key = (d.get("origin"), d.get("pattern_code"), d.get("application_id"),
            d.get("shadow_of"))
     if tags is not None:
         try:
@@ -109,7 +110,7 @@ def net_from_dict(d: dict) -> Net:
             Transition(
                 t["id"],
                 activity_label=t.get("activity_label"),
-                provenance=provenance_from_dict(t.get("provenance", {})),
+                provenance=provenance_from_dict(t["provenance"]) if "provenance" in t else BASE,
                 record_spec=None if t.get("record_spec") is None else tuple(t["record_spec"]),
             )
             for t in d["transitions"]

@@ -230,6 +230,15 @@ BAD_TRACES = {
         [TRACE_HEADER, GOOD_RECORD, with_record_field('"provenance":{"origin":5}')], 3,
         BAD_RECORD + """ValueError("'provenance' must hold a string 'origin' and strings or """
         """nulls, got {'origin': 5}")"""),
+    "empty-provenance": (
+        [TRACE_HEADER, GOOD_RECORD, with_record_field('"provenance":{}')], 3,
+        BAD_RECORD + """ValueError("'provenance' must hold a string 'origin' and strings or """
+        """nulls, got {}")"""),
+    "provenance-without-origin": (
+        [TRACE_HEADER, GOOD_RECORD,
+         with_record_field('"provenance":{"application_id":"x","pattern_code":"BI_3"}')], 3,
+        BAD_RECORD + """ValueError("'provenance' must hold a string 'origin' and strings or """
+        """nulls, got {'application_id': 'x', 'pattern_code': 'BI_3'}")"""),
     "text-consumed-token": (
         [TRACE_HEADER, GOOD_RECORD, with_record_field('"consumed":[["p","abc"]]')], 3,
         BAD_RECORD + """ValueError("'consumed' must be a list of strings, got 'abc'")"""),
@@ -259,6 +268,10 @@ BAD_TRACES = {
     "list-object-types": (
         [with_header_field('"object_types":[1]'), GOOD_RECORD], 1,
         BAD_RECORD + """ConfigInvalid("field 'object_types' is not dict: [1]")"""),
+    "number-object-type": (
+        [with_header_field('"object_types":{"c_1":5}'), GOOD_RECORD], 1,
+        BAD_RECORD + """ValueError("'object_types' must be an object of strings, """
+        """got {'c_1': 5}")"""),
     "text-model-digests": (
         [with_header_field('"model_digests":"abc"'), GOOD_RECORD], 1,
         BAD_RECORD + """ConfigInvalid("field 'model_digests' is not dict: 'abc'")"""),

@@ -205,7 +205,126 @@ def test_failed_pair_marks_each_of_its_cells_failed(tmp_path):
     failed = [e for e in manifest.cells if e["status"] == "failed"]
     assert [e["cell_id"] for e in failed] == ["b0-r0-c0", "b0-r0-c1"]
     assert failed[0]["error"] == failed[1]["error"] and "ghost" in failed[0]["error"]
+    assert failed[0]["error_type"] == failed[1]["error_type"] == "InvalidMapping"
     assert [e["status"] for e in manifest.cells[2:]] == ["ok", "ok"]
+
+
+def _three_config_grid(first_config=None):
+    """Two rows of the package grid, each with three configs; `first_config`
+    replaces the first."""
+    _, grid = fixtures.fixture("package_delivery")
+    configs = grid.sim_configs * 3
+    if first_config is not None:
+        configs[0] = first_config
+    return replace(grid, behavioral_sets=grid.behavioral_sets[5:7],
+                   recording_sets=grid.recording_sets[5:7], sim_configs=configs)
+
+
+def _files(out):
+    """Every file under `out`: relative path -> bytes."""
+    files = {}
+    for root, _, names in os.walk(out):
+        for name in names:
+            path = os.path.join(root, name)
+            files[os.path.relpath(path, out)] = open(path, "rb").read()
+    return files
+
+
+def _shared_stats(out, manifest, key):
+    """Per row, the (inode, link count) of the cells' `key` file."""
+    rows: dict = {}
+    for entry in manifest.cells:
+        if entry["status"] == "ok":
+            st = os.stat(os.path.join(out, entry["paths"][key]))
+            rows.setdefault((entry["b_index"], entry["r_index"]), set()).add(
+                (st.st_ino, st.st_nlink))
+    return rows
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_the_cells_of_a_row_share_one_model_and_ledger_file(tmp_path, jobs):
+    net, _ = fixtures.fixture("package_delivery")
+    out = str(tmp_path / "ds")
+    manifest = generate(net, _three_config_grid(), out, jobs=jobs)
+    assert len(manifest.cells) == 6
+    for key in ("model", "ledger"):
+        rows = _shared_stats(out, manifest, key)
+        assert len(rows) == 2 and all(len(stats) == 1 for stats in rows.values())
+        assert {nlink for stats in rows.values() for _, nlink in stats} == {3}
+        assert len({ino for stats in rows.values() for ino, _ in stats}) == 2
+    for entry in manifest.cells:
+        assert os.stat(os.path.join(out, entry["paths"]["trace"])).st_nlink == 1
+
+
+def test_a_refused_link_gives_the_same_bytes_as_a_copy(tmp_path, monkeypatch):
+    net, _ = fixtures.fixture("package_delivery")
+    linked = str(tmp_path / "linked")
+    generate(net, _three_config_grid(), linked)
+
+    def refuse(src, dst, **kwargs):
+        raise PermissionError(1, "Operation not permitted", dst)
+
+    monkeypatch.setattr(os, "link", refuse)
+    copied = str(tmp_path / "copied")
+    manifest = generate(net, _three_config_grid(), copied)
+    assert _files(copied) == _files(linked)
+    assert all(os.stat(os.path.join(copied, entry["paths"][key])).st_nlink == 1
+               for entry in manifest.cells for key in ("model", "ledger"))
+
+
+def test_regenerating_into_the_same_directory_gives_the_same_files(tmp_path):
+    net, _ = fixtures.fixture("package_delivery")
+    out = str(tmp_path / "ds")
+    generate(net, _three_config_grid(), out)
+    first = _files(out)
+    manifest = generate(net, _three_config_grid(), out)
+    assert _files(out) == first  # no temporary file is left either
+    for key in ("model", "ledger"):
+        assert all(len(stats) == 1 and next(iter(stats))[1] == 3
+                   for stats in _shared_stats(out, manifest, key).values())
+
+
+def test_a_failed_first_cell_has_no_model_and_the_next_ok_cell_is_the_source(tmp_path):
+    net, grid = fixtures.fixture("package_delivery")
+    # the run rejects a weight for a transition the net does not have
+    bad = replace(grid.sim_configs[0], weights={"ghost": ((0.0, 1.0),)})
+    out = str(tmp_path / "ds")
+    manifest = generate(net, _three_config_grid(bad), out, keep_going=True)
+    failed = [e for e in manifest.cells if e["status"] == "failed"]
+    assert [e["cell_id"] for e in failed] == ["b0-r0-c0", "b1-r1-c0"]
+    assert {e["error_type"] for e in failed} == {"ConfigInvalid"}
+    assert all("ghost" in e["error"] for e in failed)
+    for cell_id in ("b0-r0-c0", "b1-r1-c0"):
+        assert not os.path.exists(os.path.join(out, "cells", cell_id, "model.json"))
+    for key in ("model", "ledger"):
+        rows = _shared_stats(out, manifest, key)
+        assert all(len(stats) == 1 and next(iter(stats))[1] == 2 for stats in rows.values())
+    with pytest.raises(GenerationError) as info:
+        generate(net, _three_config_grid(bad), str(tmp_path / "ff"))
+    assert info.value.cell_id == "b0-r0-c0"
+
+
+def test_a_failed_shared_file_write_fails_its_cell(tmp_path, monkeypatch):
+    net, _ = fixtures.fixture("package_delivery")
+    write = logio.atomic_write
+
+    def full_disk(path, text):
+        if path.endswith(os.path.join("b1-r1-c0", "ledger.json")):
+            raise OSError(28, "No space left on device", path)
+        write(path, text)
+
+    monkeypatch.setattr(logio, "atomic_write", full_disk)
+    out = str(tmp_path / "ds")
+    manifest = generate(net, _three_config_grid(), out, keep_going=True)
+    assert [e["status"] for e in manifest.cells] == ["ok"] * 3 + ["failed", "ok", "ok"]
+    failed = manifest.cells[3]
+    assert failed["error_type"] == "OSError" and "No space left" in failed["error"]
+    # the row's next ok cell writes the files the failed cell could not
+    rows = _shared_stats(out, manifest, "ledger")
+    assert sorted(next(iter(stats))[1] for stats in rows.values()) == [2, 3]
+    with pytest.raises(GenerationError) as info:
+        generate(net, _three_config_grid(), str(tmp_path / "ff"))
+    assert info.value.cell_id == "b1-r1-c0" and isinstance(info.value.cause, OSError)
 
 
 def test_trace_does_not_depend_on_earlier_runs_of_the_same_ml(tmp_path):
@@ -237,7 +356,13 @@ def test_cells_of_a_shared_pair_do_not_depend_on_their_order(tmp_path):
     jobs = list(dataset._cell_jobs(m0, manifest.m0_digest, grid, backward))
     # every cell of a row shares one pair, so reversing the row reuses it
     assert len({id(pair) for _, _, pair, _ in jobs}) == 2
-    entries = [dataset._generate_cell(job) for job in reversed(jobs)]
+    entries, sources = [], {}
+    for job in reversed(jobs):
+        entry, error = dataset._generate_cell(job)
+        cell, _, pair, _ = job
+        row = cell.b_index, cell.r_index
+        sources[row] = dataset._share_row_files(backward, entry["paths"], pair, sources.get(row))
+        entries.append((entry, error))
     assert [error for _, error in entries] == [None] * len(jobs)
     assert [entry for entry, _ in reversed(entries)] == manifest.cells
     for entry in manifest.cells:

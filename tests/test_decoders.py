@@ -1,8 +1,11 @@
 """The JSONL decoders against a reference decode built on `json.loads` and the
 public constructors, over every cell of the three fixtures."""
+import copy
 import json
+import operator
 import os
 from dataclasses import fields
+from functools import reduce
 
 import pytest
 
@@ -141,7 +144,8 @@ GOOD_TRACE_HEADER = {
 GOOD_TRACE_RECORD = {
     "activity": "a", "coarsen_window": 60.0, "consumed": [["p", ["o_1"]]],
     "fresh": [["y", "o_2"]], "produced": [["q", ["o_1", "o_2"], 1.5]],
-    "provenance": {"application_id": "a1", "origin": "deviation", "pattern_code": "BI_3"},
+    "provenance": {"application_id": "a1", "origin": "deviation", "pattern_code": "BI_3",
+                   "shadow_of": "t0"},
     "recorded_objects": ["o_1"], "seq_no": 0, "time": 0.0, "timing_causes": ["a1"],
     "transition": "t", "values": [["x", "o_1"]]}
 GOOD_LOG_HEADER = {"schema_version": "1", "kind": "observed_log", "run_id": "r",
@@ -165,6 +169,25 @@ FUZZED_FILES = {
 }
 
 
+# per reader: where its nested objects are, as (line number, key, ...)
+NESTED = {
+    "trace": [(1, "report_rules", 0), (2, "provenance")],
+    "alignment": [(1, "cause"), (2, "cause")],
+}
+
+
+def _changed(lines, at, keys, odd):
+    """`lines` with the field at `keys` of line `at` replaced by `odd`, or
+    deleted."""
+    lines = lines[:at - 1] + [copy.deepcopy(lines[at - 1])] + lines[at:]
+    *inner, key = keys
+    target = reduce(operator.getitem, inner, lines[at - 1])
+    del target[key]
+    if odd is not DELETED:
+        target[key] = odd
+    return lines
+
+
 def fuzzed_inputs():
     """Each good file with one field of one of its lines replaced by each odd
     value, or deleted: (reader, lines, line number of the change, field)."""
@@ -172,30 +195,53 @@ def fuzzed_inputs():
         for at, good in enumerate(lines, start=1):
             for key in good:
                 for odd in ODD_VALUES + [DELETED]:
-                    changed = {k: v for k, v in good.items() if k != key}
-                    if odd is not DELETED:
-                        changed[key] = odd
-                    yield read, lines[:at - 1] + [changed] + lines[at:], at, key
+                    yield read, _changed(lines, at, [key], odd), at, key
+
+
+def nested_inputs():
+    """As `fuzzed_inputs`, for each field of each nested object in NESTED:
+    (reader, lines, line number of the change, key path)."""
+    for name, places in NESTED.items():
+        lines, read = FUZZED_FILES[name]
+        for at, *keys in places:
+            for key in reduce(operator.getitem, keys, lines[at - 1]):
+                for odd in ODD_VALUES + [DELETED]:
+                    yield read, _changed(lines, at, keys + [key], odd), at, keys + [key]
+
+
+def _read_or_reject(path, read, lines, at, key) -> bool:
+    """Whether `read` rejects `lines`, written to `path`; a rejection must be
+    the version gate or a ParseError naming `path:at`."""
+    path.write_text("".join(json.dumps(d) + "\n" for d in lines))
+    try:
+        read(str(path))
+    except logio.SchemaVersionMismatch:
+        assert key == "schema_version"  # the version gate, not a field decoder
+        return True
+    except logio.ParseError as e:
+        assert str(e).endswith(f" at {path}:{at}"), (key, lines[at - 1], str(e))
+        return True
+    return False
 
 
 def test_every_fuzzed_line_reads_back_or_is_a_parse_error_naming_its_line(tmp_path):
     path = tmp_path / "fuzzed.jsonl"
     for lines, read in FUZZED_FILES.values():
-        path.write_text("".join(json.dumps(d) + "\n" for d in lines))
-        read(str(path))
-    cases = rejected = 0
-    for read, lines, at, key in fuzzed_inputs():
-        path.write_text("".join(json.dumps(d) + "\n" for d in lines))
-        cases += 1
-        try:
-            read(str(path))
-        except logio.SchemaVersionMismatch:
-            assert key == "schema_version"  # the version gate, not a field decoder
-            rejected += 1
-        except logio.ParseError as e:
-            assert str(e).endswith(f" at {path}:{at}"), (key, lines[at - 1], str(e))
-            rejected += 1
-    assert cases == 10 * (len(GOOD_TRACE_HEADER) + len(GOOD_TRACE_RECORD)
-                          + len(GOOD_LOG_HEADER) + len(GOOD_LOG_EVENT)
-                          + 2 * len(GOOD_MOVE_LINE))
-    assert 0 < rejected < cases
+        assert not _read_or_reject(path, read, lines, 0, None)
+    outcomes = [_read_or_reject(path, *case) for case in fuzzed_inputs()]
+    assert len(outcomes) == 10 * (len(GOOD_TRACE_HEADER) + len(GOOD_TRACE_RECORD)
+                                  + len(GOOD_LOG_HEADER) + len(GOOD_LOG_EVENT)
+                                  + 2 * len(GOOD_MOVE_LINE))
+    assert 0 < sum(outcomes) < len(outcomes)
+
+
+def test_every_fuzzed_nested_field_reads_back_or_is_a_parse_error_naming_its_line(tmp_path):
+    path = tmp_path / "fuzzed.jsonl"
+    outcomes: dict = {}
+    for read, lines, at, key in nested_inputs():
+        outcomes.setdefault((at, *key), []).append(_read_or_reject(path, read, lines, at, key))
+    assert len(outcomes) == 4 + 3 + 2 * 3 and all(len(o) == 10 for o in outcomes.values())
+    # a tag without its origin would read as base: only the string is accepted
+    assert outcomes[2, "provenance", "origin"] == [value != "abc" for value in
+                                                   ODD_VALUES + [DELETED]]
+    assert 0 < sum(map(sum, outcomes.values())) < 10 * len(outcomes)

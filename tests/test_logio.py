@@ -187,7 +187,11 @@ def test_model_rewritten_with_other_bytes_reads_as_a_new_net(tmp_path, package_c
     (lambda text: text.replace('"provenance":{"origin":"base"}', '"provenance":[]', 1),
      logio.ParseError,
      """malformed model: ConfigInvalid("'provenance' must be an object, got []") at {path}"""),
-], ids=["truncated", "wrong_version", "no_places", "list_provenance"])
+    (lambda text: text.replace('"provenance":{"origin":"base"}', '"provenance":{}', 1),
+     logio.ParseError,
+     """malformed model: ConfigInvalid("'provenance' must hold a string 'origin' and strings """
+     """or nulls, got {{}}") at {path}"""),
+], ids=["truncated", "wrong_version", "no_places", "list_provenance", "empty_provenance"])
 def test_unreadable_model_fails_on_every_read(tmp_path, package_cells, model_table,
                                               broken, error, ending):
     good = logio.encode_model(package_cells[0]["ml"])[0]
@@ -201,6 +205,15 @@ def test_unreadable_model_fails_on_every_read(tmp_path, package_cells, model_tab
     assert messages[0] == messages[1] and messages[0].endswith(ending.format(path=path))
     assert logio._models == {}
     path.write_text(good)
+    assert net_digest(logio.read_model(str(path))) == net_digest(package_cells[0]["ml"])
+
+
+def test_a_model_transition_without_provenance_is_base(tmp_path, package_cells):
+    good = logio.encode_model(package_cells[0]["ml"])[0]
+    path = tmp_path / "model.json"
+    bare = good.replace('"provenance":{"origin":"base"},', "")
+    assert bare != good
+    path.write_text(bare)
     assert net_digest(logio.read_model(str(path))) == net_digest(package_cells[0]["ml"])
 
 
@@ -270,6 +283,32 @@ def test_atomic_write_replaces_only_on_success(tmp_path):
     assert target.read_text() == "new"
     leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".tmp-")]
     assert leftovers == []
+
+
+def test_link_write_replaces_a_file_with_a_link_and_leaves_no_temporary(tmp_path):
+    src, target = tmp_path / "src.json", tmp_path / "out.json"
+    src.write_text("new")
+    target.write_text("old")
+    for _ in range(2):  # the second time, both names already name one file
+        logio.link_write(str(src), str(target), "new")
+        assert target.read_text() == "new"
+        assert target.stat().st_ino == src.stat().st_ino and src.stat().st_nlink == 2
+        assert [p.name for p in tmp_path.iterdir() if p.name.startswith(".tmp-")] == []
+
+
+@pytest.mark.parametrize("errno_", [1, 31, 95], ids=["EPERM", "EMLINK", "ENOTSUP"])
+def test_link_write_writes_the_text_where_the_link_is_refused(tmp_path, monkeypatch, errno_):
+    src = tmp_path / "src.json"
+    src.write_text("text")
+
+    def refuse(src, dst, **kwargs):
+        raise OSError(errno_, "refused", dst)
+
+    monkeypatch.setattr(logio.os, "link", refuse)
+    target = tmp_path / "sub" / "out.json"
+    logio.link_write(str(src), str(target), "text")
+    assert target.read_text() == "text" and target.stat().st_nlink == 1
+    assert [p.name for p in target.parent.iterdir()] == ["out.json"]
 
 
 @given(st.floats(min_value=0, max_value=10**9), st.sampled_from([60.0, 3600.0, 86400.0]))
