@@ -196,28 +196,28 @@ def read_model(path: str) -> Net:
     return net
 
 
+def write_jsonl(dicts: list[dict], path: str) -> None:
+    """Write `dicts` to `path`, one `canonical_json` line each."""
+    atomic_write(path, "\n".join(map(canonical_json, dicts)) + "\n")
+
+
 # -- ground-truth traces ------------------------------------------------------
 
-# encodes a dict whose keys, at every level, are in sorted order as
-# `canonical_json` does, without sorting them again
-_IN_KEY_ORDER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False)
-
-
 def record_to_dict(r: FiringRecord) -> dict:
-    """The record's JSON object, keys in sorted order (tuples encode as lists)."""
+    """The record's JSON object (tuples encode as lists)."""
     return {
-        "activity": r.activity,
-        "coarsen_window": r.coarsen_window,
-        "consumed": r.consumed,
-        "fresh": r.fresh,
-        "produced": r.produced,
-        "provenance": provenance_to_dict(r.provenance),
-        "recorded_objects": r.recorded_objects,
         "seq_no": r.seq_no,
         "time": r.time,
-        "timing_causes": r.timing_causes,
         "transition": r.transition,
+        "activity": r.activity,
         "values": r.values,
+        "fresh": r.fresh,
+        "provenance": provenance_to_dict(r.provenance),
+        "consumed": r.consumed,
+        "produced": r.produced,
+        "recorded_objects": r.recorded_objects,
+        "coarsen_window": r.coarsen_window,
+        "timing_causes": r.timing_causes,
     }
 
 
@@ -321,10 +321,7 @@ def trace_to_dicts(trace: GroundTruthTrace) -> list[dict]:
 
 
 def write_trace(trace: GroundTruthTrace, path: str) -> None:
-    header, *records = trace_to_dicts(trace)
-    encode = _IN_KEY_ORDER.encode
-    lines = [canonical_json(header)] + [encode(d) for d in records]
-    atomic_write(path, "\n".join(lines) + "\n")
+    write_jsonl(trace_to_dicts(trace), path)
 
 
 def _trace_header(h: dict) -> dict:
@@ -379,10 +376,9 @@ class ObservedEvent:
     run_id: str
 
     def to_dict(self) -> dict:
-        """The event's JSON object, keys in sorted order."""
-        return {"activity": self.activity, "event_id": self.event_id,
-                "objects": list(self.objects), "run_id": self.run_id,
-                "timestamp": self.timestamp}
+        return {"event_id": self.event_id, "timestamp": self.timestamp,
+                "activity": self.activity, "objects": list(self.objects),
+                "run_id": self.run_id}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ObservedEvent":
@@ -441,10 +437,8 @@ def write_observed_jsonl(log: ObservedLog, path: str) -> None:
     if log.objects is None:
         raise ValueError("log.jsonl gives each object's type; this log's types are unknown")
     header = {"schema_version": SCHEMA_VERSION, "kind": "observed_log",
-              "run_id": log.run_id, "objects": dict(sorted(log.objects.items()))}
-    encode = _IN_KEY_ORDER.encode
-    lines = [canonical_json(header)] + [encode(e.to_dict()) for e in log.events]
-    atomic_write(path, "\n".join(lines) + "\n")
+              "run_id": log.run_id, "objects": log.objects}
+    write_jsonl([header] + [e.to_dict() for e in log.events], path)
 
 
 def _log_header(h: dict) -> dict:

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .logio import (_IN_KEY_ORDER, ObservedLog, ParseError, atomic_write,
-                    event_id_for, project_observed, read_jsonl)
+from .logio import (ObservedLog, ParseError, event_id_for, project_observed, read_jsonl,
+                    write_jsonl)
 from .nets import Net
 from .simulate import FiringRecord, GroundTruthTrace
 from .timing import slot_init
@@ -42,9 +42,8 @@ class Cause:
     origin: str
 
     def to_dict(self) -> dict:
-        """The cause's JSON object, keys in sorted order."""
-        return {"application_id": self.application_id, "origin": self.origin,
-                "pattern_code": self.pattern_code}
+        return {"pattern_code": self.pattern_code, "application_id": self.application_id,
+                "origin": self.origin}
 
 
 @slot_init
@@ -59,31 +58,19 @@ class Move:
     discrepancy: dict | None = None
 
     def to_line(self, obj: str, seq: int) -> dict:
-        """The interchange line of this move as move `seq` of `obj`, keys in
-        sorted order at every level (tuples encode as lists)."""
-        d: dict = {"activity": self.activity}
+        """The interchange line of this move as move `seq` of `obj`, without
+        the fields that are None (tuples encode as lists)."""
+        d = {"object": obj, "seq": seq, "kind": self.kind, "activity": self.activity,
+             "objects": self.objects}
+        if self.event_id is not None:
+            d["event_id"] = self.event_id
+        if self.transition is not None:
+            d["transition"] = self.transition
         if self.cause is not None:
             d["cause"] = self.cause.to_dict()
         if self.discrepancy is not None:
-            d["discrepancy"] = _in_key_order(self.discrepancy)
-        if self.event_id is not None:
-            d["event_id"] = self.event_id
-        d["kind"] = self.kind
-        d["object"] = obj
-        d["objects"] = self.objects
-        d["seq"] = seq
-        if self.transition is not None:
-            d["transition"] = self.transition
+            d["discrepancy"] = self.discrepancy
         return d
-
-
-def _in_key_order(value):
-    """`value` with the keys of each of its dicts, at every level, in sorted order."""
-    if type(value) is dict:
-        return {k: _in_key_order(value[k]) for k in sorted(value)}
-    if type(value) is list:
-        return [_in_key_order(v) for v in value]
-    return value
 
 
 @dataclass
@@ -342,11 +329,8 @@ def move_distance(candidate: GtAlignment, gt: GtAlignment) -> float:
 # -- interchange ---------------------------------------------------------------
 
 def write_alignment(alignment: GtAlignment, path: str) -> None:
-    encode = _IN_KEY_ORDER.encode
-    lines = [encode(m.to_line(obj, i))
-             for obj, moves in sorted(alignment.per_object.items())
-             for i, m in enumerate(moves)]
-    atomic_write(path, "\n".join(lines) + "\n")
+    write_jsonl([m.to_line(obj, i) for obj, moves in sorted(alignment.per_object.items())
+                 for i, m in enumerate(moves)], path)
 
 
 def _read_cause(d, causes: dict) -> Cause:

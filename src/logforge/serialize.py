@@ -15,8 +15,10 @@ from .timing import ConfigInvalid, SimAnnotations
 SCHEMA_VERSION = "1"
 
 
-def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+# the one encoder of every model, document, header and JSONL line: keys
+# sorted at every level, compact separators, built once and reused
+canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                                  ensure_ascii=False).encode
 
 
 def digest_of(obj) -> str:
@@ -40,13 +42,12 @@ def _variable_from_dict(d: dict) -> Variable:
 
 
 def provenance_to_dict(p: ProvenanceTag) -> dict:
-    """The tag's JSON object, keys in sorted order."""
-    d: dict = {}
-    if p.application_id is not None:
-        d["application_id"] = p.application_id
-    d["origin"] = p.origin
+    """The tag's JSON object, without the fields that are None."""
+    d = {"origin": p.origin}
     if p.pattern_code is not None:
         d["pattern_code"] = p.pattern_code
+    if p.application_id is not None:
+        d["application_id"] = p.application_id
     if p.shadow_of is not None:
         d["shadow_of"] = p.shadow_of
     return d

@@ -169,8 +169,7 @@ class WeightSpec:
     first breakpoint its default applies.
 
     Both sources are merged into one breakpoint table per transition when the
-    spec is built.  `at` remembers the piece it resolved last for each
-    transition and looks the table up again only once the clock has left it.
+    spec is built.
     """
 
     def __init__(self, defaults: dict | None = None, schedule: dict | None = None):
@@ -199,24 +198,17 @@ class WeightSpec:
                         break
             self._tables[tid] = (list(merged), list(merged.values()))
         self._breakpoints = sorted({f for froms, _ in self._tables.values() for f in froms[1:]})
-        self._memo: dict[str, tuple[float, float, float]] = {}   # tid -> (from, until, weight)
 
     @classmethod
     def for_run(cls, net: Net, config: SimConfig) -> "WeightSpec":
         return cls(defaults=dict(net.annotations.weights), schedule=config.weights)
 
     def at(self, tid: str, eta: float) -> float:
-        memo = self._memo.get(tid)
-        if memo is not None and memo[0] <= eta < memo[1]:
-            return memo[2]
         table = self._tables.get(tid)
         if table is None:
             return 1.0
         froms, weights = table
-        i = bisect_right(froms, eta) - 1
-        until = froms[i + 1] if i + 1 < len(froms) else math.inf
-        self._memo[tid] = (froms[i], until, weights[i])
-        return weights[i]
+        return weights[bisect_right(froms, eta) - 1]
 
     def breakpoints_after(self, eta: float) -> float | None:
         i = bisect_right(self._breakpoints, eta)
@@ -316,8 +308,8 @@ class SimState:
 
     Also keeps the enabled set, as positional rows (see `nets`): each
     transition's rows are re-enumerated only when one of its input places
-    changed, and the flat list of (transition, row) firings is rebuilt only
-    when some transition's rows did change.
+    changed, and the flat list of (transition, row) firings is rebuilt
+    whenever some transition was re-enumerated.
     """
 
     def __init__(self, net: Net, config: SimConfig):
@@ -449,18 +441,14 @@ class SimState:
     def firings(self) -> list[tuple[str, tuple[str, ...]]]:
         """Every enabled (transition, row) firing, in transition id order,
         then row order.  The list is replaced, never changed in place."""
-        changed = False
-        for tid in self._dirty:
-            rows = transition_bindings(self.net, self.marking, tid)
-            if rows != self._rows[tid]:
-                self._rows[tid] = rows
+        if self._dirty:
+            for tid in self._dirty:
+                rows = self._rows[tid] = transition_bindings(self.net, self.marking, tid)
                 if rows:
                     self._live.add(tid)
                 else:
                     self._live.discard(tid)
-                changed = True
-        self._dirty.clear()
-        if changed:
+            self._dirty.clear()
             kept = self._rows
             self._firings = [(tid, row) for tid in sorted(self._live) for row in kept[tid]]
         return self._firings
