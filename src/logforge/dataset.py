@@ -10,7 +10,8 @@ in place of one cell's model changes the whole row.  The manifest ties
 everything together.  Cells get their seeds from (master_seed, indices), so
 extending the grid never perturbs existing cells, and `jobs` > 1 runs them
 in a process pool, one cell per task; the main process writes and links the
-shared files, in cell order.
+shared files, in cell order.  A cell that fails leaves none of its files:
+its manifest entry says why.
 """
 from __future__ import annotations
 
@@ -165,8 +166,26 @@ def _build_pair(m0: Net, m0_digest: str, cell: Cell) -> ModelPair | Exception:
         return e
 
 
-def _failed(cell: Cell, error: Exception) -> dict:
-    """The manifest entry of a cell that `error` stopped."""
+def _cell_paths(cell: Cell) -> dict:
+    """The cell's five files, relative to the dataset directory."""
+    return {key: os.path.join("cells", cell.cell_id, name) for key, name in (
+        ("model", "model.json"), ("ledger", "ledger.json"), ("trace", "trace.gt.jsonl"),
+        ("log_jsonl", "log.jsonl"), ("log_csv", "log.csv"))}
+
+
+def _failed(cell: Cell, error: Exception, out_dir: str) -> dict:
+    """The manifest entry of a cell that `error` stopped, once whichever of
+    the cell's files were written, and then its emptied directory, are
+    removed."""
+    for rel in _cell_paths(cell).values():
+        try:
+            os.unlink(os.path.join(out_dir, rel))
+        except FileNotFoundError:
+            pass
+    try:
+        os.rmdir(os.path.join(out_dir, "cells", cell.cell_id))
+    except OSError:  # never made, or holding files that are not the cell's
+        pass
     return {"cell_id": cell.cell_id, "status": "failed", "error": str(error),
             "error_type": type(error).__name__}
 
@@ -181,14 +200,12 @@ def _generate_cell(job: tuple) -> tuple[dict, Exception | None]:
             raise pair
         trace = run(pair.ml, config, lineage=pair.digests)
         log = logio.project_observed(trace)
-        paths = {key: os.path.join("cells", cell.cell_id, name) for key, name in (
-            ("model", "model.json"), ("ledger", "ledger.json"), ("trace", "trace.gt.jsonl"),
-            ("log_jsonl", "log.jsonl"), ("log_csv", "log.csv"))}
+        paths = _cell_paths(cell)
         logio.write_trace(trace, os.path.join(out_dir, paths["trace"]))
         logio.write_observed_jsonl(log, os.path.join(out_dir, paths["log_jsonl"]))
         logio.write_observed_csv(log, os.path.join(out_dir, paths["log_csv"]))
     except Exception as e:  # noqa: BLE001 - per-cell failures surface with the cell id
-        return _failed(cell, e), e
+        return _failed(cell, e, out_dir), e
     return {
         "cell_id": cell.cell_id,
         "b_index": cell.b_index,
@@ -257,7 +274,7 @@ def generate(m0: Net, grid: GridSpec, out_dir: str, jobs: int = 1,
                 try:
                     sources = _share_row_files(out_dir, entry["paths"], pair, sources)
                 except OSError as e:
-                    entry, error = _failed(cell, e), e
+                    entry, error = _failed(cell, e, out_dir), e
             if error is not None and not keep_going:
                 raise GenerationError(entry["cell_id"], error) from error
             entries.append(entry)

@@ -275,14 +275,16 @@ def _availability(avail):
     return avail
 
 
-def record_from_dict(d: dict, tags: dict | None = None) -> FiringRecord:
+def record_from_dict(d: dict, tags: dict | None = None, net: Net | None = None) -> FiringRecord:
     """Decode a trace record, checking each field as it is read, in field
     order: the first defect raises ConfigInvalid, ValueError or TypeError.
     Records decoded with one `tags` table (a file's) share their equal
-    provenance tags."""
+    provenance tags.  Given `net`, the transition must be one of its."""
     get = d.get
     seq_no, time = typed(d, "seq_no", (int,)), typed(d, "time", NUMBER)
     transition = typed(d, "transition", (str,))
+    if net is not None and transition not in net.transition_map:
+        raise ValueError(f"record references unknown transition {transition!r}")
     activity = typed(d, "activity", (str,), None)
     values = _bound_pairs(get("values", []), "values")
     fresh = _bound_pairs(get("fresh", []), "fresh")
@@ -353,14 +355,11 @@ def _trace_header(h: dict) -> dict:
 
 
 def read_trace(path: str, net: Net | None = None) -> GroundTruthTrace:
+    """The trace in `path`.  Given `net`, a record that names no transition
+    of it is a ParseError naming its line."""
     tags: dict = {}
     header, records = _read_headed_jsonl(path, "ground_truth_trace", _trace_header,
-                                         lambda d: record_from_dict(d, tags))
-    if net is not None:
-        for i, r in enumerate(records):
-            if r.transition not in net.transition_map:
-                raise ParseError(f"record references unknown transition {r.transition!r}",
-                                 path, i + 2)
+                                         lambda d: record_from_dict(d, tags, net))
     return GroundTruthTrace(records=records, **header)
 
 

@@ -601,6 +601,16 @@ def validate_net(net: Net) -> list[Diagnostic]:
                         "RecordSpecUnknownVariable", t.id,
                         f"record_spec names {name!r}, not a variable of {t.id!r}"))
 
+    ann = net.annotations
+    named = [("weights", tid) for tid, _ in ann.weights]
+    named += [("overrides", tid) for o in ann.overrides for tid in o.transitions]
+    named += [("probes", tid) for p in ann.probes for tid in p.deviation + p.competitors]
+    named += [("report_rules", r.transition) for r in ann.report_rules]
+    for key, tid in named:
+        if tid not in trans_ids:
+            out.append(Diagnostic("UnresolvedElement", f"annotations.{key}",
+                                  f"{key} names {tid!r}, which is no transition of the net"))
+
     _check_marking(net, net.initial_marking, "initial marking", out)
     if net.final_marking is not None:
         _check_marking(net, net.final_marking, "final marking", out)

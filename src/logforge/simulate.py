@@ -28,7 +28,7 @@ from .nets import (OBJECT_SEPARATOR, Binding, FiringRule, Net, ProvenanceTag,
                    is_identifier, transition_bindings)
 from .serialize import digest_of, net_digest
 from .timing import (NUMBER, ConfigInvalid, Delay, ReportRule, reject_unknown_keys,
-                     slot_init, typed, weight_piece)
+                     slot_init, typed, weight_piece, weight_value)
 
 PRNG_NAME = "numpy-pcg64"
 DEFAULT_EPOCH = "2024-03-04T08:00:00Z"
@@ -174,11 +174,7 @@ class WeightSpec:
 
     def __init__(self, defaults: dict | None = None, schedule: dict | None = None):
         def norm(pieces):
-            pieces = sorted((float(f), float(w)) for f, w in pieces)
-            if any(w < 0 for _, w in pieces):
-                raise ConfigInvalid("negative transition weight")
-            if not all(math.isfinite(w) for _, w in pieces):
-                raise ConfigInvalid("transition weight must be finite")
+            pieces = sorted((float(f), weight_value(float(w))) for f, w in pieces)
             if any(math.isnan(f) for f, _ in pieces):
                 raise ConfigInvalid("weight breakpoint is NaN")
             return [f for f, _ in pieces], [w for _, w in pieces]

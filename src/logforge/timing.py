@@ -78,11 +78,25 @@ def slot_init(cls):
     return cls
 
 
+def weight_value(weight: float) -> float:
+    """`weight`, a transition weight, once it is finite and >= 0."""
+    if not 0 <= weight < math.inf:  # NaN compares false
+        raise ConfigInvalid(f"a transition weight must be finite and >= 0, got {weight!r}")
+    return weight
+
+
 def weight_piece(piece) -> tuple[float, float]:
     """A weight piece, [from_time, weight], as a pair of floats."""
     if type(piece) is not list or len(piece) != 2:
         raise ConfigInvalid(f"a weight piece must be [from_time, weight], got {piece!r}")
-    return float(typed(piece, 0, NUMBER)), float(typed(piece, 1, NUMBER))
+    return float(typed(piece, 0, NUMBER)), weight_value(float(typed(piece, 1, NUMBER)))
+
+
+def weight_entry(entry) -> tuple[str, tuple[tuple[float, float], ...]]:
+    """A model's weight entry, [transition, pieces], as a pair."""
+    if type(entry) is not list or len(entry) != 2:
+        raise ConfigInvalid(f"a weight entry must be [transition, pieces], got {entry!r}")
+    return typed(entry, 0, (str,)), tuple(map(weight_piece, typed(entry, 1, (list,))))
 
 
 DELAY_KINDS = ("constant", "normal", "exponential", "uniform")
@@ -170,6 +184,19 @@ class TimingOverride:
     probability: float = 0.0
     delay: Delay | None = None
 
+    def __post_init__(self):
+        if self.kind not in OVERRIDE_KINDS:
+            raise ConfigInvalid(f"unknown override kind {self.kind!r}, "
+                                f"expected one of {OVERRIDE_KINDS}")
+        if self.kind != "coarsen" and not isinstance(self.delay, Delay):
+            raise ConfigInvalid(f"a {self.kind} override needs a delay, got {self.delay!r}")
+        if self.kind == "slow_branch" and not 0 <= self.probability <= 1:
+            raise ConfigInvalid(f"a slow_branch probability must lie in [0, 1], "
+                                f"got {self.probability!r}")
+        if self.kind == "coarsen" and not 0 <= self.window_s < math.inf:
+            raise ConfigInvalid(f"a coarsen window_s must be a finite number >= 0, "
+                                f"got {self.window_s!r}")
+
     def to_dict(self) -> dict:
         d = {
             "kind": self.kind,
@@ -187,11 +214,8 @@ class TimingOverride:
     def from_dict(cls, d: dict) -> "TimingOverride":
         if type(d) is not dict:
             raise ConfigInvalid(f"a timing override must be an object, got {d!r}")
-        kind = typed(d, "kind", (str,))
-        if kind not in OVERRIDE_KINDS:
-            raise ConfigInvalid(f"unknown override kind {kind!r}, expected one of {OVERRIDE_KINDS}")
         return cls(
-            kind=kind,
+            kind=typed(d, "kind", (str,)),
             transitions=names(d, "transitions"),
             application_id=typed(d, "application_id", (str,), ""),
             pattern_code=typed(d, "pattern_code", (str,), ""),
@@ -288,8 +312,7 @@ class SimAnnotations:
     @classmethod
     def from_dict(cls, d: dict) -> "SimAnnotations":
         return cls(
-            weights=tuple((t, tuple(map(weight_piece, pieces)))
-                          for t, pieces in typed(d, "weights", (list,), [])),
+            weights=tuple(map(weight_entry, typed(d, "weights", (list,), []))),
             overrides=tuple(map(TimingOverride.from_dict, typed(d, "overrides", (list,), []))),
             probes=tuple(map(FrequencyProbe.from_dict, typed(d, "probes", (list,), []))),
             report_rules=tuple(map(ReportRule.from_dict, typed(d, "report_rules", (list,), []))),

@@ -142,6 +142,32 @@ def test_oracle_align_report_score(tmp_path, capsys):
     assert code == 0 and float(out.strip()) == 0.0
 
 
+def test_oracle_align_names_the_line_of_an_unknown_transition(tmp_path, capsys):
+    fdir = str(tmp_path / "fx")
+    run_cli(capsys, "fixture", "--name", "package_delivery", "--out", fdir)
+    ddir = str(tmp_path / "ds")
+    run_cli(capsys, "dataset", "--model", os.path.join(fdir, "m0.json"),
+            "--grid", os.path.join(fdir, "grid.json"), "--out", ddir)
+    entry = logio.read_json(os.path.join(ddir, "manifest.json"))["cells"][0]
+    lines = open(os.path.join(ddir, entry["paths"]["trace"])).read().splitlines()
+    record = json.loads(lines[2])
+    record["transition"] = "gamma"
+    # two blank lines after the header put the second record on line 5
+    trace = str(tmp_path / "t.jsonl")
+    open(trace, "w").write("\n".join([lines[0], "", "", lines[1], json.dumps(record),
+                                      *lines[3:]]) + "\n")
+    code, _, err = run_cli(capsys, "oracle", "align",
+                           "--model", os.path.join(ddir, "m0.json"),
+                           "--net", os.path.join(ddir, entry["paths"]["model"]),
+                           "--trace", trace,
+                           "--log", os.path.join(ddir, entry["paths"]["log_jsonl"]),
+                           "--out", str(tmp_path / "gt.jsonl"))
+    assert code == 2
+    [diag] = stderr_diagnostics(err)
+    assert diag["code"] == "ParseError" and "'gamma'" in diag["message"]
+    assert diag["message"].endswith(f"{trace}:5")
+
+
 GOOD_MOVE = '{"object":"o_1","seq":0,"kind":"synchronous","activity":"a","objects":["o_1"]}'
 NO_PLACE = "alignment line needs a string 'object' and an integer 'seq'"
 BAD_CAUSE = "malformed alignment move: 'cause' must hold a string 'pattern_code' and 'application_id'"
@@ -639,9 +665,20 @@ def test_validate_mistyped_model_weight_exits_two(tmp_path, capsys, piece):
     ("overrides", {"kind": "coarsen", "transitions": "ring", "window_s": "x"}),
     ("overrides", {"kind": "coarsen", "transitions": ["ring"], "window_s": "x"}),
     ("overrides", {"kind": "slower", "transitions": ["ring"]}),
+    ("weights", ["ring"]),
+    ("weights", "x"),
+    ("weights", ["ring", [[0, 1]], 3]),
+    ("weights", [5, [[0, 1]]]),
+    ("overrides", {"kind": "slow_branch", "transitions": ["ring"], "probability": 0.5}),
+    ("overrides", {"kind": "delay", "transitions": ["ring"]}),
+    ("overrides", {"kind": "slow_branch", "transitions": ["ring"], "probability": 7,
+                   "delay": {"kind": "constant", "a": 60.0}}),
+    ("overrides", {"kind": "coarsen", "transitions": ["ring"], "window_s": -60}),
 ], ids=["number-rule", "number-rule-transition", "text-affected", "number-probe-id",
         "text-deviation", "list-probe", "text-override-transitions", "text-window",
-        "unknown-override-kind"])
+        "unknown-override-kind", "weight-without-pieces", "text-weight-entry",
+        "weight-entry-of-three", "number-weight-transition", "slow-branch-without-delay",
+        "delay-without-delay", "slow-branch-probability-seven", "negative-window"])
 def test_validate_mistyped_model_annotation_exits_two(tmp_path, capsys, key, entry):
     fdir = str(tmp_path / "fx")
     run_cli(capsys, "fixture", "--name", "package_delivery", "--out", fdir)
@@ -654,6 +691,43 @@ def test_validate_mistyped_model_annotation_exits_two(tmp_path, capsys, key, ent
     [diag] = stderr_diagnostics(err)
     assert diag["code"] == "ParseError"
     assert "malformed model" in diag["message"]
+
+
+@pytest.mark.parametrize("key,entry", [
+    ("weights", ["alhpa", [[0, 2.0]]]),
+    ("overrides", {"kind": "coarsen", "transitions": ["ring", "alhpa"], "window_s": 60}),
+    ("probes", {"application_id": "a1", "pattern_code": "BI_3", "deviation": ["alhpa"],
+                "competitors": ["ring"]}),
+    ("report_rules", {"transition": "alhpa"}),
+], ids=["weight", "override", "probe", "report-rule"])
+def test_a_model_annotation_naming_no_transition_exits_one(tmp_path, capsys, key, entry):
+    model, cpath = write_package_config(tmp_path, capsys, lambda c: None)
+    doc = json.load(open(model))
+    doc["annotations"][key] = [entry]
+    open(model, "w").write(json.dumps(doc))
+    code, _, err = run_cli(capsys, "validate", "--model", model)
+    assert code == 1
+    [diag] = stderr_diagnostics(err)
+    assert diag == {"code": "UnresolvedElement", "element": f"annotations.{key}",
+                    "message": f"{key} names 'alhpa', which is no transition of the net"}
+    out = str(tmp_path / "sim")
+    code, _, err = run_cli(capsys, "simulate", "--model", model, "--config", cpath, "--out", out)
+    assert code == 1 and stderr_diagnostics(err) == [diag]
+    assert not os.path.exists(out)
+
+
+def test_a_negative_model_weight_fails_validate_and_simulate_alike(tmp_path, capsys):
+    model, cpath = write_package_config(tmp_path, capsys, lambda c: None)
+    doc = json.load(open(model))
+    doc["annotations"]["weights"] = [["ring", [[0, 1.0], [600, -2.0]]]]
+    open(model, "w").write(json.dumps(doc))
+    code, _, err = run_cli(capsys, "validate", "--model", model)
+    assert code == 2
+    [diag] = stderr_diagnostics(err)
+    assert diag["code"] == "ParseError" and "finite and >= 0, got -2.0" in diag["message"]
+    code, _, err = run_cli(capsys, "simulate", "--model", model, "--config", cpath,
+                           "--out", str(tmp_path / "sim"))
+    assert code == 2 and stderr_diagnostics(err) == [diag]
 
 
 @pytest.mark.parametrize("app", [

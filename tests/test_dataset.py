@@ -319,12 +319,39 @@ def test_a_failed_shared_file_write_fails_its_cell(tmp_path, monkeypatch):
     assert [e["status"] for e in manifest.cells] == ["ok"] * 3 + ["failed", "ok", "ok"]
     failed = manifest.cells[3]
     assert failed["error_type"] == "OSError" and "No space left" in failed["error"]
+    # the failed cell leaves none of its files, not even the model written before
+    assert not os.path.exists(os.path.join(out, "cells", "b1-r1-c0"))
     # the row's next ok cell writes the files the failed cell could not
     rows = _shared_stats(out, manifest, "ledger")
     assert sorted(next(iter(stats))[1] for stats in rows.values()) == [2, 3]
     with pytest.raises(GenerationError) as info:
         generate(net, _three_config_grid(), str(tmp_path / "ff"))
     assert info.value.cell_id == "b1-r1-c0" and isinstance(info.value.cause, OSError)
+
+
+def test_a_cell_that_fails_in_its_job_leaves_none_of_its_files(tmp_path, monkeypatch):
+    net, _ = fixtures.fixture("package_delivery")
+    write_csv = logio.write_observed_csv
+
+    def full_disk(log, path):
+        if os.path.join("b0-r0-c1", "log.csv") in path:
+            raise OSError(28, "No space left on device", path)
+        write_csv(log, path)
+
+    monkeypatch.setattr(logio, "write_observed_csv", full_disk)
+    out = str(tmp_path / "ds")
+    manifest = generate(net, _three_config_grid(), out, keep_going=True)
+    assert [e["status"] for e in manifest.cells] == ["ok", "failed"] + ["ok"] * 4
+    assert manifest.cells[1]["error_type"] == "OSError"
+    assert sorted(os.listdir(os.path.join(out, "cells"))) == \
+        sorted(e["cell_id"] for e in manifest.cells if e["status"] == "ok")
+    # the row's other cells keep their shared files
+    rows = _shared_stats(out, manifest, "model")
+    assert sorted(next(iter(stats))[1] for stats in rows.values()) == [2, 3]
+    with pytest.raises(GenerationError) as info:
+        generate(net, _three_config_grid(), str(tmp_path / "ff"))
+    assert info.value.cell_id == "b0-r0-c1"
+    assert not os.path.exists(os.path.join(str(tmp_path / "ff"), "cells", "b0-r0-c1"))
 
 
 def test_trace_does_not_depend_on_earlier_runs_of_the_same_ml(tmp_path):
