@@ -4,7 +4,9 @@ The ground-truth trace is a sidecar: the observed log deliberately carries
 only what a logging mechanism would have seen (labels, timestamps, recorded
 objects), with every link back to the model stripped.  Formats are versioned
 and written atomically (temp file + rename) so failures never leave partial
-output behind.
+output behind.  Every JSON document and JSONL line is encoded by
+`canonical_json`, keys sorted at every level, and `write_jsonl` writes every
+JSONL file: the trace, the observed log and the oracle's alignments.
 """
 from __future__ import annotations
 

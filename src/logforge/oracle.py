@@ -6,7 +6,8 @@ insertions become log/model move pairs, skipped or unrecorded activities
 become model moves, deviation silents become cause-tagged silent model moves,
 and object-level recording errors stay synchronous but carry an
 object-discrepancy annotation.  Timing-only patterns do not surface in
-alignments at all; they appear in the deviation report only.
+alignments at all; they appear in the deviation report only.  An alignment
+file holds one line per move of each object, written by `logio.write_jsonl`.
 """
 from __future__ import annotations
 

@@ -673,12 +673,16 @@ def test_validate_mistyped_model_weight_exits_two(tmp_path, capsys, piece):
     ("overrides", {"kind": "delay", "transitions": ["ring"]}),
     ("overrides", {"kind": "slow_branch", "transitions": ["ring"], "probability": 7,
                    "delay": {"kind": "constant", "a": 60.0}}),
+    ("overrides", {"kind": "slow_branch", "transitions": ["ring"], "probability": -0.1,
+                   "delay": {"kind": "constant", "a": 60.0}}),
     ("overrides", {"kind": "coarsen", "transitions": ["ring"], "window_s": -60}),
+    ("overrides", {"kind": "coarsen", "transitions": ["ring"], "window_s": float("inf")}),
 ], ids=["number-rule", "number-rule-transition", "text-affected", "number-probe-id",
         "text-deviation", "list-probe", "text-override-transitions", "text-window",
         "unknown-override-kind", "weight-without-pieces", "text-weight-entry",
         "weight-entry-of-three", "number-weight-transition", "slow-branch-without-delay",
-        "delay-without-delay", "slow-branch-probability-seven", "negative-window"])
+        "delay-without-delay", "slow-branch-probability-seven", "negative-probability",
+        "negative-window", "infinite-window"])
 def test_validate_mistyped_model_annotation_exits_two(tmp_path, capsys, key, entry):
     fdir = str(tmp_path / "fx")
     run_cli(capsys, "fixture", "--name", "package_delivery", "--out", fdir)

@@ -241,7 +241,8 @@ def test_alignment_file_holds_labels_as_utf8(tmp_path):
 
 
 def test_alignment_lines_are_canonical_json(tmp_path, m0, package_cells):
-    # each line is encoded in key order without a sort: check it against one
+    # each line, a discrepancy's nested objects included, is canonical JSON:
+    # check it against a re-encoding
     cause = Cause("RI_in^o", "rino", "recording")
     odd = Move("synchronous", "prüfen", ("o2", "o1"), "e1", None, cause,
                {"unrecorded": ["o3"], "b": {"z": 1, "a": [{"y": 2, "x": None}]}})

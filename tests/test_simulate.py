@@ -14,7 +14,7 @@ from logforge.simulate import (AllWeightsZero, Arrival, ConfigInvalid,
                                ScheduleEntry, SimConfig, WeightSpec,
                                SimState, firing_probabilities, run,
                                sample_firing, step, trace_replays)
-from logforge.timing import Delay, TimingOverride
+from logforge.timing import Delay
 
 
 def v(name, otype, fresh=False):
@@ -150,23 +150,6 @@ def test_non_finite_weight_rejected(bad):
         WeightSpec(schedule={"a": [(0.0, 1.0)], "b": [(0.0, bad)]})
     with pytest.raises(ConfigInvalid):
         WeightSpec(defaults={"a": [(0.0, bad)]})
-
-
-@pytest.mark.parametrize("kind,fields", [
-    ("slow_branch", {"probability": 0.5}),
-    ("delay", {}),
-    ("slow_branch", {"probability": 7.0, "delay": Delay.constant(60.0)}),
-    ("slow_branch", {"probability": -0.1, "delay": Delay.constant(60.0)}),
-    ("coarsen", {"window_s": -60.0}),
-    ("coarsen", {"window_s": math.inf}),
-    ("coarsen", {"window_s": math.nan}),
-    ("slower", {}),
-], ids=["slow-branch-without-delay", "delay-without-delay", "probability-seven",
-        "negative-probability", "negative-window", "infinite-window", "nan-window",
-        "unknown-kind"])
-def test_a_timing_override_checks_its_fields_when_built(kind, fields):
-    with pytest.raises(ConfigInvalid):
-        TimingOverride(kind, ("a",), **fields)
 
 
 def test_nan_weight_breakpoint_rejected():
