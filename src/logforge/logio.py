@@ -17,7 +17,9 @@ import math
 import os
 import tempfile
 import threading
+from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import chain
 
 from .nets import BASE, OBJECT_SEPARATOR, Net
 from .serialize import (SCHEMA_VERSION, canonical_json, net_from_dict,
@@ -198,7 +200,7 @@ def read_model(path: str) -> Net:
     return net
 
 
-def write_jsonl(dicts: list[dict], path: str) -> None:
+def write_jsonl(dicts: Iterable[dict], path: str) -> None:
     """Write `dicts` to `path`, one `canonical_json` line each."""
     atomic_write(path, "\n".join(map(canonical_json, dicts)) + "\n")
 
@@ -439,7 +441,7 @@ def write_observed_jsonl(log: ObservedLog, path: str) -> None:
         raise ValueError("log.jsonl gives each object's type; this log's types are unknown")
     header = {"schema_version": SCHEMA_VERSION, "kind": "observed_log",
               "run_id": log.run_id, "objects": log.objects}
-    write_jsonl([header] + [e.to_dict() for e in log.events], path)
+    write_jsonl(chain([header], map(ObservedEvent.to_dict, log.events)), path)
 
 
 def _log_header(h: dict) -> dict:

@@ -330,8 +330,8 @@ def move_distance(candidate: GtAlignment, gt: GtAlignment) -> float:
 # -- interchange ---------------------------------------------------------------
 
 def write_alignment(alignment: GtAlignment, path: str) -> None:
-    write_jsonl([m.to_line(obj, i) for obj, moves in sorted(alignment.per_object.items())
-                 for i, m in enumerate(moves)], path)
+    write_jsonl((m.to_line(obj, i) for obj, moves in sorted(alignment.per_object.items())
+                 for i, m in enumerate(moves)), path)
 
 
 def _read_cause(d, causes: dict) -> Cause:
