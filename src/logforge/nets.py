@@ -264,9 +264,10 @@ class FiringRule:
 
     A firing's values are its row, the input variables in sorted-name order
     (`order`), followed by one identifier per nu-variable (`nu`, in order of
-    first appearance on the output arcs, of types `nu_types`); `names` names
-    the values and `types` gives the object type of each.  Each input and
-    output arc is (place, a `_picker` of its variables' positions among the
+    first appearance on the output arcs); `names` names the values.  A
+    minted identifier is of its nu-variable's type in `nu_types`; every
+    other value was typed where it entered the run.  Each input and output
+    arc is (place, a `_picker` of its variables' positions among the
     values).  `fresh_order` lists the positions of the nu-identifiers in
     sorted-name order, as a Binding's `fresh` holds them, and `recorded` the
     positions of the objects an event of the transition records: its
@@ -281,7 +282,6 @@ class FiringRule:
     nu: tuple[str, ...]
     nu_types: tuple[str, ...]
     names: tuple[str, ...]
-    types: tuple[str, ...]
     inputs: tuple[tuple[str, itemgetter], ...]
     outputs: tuple[tuple[str, itemgetter], ...]
     fresh_order: tuple[int, ...]
@@ -302,10 +302,8 @@ class FiringRule:
         return tuple([(pid, pick(values)) for pid, pick in self.outputs])
 
 
-def _compile(t: Transition, in_arcs: tuple[Arc, ...], out_arcs: tuple[Arc, ...],
-             types: Mapping[str, str]) -> FiringRule:
-    """`t`'s rule from its input and output arcs, in arc order, and the type
-    of each of its variables."""
+def _compile(t: Transition, in_arcs: tuple[Arc, ...], out_arcs: tuple[Arc, ...]) -> FiringRule:
+    """`t`'s rule from its input and output arcs, in arc order."""
     ins = [(a.source, tuple([v.name for v in a.inscription])) for a in in_arcs]
     outs = [(a.target, tuple([v.name for v in a.inscription])) for a in out_arcs]
     flagged: dict[str, str] = {}  # the type of each name flagged fresh, in order
@@ -321,7 +319,6 @@ def _compile(t: Transition, in_arcs: tuple[Arc, ...], out_arcs: tuple[Arc, ...],
     recorded = sorted(names) if t.record_spec is None else t.record_spec
     return FiringRule(
         t, order, nu, tuple([flagged[name] for name in nu]), names,
-        tuple([types[name] for name in names]),
         tuple([(pid, _picker([slot[n] for n in vars_])) for pid, vars_ in ins]),
         () if unbound else tuple([(pid, _picker([slot[n] for n in vars_])) for pid, vars_ in outs]),
         tuple(sorted(range(len(order), len(names)), key=names.__getitem__)),
@@ -455,8 +452,7 @@ class Net:
     @cached_property
     def rules(self) -> dict[str, FiringRule]:
         """The firing rule of every transition, compiled on first use."""
-        types = self._variable_types
-        return {tid: _compile(t, self._inputs[tid], self._outputs[tid], types[tid])
+        return {tid: _compile(t, self._inputs[tid], self._outputs[tid])
                 for tid, t in self.transition_map.items()}
 
     @cached_property

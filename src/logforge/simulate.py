@@ -27,8 +27,8 @@ import numpy as np
 from .nets import (OBJECT_SEPARATOR, Binding, FiringRule, Net, ProvenanceTag,
                    is_identifier, transition_bindings)
 from .serialize import digest_of, net_digest
-from .timing import (NUMBER, ConfigInvalid, Delay, ReportRule, reject_unknown_keys,
-                     slot_init, typed, weight_piece, weight_value)
+from .timing import (NUMBER, ConfigInvalid, Delay, FrequencyProbe, ReportRule,
+                     reject_unknown_keys, slot_init, typed, weight_piece, weight_value)
 
 PRNG_NAME = "numpy-pcg64"
 DEFAULT_EPOCH = "2024-03-04T08:00:00Z"
@@ -288,24 +288,29 @@ def sample_firing(enabled, weights: WeightSpec, eta: float, rng):
 
 
 class _TransitionPlan(NamedTuple):
-    """What a firing of one transition needs, resolved once per run: the
-    net's rule, then the run's delays and annotations."""
+    """Everything a firing of one transition does, resolved once per run:
+    the net's rule, the run's delays, and the pattern statistics it bumps."""
 
     rule: FiringRule
     delay: Delay | None               # production delay (override, else config)
     arc_delays: tuple                 # per output arc: its configured Delay or None
-    slow: tuple | None                # (probability, Delay, application id)
+    slow: tuple | None                # (probability, Delay, application id, stats)
     coarsen: tuple | None             # (window_s, application id)
-    deviation_stats: dict | None      # stats of the probe a firing is a deviation of
+    fired: tuple                      # stats every firing bumps: its probe's, its coarsening's
+    choices: tuple                    # (stats, deviation, competitors, chosen) per probe naming it
 
 
 class SimState:
     """Mutable state of one run: clock, marking, pending tokens, RNG.
 
-    Also keeps the enabled set, as positional rows (see `nets`): each
+    Also keeps the enabled set, as positional rows (see `nets`): `_rows`
+    holds the rows of exactly the transitions that have some.  A
     transition's rows are re-enumerated only when one of its input places
     changed, and the flat list of (transition, row) firings is rebuilt
-    whenever some transition was re-enumerated.
+    whenever some transition was re-enumerated.  A firing reads its
+    transition's plan (`_plans`) and nothing else of the annotations.  Each
+    identifier's object type is recorded where it enters the run: from the
+    initial marking, a schedule, an arrival, or a firing that mints it.
     """
 
     def __init__(self, net: Net, config: SimConfig):
@@ -317,7 +322,6 @@ class SimState:
         self.id_gen = net.id_generator()
         self.marking = net.initial_marking.copy()
         self.eta = 0.0
-        self.fired = 0
         self.seq_no = 0
         self.done: str | None = None
         self.records: list[FiringRecord] = []
@@ -328,67 +332,62 @@ class SimState:
         self.injected: list[tuple[str, tuple[str, ...]]] = []
 
         self._dirty = {t.id for t in net.transitions}
-        self._rows: dict[str, list[tuple[str, ...]]] = dict.fromkeys(self._dirty, [])
-        self._live: set[str] = set()   # the transitions with rows
+        self._rows: dict[str, list[tuple[str, ...]]] = {}
         self._consumers = net.consumers_of
         self._firings: list[tuple[str, tuple[str, ...]]] = []
 
+        # one stats dict per application; the first annotation naming it
+        # gives its pattern code
+        self.pattern_stats: dict[str, dict] = {}
         delays = dict(config.delays)
-        coarsen: dict[str, tuple[float, str]] = {}
-        slow: dict[str, tuple[float, Delay, str]] = {}
-        for ov in net.annotations.overrides:
-            if ov.kind == "delay":
-                for tid in ov.transitions:
-                    delays[tid] = ov.delay
-            elif ov.kind == "coarsen":
-                for tid in ov.transitions:
-                    coarsen[tid] = (ov.window_s, ov.application_id)
-            elif ov.kind == "slow_branch":
-                for tid in ov.transitions:
-                    slow[tid] = (ov.probability, ov.delay, ov.application_id)
-
-        self._probes = net.annotations.probes
-        self.pattern_stats = {
-            p.application_id: {"pattern_code": p.pattern_code, "fired": 0,
-                               "choice_points": 0, "chosen": 0}
-            for p in self._probes
-        }
-        for ov in net.annotations.overrides:
-            self.pattern_stats.setdefault(
-                ov.application_id,
-                {"pattern_code": ov.pattern_code, "fired": 0, "choice_points": 0, "chosen": 0})
-        # tid -> (stats, deviation, competitors, tid is a deviation) of each
-        # probe with both sides that names tid on a side
-        self._choice_probes: dict[str, list] = {}
-        # tid -> stats of the probe whose deviation a firing of tid is
-        deviation_stats: dict[str, dict] = {}
-        for probe in self._probes:
-            if probe.deviation and probe.competitors:
-                stats = self.pattern_stats[probe.application_id]
-                deviation, competitors = frozenset(probe.deviation), frozenset(probe.competitors)
-                for tid in deviation | competitors:
-                    self._choice_probes.setdefault(tid, []).append(
-                        (stats, deviation, competitors, tid in deviation))
-        for t in net.transitions:
-            app = t.provenance.application_id
-            if any(p.application_id == app and t.id in p.deviation for p in self._probes):
-                deviation_stats[t.id] = self.pattern_stats[app]
+        slow: dict[str, tuple] = {}
+        coarsen: dict[str, tuple] = {}
+        fired: dict[str, dict] = {}   # tid -> {"deviation"/"coarsen": stats}
+        choices: dict[str, list] = {}
+        tmap = net.transition_map
+        for ann in (*net.annotations.probes, *net.annotations.overrides):
+            app = ann.application_id
+            stats = self.pattern_stats.setdefault(app, {
+                "pattern_code": ann.pattern_code, "fired": 0, "choice_points": 0, "chosen": 0})
+            if isinstance(ann, FrequencyProbe):
+                for tid in ann.deviation:   # a firing of tid is a deviation of the probe
+                    if tid in tmap and tmap[tid].provenance.application_id == app:
+                        fired.setdefault(tid, {})["deviation"] = stats
+                if ann.deviation and ann.competitors:
+                    for tid in dict.fromkeys(ann.deviation + ann.competitors):
+                        choices.setdefault(tid, []).append(
+                            (stats, ann.deviation, ann.competitors, tid in ann.deviation))
+            elif ann.kind == "delay":
+                for tid in ann.transitions:
+                    delays[tid] = ann.delay
+            elif ann.kind == "coarsen":
+                for tid in ann.transitions:
+                    coarsen[tid] = (ann.window_s, app)
+                    fired.setdefault(tid, {})["coarsen"] = stats
+            else:
+                for tid in ann.transitions:
+                    slow[tid] = (ann.probability, ann.delay, app, stats)
         arc_delays = config.arc_delays
         self._plans = {
             tid: _TransitionPlan(rule, delays.get(tid),
                                  tuple([arc_delays.get((tid, pid)) for pid, _ in rule.outputs]),
-                                 slow.get(tid), coarsen.get(tid), deviation_stats.get(tid))
+                                 slow.get(tid), coarsen.get(tid),
+                                 tuple(fired.get(tid, {}).values()), tuple(choices.get(tid, ())))
             for tid, rule in net.rules.items()}
 
         for pid, token, _ in net.initial_marking.items():
-            place = net.place_map[pid]
-            for ident, tname in zip(token, place.type_tuple):
-                self.object_types.setdefault(ident, tname)
-
+            self._admit(pid, token)
         self._presample_arrivals()
         self._schedule_events()
 
     # -- setup ------------------------------------------------------------
+
+    def _admit(self, place: str, token: tuple[str, ...]):
+        """Type `token`'s identifiers by `place` and keep id_gen from
+        minting them."""
+        for ident, tname in zip(token, self.net.place_map[place].type_tuple):
+            self.object_types.setdefault(ident, tname)
+            self.id_gen.register(ident)
 
     def _push(self, time: float, kind: str, place: str, token: tuple[str, ...]):
         self._tie += 1
@@ -401,7 +400,8 @@ class SimState:
             for _ in range(spec.count):
                 t += spec.inter_arrival.sample(self.rng)
                 entries.append((t, len(entries), spec))
-        for t, _, spec in sorted(entries, key=lambda e: (e[0], e[1])):
+        entries.sort()   # no two entries share an index, so specs are never compared
+        for t, _, spec in entries:
             ident = self.id_gen.fresh(spec.object_type)
             self.object_types.setdefault(ident, spec.object_type)
             self.injected.append((spec.target_place, (ident,)))
@@ -409,10 +409,7 @@ class SimState:
 
     def _schedule_events(self):
         for s in self.config.schedules:
-            place = self.net.place_map[s.place]
-            for ident, tname in zip(s.token, place.type_tuple):
-                self.object_types.setdefault(ident, tname)
-                self.id_gen.register(ident)
+            self._admit(s.place, s.token)
             self.injected.append((s.place, tuple(s.token)))
             self._push(s.start, "token", s.place, tuple(s.token))
             if s.stop is not None:
@@ -431,41 +428,27 @@ class SimState:
         self.marking.remove(place, token)
         # fewer tokens never enable a firing: only enabled consumers can change
         for tid in self._consumers.get(place, ()):
-            if tid in self._live:
+            if tid in self._rows:
                 self._dirty.add(tid)
 
     def firings(self) -> list[tuple[str, tuple[str, ...]]]:
         """Every enabled (transition, row) firing, in transition id order,
         then row order.  The list is replaced, never changed in place."""
         if self._dirty:
-            for tid in self._dirty:
-                rows = self._rows[tid] = transition_bindings(self.net, self.marking, tid)
-                if rows:
-                    self._live.add(tid)
-                else:
-                    self._live.discard(tid)
-            self._dirty.clear()
             kept = self._rows
-            self._firings = [(tid, row) for tid in sorted(self._live) for row in kept[tid]]
+            for tid in self._dirty:
+                rows = transition_bindings(self.net, self.marking, tid)
+                if rows:
+                    kept[tid] = rows
+                else:
+                    kept.pop(tid, None)
+            self._dirty.clear()
+            self._firings = [(tid, row) for tid in sorted(kept) for row in kept[tid]]
         return self._firings
-
-    def _count_choice_point(self, tid: str):
-        """Count a choice point for every probe that names `tid` and has a
-        transition enabled with positive weight on both of its sides."""
-        probes = self._choice_probes.get(tid)
-        if probes is None:
-            return
-        at, eta = self.weights.at, self.eta
-        live = {t for t in self._live if at(t, eta) > 0}
-        for stats, deviation, competitors, chosen in probes:
-            if not live.isdisjoint(deviation) and not live.isdisjoint(competitors):
-                stats["choice_points"] += 1
-                if chosen:
-                    stats["chosen"] += 1
 
     # -- stepping -----------------------------------------------------------
 
-    def _advance(self, enabled_nonempty: bool) -> bool:
+    def _advance(self, enabled_nonempty: bool):
         horizon = self.config.time_horizon
         nxt = self.heap[0][0] if self.heap else None
         if enabled_nonempty:
@@ -474,10 +457,10 @@ class SimState:
                 nxt = bp
         if nxt is None:
             self.done = "deadlock"
-            return False
+            return
         if horizon is not None and nxt > horizon:
             self.done = "time_horizon"
-            return False
+            return
         self.eta = nxt
         while self.heap and self.heap[0][0] <= self.eta:
             _, _, kind, place, token = heapq.heappop(self.heap)
@@ -488,24 +471,36 @@ class SimState:
                     self._remove_token(place, token)
                 else:
                     self.pending_removals[(place, token)] += 1
-        return True
 
     def _fire(self, tid: str, row: tuple[str, ...]) -> FiringRecord:
-        rule, base_delay, arc_delays, slow, coarsen, stats = self._plans[tid]
+        rule, base_delay, arc_delays, slow, coarsen, fired, choices = self._plans[tid]
+        if choices:
+            # a choice point of a probe: some transition on each of its sides
+            # is enabled with positive weight (`_rows` is as `step` sampled it)
+            rows, at, eta = self._rows, self.weights.at, self.eta
+            for stats, deviation, competitors, chosen in choices:
+                if (any(t in rows and at(t, eta) > 0 for t in deviation)
+                        and any(t in rows and at(t, eta) > 0 for t in competitors)):
+                    stats["choice_points"] += 1
+                    if chosen:
+                        stats["chosen"] += 1
         consumed = rule.take(row)
         for pid, token in consumed:
             self._remove_token(pid, token)
-        minted = tuple([self.id_gen.fresh(otype) for otype in rule.nu_types])
-        values = row + minted if minted else row
+        values = row
+        if rule.nu_types:
+            minted = tuple([self.id_gen.fresh(otype) for otype in rule.nu_types])
+            self.object_types.update(zip(minted, rule.nu_types))
+            values = row + minted
 
         timing_causes: list[str] = []
         slow_sample = None
         if slow is not None:
-            prob, delay, app = slow
+            prob, delay, app, stats = slow
             if float(self.rng.random()) < prob:
                 slow_sample = delay.sample(self.rng)
                 timing_causes.append(app)
-                self.pattern_stats[app]["fired"] += 1
+                stats["fired"] += 1
         base_sample = base_delay.sample(self.rng) if base_delay is not None else 0.0
 
         # every identifier produced is known to id_gen already: it was read
@@ -525,11 +520,6 @@ class SimState:
 
         if coarsen is not None:
             timing_causes.append(coarsen[1])
-            self.pattern_stats[coarsen[1]]["fired"] += 1
-
-        setdefault = self.object_types.setdefault
-        for ident, otype in zip(values, rule.types):
-            setdefault(ident, otype)
 
         names, t = rule.names, rule.transition
         record = FiringRecord(
@@ -547,10 +537,8 @@ class SimState:
             timing_causes=tuple(timing_causes),
         )
         self.seq_no += 1
-        self.fired += 1
         self.records.append(record)
-
-        if stats is not None:
+        for stats in fired:
             stats["fired"] += 1
         return record
 
@@ -603,7 +591,7 @@ def step(state: SimState) -> tuple[SimState, FiringRecord | None]:
     if net.final_marking is not None and state.marking.contains(net.final_marking):
         state.done = "final_marking"
         return state, None
-    if config.firing_limit is not None and state.fired >= config.firing_limit:
+    if config.firing_limit is not None and state.seq_no >= config.firing_limit:
         state.done = "firing_limit"
         return state, None
 
@@ -614,7 +602,6 @@ def step(state: SimState) -> tuple[SimState, FiringRecord | None]:
         except AllWeightsZero:
             firing = None
         if firing is not None:
-            state._count_choice_point(firing[0])
             return state, state._fire(*firing)
     state._advance(enabled_nonempty=bool(enabled))
     return state, None
