@@ -377,6 +377,8 @@ class SimState:
 
         for pid, token, _ in net.initial_marking.items():
             self._admit(pid, token)
+        for s in config.schedules:   # before any arrival's identifier is minted
+            self._admit(s.place, s.token)
         self._presample_arrivals()
         self._schedule_events()
 
@@ -409,7 +411,6 @@ class SimState:
 
     def _schedule_events(self):
         for s in self.config.schedules:
-            self._admit(s.place, s.token)
             self.injected.append((s.place, tuple(s.token)))
             self._push(s.start, "token", s.place, tuple(s.token))
             if s.stop is not None:

@@ -302,6 +302,20 @@ def test_schedules_insert_and_withdraw():
     assert len(worked) < 4
 
 
+def test_a_scheduled_identifier_is_never_minted_for_an_arrival():
+    net, grid = fixtures.fixture("package_delivery")
+    plain = grid.sim_configs[0]
+    assert [(a.target_place, a.count) for a in plain.arrivals] == [("p_new", 2)]
+    scheduled = replace(plain, schedules=[ScheduleEntry("p_new", ("pkg_1",), start=0.0)])
+    before, state = SimState(net, plain), SimState(net, scheduled)
+    tokens = [tok for _, tok in state.injected]
+    assert tokens == [("pkg_2",), ("pkg_3",), ("pkg_1",)]
+    # the arrivals keep their times and draws; only their identifiers move
+    assert sorted(e[0] for e in state.heap) == sorted([0.0] + [e[0] for e in before.heap])
+    assert state.rng.bit_generator.state == before.rng.bit_generator.state
+    assert {state.object_types[ident] for (ident,) in tokens} == {"package"}
+
+
 def test_coarsen_and_slow_branch_tag_firings():
     from logforge.patterns import PatternApplication
     from logforge.transform import apply_sequence
