@@ -14,7 +14,7 @@ keeps repeated applications of the same pattern disjoint.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 from .logio import ParseError
@@ -62,11 +62,15 @@ class PatternApplication:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PatternApplication":
-        """Read what `to_dict` writes.  ParseError for a missing or
-        non-string `application_id` or `code`, a `mapping` or `params` that
-        is not an object, and `competitors` that are not a list of strings."""
+        """Read what `to_dict` writes.  ParseError for a key that it does
+        not write, a missing or non-string `application_id` or `code`, a
+        `mapping` or `params` that is not an object, and `competitors` that
+        are not a list of strings."""
         if type(d) is not dict:
             raise ParseError(f"a pattern application must be an object, got {d!r}")
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ParseError(f"unknown pattern application key(s) {unknown}: {d!r}")
         for key in ("application_id", "code"):
             if type(d.get(key)) is not str:
                 raise ParseError(f"pattern application lacks a string {key!r}: {d!r}")

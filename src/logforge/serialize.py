@@ -10,7 +10,7 @@ import json
 
 from .nets import (BASE, Arc, Marking, Net, ObjectType, Place, ProvenanceTag,
                    Transition, Variable)
-from .timing import ConfigInvalid, SimAnnotations
+from .timing import ConfigInvalid, SimAnnotations, names, reject_unknown_keys, typed
 
 SCHEMA_VERSION = "1"
 
@@ -38,7 +38,9 @@ def _variable_to_dict(v: Variable) -> dict:
 
 
 def _variable_from_dict(d: dict) -> Variable:
-    return Variable(d["name"], d["object_type"], bool(d.get("fresh", False)))
+    reject_unknown_keys(d, ("name", "object_type", "fresh"), "variable")
+    return Variable(typed(d, "name", (str,)), typed(d, "object_type", (str,)),
+                    typed(d, "fresh", (bool,), False))
 
 
 def provenance_to_dict(p: ProvenanceTag) -> dict:
@@ -53,12 +55,17 @@ def provenance_to_dict(p: ProvenanceTag) -> dict:
     return d
 
 
+_PROVENANCE_KEYS = frozenset(("origin", "pattern_code", "application_id", "shadow_of"))
+
+
 def provenance_from_dict(d: dict, tags: dict | None = None) -> ProvenanceTag:
     """The tag in JSON object `d`, which names its `origin` even when it is
     "base"; ConfigInvalid says what is malformed.  Equal tags decoded with
     one `tags` table are one ProvenanceTag."""
     if type(d) is not dict:
         raise ConfigInvalid(f"'provenance' must be an object, got {d!r}")
+    if not d.keys() <= _PROVENANCE_KEYS:
+        reject_unknown_keys(d, _PROVENANCE_KEYS, "provenance")
     key = (d.get("origin"), d.get("pattern_code"), d.get("application_id"),
            d.get("shadow_of"))
     if tags is not None:
@@ -102,28 +109,42 @@ def net_to_dict(net: Net) -> dict:
     }
 
 
+_MODEL_KEYS = ("schema_version", "object_types", "places", "transitions", "arcs",
+               "initial_marking", "final_marking", "annotations")
+
+
+def _items(d: dict, key: str, keys: tuple, what: str):
+    """The objects of the list d[key], each once it has only `keys`."""
+    items = typed(d, key, (list,))
+    for item in items:
+        reject_unknown_keys(item, keys, what)
+    return items
+
+
 def net_from_dict(d: dict) -> Net:
+    """The net `net_to_dict` writes.  An unknown key of the model or of any
+    object in it, or a missing or mistyped field, raises ConfigInvalid."""
+    reject_unknown_keys(d, _MODEL_KEYS, "model")
+    final = typed(d, "final_marking", (dict,), None)
     return Net(
-        object_types=tuple(ObjectType(t["name"], t.get("prefix", "")) for t in d["object_types"]),
-        places=tuple(Place(p["id"], tuple(p["type_tuple"]), p.get("role_hint", "regular"))
-                     for p in d["places"]),
-        transitions=tuple(
-            Transition(
-                t["id"],
-                activity_label=t.get("activity_label"),
-                provenance=provenance_from_dict(t["provenance"]) if "provenance" in t else BASE,
-                record_spec=None if t.get("record_spec") is None else tuple(t["record_spec"]),
-            )
-            for t in d["transitions"]
-        ),
-        arcs=tuple(
-            Arc(a["source"], a["target"], tuple(_variable_from_dict(v) for v in a["inscription"]))
-            for a in d["arcs"]
-        ),
-        initial_marking=Marking.of(d.get("initial_marking", {})),
-        final_marking=(None if d.get("final_marking") is None
-                       else Marking.of(d["final_marking"])),
-        annotations=SimAnnotations.from_dict(d.get("annotations", {})),
+        object_types=tuple([ObjectType(typed(t, "name", (str,)), typed(t, "prefix", (str,), ""))
+                            for t in _items(d, "object_types", ("name", "prefix"), "object type")]),
+        places=tuple([Place(typed(p, "id", (str,)), names(p, "type_tuple"),
+                            typed(p, "role_hint", (str,), "regular"))
+                      for p in _items(d, "places", ("id", "type_tuple", "role_hint"), "place")]),
+        transitions=tuple([
+            Transition(typed(t, "id", (str,)), typed(t, "activity_label", (str,), None),
+                       provenance_from_dict(t["provenance"]) if "provenance" in t else BASE,
+                       names(t, "record_spec", None))
+            for t in _items(d, "transitions",
+                            ("id", "activity_label", "provenance", "record_spec"), "transition")]),
+        arcs=tuple([
+            Arc(typed(a, "source", (str,)), typed(a, "target", (str,)),
+                tuple(map(_variable_from_dict, typed(a, "inscription", (list,)))))
+            for a in _items(d, "arcs", ("source", "target", "inscription"), "arc")]),
+        initial_marking=Marking.of(typed(d, "initial_marking", (dict,), {})),
+        final_marking=None if final is None else Marking.of(final),
+        annotations=SimAnnotations.from_dict(typed(d, "annotations", (dict,), {})),
     )
 
 

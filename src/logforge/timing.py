@@ -212,8 +212,7 @@ class TimingOverride:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TimingOverride":
-        if type(d) is not dict:
-            raise ConfigInvalid(f"a timing override must be an object, got {d!r}")
+        reject_unknown_keys(d, [f.name for f in fields(cls)], "timing override")
         return cls(
             kind=typed(d, "kind", (str,)),
             transitions=names(d, "transitions"),
@@ -245,8 +244,7 @@ class FrequencyProbe:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FrequencyProbe":
-        if type(d) is not dict:
-            raise ConfigInvalid(f"a frequency probe must be an object, got {d!r}")
+        reject_unknown_keys(d, [f.name for f in fields(cls)], "frequency probe")
         return cls(typed(d, "application_id", (str,)), typed(d, "pattern_code", (str,)),
                    names(d, "deviation"), names(d, "competitors", ()))
 
@@ -273,9 +271,9 @@ class ReportRule:
     @classmethod
     def from_dict(cls, d: dict) -> "ReportRule":
         """Decode a rule, checking each field as it is read, in field order;
-        a non-object or a missing or mistyped field raises ConfigInvalid."""
-        if type(d) is not dict:
-            raise ConfigInvalid(f"a report rule must be an object, got {d!r}")
+        a non-object, an unknown key or a missing or mistyped field raises
+        ConfigInvalid."""
+        reject_unknown_keys(d, [f.name for f in fields(cls)], "report rule")
         return cls(typed(d, "transition", (str,)), names(d, "responsible", None),
                    names(d, "affected", None) if "affected" in d else ())
 
@@ -311,6 +309,7 @@ class SimAnnotations:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimAnnotations":
+        reject_unknown_keys(d, [f.name for f in fields(cls)], "annotations")
         return cls(
             weights=tuple(map(weight_entry, typed(d, "weights", (list,), []))),
             overrides=tuple(map(TimingOverride.from_dict, typed(d, "overrides", (list,), []))),

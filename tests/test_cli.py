@@ -358,7 +358,7 @@ BAD_TRACES = {
         BAD_RECORD + """ValueError("missing field 'transition'")"""),
     "number-report-rule": (
         [with_header_field('"report_rules":[1]'), GOOD_RECORD], 1,
-        BAD_RECORD + """ValueError('a report rule must be an object, got 1')"""),
+        BAD_RECORD + """ValueError('report rule must be an object, got 1')"""),
     "number-rule-transition": (
         [with_header_field('"report_rules":[{"transition":5}]'), GOOD_RECORD], 1,
         BAD_RECORD + """ValueError("field 'transition' is not str: 5")"""),
@@ -623,8 +623,9 @@ def test_transform_incomplete_application_exits_two(tmp_path, capsys, app, field
     ({"params": None}, "params"),
     ({"competitors": "ab"}, "competitors"),
     ({"competitors": [1]}, "competitors"),
+    ({"parmas": {"weight": 9.0}}, "unknown pattern application key(s) ['parmas']"),
 ], ids=["string-mapping", "number-mapping", "string-params", "null-params",
-        "string-competitors", "number-competitor"])
+        "string-competitors", "number-competitor", "unknown-key"])
 def test_transform_mistyped_application_exits_two(tmp_path, capsys, app, field):
     fdir = str(tmp_path / "fx")
     run_cli(capsys, "fixture", "--name", "package_delivery", "--out", fdir)
@@ -695,6 +696,61 @@ def test_validate_mistyped_model_annotation_exits_two(tmp_path, capsys, key, ent
     [diag] = stderr_diagnostics(err)
     assert diag["code"] == "ParseError"
     assert "malformed model" in diag["message"]
+
+
+def _output_arc(model):
+    tids = {t["id"] for t in model["transitions"]}
+    return next(a for a in model["arcs"] if a["source"] in tids)
+
+
+MISREAD_MODELS = {
+    "number-activity-label": (lambda m: m["transitions"][0].update(activity_label=5),
+                              "field 'activity_label' is not str: 5"),
+    "string-record-spec": (lambda m: m["transitions"][0].update(record_spec="xw"),
+                           "field 'record_spec' is not list: 'xw'"),
+    "string-fresh": (lambda m: _output_arc(m)["inscription"][0].update(fresh="no"),
+                     "field 'fresh' is not bool: 'no'"),
+    "misspelt-window": (lambda m: m["annotations"]["overrides"].append(
+        {"kind": "coarsen", "transitions": ["ring"], "windows_s": 600}),
+        "unknown timing override key(s) ['windows_s']"),
+    "misspelt-weights": (lambda m: m["annotations"].update(weight=[]),
+                         "unknown annotations key(s) ['weight']"),
+    "misspelt-activity-label": (lambda m: m["transitions"][0].update(activty_label="x"),
+                                "unknown transition key(s) ['activty_label']"),
+    "model-key": (lambda m: m.update(final=None), "unknown model key(s) ['final']"),
+    "object-type-key": (lambda m: m["object_types"][0].update(prefx="p"),
+                        "unknown object type key(s) ['prefx']"),
+    "place-key": (lambda m: m["places"][0].update(role="queue"), "unknown place key(s) ['role']"),
+    "arc-key": (lambda m: m["arcs"][0].update(weight=2), "unknown arc key(s) ['weight']"),
+    "variable-key": (lambda m: m["arcs"][0]["inscription"][0].update(type="van"),
+                     "unknown variable key(s) ['type']"),
+    "provenance-key": (lambda m: m["transitions"][0]["provenance"].update(code="BI_3"),
+                       "unknown provenance key(s) ['code']"),
+    "probe-key": (lambda m: m["annotations"]["probes"].append(
+        {"application_id": "a1", "pattern_code": "BI_3", "deviation": ["ring"],
+         "competitor": ["dock"]}), "unknown frequency probe key(s) ['competitor']"),
+    "report-rule-key": (lambda m: m["annotations"]["report_rules"].append(
+        {"transition": "ring", "responsibles": ["x"]}),
+        "unknown report rule key(s) ['responsibles']"),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(MISREAD_MODELS))
+def test_an_unknown_or_mistyped_model_field_exits_two(tmp_path, capsys, defect):
+    # each of these used to be read some other way, or dropped, and pass
+    model, cpath = write_package_config(tmp_path, capsys, lambda c: None)
+    edit, message = MISREAD_MODELS[defect]
+    doc = json.load(open(model))
+    edit(doc)
+    open(model, "w").write(json.dumps(doc))
+    code, _, err = run_cli(capsys, "validate", "--model", model)
+    assert code == 2
+    [diag] = stderr_diagnostics(err)
+    assert diag["code"] == "ParseError" and message in diag["message"]
+    out = str(tmp_path / "sim")
+    code, _, err = run_cli(capsys, "simulate", "--model", model, "--config", cpath, "--out", out)
+    assert code == 2 and stderr_diagnostics(err) == [diag]
+    assert not os.path.exists(out)
 
 
 @pytest.mark.parametrize("key,entry", [
@@ -798,8 +854,7 @@ def test_dataset_bad_grid_is_one_diagnostic(tmp_path, capsys, edit):
 
 
 def _unbind_an_output(model):
-    tids = {t["id"] for t in model["transitions"]}
-    arc = next(a for a in model["arcs"] if a["source"] in tids)
+    arc = _output_arc(model)
     arc["inscription"][0] = {"name": "unbound", "object_type": arc["inscription"][0]["object_type"]}
 
 

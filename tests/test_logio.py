@@ -183,7 +183,9 @@ def test_model_rewritten_with_other_bytes_reads_as_a_new_net(tmp_path, package_c
     (lambda text: text.replace('"schema_version":"1"', '"schema_version":"9"'),
      logio.SchemaVersionMismatch, "{path}: schema_version '9', expected '1'"),
     (lambda text: text.replace('"places"', '"plaices"'), logio.ParseError,
-     "malformed model: KeyError('places') at {path}"),
+     '''malformed model: ConfigInvalid("unknown model key(s) ['plaices']; known keys are '''
+     '''['annotations', 'arcs', 'final_marking', 'initial_marking', 'object_types', '''
+     ''''places', 'schema_version', 'transitions']") at {path}'''),
     (lambda text: text.replace('"provenance":{"origin":"base"}', '"provenance":[]', 1),
      logio.ParseError,
      """malformed model: ConfigInvalid("'provenance' must be an object, got []") at {path}"""),
