@@ -259,7 +259,7 @@ def generate(m0: Net, grid: GridSpec, out_dir: str, jobs: int = 1,
              keep_going: bool = False) -> DatasetManifest:
     # m0 as every cell and `read_model("m0.json")` see it
     m0_read = net_from_dict(net_to_dict(m0))
-    m0_digest = net_digest(m0_read)
+    m0_text, m0_digest = logio.encode_model(m0_read)
     entries: list[dict] = []
     # the main process gives each cell that succeeded its row's shared files,
     # holding only the current row's pair and sources
@@ -281,7 +281,7 @@ def generate(m0: Net, grid: GridSpec, out_dir: str, jobs: int = 1,
 
     manifest = DatasetManifest(master_seed=grid.master_seed,
                                m0_digest=m0_digest, cells=entries)
-    logio.write_model(m0, os.path.join(out_dir, "m0.json"))
+    logio.atomic_write(os.path.join(out_dir, "m0.json"), m0_text)
     logio.write_json(manifest.to_dict(), os.path.join(out_dir, "manifest.json"))
     return manifest
 

@@ -120,17 +120,30 @@ def test_each_cell_digests_its_config_once(tmp_path, monkeypatch):
         assert entry["config_digest"] == trace.config_digest
 
 
-def test_m0_digest_agrees_for_a_library_net_with_integer_weights(tmp_path):
-    # an integer weight turns into a float on the way through model.json, so
-    # the manifest must digest m0 as the cells and a reader see it
+def _integer_weight_dataset(out):
+    """A library m0 with an integer weight piece, its dataset's manifest under
+    `out`, and the path of the dataset's m0.json."""
     net, grid = fixtures.fixture("package_delivery")
     m0 = replace(net, annotations=net.annotations.merged_with(weights=[("ring", ((0, 1),))]))
     small = GridSpec(behavioral_sets=[[], grid.behavioral_sets[0]], recording_sets=[[]],
                      sim_configs=grid.sim_configs)
-    manifest = generate(m0, small, str(tmp_path))
+    return m0, generate(m0, small, str(out)), os.path.join(out, "m0.json")
+
+
+def test_m0_digest_agrees_for_a_library_net_with_integer_weights(tmp_path):
+    # an integer weight turns into a float on the way through model.json, so
+    # the manifest must digest m0 as the cells and a reader see it
+    m0, manifest, _ = _integer_weight_dataset(tmp_path)
     read_back = net_digest(logio.read_model(os.path.join(tmp_path, "m0.json")))
     assert read_back != net_digest(m0)
     assert {manifest.m0_digest} | {e["digests"]["m0"] for e in manifest.cells} == {read_back}
+
+
+def test_m0_json_is_the_text_the_manifest_digests(tmp_path):
+    _, manifest, path = _integer_weight_dataset(tmp_path)
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    assert (text, manifest.m0_digest) == logio.encode_model(logio.read_model(path))
 
 
 def test_designated_pattern_fires_and_no_others(package_dataset):
