@@ -48,6 +48,26 @@ def test_observed_round_trip_and_csv_cross_parse(tmp_path, package_cells):
         logio.write_observed_jsonl(from_csv, jpath)
 
 
+CSV_HEADER = "event_id,timestamp,activity,objects,run_id\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "empty csv at {path}:1"),
+    ("event_id,time,activity,objects,run_id\n",
+     "unexpected csv header ['event_id', 'time', 'activity', 'objects', 'run_id'] at {path}:1"),
+    (CSV_HEADER + "r-000000,2024-03-04T08:00:00Z,a,o_1,r\nr-000001,2024-03-04T08:00:00Z,a\n",
+     "expected 5 columns, got 3 at {path}:3"),
+], ids=["empty", "renamed-column", "short-row"])
+def test_a_malformed_csv_log_is_a_parse_error_naming_its_line(tmp_path, text, message):
+    path = tmp_path / "log.csv"
+    path.write_text(CSV_HEADER + "r-000000,2024-03-04T08:00:00Z,a,o_1,r\n")
+    assert len(logio.read_observed_csv(str(path)).events) == 1
+    path.write_text(text)
+    with pytest.raises(logio.ParseError) as caught:
+        logio.read_observed_csv(str(path))
+    assert str(caught.value) == message.format(path=path)
+
+
 def test_projection_drops_silent_firings(cell_by_pattern):
     item = cell_by_pattern("bi3")
     trace, log = item["trace"], item["log"]

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dataclasses import replace
+
 from logforge import fixtures
-from logforge.nets import (Arc, Binding, ExplosionGuard, Marking, Net, NotEnabled,
-                           ObjectType, Place, Transition, Variable,
-                           bounded_language, enabled_bindings, fire, replay,
+from logforge.nets import (Arc, Binding, Diagnostic, ExplosionGuard, Marking, Net,
+                           NotEnabled, ObjectType, Place, ProvenanceTag, Transition,
+                           Variable, bounded_language, enabled_bindings, fire, replay,
                            validate_net)
 
 
@@ -104,6 +106,69 @@ def test_separator_in_an_identifier_is_rejected():
     diags = [(d.code, d.element) for d in validate_net(bad)]
     assert sorted(diags) == [("BadIdentifier", "p1"), ("BadIdentifier", "p_we"),
                              ("BadIdentifier", "package")]
+
+
+def _pick(**changes):
+    """An edit of pick_net that changes its one transition, `pick`."""
+    return lambda n: replace(n, transitions=(replace(n.transitions[0], **changes),))
+
+
+PICK_DEFECTS = {
+    "duplicate-type": (
+        lambda n: replace(n, object_types=n.object_types + (ObjectType("package", "pk"),)),
+        "DuplicateTypeName", "package", "object type 'package' declared twice"),
+    "duplicate-place": (
+        lambda n: replace(n, places=n.places + (Place("p1", ("package",)),)),
+        "DuplicateId", "p1", "place id 'p1' not unique"),
+    "duplicate-transition": (
+        lambda n: replace(n, transitions=n.transitions + (Transition("pick", "again"),)),
+        "DuplicateId", "pick", "transition id 'pick' not unique"),
+    "place-named-as-transition": (
+        lambda n: replace(n, places=n.places + (Place("pick", ("package", "employee")),)),
+        "DuplicateId", "pick", "id 'pick' used for both a place and a transition"),
+    "empty-type-tuple": (
+        lambda n: replace(n, places=n.places + (Place("p_e", ()),)),
+        "EmptyTypeTuple", "p_e", "place 'p_e' has empty type tuple"),
+    "unknown-type": (
+        lambda n: replace(n, places=n.places + (Place("p_u", ("parcel",)),)),
+        "UnknownType", "p_u", "place 'p_u' uses undeclared type 'parcel'"),
+    "bad-role-hint": (
+        lambda n: replace(n, places=(replace(n.places[0], role_hint="idle"),) + n.places[1:]),
+        "BadRoleHint", "p1", "place 'p1' role 'idle' not in ('regular', 'resource_idle', "
+        "'resource_busy', 'queue', 'correlation', 'other')"),
+    "unknown-origin": (_pick(provenance=ProvenanceTag("invented", application_id="a1")),
+                       "ProvenanceInvalid", "pick", "origin 'invented' unknown"),
+    "base-with-pattern-code": (_pick(provenance=ProvenanceTag("base", "BI_3")),
+                               "ProvenanceInvalid", "pick",
+                               "base transition carries a pattern code"),
+    "created-without-application": (_pick(provenance=ProvenanceTag("behavioral", "BI_3")),
+                                    "ProvenanceInvalid", "pick",
+                                    "created transition lacks an application id"),
+    "unknown-arc-target": (
+        lambda n: replace(n, arcs=n.arcs + (Arc("pick", "p_nowhere", (v("x", "package"),)),)),
+        "UnresolvedElement", "arc[3](pick->p_nowhere)", "arc target 'p_nowhere' unknown"),
+    "place-to-place-arc": (
+        lambda n: replace(n, arcs=n.arcs + (Arc("p1", "p2", (v("x", "package"),)),)),
+        "BipartiteViolation", "arc[3](p1->p2)", "arc does not connect a place and a transition"),
+    "type-mismatch": (
+        lambda n: replace(n, arcs=n.arcs + (Arc("pick", "p1", (v("w", "employee"),)),)),
+        "TypeMismatch", "arc[3](pick->p1)", "variable 'w':employee at a package position of 'p1'"),
+    "isolated-transition": (
+        lambda n: replace(n, transitions=n.transitions + (Transition("idle"),)),
+        "IsolatedTransition", "idle", "transition 'idle' has no arcs"),
+    "record-spec-unknown-variable": (_pick(record_spec=("x", "z")), "RecordSpecUnknownVariable",
+                                     "pick", "record_spec names 'z', not a variable of 'pick'"),
+    "final-marking-unknown-place": (
+        lambda n: replace(n, final_marking=Marking.of({"nowhere": [["z"]]})),
+        "MarkingUnknownPlace", "nowhere", "final marking marks unknown place 'nowhere'"),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(PICK_DEFECTS))
+def test_each_structural_defect_is_one_diagnostic(defect):
+    edit, code, element, message = PICK_DEFECTS[defect]
+    assert validate_net(pick_net()) == []
+    assert validate_net(edit(pick_net())) == [Diagnostic(code, element, message)]
 
 
 # -- enabled bindings -----------------------------------------------------------

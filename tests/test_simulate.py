@@ -164,6 +164,21 @@ def test_config_requires_a_stop_condition():
         run(net, SimConfig(seed=1))
 
 
+@pytest.mark.parametrize("changes, message", [
+    ({"firing_limit": -1}, "firing_limit must be >= 0"),
+    ({"arrivals": [Arrival("item", "p0", Delay.constant(1.0), -1)]}, "arrival count must be >= 0"),
+    ({"arrivals": [Arrival("item", "p9", Delay.constant(1.0), 1)]}, "arrival target 'p9' unknown"),
+    ({"schedules": [ScheduleEntry("p9", ("i_2",), 0.0)]}, "schedule place 'p9' unknown"),
+], ids=["negative-firing-limit", "negative-arrival-count", "unknown-arrival-target",
+        "unknown-schedule-place"])
+def test_a_config_the_net_cannot_run_is_refused(changes, message):
+    net = fixtures.mini_chain()
+    run(net, SimConfig(firing_limit=1))
+    with pytest.raises(ConfigInvalid) as caught:
+        run(net, replace(SimConfig(firing_limit=1), **changes))
+    assert str(caught.value) == message
+
+
 def test_whole_floats_read_as_before_only_where_accepted():
     # count and firing_limit take 3.0; count is converted, firing_limit kept,
     # so such configs keep their to_dict bytes and config digest
