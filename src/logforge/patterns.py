@@ -29,7 +29,7 @@ class UnknownPattern(Exception):
 @dataclass(frozen=True)
 class Wildcard:
     name: str
-    kind: str  # place | transition | place_set | object_type | label
+    kind: str  # place | transition | object_type | label
     many: bool = False
 
 

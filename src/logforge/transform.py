@@ -32,11 +32,6 @@ class OrderViolation(Exception):
     pass
 
 
-_KIND_SPACE = {"place": "places", "transition": "transitions",
-               "place_set": "places", "object_type": "object_types",
-               "label": "labels"}
-
-
 def validate_mapping(net: Net, app: PatternApplication) -> list[Diagnostic]:
     """Check that `app` maps every wildcard of its pattern to a suitable
     element of `net` and meets the pattern's requirements."""
@@ -58,7 +53,7 @@ def validate_mapping(net: Net, app: PatternApplication) -> list[Diagnostic]:
                 out.append(Diagnostic("KindMismatch", wc.name,
                                       f"<{wc.name}> must map to string values, got {value!r}"))
                 continue
-            if wc.kind in ("place", "place_set") and value not in net.place_map:
+            if wc.kind == "place" and value not in net.place_map:
                 out.append(Diagnostic("UnresolvedElement", value,
                                       f"<{wc.name}> maps to unknown place {value!r}"))
             elif wc.kind == "transition" and value not in net.transition_map:
@@ -67,8 +62,7 @@ def validate_mapping(net: Net, app: PatternApplication) -> list[Diagnostic]:
             elif wc.kind == "object_type" and value not in net.type_map:
                 out.append(Diagnostic("UnresolvedElement", value,
                                       f"<{wc.name}> maps to unknown object type {value!r}"))
-            space = _KIND_SPACE[wc.kind]
-            prev = seen_per_kind.setdefault(space, {})
+            prev = seen_per_kind.setdefault(wc.kind, {})
             if value in prev and prev[value] != wc.name:
                 out.append(Diagnostic(
                     "InjectivityViolation", value,
