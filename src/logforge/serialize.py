@@ -55,17 +55,12 @@ def provenance_to_dict(p: ProvenanceTag) -> dict:
     return d
 
 
-_PROVENANCE_KEYS = frozenset(("origin", "pattern_code", "application_id", "shadow_of"))
-
-
 def provenance_from_dict(d: dict, tags: dict | None = None) -> ProvenanceTag:
     """The tag in JSON object `d`, which names its `origin` even when it is
     "base"; ConfigInvalid says what is malformed.  Equal tags decoded with
     one `tags` table are one ProvenanceTag."""
     if type(d) is not dict:
         raise ConfigInvalid(f"'provenance' must be an object, got {d!r}")
-    if not d.keys() <= _PROVENANCE_KEYS:
-        reject_unknown_keys(d, _PROVENANCE_KEYS, "provenance")
     key = (d.get("origin"), d.get("pattern_code"), d.get("application_id"),
            d.get("shadow_of"))
     if tags is not None:
@@ -121,6 +116,19 @@ def _items(d: dict, key: str, keys: tuple, what: str):
     return items
 
 
+def _model_provenance(t: dict) -> ProvenanceTag:
+    """A model transition's tag, which has no key a tag does not write; a
+    transition without one is base."""
+    if "provenance" not in t:
+        return BASE
+    tag = provenance_from_dict(t["provenance"])
+    reject_unknown_keys(t["provenance"], _PROVENANCE_KEYS, "provenance")
+    return tag
+
+
+_PROVENANCE_KEYS = ("origin", "pattern_code", "application_id", "shadow_of")
+
+
 def net_from_dict(d: dict) -> Net:
     """The net `net_to_dict` writes.  An unknown key of the model or of any
     object in it, or a missing or mistyped field, raises ConfigInvalid."""
@@ -134,8 +142,7 @@ def net_from_dict(d: dict) -> Net:
                       for p in _items(d, "places", ("id", "type_tuple", "role_hint"), "place")]),
         transitions=tuple([
             Transition(typed(t, "id", (str,)), typed(t, "activity_label", (str,), None),
-                       provenance_from_dict(t["provenance"]) if "provenance" in t else BASE,
-                       names(t, "record_spec", None))
+                       _model_provenance(t), names(t, "record_spec", None))
             for t in _items(d, "transitions",
                             ("id", "activity_label", "provenance", "record_spec"), "transition")]),
         arcs=tuple([

@@ -273,9 +273,12 @@ class ReportRule:
         """Decode a rule, checking each field as it is read, in field order;
         a non-object, an unknown key or a missing or mistyped field raises
         ConfigInvalid."""
-        reject_unknown_keys(d, [f.name for f in fields(cls)], "report rule")
+        reject_unknown_keys(d, _REPORT_RULE_KEYS, "report rule")
         return cls(typed(d, "transition", (str,)), names(d, "responsible", None),
                    names(d, "affected", None) if "affected" in d else ())
+
+
+_REPORT_RULE_KEYS = ("transition", "responsible", "affected")
 
 
 @dataclass(frozen=True)
