@@ -16,9 +16,9 @@ from dataclasses import dataclass, replace
 from . import dataset as ds
 from . import fixtures, logio, oracle
 from .nets import Net, validate_net
-from .patterns import PatternApplication, UnknownPattern
+from .patterns import PatternApplication, UnknownPattern, applications_from_json
 from .serialize import SCHEMA_VERSION
-from .simulate import ConfigInvalid, SimConfig, run
+from .simulate import ConfigInvalid, SimConfig, reject_unknown_keys, run
 from .transform import InvalidMapping, OrderViolation, apply_sequence
 
 
@@ -47,14 +47,18 @@ def _cmd_validate(args) -> int:
 
 
 def _read_applications(path: str) -> list[PatternApplication]:
-    """A versioned {"applications": [...]} document, or a bare list."""
+    """A versioned {"applications": [...]} document, or a bare list; a defect is a ParseError."""
     doc = logio.load_json(path)
-    if type(doc) is dict:
-        logio.check_version(doc, path)
-        doc = doc.get("applications")
-    if type(doc) is not list:
-        raise logio.ParseError("expected a list of pattern applications", path)
-    return [PatternApplication.from_dict(a) for a in doc]
+    try:
+        if type(doc) is dict:
+            logio.check_version(doc, path)
+            reject_unknown_keys(doc, frozenset(("schema_version", "applications")), "document")
+            doc = doc.get("applications")
+        if type(doc) is not list:
+            raise ConfigInvalid("expected a list of pattern applications")
+        return applications_from_json(doc, "applications")
+    except ConfigInvalid as e:
+        raise logio.ParseError(str(e), path) from None
 
 
 def _cmd_transform(args) -> int:

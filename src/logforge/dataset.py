@@ -25,7 +25,7 @@ from itertools import tee
 
 from . import logio
 from .nets import Net
-from .patterns import PatternApplication
+from .patterns import applications_from_json
 from .serialize import net_from_dict, net_to_dict, net_digest
 from .simulate import ConfigInvalid, SimConfig, run
 from .timing import reject_unknown_keys, typed
@@ -88,7 +88,7 @@ _GRID_KEYS = frozenset(GridSpec().to_dict()) | {"schema_version"}
 def _application_sets(d: dict, key: str) -> list:
     """The grid axis `key`: a list of lists of pattern applications."""
     sets = typed(d, key, (list,), [])
-    return [[PatternApplication.from_dict(a) for a in typed(sets, i, (list,))]
+    return [applications_from_json(typed(sets, i, (list,)), f"{key}[{i}]")
             for i in range(len(sets))]
 
 

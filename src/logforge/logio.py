@@ -18,7 +18,7 @@ import os
 import tempfile
 import threading
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import chain
 
 from .nets import BASE, OBJECT_SEPARATOR, Net
@@ -26,7 +26,7 @@ from .serialize import (SCHEMA_VERSION, canonical_json, net_from_dict,
                         net_to_dict, provenance_from_dict, provenance_to_dict,
                         text_digest)
 from .simulate import FiringRecord, GroundTruthTrace, epoch_seconds, timestamp_at
-from .timing import NUMBER, ConfigInvalid, ReportRule, slot_init, typed
+from .timing import NUMBER, ConfigInvalid, ReportRule, reject_unknown_keys, slot_init, typed
 
 
 class ParseError(Exception):
@@ -137,7 +137,7 @@ def read_jsonl(path: str):
 def _read_headed_jsonl(path: str, kind: str, decode_header, decode_line):
     """Decode a JSONL file whose first line is a header of the given kind.
 
-    A missing or mistyped field becomes a ParseError naming path:line.
+    An unknown key or a missing or mistyped field is a ParseError at path:line.
     """
     lines = read_jsonl(path)
     lineno, header = next(lines, (1, None))
@@ -280,10 +280,11 @@ def _availability(avail):
 
 
 def record_from_dict(d: dict, tags: dict | None = None, net: Net | None = None) -> FiringRecord:
-    """Decode a trace record, checking each field as it is read, in field
+    """Decode a trace record, checking its keys, then each field in field
     order: the first defect raises ConfigInvalid, ValueError or TypeError.
     Records decoded with one `tags` table (a file's) share their equal
     provenance tags.  Given `net`, the transition must be one of its."""
+    reject_unknown_keys(d, _RECORD_KEYS, "trace record")
     get = d.get
     seq_no, time = typed(d, "seq_no", (int,)), typed(d, "time", NUMBER)
     transition = typed(d, "transition", (str,))
@@ -292,10 +293,7 @@ def record_from_dict(d: dict, tags: dict | None = None, net: Net | None = None) 
     activity = typed(d, "activity", (str,), None)
     values = _bound_pairs(get("values", []), "values")
     fresh = _bound_pairs(get("fresh", []), "fresh")
-    try:
-        provenance = provenance_from_dict(d["provenance"], tags) if "provenance" in d else BASE
-    except ConfigInvalid as e:  # a line reports a malformed tag as it does its lists
-        raise ValueError(str(e)) from None
+    provenance = provenance_from_dict(d["provenance"], tags) if "provenance" in d else BASE
     return FiringRecord(
         seq_no, time, transition, activity, values, fresh, provenance,
         tuple([(_place(pid, "consumed"), _identifiers(tok, "consumed"))
@@ -331,7 +329,8 @@ def write_trace(trace: GroundTruthTrace, path: str) -> None:
 
 
 def _trace_header(h: dict) -> dict:
-    """The header's fields, each checked as it is read, in field order."""
+    """The header's fields once its keys are known, each checked in field order."""
+    reject_unknown_keys(h, _TRACE_HEADER_KEYS, "trace header")
     run_id, seed = typed(h, "run_id", (str,)), typed(h, "seed", (int,))
     epoch = typed(h, "epoch", (str,))
     try:
@@ -342,13 +341,7 @@ def _trace_header(h: dict) -> dict:
     config_digest = typed(h, "config_digest", (str,), "")
     object_types = _object_types(h, "object_types")
     pattern_stats = typed(h, "pattern_stats", (dict,), {})
-    rules = h.get("report_rules", [])
-    if type(rules) is not list:
-        raise ValueError(f"'report_rules' must be a list, got {rules!r}")
-    try:
-        report_rules = tuple(map(ReportRule.from_dict, rules))
-    except ConfigInvalid as e:  # reported as a record's malformed tag is
-        raise ValueError(str(e)) from None
+    report_rules = tuple(map(ReportRule.from_dict, typed(h, "report_rules", (list,), [])))
     return dict(
         run_id=run_id, seed=seed, epoch=epoch, model_digests=model_digests,
         config_digest=config_digest, object_types=object_types, pattern_stats=pattern_stats,
@@ -385,11 +378,20 @@ class ObservedEvent:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ObservedEvent":
-        """Decode an event, checking each field as it is read, in field order:
+        """Decode an event, checking its keys, then each field in field order:
         the first defect raises ConfigInvalid or ValueError."""
+        reject_unknown_keys(d, _EVENT_KEYS, "log event")
         return cls(typed(d, "event_id", (str,)), typed(d, "timestamp", (str,)),
                    typed(d, "activity", (str,)), _identifiers(d.get("objects", []), "objects"),
                    typed(d, "run_id", (str,), ""))
+
+
+# the keys of each object the JSONL readers decode: the fields its writer writes
+_RECORD_KEYS = frozenset(f.name for f in fields(FiringRecord))
+_TRACE_HEADER_KEYS = (frozenset(f.name for f in fields(GroundTruthTrace)) - {"records"}
+                      | {"schema_version", "kind"})
+_EVENT_KEYS = frozenset(f.name for f in fields(ObservedEvent))
+_LOG_HEADER_KEYS = frozenset(("schema_version", "kind", "run_id", "objects"))
 
 
 @dataclass(frozen=True)
@@ -445,7 +447,8 @@ def write_observed_jsonl(log: ObservedLog, path: str) -> None:
 
 
 def _log_header(h: dict) -> dict:
-    """The header's fields, each checked as it is read, in field order."""
+    """The header's fields once its keys are known, each checked in field order."""
+    reject_unknown_keys(h, _LOG_HEADER_KEYS, "log header")
     return dict(objects=_object_types(h, "objects"), run_id=typed(h, "run_id", (str,), ""))
 
 

@@ -17,9 +17,9 @@ import math
 from dataclasses import dataclass, field, fields
 from typing import Callable
 
-from .logio import ParseError
 from .nets import Arc, Net, ObjectType, Place, ProvenanceTag, Transition, Variable
-from .timing import Delay, FrequencyProbe, ReportRule, TimingOverride
+from .timing import (ConfigInvalid, Delay, FrequencyProbe, ReportRule, TimingOverride, names,
+                     reject_unknown_keys, typed)
 
 
 class UnknownPattern(Exception):
@@ -62,32 +62,26 @@ class PatternApplication:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PatternApplication":
-        """Read what `to_dict` writes.  ParseError for a key that it does
-        not write, a missing or non-string `application_id` or `code`, a
-        `mapping` or `params` that is not an object, and `competitors` that
-        are not a list of strings."""
-        if type(d) is not dict:
-            raise ParseError(f"a pattern application must be an object, got {d!r}")
-        unknown = sorted(set(d) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ParseError(f"unknown pattern application key(s) {unknown}: {d!r}")
-        for key in ("application_id", "code"):
-            if type(d.get(key)) is not str:
-                raise ParseError(f"pattern application lacks a string {key!r}: {d!r}")
-        mapping, params = d.get("mapping", {}), d.get("params", {})
-        for key, value in (("mapping", mapping), ("params", params)):
-            if type(value) is not dict:
-                raise ParseError(f"pattern application {key!r} is not an object: {d!r}")
-        competitors = d.get("competitors", [])
-        if type(competitors) is not list or not all(type(c) is str for c in competitors):
-            raise ParseError(f"pattern application 'competitors' is not a list of strings: {d!r}")
+        """Read what `to_dict` writes: keys, then fields; a defect raises ConfigInvalid."""
+        reject_unknown_keys(d, _APPLICATION_KEYS, "pattern application")
         return cls(
-            application_id=d["application_id"],
-            code=d["code"],
-            mapping=dict(mapping),
-            params=_params_from_json(params),
-            competitors=tuple(competitors),
+            application_id=typed(d, "application_id", (str,)),
+            code=typed(d, "code", (str,)),
+            mapping=dict(typed(d, "mapping", (dict,), {})),
+            params=_params_from_json(typed(d, "params", (dict,), {})),
+            competitors=names(d, "competitors", ()),
         )
+
+
+def applications_from_json(items: list, where: str) -> list[PatternApplication]:
+    """The applications in JSON list `items`; ConfigInvalid names `where[index]`."""
+    apps = []
+    for i, d in enumerate(items):
+        try:
+            apps.append(PatternApplication.from_dict(d))
+        except ConfigInvalid as e:
+            raise ConfigInvalid(f"{where}[{i}]: {e}") from None
+    return apps
 
 
 def _mapping_to_json(mapping: dict) -> dict:
@@ -114,6 +108,9 @@ def _params_from_json(params: dict) -> dict:
         else:
             out[k] = v
     return out
+
+
+_APPLICATION_KEYS = frozenset(f.name for f in fields(PatternApplication))
 
 
 @dataclass(frozen=True)

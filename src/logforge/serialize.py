@@ -38,7 +38,7 @@ def _variable_to_dict(v: Variable) -> dict:
 
 
 def _variable_from_dict(d: dict) -> Variable:
-    reject_unknown_keys(d, ("name", "object_type", "fresh"), "variable")
+    reject_unknown_keys(d, _VARIABLE_KEYS, "variable")
     return Variable(typed(d, "name", (str,)), typed(d, "object_type", (str,)),
                     typed(d, "fresh", (bool,), False))
 
@@ -59,8 +59,7 @@ def provenance_from_dict(d: dict, tags: dict | None = None) -> ProvenanceTag:
     """The tag in JSON object `d`, which names its `origin` even when it is
     "base"; ConfigInvalid says what is malformed.  Equal tags decoded with
     one `tags` table are one ProvenanceTag."""
-    if type(d) is not dict:
-        raise ConfigInvalid(f"'provenance' must be an object, got {d!r}")
+    reject_unknown_keys(d, _PROVENANCE_KEYS, "'provenance'")
     key = (d.get("origin"), d.get("pattern_code"), d.get("application_id"),
            d.get("shadow_of"))
     if tags is not None:
@@ -104,29 +103,19 @@ def net_to_dict(net: Net) -> dict:
     }
 
 
-_MODEL_KEYS = ("schema_version", "object_types", "places", "transitions", "arcs",
-               "initial_marking", "final_marking", "annotations")
+_MODEL_KEYS = frozenset(("schema_version", "object_types", "places", "transitions", "arcs",
+                         "initial_marking", "final_marking", "annotations"))
+_VARIABLE_KEYS = frozenset(("name", "object_type", "fresh"))
+_PROVENANCE_KEYS = frozenset(("origin", "pattern_code", "application_id", "shadow_of"))
 
 
 def _items(d: dict, key: str, keys: tuple, what: str):
     """The objects of the list d[key], each once it has only `keys`."""
     items = typed(d, key, (list,))
+    known = frozenset(keys)
     for item in items:
-        reject_unknown_keys(item, keys, what)
+        reject_unknown_keys(item, known, what)
     return items
-
-
-def _model_provenance(t: dict) -> ProvenanceTag:
-    """A model transition's tag, which has no key a tag does not write; a
-    transition without one is base."""
-    if "provenance" not in t:
-        return BASE
-    tag = provenance_from_dict(t["provenance"])
-    reject_unknown_keys(t["provenance"], _PROVENANCE_KEYS, "provenance")
-    return tag
-
-
-_PROVENANCE_KEYS = ("origin", "pattern_code", "application_id", "shadow_of")
 
 
 def net_from_dict(d: dict) -> Net:
@@ -142,7 +131,8 @@ def net_from_dict(d: dict) -> Net:
                       for p in _items(d, "places", ("id", "type_tuple", "role_hint"), "place")]),
         transitions=tuple([
             Transition(typed(t, "id", (str,)), typed(t, "activity_label", (str,), None),
-                       _model_provenance(t), names(t, "record_spec", None))
+                       provenance_from_dict(t["provenance"]) if "provenance" in t else BASE,
+                       names(t, "record_spec", None))
             for t in _items(d, "transitions",
                             ("id", "activity_label", "provenance", "record_spec"), "transition")]),
         arcs=tuple([

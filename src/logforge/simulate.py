@@ -55,7 +55,7 @@ class Arrival:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Arrival":
-        reject_unknown_keys(d, [f.name for f in fields(cls)], "arrival")
+        reject_unknown_keys(d, _ARRIVAL_KEYS, "arrival")
         return cls(typed(d, "object_type", (str,)), typed(d, "target_place", (str,)),
                    Delay.from_dict(typed(d, "inter_arrival", (dict,))),
                    int(typed(d, "count", (int,), whole=True)),
@@ -77,7 +77,7 @@ class ScheduleEntry:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScheduleEntry":
-        reject_unknown_keys(d, [f.name for f in fields(cls)], "schedule")
+        reject_unknown_keys(d, _SCHEDULE_KEYS, "schedule")
         token = typed(d, "token", (list,))
         if not all(map(is_identifier, token)):
             raise ConfigInvalid(f"a schedule token must be a list of identifiers, got {token!r}")
@@ -148,6 +148,8 @@ class SimConfig:
 
 
 _CONFIG_KEYS = frozenset(SimConfig().to_dict()) | {"schema_version"}
+_ARRIVAL_KEYS, _SCHEDULE_KEYS = (frozenset(f.name for f in fields(cls))
+                                 for cls in (Arrival, ScheduleEntry))
 
 
 def epoch_seconds(stamp: str) -> float:

@@ -15,14 +15,14 @@ class ConfigInvalid(ValueError):
     """A simulation setting that would make a run meaningless."""
 
 
-def reject_unknown_keys(d: dict, known, what: str) -> None:
-    """Raise ConfigInvalid unless `d` is an object whose keys are all in
-    `known`; the message names every other key."""
+def reject_unknown_keys(d: dict, known: frozenset, what: str) -> None:
+    """The one key check of a JSON object with fixed fields: raise ConfigInvalid
+    unless `d` is an object whose keys are all in `known`, naming the others."""
     if type(d) is not dict:
         raise ConfigInvalid(f"{what} must be an object, got {d!r}")
-    unknown = sorted(set(d) - set(known))
-    if unknown:
-        raise ConfigInvalid(f"unknown {what} key(s) {unknown}; known keys are {sorted(known)}")
+    if not d.keys() <= known:
+        raise ConfigInvalid(f"unknown {what} key(s) {sorted(d.keys() - known)}; "
+                            f"known keys are {sorted(known)}")
 
 
 _REQUIRED = object()
@@ -159,7 +159,7 @@ class Delay:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Delay":
-        reject_unknown_keys(d, ("kind", "a", "b"), "delay")
+        reject_unknown_keys(d, _DELAY_KEYS, "delay")
         return cls(typed(d, "kind", (str,)), typed(d, "a", NUMBER, 0.0), typed(d, "b", NUMBER, 0.0))
 
 
@@ -212,7 +212,7 @@ class TimingOverride:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TimingOverride":
-        reject_unknown_keys(d, [f.name for f in fields(cls)], "timing override")
+        reject_unknown_keys(d, _OVERRIDE_KEYS, "timing override")
         return cls(
             kind=typed(d, "kind", (str,)),
             transitions=names(d, "transitions"),
@@ -244,7 +244,7 @@ class FrequencyProbe:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FrequencyProbe":
-        reject_unknown_keys(d, [f.name for f in fields(cls)], "frequency probe")
+        reject_unknown_keys(d, _PROBE_KEYS, "frequency probe")
         return cls(typed(d, "application_id", (str,)), typed(d, "pattern_code", (str,)),
                    names(d, "deviation"), names(d, "competitors", ()))
 
@@ -278,9 +278,6 @@ class ReportRule:
                    names(d, "affected", None) if "affected" in d else ())
 
 
-_REPORT_RULE_KEYS = ("transition", "responsible", "affected")
-
-
 @dataclass(frozen=True)
 class SimAnnotations:
     """Simulation-facing metadata carried by a net (immutable after build).
@@ -312,10 +309,16 @@ class SimAnnotations:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimAnnotations":
-        reject_unknown_keys(d, [f.name for f in fields(cls)], "annotations")
+        reject_unknown_keys(d, _ANNOTATIONS_KEYS, "annotations")
         return cls(
             weights=tuple(map(weight_entry, typed(d, "weights", (list,), []))),
             overrides=tuple(map(TimingOverride.from_dict, typed(d, "overrides", (list,), []))),
             probes=tuple(map(FrequencyProbe.from_dict, typed(d, "probes", (list,), []))),
             report_rules=tuple(map(ReportRule.from_dict, typed(d, "report_rules", (list,), []))),
         )
+
+
+# the keys each reader above accepts: its class's fields, which `to_dict` writes
+_DELAY_KEYS, _OVERRIDE_KEYS, _PROBE_KEYS, _REPORT_RULE_KEYS, _ANNOTATIONS_KEYS = (
+    frozenset(f.name for f in fields(cls))
+    for cls in (Delay, TimingOverride, FrequencyProbe, ReportRule, SimAnnotations))

@@ -6,6 +6,7 @@ import pytest
 from logforge import logio
 from logforge.cli import main
 from logforge.simulate import SimConfig
+from logforge.timing import ConfigInvalid
 
 
 def run_cli(capsys, *argv):
@@ -214,6 +215,18 @@ def test_oracle_score_malformed_alignment_exits_two(tmp_path, capsys, bad_line, 
     assert diag["message"] == f"{message} at {bad}:2"
 
 
+def test_oracle_score_reads_an_alignment_line_with_an_extra_key(tmp_path, capsys):
+    # candidate alignments come from external checkers, which may add fields
+    good = tmp_path / "gt.jsonl"
+    good.write_text(GOOD_MOVE + "\n")
+    candidate = tmp_path / "cand.jsonl"
+    candidate.write_text(GOOD_MOVE[:-1] + ',"cost":0.5}\n')
+    code, out, err = run_cli(capsys, "oracle", "score", "--candidate", str(candidate),
+                             "--gt", str(good))
+    assert code == 0, err
+    assert out == "0.000000\n"
+
+
 TRACE_HEADER = ('{"schema_version":"1","kind":"ground_truth_trace","run_id":"r","seed":0,'
                 '"epoch":"2024-03-04T08:00:00Z"}')
 GOOD_RECORD = '{"seq_no":0,"time":0.0,"transition":"t","activity":"a"}'
@@ -228,6 +241,19 @@ def with_record_field(field):
 
 def with_header_field(field):
     return TRACE_HEADER[:-1] + "," + field + "}"
+
+
+def unknown_key(what, key, known):
+    """The ConfigInvalid message of one unknown `key` of a `what`."""
+    return f"unknown {what} key(s) [{key!r}]; known keys are {known}"
+
+
+RECORD_KEYS = ["activity", "coarsen_window", "consumed", "fresh", "produced", "provenance",
+               "recorded_objects", "seq_no", "time", "timing_causes", "transition", "values"]
+TRACE_HEADER_KEYS = ["config_digest", "epoch", "final_time", "injected", "kind", "model_digests",
+                     "object_types", "pattern_stats", "report_rules", "run_id", "schema_version",
+                     "seed", "termination"]
+PROVENANCE_KEYS = ["application_id", "origin", "pattern_code", "shadow_of"]
 
 
 BAD_TRACES = {
@@ -251,19 +277,19 @@ BAD_TRACES = {
     "trailing-data": ([TRACE_HEADER, GOOD_RECORD + ' x'], 2, "Extra data"),
     "list-provenance": (
         [TRACE_HEADER, GOOD_RECORD, with_record_field('"provenance":[]')], 3,
-        BAD_RECORD + """ValueError("'provenance' must be an object, got []")"""),
+        BAD_RECORD + """ConfigInvalid("'provenance' must be an object, got []")"""),
     "number-provenance-origin": (
         [TRACE_HEADER, GOOD_RECORD, with_record_field('"provenance":{"origin":5}')], 3,
-        BAD_RECORD + """ValueError("'provenance' must hold a string 'origin' and strings or """
+        BAD_RECORD + """ConfigInvalid("'provenance' must hold a string 'origin' and strings or """
         """nulls, got {'origin': 5}")"""),
     "empty-provenance": (
         [TRACE_HEADER, GOOD_RECORD, with_record_field('"provenance":{}')], 3,
-        BAD_RECORD + """ValueError("'provenance' must hold a string 'origin' and strings or """
+        BAD_RECORD + """ConfigInvalid("'provenance' must hold a string 'origin' and strings or """
         """nulls, got {}")"""),
     "provenance-without-origin": (
         [TRACE_HEADER, GOOD_RECORD,
          with_record_field('"provenance":{"application_id":"x","pattern_code":"BI_3"}')], 3,
-        BAD_RECORD + """ValueError("'provenance' must hold a string 'origin' and strings or """
+        BAD_RECORD + """ConfigInvalid("'provenance' must hold a string 'origin' and strings or """
         """nulls, got {'application_id': 'x', 'pattern_code': 'BI_3'}")"""),
     "text-consumed-token": (
         [TRACE_HEADER, GOOD_RECORD, with_record_field('"consumed":[["p","abc"]]')], 3,
@@ -343,7 +369,7 @@ BAD_TRACES = {
     "number-provenance-origin-and-short-token": (
         [TRACE_HEADER, GOOD_RECORD,
          with_record_field('"provenance":{"origin":5},"produced":[["p",["a"]]]')],
-        3, BAD_RECORD + """ValueError("'provenance' must hold a string 'origin' and strings """
+        3, BAD_RECORD + """ConfigInvalid("'provenance' must hold a string 'origin' and strings """
         """or nulls, got {'origin': 5}")"""),
     "text-recorded-objects-and-number-timing-causes": (
         [TRACE_HEADER, GOOD_RECORD,
@@ -355,28 +381,46 @@ BAD_TRACES = {
         BAD_RECORD + """ConfigInvalid("field 'object_types' is not dict: [1]")"""),
     "text-injected-token-and-bad-rule": (
         [with_header_field('"injected":[["p","abc"]],"report_rules":[{}]'), GOOD_RECORD], 1,
-        BAD_RECORD + """ValueError("missing field 'transition'")"""),
+        BAD_RECORD + """ConfigInvalid("missing field 'transition'")"""),
     "number-report-rule": (
         [with_header_field('"report_rules":[1]'), GOOD_RECORD], 1,
-        BAD_RECORD + """ValueError('report rule must be an object, got 1')"""),
+        BAD_RECORD + """ConfigInvalid('report rule must be an object, got 1')"""),
     "number-rule-transition": (
         [with_header_field('"report_rules":[{"transition":5}]'), GOOD_RECORD], 1,
-        BAD_RECORD + """ValueError("field 'transition' is not str: 5")"""),
+        BAD_RECORD + """ConfigInvalid("field 'transition' is not str: 5")"""),
     "text-rule-responsible": (
         [with_header_field('"report_rules":[{"transition":"t","responsible":"ab"}]'),
          GOOD_RECORD], 1,
-        BAD_RECORD + """ValueError("field 'responsible' is not list: 'ab'")"""),
+        BAD_RECORD + """ConfigInvalid("field 'responsible' is not list: 'ab'")"""),
     "object-report-rules": (
         [with_header_field('"report_rules":{"transition":"t"}'), GOOD_RECORD], 1,
-        BAD_RECORD + """ValueError("'report_rules' must be a list, got {'transition': 't'}")"""),
+        BAD_RECORD + """ConfigInvalid("field 'report_rules' is not list: {'transition': 't'}")"""),
     "number-rule-transition-and-text-injected-token": (
         [with_header_field('"report_rules":[{"transition":5}],"injected":[["p","abc"]]'),
          GOOD_RECORD], 1,
-        BAD_RECORD + """ValueError("field 'transition' is not str: 5")"""),
+        BAD_RECORD + """ConfigInvalid("field 'transition' is not str: 5")"""),
     "number-rule-responsible-and-list-object-types": (
         [with_header_field('"report_rules":[{"transition":"t","responsible":5}],'
                            '"object_types":[1]'), GOOD_RECORD], 1,
         BAD_RECORD + """ConfigInvalid("field 'object_types' is not dict: [1]")"""),
+    # an unknown key is a defect, reported before any field is read
+    "misspelt-activity": (
+        [TRACE_HEADER, GOOD_RECORD, with_record_field('"activty":"a"')], 3,
+        BAD_RECORD + repr(ConfigInvalid(unknown_key("trace record", "activty", RECORD_KEYS)))),
+    "misspelt-seed": (
+        [with_header_field('"sead":1'), GOOD_RECORD], 1,
+        BAD_RECORD + repr(ConfigInvalid(unknown_key("trace header", "sead",
+                                                    TRACE_HEADER_KEYS)))),
+    "provenance-key": (
+        [TRACE_HEADER, GOOD_RECORD, with_record_field('"provenance":{"origin":"base","code":"x"}')],
+        3, BAD_RECORD + repr(ConfigInvalid(unknown_key("'provenance'", "code", PROVENANCE_KEYS)))),
+    "misspelt-activity-and-number-values": (
+        [TRACE_HEADER, GOOD_RECORD, with_record_field('"values":5,"activty":"a"')], 3,
+        BAD_RECORD + repr(ConfigInvalid(unknown_key("trace record", "activty", RECORD_KEYS)))),
+    "misspelt-seed-and-text-run-id": (
+        [with_header_field('"sead":1').replace('"run_id":"r"', '"run_id":5'), GOOD_RECORD], 1,
+        BAD_RECORD + repr(ConfigInvalid(unknown_key("trace header", "sead",
+                                                    TRACE_HEADER_KEYS)))),
 }
 
 
@@ -441,10 +485,21 @@ def with_event_field(field):
      BAD_EVENT + """ConfigInvalid("field 'activity' is not str: 7")"""),
     ([LOG_HEADER, with_event_field('"objects":"abc","run_id":5')], 2,
      BAD_EVENT + """ValueError("'objects' must be a list of strings, got 'abc'")"""),
+    # an unknown key is a defect, reported before any field is read
+    ([LOG_HEADER, with_event_field('"objcts":["o_1"]')], 2,
+     BAD_EVENT + repr(ConfigInvalid(unknown_key(
+         "log event", "objcts", ["activity", "event_id", "objects", "run_id", "timestamp"])))),
+    ([LOG_HEADER[:-1] + ',"objcts":{}}'], 1,
+     BAD_EVENT + repr(ConfigInvalid(unknown_key(
+         "log header", "objcts", ["kind", "objects", "run_id", "schema_version"])))),
+    ([LOG_HEADER, with_event_field('"objcts":["o_1"]').replace('"activity":"a"', '"activity":7')],
+     2, BAD_EVENT + repr(ConfigInvalid(unknown_key(
+         "log event", "objcts", ["activity", "event_id", "objects", "run_id", "timestamp"])))),
 ], ids=["no-event-id", "number-activity", "string-event", "list-header", "text-objects",
         "number-object", "number-run-id", "text-header-objects", "number-object-type",
         "number-header-run-id", "number-activity-and-text-objects",
-        "text-objects-and-number-run-id"])
+        "text-objects-and-number-run-id", "misspelt-objects", "misspelt-header-objects",
+        "misspelt-objects-and-number-activity"])
 def test_oracle_align_malformed_log_exits_two(tmp_path, capsys, lines, bad_at, message):
     fdir = str(tmp_path / "fx")
     run_cli(capsys, "fixture", "--name", "package_delivery", "--out", fdir)
@@ -508,7 +563,8 @@ def test_transform_reads_bare_list_mentioning_schema_version(tmp_path, capsys):
     ({"applications": []}, 2),
     ({"schema_version": "1"}, 2),
     ("BI_3", 2),
-], ids=["versioned", "unversioned-object", "no-applications", "string"])
+    ({"schema_version": "1", "applications": [], "aplications": []}, 2),
+], ids=["versioned", "unversioned-object", "no-applications", "string", "unknown-key"])
 def test_transform_application_file_shapes(tmp_path, capsys, doc, code):
     fdir = str(tmp_path / "fx")
     run_cli(capsys, "fixture", "--name", "package_delivery", "--out", fdir)
@@ -613,7 +669,8 @@ def test_transform_incomplete_application_exits_two(tmp_path, capsys, app, field
     assert code == 2
     [diag] = stderr_diagnostics(err)
     assert diag["code"] == "ParseError"
-    assert field in diag["message"]
+    assert diag["message"].startswith("applications[0]: ")
+    assert diag["message"].endswith(f" at {apps_path}") and field in diag["message"]
 
 
 @pytest.mark.parametrize("app,field", [
@@ -624,20 +681,24 @@ def test_transform_incomplete_application_exits_two(tmp_path, capsys, app, field
     ({"competitors": "ab"}, "competitors"),
     ({"competitors": [1]}, "competitors"),
     ({"parmas": {"weight": 9.0}}, "unknown pattern application key(s) ['parmas']"),
+    ({"params": {"delay": {"__delay__": {"kind": "bogus"}}}}, "unknown delay kind 'bogus'"),
+    ({"params": {"delay": {"__delay__": 5}}}, "delay must be an object, got 5"),
 ], ids=["string-mapping", "number-mapping", "string-params", "null-params",
-        "string-competitors", "number-competitor", "unknown-key"])
+        "string-competitors", "number-competitor", "unknown-key", "unknown-delay-kind",
+        "number-delay"])
 def test_transform_mistyped_application_exits_two(tmp_path, capsys, app, field):
     fdir = str(tmp_path / "fx")
     run_cli(capsys, "fixture", "--name", "package_delivery", "--out", fdir)
     apps_path = os.path.join(fdir, "apps.json")
     base = {"application_id": "a1", "code": "BI_3", "mapping": {"t": "ring"}}
-    open(apps_path, "w").write(json.dumps([{**base, **app}]))
+    open(apps_path, "w").write(json.dumps([base, {**base, "application_id": "a2", **app}]))
     code, _, err = run_cli(capsys, "transform", "--model", os.path.join(fdir, "m0.json"),
                            "--apply", apps_path, "--out", os.path.join(fdir, "ml.json"))
     assert code == 2
     [diag] = stderr_diagnostics(err)
     assert diag["code"] == "ParseError"
-    assert field in diag["message"]
+    assert diag["message"].startswith("applications[1]: ")
+    assert diag["message"].endswith(f" at {apps_path}") and field in diag["message"]
 
 
 @pytest.mark.parametrize("piece", [[0, "x"], [0, "1.5"], [0], "0"], ids=[
@@ -725,7 +786,7 @@ MISREAD_MODELS = {
     "variable-key": (lambda m: m["arcs"][0]["inscription"][0].update(type="van"),
                      "unknown variable key(s) ['type']"),
     "provenance-key": (lambda m: m["transitions"][0]["provenance"].update(code="BI_3"),
-                       "unknown provenance key(s) ['code']"),
+                       "unknown 'provenance' key(s) ['code']"),
     "probe-key": (lambda m: m["annotations"]["probes"].append(
         {"application_id": "a1", "pattern_code": "BI_3", "deviation": ["ring"],
          "competitor": ["dock"]}), "unknown frequency probe key(s) ['competitor']"),
@@ -850,6 +911,35 @@ def test_dataset_bad_grid_is_one_diagnostic(tmp_path, capsys, edit):
     assert code == 1
     [diag] = stderr_diagnostics(err)
     assert diag["code"] == "ConfigInvalid"
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda g: g["behavioral_sets"][0][0].update(application_id=5),
+     "behavioral_sets[0][0]: field 'application_id' is not str: 5"),
+    (lambda g: g["recording_sets"][6][0].update(paried=True),
+     "recording_sets[6][0]: unknown pattern application key(s) ['paried']; known keys are "
+     "['application_id', 'code', 'competitors', 'mapping', 'params']"),
+    (lambda g: g["behavioral_sets"][2][0]["params"].update(
+        delay={"__delay__": {"kind": "bogus"}}),
+     "behavioral_sets[2][0]: unknown delay kind 'bogus', expected one of "
+     "('constant', 'normal', 'exponential', 'uniform')"),
+    (lambda g: g["recording_sets"][7].append("BI_3"),
+     "recording_sets[7][1]: pattern application must be an object, got 'BI_3'"),
+], ids=["number-application-id", "unknown-application-key", "unknown-delay-kind",
+        "string-application"])
+def test_dataset_bad_grid_application_is_one_config_invalid(tmp_path, capsys, edit, message):
+    fdir = str(tmp_path / "fx")
+    run_cli(capsys, "fixture", "--name", "package_delivery", "--out", fdir)
+    gpath = os.path.join(fdir, "grid.json")
+    grid = logio.read_json(gpath)
+    edit(grid)
+    open(gpath, "w").write(json.dumps(grid))
+    out = str(tmp_path / "ds")
+    code, _, err = run_cli(capsys, "dataset", "--model", os.path.join(fdir, "m0.json"),
+                           "--grid", gpath, "--out", out)
+    assert code == 1
+    assert stderr_diagnostics(err) == [{"code": "ConfigInvalid", "element": "", "message": message}]
     assert not os.path.exists(out)
 
 
