@@ -409,10 +409,10 @@ def event_id_for(run_id: str, seq_no: int) -> str:
     return f"{run_id}-{seq_no:06d}"
 
 
-def project_observed(trace: GroundTruthTrace) -> ObservedLog:
-    """The visible side of a trace: one event per labeled firing, objects per
-    record_spec, timestamps coarsened where a coarsening window applies;
-    silent firings disappear entirely."""
+def projection(trace: GroundTruthTrace) -> list[tuple[FiringRecord, ObservedEvent]]:
+    """Each labeled firing of `trace` with the event it projects to, in log
+    order: objects per record_spec, timestamps coarsened where a coarsening
+    window applies.  This is the one place that links a record to its event."""
     rows = []
     for r in trace.records:
         if r.activity is None:
@@ -423,16 +423,16 @@ def project_observed(trace: GroundTruthTrace) -> ObservedLog:
         rows.append((eta, r.seq_no, r))
     rows.sort(key=lambda row: (row[0], row[1]))  # ties keep true order
     epoch_s = epoch_seconds(trace.epoch)
-    events = tuple(
-        ObservedEvent(
-            event_id=event_id_for(trace.run_id, seq_no),
-            timestamp=timestamp_at(epoch_s, eta),
-            activity=r.activity,
-            objects=r.recorded_objects,
-            run_id=trace.run_id,
-        )
-        for eta, seq_no, r in rows
-    )
+    return [(r, ObservedEvent(event_id=event_id_for(trace.run_id, seq_no),
+                              timestamp=timestamp_at(epoch_s, eta), activity=r.activity,
+                              objects=r.recorded_objects, run_id=trace.run_id))
+            for eta, seq_no, r in rows]
+
+
+def project_observed(trace: GroundTruthTrace) -> ObservedLog:
+    """The visible side of a trace: the events of its `projection`; silent
+    firings disappear entirely."""
+    events = tuple([e for _, e in projection(trace)])
     mentioned = {o for e in events for o in e.objects}
     universe = {o: t for o, t in trace.object_types.items() if o in mentioned}
     return ObservedLog(events=events, objects=universe, run_id=trace.run_id)

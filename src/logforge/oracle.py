@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .logio import (ObservedLog, ParseError, event_id_for, project_observed, read_jsonl,
-                    write_jsonl)
+from .logio import ObservedLog, ParseError, projection, read_jsonl, write_jsonl
 from .nets import Net
 from .simulate import FiringRecord, GroundTruthTrace
 from .timing import slot_init
@@ -132,12 +131,12 @@ def _object_discrepancy(m0: Net, trace: GroundTruthTrace, record: FiringRecord) 
 
 
 def gt_alignment(m0: Net, trace: GroundTruthTrace, log: ObservedLog) -> GtAlignment:
-    """The ground-truth alignment of `log` against the base model."""
-    projected = project_observed(trace)
-    if projected.events != log.events or projected.run_id != log.run_id:
+    """The ground-truth alignment of `log` against the base model.  Each
+    labeled record's event is the one `logio.projection` pairs it with."""
+    pairs = projection(trace)
+    if tuple([e for _, e in pairs]) != log.events or trace.run_id != log.run_id:
         raise LogTraceMismatch("log is not the projection of this trace")
-
-    events = {e.event_id: e for e in log.events}
+    event_of = {id(record): event for record, event in pairs}
 
     system: list[Move] = []
     grouped: dict[str, list[Move]] = {}
@@ -164,7 +163,7 @@ def gt_alignment(m0: Net, trace: GroundTruthTrace, log: ObservedLog) -> GtAlignm
             emit(move, bound)
             continue
 
-        event = events[event_id_for(trace.run_id, record.seq_no)]
+        event = event_of[id(record)]
         if prov.is_base:
             emit(Move("synchronous", event.activity, event.objects,
                       event_id=event.event_id, transition=record.transition),

@@ -83,6 +83,16 @@ def test_projection_count_law(package_cells):
         assert len(item["log"].events) == len(item["trace"].labeled_records())
 
 
+def test_projection_pairs_each_labeled_record_with_its_event(package_cells):
+    for item in package_cells:
+        pairs = logio.projection(item["trace"])
+        assert tuple(e for _, e in pairs) == item["log"].events
+        assert (sorted(r.seq_no for r, _ in pairs)
+                == [r.seq_no for r in item["trace"].labeled_records()])
+        assert all(e.activity == r.activity and e.objects == r.recorded_objects
+                   for r, e in pairs)
+
+
 def test_projection_respects_record_spec(cell_by_pattern):
     item = cell_by_pattern("rimo")
     trace, log = item["trace"], item["log"]
