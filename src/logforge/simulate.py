@@ -575,11 +575,19 @@ def _validate_config(net: Net, config: SimConfig):
         if not is_identifier(spec.object_type):  # an undeclared type's ids start with it
             raise ConfigInvalid(f"arrival object type {spec.object_type!r} "
                                 f"contains {OBJECT_SEPARATOR!r}")
+        types = net.place_map[spec.target_place].type_tuple
+        if types != (spec.object_type,):
+            raise ConfigInvalid(f"arrival target {spec.target_place!r} holds {list(types)} "
+                                f"tokens, not one {spec.object_type!r} object")
     for s in config.schedules:
         if s.place not in net.place_map:
             raise ConfigInvalid(f"schedule place {s.place!r} unknown")
         if not all(map(is_identifier, s.token)):
             raise ConfigInvalid(f"schedule token {list(s.token)!r} contains {OBJECT_SEPARATOR!r}")
+        types = net.place_map[s.place].type_tuple
+        if len(s.token) != len(types):
+            raise ConfigInvalid(f"schedule token {list(s.token)!r} does not fit {s.place!r}, "
+                                f"which holds {list(types)} tokens")
 
 
 def step(state: SimState) -> tuple[SimState, FiringRecord | None]:

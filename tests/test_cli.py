@@ -619,6 +619,9 @@ def write_package_config(tmp_path, capsys, edit):
     lambda c: c.update(weights={"rign": [[0, 5]]}),
     lambda c: c["delays"].update(rign={"kind": "constant", "a": 1.0}),
     lambda c: c.update(arc_delays={"ring->p_nowhere": {"kind": "constant", "a": 1.0}}),
+    lambda c: c["arrivals"][0].update(object_type="courier"),
+    lambda c: c.update(schedules=[{"place": "p_van_pool", "token": ["v_9", "extra"],
+                                   "start": 0.0, "stop": 600.0}]),
 ], ids=["non-numeric-weight", "short-piece", "arc-key-without-arrow", "unknown-key",
         "foreign-prng", "string-firing-limit", "nan-horizon", "arrival-without-count",
         "delay-key-mu", "delay-key-c", "arrival-key-frist-at", "fractional-count",
@@ -626,7 +629,7 @@ def write_package_config(tmp_path, capsys, edit):
         "numeric-epoch", "unparsable-epoch", "string-weight-piece", "string-first-at",
         "boolean-delay", "string-start", "separator-in-token", "separator-in-arrival-type",
         "weight-for-unknown-transition", "delay-for-unknown-transition",
-        "arc-delay-for-unknown-arc"])
+        "arc-delay-for-unknown-arc", "arrival-of-another-type", "long-schedule-token"])
 def test_simulate_bad_config_is_one_diagnostic(tmp_path, capsys, edit):
     model, cpath = write_package_config(tmp_path, capsys, edit)
     out = str(tmp_path / "sim")

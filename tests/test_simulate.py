@@ -164,15 +164,27 @@ def test_config_requires_a_stop_condition():
         run(net, SimConfig(seed=1))
 
 
-@pytest.mark.parametrize("changes, message", [
-    ({"firing_limit": -1}, "firing_limit must be >= 0"),
-    ({"arrivals": [Arrival("item", "p0", Delay.constant(1.0), -1)]}, "arrival count must be >= 0"),
-    ({"arrivals": [Arrival("item", "p9", Delay.constant(1.0), 1)]}, "arrival target 'p9' unknown"),
-    ({"schedules": [ScheduleEntry("p9", ("i_2",), 0.0)]}, "schedule place 'p9' unknown"),
+@pytest.mark.parametrize("net, changes, message", [
+    (fixtures.mini_chain(), {"firing_limit": -1}, "firing_limit must be >= 0"),
+    (fixtures.mini_chain(), {"arrivals": [Arrival("item", "p0", Delay.constant(1.0), -1)]},
+     "arrival count must be >= 0"),
+    (fixtures.mini_chain(), {"arrivals": [Arrival("item", "p9", Delay.constant(1.0), 1)]},
+     "arrival target 'p9' unknown"),
+    (fixtures.mini_chain(), {"schedules": [ScheduleEntry("p9", ("i_2",), 0.0)]},
+     "schedule place 'p9' unknown"),
+    # on a net with a pair place: an arrival or a schedule token that does not fit its place
+    (fixtures.mini_corr(), {"arrivals": [Arrival("item", "p_b", Delay.constant(1.0), 1)]},
+     "arrival target 'p_b' holds ['item', 'res'] tokens, not one 'item' object"),
+    (fixtures.mini_corr(), {"arrivals": [Arrival("res", "p_out", Delay.constant(1.0), 1)]},
+     "arrival target 'p_out' holds ['item'] tokens, not one 'res' object"),
+    (fixtures.mini_corr(), {"schedules": [ScheduleEntry("p_b", ("i_2",), 0.0)]},
+     "schedule token ['i_2'] does not fit 'p_b', which holds ['item', 'res'] tokens"),
+    (fixtures.mini_corr(), {"schedules": [ScheduleEntry("p_r", ("r_3", "extra"), 0.0)]},
+     "schedule token ['r_3', 'extra'] does not fit 'p_r', which holds ['res'] tokens"),
 ], ids=["negative-firing-limit", "negative-arrival-count", "unknown-arrival-target",
-        "unknown-schedule-place"])
-def test_a_config_the_net_cannot_run_is_refused(changes, message):
-    net = fixtures.mini_chain()
+        "unknown-schedule-place", "arrival-into-pair-place", "arrival-of-another-type",
+        "short-schedule-token", "long-schedule-token"])
+def test_a_config_the_net_cannot_run_is_refused(net, changes, message):
     run(net, SimConfig(firing_limit=1))
     with pytest.raises(ConfigInvalid) as caught:
         run(net, replace(SimConfig(firing_limit=1), **changes))
