@@ -372,8 +372,9 @@ def _pool_match(p_wc: str, pool_wc: str) -> Requirement:
         rtype = pool.type_tuple[0]
         if "component" in app.params:
             idx = app.params["component"]
-            if (type(idx) is not int or not 0 <= idx < len(p.type_tuple)
-                    or p.type_tuple[idx] != rtype):
+            if type(idx) is not int:
+                return f"params['component'] must be an integer index, got {idx!r}"
+            if not 0 <= idx < len(p.type_tuple) or p.type_tuple[idx] != rtype:
                 return f"component {idx!r} of {p.id!r} is not of type {rtype!r}"
             return None
         hits = p.type_tuple.count(rtype)
@@ -687,10 +688,9 @@ def _build_overtake(net: Net, app: PatternApplication) -> BuiltFragment:
 
 @_req("queues_compatible", "<p_q1> and <p_q2> must be distinct queue places of equal type")
 def _queues_compatible(net, app):
+    # the mapping's injectivity already keeps <p_q1> and <p_q2> apart
     q1 = _place(net, app, "p_q1")
     q2 = _place(net, app, "p_q2")
-    if q1.id == q2.id:
-        return "<p_q1> and <p_q2> must differ"
     if q1.type_tuple != q2.type_tuple:
         return f"type tuples differ: {q1.type_tuple} vs {q2.type_tuple}"
     if len(q1.type_tuple) != 2:

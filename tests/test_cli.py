@@ -412,8 +412,9 @@ BAD_TRACES = {
         BAD_RECORD + repr(ConfigInvalid(unknown_key("trace header", "sead",
                                                     TRACE_HEADER_KEYS)))),
     "provenance-key": (
-        [TRACE_HEADER, GOOD_RECORD, with_record_field('"provenance":{"origin":"base","code":"x"}')],
-        3, BAD_RECORD + repr(ConfigInvalid(unknown_key("'provenance'", "code", PROVENANCE_KEYS)))),
+        [TRACE_HEADER, GOOD_RECORD,
+         with_record_field('"provenance":{"origin":"base","code":"x"}')], 3,
+        BAD_RECORD + repr(ConfigInvalid(unknown_key("'provenance'", "code", PROVENANCE_KEYS)))),
     "misspelt-activity-and-number-values": (
         [TRACE_HEADER, GOOD_RECORD, with_record_field('"values":5,"activty":"a"')], 3,
         BAD_RECORD + repr(ConfigInvalid(unknown_key("trace record", "activty", RECORD_KEYS)))),
@@ -942,7 +943,8 @@ def test_dataset_bad_grid_application_is_one_config_invalid(tmp_path, capsys, ed
     code, _, err = run_cli(capsys, "dataset", "--model", os.path.join(fdir, "m0.json"),
                            "--grid", gpath, "--out", out)
     assert code == 1
-    assert stderr_diagnostics(err) == [{"code": "ConfigInvalid", "element": "", "message": message}]
+    assert stderr_diagnostics(err) == [
+        {"code": "ConfigInvalid", "element": "", "message": message}]
     assert not os.path.exists(out)
 
 

@@ -1,7 +1,7 @@
 import pytest
 
 from logforge import fixtures
-from logforge.nets import Net, bounded_language, validate_net
+from logforge.nets import Diagnostic, Net, bounded_language, validate_net
 from logforge.patterns import PatternApplication
 from logforge.serialize import net_canonical_digest, net_digest, net_to_dict
 from logforge.transform import (InvalidMapping, OrderViolation, apply,
@@ -45,6 +45,122 @@ def _element_dicts(net: Net) -> dict:
     places = {p["id"]: p for p in d["places"]}
     transitions = {t["id"]: t for t in d["transitions"]}
     return places, transitions, d["arcs"]
+
+
+def _twice_skipped():
+    return apply(fixtures.mini_chain(), PatternApplication("a", "BI_3", {"t": "alpha"}))
+
+
+FAILED, ROLE = "RequirementFailed", "RoleMismatch"
+# (net, code, mapping, params, every diagnostic the application gets)
+REFUSED_MAPPINGS = {
+    "arity-minimum": (fixtures.mini_corr, "BI_9", {"p": "p_out", "p_r": "p_r"}, {}, [
+        (FAILED, "p_arity", "BI_9: place 'p_out' has arity 1, need >= 2"),
+        (FAILED, "pool_type",
+         "BI_9: 'p_out' has 0 components of type 'res'; pass params['component']")]),
+    "arity-exact": (fixtures.package_delivery_net, "BI_9",
+                    {"p": "p_carrying", "p_r": "p_at_depot"}, {}, [
+        (FAILED, "p_r_arity", "BI_9: place 'p_at_depot' has arity 2, need exactly 1")]),
+    "pool-component-type": (fixtures.mini_corr, "BI_1", {"p": "p_b", "p_r": "p_r"},
+                            {"component": 0}, [
+        (FAILED, "pool_type", "BI_1: component 0 of 'p_b' is not of type 'res'")]),
+    "pool-component-text": (fixtures.mini_corr, "BI_1", {"p": "p_b", "p_r": "p_r"},
+                            {"component": "1"}, [
+        (FAILED, "pool_type", "BI_1: params['component'] must be an integer index, got '1'")]),
+    "pool-components": (fixtures.package_delivery_net, "BI_9",
+                        {"p": "p_carrying", "p_r": "p_van_pool"}, {}, [
+        (FAILED, "pool_type",
+         "BI_9: 'p_carrying' has 0 components of type 'van'; pass params['component']")]),
+    "empty-t-prime": (fixtures.mini_chain, "RI_in^e", {"t": "alpha", "t_prime": ""}, {}, [
+        (FAILED, "t_prime_differs", "RI_in^e: <t_prime> must be a non-empty label value")]),
+    "same-t-prime": (fixtures.mini_chain, "RI_in^a", {"t": "alpha", "t_prime": "alpha"}, {}, [
+        (FAILED, "t_prime_differs", "RI_in^a: <t_prime> 'alpha' equals the label of 'alpha'")]),
+    "text-vars": (fixtures.mini_chain, "RI_mi^o", {"t": "alpha", "O": ["item"]}, {"vars": "x"}, [
+        (FAILED, "bypass_pure",
+         "RI_mi^o: params['vars'] must be a list of variable names, got 'x'")]),
+    "no-bypassable-vars": (fixtures.mini_chain, "RI_mi^o", {"t": "alpha", "O": ["item"]},
+                           {"vars": []}, [
+        (FAILED, "bypass_pure",
+         "RI_mi^o: no bypassable variables of types ('item',) on 'alpha'")]),
+    "bypassed-var-types": (fixtures.mini_sideloop, "RI_mi^o", {"t": "scan", "O": ["gadget"]},
+                           {"vars": ["x"]}, [
+        (FAILED, "bypass_pure",
+         "RI_mi^o: types of bypassed vars ('x',) do not equal <O>=('gadget',)")]),
+    "mixed-arc": (fixtures.mini_corr, "RI_mi^o", {"t": "finish", "O": ["res"]},
+                  {"vars": ["rr"]}, [
+        (FAILED, "bypass_pure",
+         "RI_mi^o: arc p_b->finish mixes bypassed and kept variables ['rr', 'x']")]),
+    "no-pure-output": (fixtures.mini_batch, "RI_mi^o", {"t": "release", "O": ["pos"]},
+                       {"vars": ["u2"]}, [
+        (FAILED, "t_labeled", "RI_mi^o: transition 'release' is silent"),
+        (FAILED, "bypass_pure",
+         "RI_mi^o: bypassed variables need at least one pure input and output arc")]),
+    "pool-arity": (fixtures.mini_corr, "RI_in^o", {"t": "finish", "p_w": "p_b"}, {}, [
+        (ROLE, "p_w_role",
+         "RI_in^o: place 'p_b' has role 'correlation', need one of ('resource_idle',)"),
+        (FAILED, "var_of_pool_type", "RI_in^o: pool place 'p_b' must have arity 1")]),
+    "no-candidate-var": (fixtures.mini_roles, "RI_in^o", {"t": "use", "p_w": "p_rb"}, {}, [
+        (FAILED, "var_of_pool_type",
+         "RI_in^o: 0 candidate variables of type 'helper' on 'use'; pass params['var']")]),
+    "var-of-another-type": (fixtures.mini_pool, "RI_in^o", {"t": "work", "p_w": "p_r"},
+                            {"var": "x"}, [
+        (FAILED, "var_of_pool_type", "RI_in^o: variable 'x' of 'work' is not of type 'res'")]),
+    "unconnected": (fixtures.mini_chain, "RI_in^p", {"t1": "beta", "t2": "alpha"}, {}, [
+        (FAILED, "connected", "RI_in^p: 'beta' and 'alpha' share no batching place")]),
+    "silent-target": (fixtures.mini_batch, "RI_mi^p", {"T": ["release"]}, {}, [
+        (FAILED, "targets_labeled",
+         "RI_mi^p: transition 'release' is silent, coarsening has no effect")]),
+    "queue-types-differ": (fixtures.mini_queue, "BI_5", {"p_q1": "p_qa", "p_q2": "p_out"}, {}, [
+        (ROLE, "p_q2_role", "BI_5: place 'p_out' has role 'regular', need one of ('queue',)"),
+        (FAILED, "queues_compatible", "BI_5: type tuples differ: ('item', 'pos') vs ('item',)")]),
+    "queue-not-a-pair": (fixtures.mini_chain, "BI_5", {"p_q1": "p0", "p_q2": "p1"}, {}, [
+        (ROLE, "p_q1_role", "BI_5: place 'p0' has role 'regular', need one of ('queue',)"),
+        (ROLE, "p_q2_role", "BI_5: place 'p1' has role 'regular', need one of ('queue',)"),
+        (FAILED, "queues_compatible",
+         "BI_5: queue places must pair an object with a queue-position object")]),
+    # one place for both queues never reaches the requirements
+    "one-queue-twice": (fixtures.mini_queue, "BI_5", {"p_q1": "p_qa", "p_q2": "p_qa"}, {}, [
+        ("InjectivityViolation", "p_qa", "<p_q1> and <p_q2> both map to 'p_qa'")]),
+    "role-arity": (fixtures.mini_corr, "BI_7", {"p_r1": "p_b", "p_r2": "p_r"}, {}, [
+        (ROLE, "p_r1_role",
+         "BI_7: place 'p_b' has role 'correlation', need one of ('resource_idle',)"),
+        (FAILED, "distinct_types", "BI_7: role places must have arity 1")]),
+    "same-role-type": (fixtures.mini_chain, "BI_7", {"p_r1": "p0", "p_r2": "p1"}, {}, [
+        (ROLE, "p_r1_role", "BI_7: place 'p0' has role 'regular', need one of ('resource_idle',)"),
+        (ROLE, "p_r2_role", "BI_7: place 'p1' has role 'regular', need one of ('resource_idle',)"),
+        (FAILED, "distinct_types", "BI_7: roles must be of different object types")]),
+    "drop-out-of-range": (fixtures.mini_batch, "BI_10", {"t": "release"}, {"drop": [5]}, [
+        (FAILED, "droppable", "BI_10: drop indices [5] out of range for 2 input arcs")]),
+    "drop-every-arc": (fixtures.mini_batch, "BI_10", {"t": "release"}, {"drop": [0, 1]}, [
+        (FAILED, "droppable", "BI_10: at least one input arc must remain")]),
+    "empty-set": (fixtures.mini_chain, "RI_mi^p", {"T": []}, {}, [
+        ("MissingMapping", "T", "wildcard <T> mapped to an empty set")]),
+    "number-value": (fixtures.mini_chain, "BI_3", {"t": 5}, {}, [
+        ("KindMismatch", "t", "<t> must map to string values, got 5")]),
+    "unknown-place": (fixtures.mini_cap, "BI_6", {"p_c": "p_nowhere"}, {}, [
+        ("UnresolvedElement", "p_nowhere", "<p_c> maps to unknown place 'p_nowhere'")]),
+    "unknown-object-type": (fixtures.mini_chain, "RI_mi^o", {"t": "alpha", "O": ["gizmo"]}, {}, [
+        ("UnresolvedElement", "gizmo", "<O> maps to unknown object type 'gizmo'")]),
+    "created-id-exists": (_twice_skipped, "BI_3", {"t": "alpha"}, {}, [
+        ("DuplicateId", "tau_skip_alpha#a", "created id 'tau_skip_alpha#a' already exists")]),
+}
+
+
+@pytest.mark.parametrize("net,code,mapping,params,expected", REFUSED_MAPPINGS.values(),
+                         ids=REFUSED_MAPPINGS)
+def test_a_refused_mapping_gives_exactly_its_diagnostics(net, code, mapping, params, expected):
+    with pytest.raises(InvalidMapping) as caught:
+        apply(net(), PatternApplication("a", code, mapping, params))
+    assert caught.value.diagnostics == [Diagnostic(*d) for d in expected]
+
+
+def test_missing_object_without_vars_builds_what_its_derived_vars_build():
+    net = fixtures.mini_sideloop()
+    mapping = {"t": "scan", "O": ["gadget"]}
+    derived = apply(net, PatternApplication("a", "RI_mi^o", mapping))
+    given = apply(net, PatternApplication("a", "RI_mi^o", mapping, {"vars": ["d"]}))
+    assert len(derived.transitions) > len(net.transitions)
+    assert net_to_dict(derived) == net_to_dict(given)
 
 
 def test_apply_is_a_strict_element_superset():
