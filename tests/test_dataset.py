@@ -1,3 +1,4 @@
+import json
 import os
 from dataclasses import replace
 
@@ -7,7 +8,7 @@ from logforge import fixtures, logio
 from logforge.dataset import (GenerationError, GridSpec, cell_seed,
                               enumerate_cells, generate, read_manifest)
 from logforge.patterns import PatternApplication
-from logforge.serialize import net_digest
+from logforge.serialize import canonical_json, net_digest
 from logforge.simulate import SimConfig, trace_replays
 
 
@@ -64,9 +65,13 @@ def test_cell_seeds_stable_under_grid_growth():
     assert cell_seed(7, 1, 2, 0) != cell_seed(8, 1, 2, 0)
 
 
-def test_grid_round_trip():
-    _, grid = fixtures.fixture("package_delivery")
-    back = GridSpec.from_dict(grid.to_dict())
+@pytest.mark.parametrize("name", fixtures.FIXTURES)
+def test_grid_round_trip(name):
+    # through JSON text, as `logforge dataset --grid` reads it: delay
+    # parameters come back as Delays, so the grids compare equal
+    _, grid = fixtures.fixture(name)
+    back = GridSpec.from_dict(json.loads(canonical_json(grid.to_dict())))
+    assert back == grid
     assert back.to_dict() == grid.to_dict()
 
 
