@@ -52,7 +52,8 @@ def _read_applications(path: str) -> list[PatternApplication]:
     try:
         if type(doc) is dict:
             logio.check_version(doc, path)
-            reject_unknown_keys(doc, frozenset(("schema_version", "applications")), "document")
+            reject_unknown_keys(doc, frozenset(("schema_version", "applications")),
+                                "applications document")
             doc = doc.get("applications")
         if type(doc) is not list:
             raise ConfigInvalid("expected a list of pattern applications")
