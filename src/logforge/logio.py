@@ -6,7 +6,9 @@ objects), with every link back to the model stripped.  Formats are versioned
 and written atomically (temp file + rename) so failures never leave partial
 output behind.  Every JSON document and JSONL line is encoded by
 `canonical_json`, keys sorted at every level, and `write_jsonl` writes every
-JSONL file: the trace, the observed log and the oracle's alignments.
+JSONL file: the trace, the observed log and the oracle's alignments.  The
+readers check each object's keys before its fields, as the model reader
+does.  `projection` alone links a firing record to its observed event.
 """
 from __future__ import annotations
 

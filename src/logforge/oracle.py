@@ -8,6 +8,11 @@ and object-level recording errors stay synchronous but carry an
 object-discrepancy annotation.  Timing-only patterns do not surface in
 alignments at all; they appear in the deviation report only.  An alignment
 file holds one line per move of each object, written by `logio.write_jsonl`.
+
+`read_alignment` is the one reader that ignores keys it does not know:
+`oracle score --candidate` reads files that external conformance checkers
+write, which may carry fields of their own, and a key check per line would
+add several percent to every read.
 """
 from __future__ import annotations
 
