@@ -161,17 +161,23 @@ class Marking:
             cnt[token] = cnt.get(token, 0) + 1
 
     def remove(self, place_id: str, token: tuple[str, ...]) -> None:
-        token = tuple(token)
-        cnt = self._tokens.get(place_id)
-        n = cnt.get(token, 0) if cnt else 0
-        if not n:
-            raise ValueError(f"cannot remove {token} from {place_id}")
-        if n > 1:
-            cnt[token] = n - 1
-        else:
-            del cnt[token]
-            if not cnt:
-                del self._tokens[place_id]
+        self.remove_each(((place_id, tuple(token)),))
+
+    def remove_each(self, pairs) -> None:
+        """Remove each (place, token tuple) pair of `pairs` once, in order;
+        ValueError at the first the marking does not hold."""
+        tokens = self._tokens
+        for place_id, token in pairs:
+            cnt = tokens.get(place_id)
+            n = cnt.get(token, 0) if cnt else 0
+            if not n:
+                raise ValueError(f"cannot remove {token} from {place_id}")
+            if n > 1:
+                cnt[token] = n - 1
+            else:
+                del cnt[token]
+                if not cnt:
+                    del tokens[place_id]
 
     def copy(self) -> "Marking":
         m = Marking()
@@ -180,8 +186,7 @@ class Marking:
 
     def move(self, consumed, produced) -> None:
         """Remove the consumed and add the produced (place, token) pairs."""
-        for pid, tok in consumed:
-            self.remove(pid, tok)
+        self.remove_each(consumed)
         for pid, tok in produced:
             self.add(pid, tok)
 
@@ -268,7 +273,8 @@ class FiringRule:
     minted identifier is of its nu-variable's type in `nu_types`; every
     other value was typed where it entered the run.  Each input and output
     arc is (place, a `_picker` of its variables' positions among the
-    values).  `fresh_order` lists the positions of the nu-identifiers in
+    values); `places` holds the input places, each once, in arc order.
+    `fresh_order` lists the positions of the nu-identifiers in
     sorted-name order, as a Binding's `fresh` holds them, and `recorded` the
     positions of the objects an event of the transition records: its
     `record_spec` names, else all its variables in sorted-name order.
@@ -284,6 +290,7 @@ class FiringRule:
     names: tuple[str, ...]
     inputs: tuple[tuple[str, itemgetter], ...]
     outputs: tuple[tuple[str, itemgetter], ...]
+    places: tuple[str, ...]
     fresh_order: tuple[int, ...]
     recorded: tuple[int, ...]
     unbound: str | None
@@ -321,6 +328,7 @@ def _compile(t: Transition, in_arcs: tuple[Arc, ...], out_arcs: tuple[Arc, ...])
         t, order, nu, tuple([flagged[name] for name in nu]), names,
         tuple([(pid, _picker([slot[n] for n in vars_])) for pid, vars_ in ins]),
         () if unbound else tuple([(pid, _picker([slot[n] for n in vars_])) for pid, vars_ in outs]),
+        tuple(dict.fromkeys([pid for pid, _ in ins])),
         tuple(sorted(range(len(order), len(names)), key=names.__getitem__)),
         tuple([slot[name] for name in recorded if name in slot]),
         unbound, _join(ins, order))
@@ -441,12 +449,15 @@ class Net:
         return self._outputs.get(tid, ())
 
     @cached_property
-    def consumers_of(self) -> dict[str, tuple[str, ...]]:
-        d: dict[str, list[str]] = {p.id: [] for p in self.places}
-        for tid, arcs in self._inputs.items():
-            for a in arcs:
-                if a.source in d and tid not in d[a.source]:
-                    d[a.source].append(tid)
+    def consumers_of(self) -> dict[str, tuple[tuple[str, tuple[str, ...]], ...]]:
+        """Per place, each transition with an input arc from it, in
+        transition order, with that transition's input places
+        (`FiringRule.places`)."""
+        d: dict[str, list] = {p.id: [] for p in self.places}
+        for tid, rule in self.rules.items():
+            for pid in rule.places:
+                if pid in d:
+                    d[pid].append((tid, rule.places))
         return {k: tuple(v) for k, v in d.items()}
 
     @cached_property
@@ -615,10 +626,15 @@ def validate_net(net: Net) -> list[Diagnostic]:
 
 def transition_bindings(net: Net, marking: Marking, tid: str) -> list[tuple[str, ...]]:
     """All bindings enabling `tid` in `marking`, as sorted rows: the values of
-    the input variables in the order of `net.rules[tid].order`."""
+    the input variables in the order of `net.rules[tid].order`.
+
+    No two rows are equal, so they are sorted without deduplication: each
+    arc's token is a function of the row it extends (every position is a
+    new value or checked against one), and reordering a row's slots into
+    `order` is a permutation."""
     rule = net.rules[tid]
     held = marking._tokens
-    for place, _ in rule.inputs:
+    for place in rule.places:
         if place not in held:
             return []
     slots, arcs, shared = rule.join
@@ -643,7 +659,7 @@ def transition_bindings(net: Net, marking: Marking, tid: str) -> list[tuple[str,
         # arcs on one place that pick the same token need as many copies
         avail = held[place]
         rows = [row for row in rows if _available(avail, [key(row) for key in keys])]
-    return sorted(set(rows) if slots is None else set(map(slots, rows)))
+    return sorted(rows) if slots is None else sorted(map(slots, rows))
 
 
 def _available(avail: Mapping, tokens: list) -> bool:

@@ -161,13 +161,15 @@ class BuiltFragment:
 @dataclass(frozen=True)
 class Pattern:
     """One catalog entry.  `build(net, app)` trusts that `app` meets the
-    wildcards and requirements (`transform.validate_mapping`)."""
+    wildcards and requirements (`transform.validate_mapping`).  `params`
+    names every parameter `build` reads; an application may give no other."""
 
     code: str
     description: str
     wildcards: tuple[Wildcard, ...]
     requirements: tuple[Requirement, ...]
     build: Callable[[Net, PatternApplication], BuiltFragment] = field(compare=False, repr=False)
+    params: frozenset[str]
 
     @property
     def origin(self) -> str:
@@ -323,12 +325,12 @@ def _number(name: str, need: str = "a finite number >= 0", ok=lambda v: v >= 0) 
 
 
 _WEIGHT_KEYS = ("weight", "weight_until", "weight_window", "weight_offset", "weight_horizon")
+_WEIGHTED = frozenset((*_WEIGHT_KEYS, "weight_period"))   # the parameters `_weight` reads
 
 
 @_req("weight_periods", f"a duty cycle has at most {_MAX_DUTY_PERIODS} periods before its horizon")
 def _weight_periods(net, app):
-    if not all(_finite(app.params[k]) for k in (*_WEIGHT_KEYS, "weight_period")
-               if k in app.params):
+    if not all(_finite(app.params[k]) for k in _WEIGHTED if k in app.params):
         return None  # the parameter's own requirement reports it
     cycle = _cycle(app.params)
     if cycle is None or cycle[0] <= 0:
@@ -374,8 +376,11 @@ def _pool_match(p_wc: str, pool_wc: str) -> Requirement:
             idx = app.params["component"]
             if type(idx) is not int:
                 return f"params['component'] must be an integer index, got {idx!r}"
-            if not 0 <= idx < len(p.type_tuple) or p.type_tuple[idx] != rtype:
-                return f"component {idx!r} of {p.id!r} is not of type {rtype!r}"
+            if not 0 <= idx < len(p.type_tuple):
+                return (f"component {idx} is out of range for {p.id!r}, "
+                        f"which has arity {len(p.type_tuple)}")
+            if p.type_tuple[idx] != rtype:
+                return f"component {idx} of {p.id!r} is not of type {rtype!r}"
             return None
         hits = p.type_tuple.count(rtype)
         if hits != 1:
@@ -816,75 +821,80 @@ _T = Wildcard("t", "transition")
 
 CATALOG: dict[str, Pattern] = {p.code: p for p in (
     Pattern("RI_mi^e", "missing event: a silent twin of <t> executes the activity unrecorded",
-            (_T,), (_labeled("t"), *_WEIGHT), _build_shadow_silent("tau_missing")),
+            (_T,), (_labeled("t"), *_WEIGHT), _build_shadow_silent("tau_missing"), _WEIGHTED),
     Pattern("RI_in^e", "incorrect event: a duplicate of <t> records the wrong activity <t_prime>",
             (_T, Wildcard("t_prime", "label")), (_labeled("t"), _t_prime_differs, *_WEIGHT),
-            _build_wrong_label),
+            _build_wrong_label, _WEIGHTED),
     Pattern("RI_in^a", "incorrect activity name: duplicate of <t> labeled <t_prime>",
             (_T, Wildcard("t_prime", "label")), (_labeled("t"), _t_prime_differs, *_WEIGHT),
-            _build_wrong_label),
+            _build_wrong_label, _WEIGHTED),
     Pattern("RI_mi^o", "missing object(s): twin of <t> unaware of <O>, which bypasses "
                        "through a created place",
             (_T, Wildcard("O", "object_type", many=True)),
-            (_labeled("t"), _bypass_pure, *_WEIGHT, _PACE), _build_missing_object),
+            (_labeled("t"), _bypass_pure, *_WEIGHT, _PACE), _build_missing_object,
+            _WEIGHTED | {"vars", "pace_s"}),
     Pattern("RI_in^o", "incorrect object: duplicate of <t> records an idle object from <p_w> "
                        "instead of the real one",
             (_T, Wildcard("p_w", "place")),
             (_labeled("t"), _role("p_w", ("resource_idle",)), _var_of_pool_type, *_WEIGHT),
-            _build_wrong_object),
+            _build_wrong_object, _WEIGHTED | {"var"}),
     Pattern("RI_in^p", "incorrect position: batch-logged pair; <t1> absorbs the batch "
                        "duration, <t2> takes none",
             (Wildcard("t1", "transition"), Wildcard("t2", "transition")),
             (_labeled("t1"), _labeled("t2"), _connected, *_WEIGHT,
-             _number("t2_delay_s"), _delay("batch_delay")), _build_batch_log),
+             _number("t2_delay_s"), _delay("batch_delay")), _build_batch_log,
+            _WEIGHTED | {"t2_delay_s", "batch_delay"}),
     Pattern("RI_mi^p", "missing position: emitted timestamps of <T> coarsen to a window",
             (Wildcard("T", "transition", many=True),), (_targets_labeled, _number("window_s")),
-            _build_coarse_timestamps),
+            _build_coarse_timestamps, frozenset({"window_s"})),
     Pattern("BI_1", "changing correlation: a silent transition hands the work over to a "
                     "new resource from <p_r>",
             (Wildcard("p", "place"), Wildcard("p_r", "place")),
             (_arity("p", minimum=2), _arity("p_r", exact=1), _role("p_r", ("resource_idle",)),
              _pool_match("p", "p_r"), *_WEIGHT, _PACE),
-            _build_change_correlation("tau_change_correlation", claim=True)),
+            _build_change_correlation("tau_change_correlation", claim=True),
+            _WEIGHTED | {"component", "pace_s"}),
     Pattern("BI_2", "multitasking: early release parks the correlation, late claim "
                     "restores the same resource",
             (Wildcard("p1", "place"), Wildcard("p2", "place")),
             (_arity("p1", minimum=2), _arity("p2", exact=1),
              _role("p1", ("correlation", "resource_busy")), _role("p2", ("resource_idle",)),
              _pool_match("p1", "p2"), *_WEIGHT, _PACE),
-            _build_multitask),
+            _build_multitask, _WEIGHTED | {"component", "pace_s"}),
     Pattern("BI_3", "skipping an activity: a silent twin of <t> on the same pre/post-set",
-            (_T,), (_labeled("t"), *_WEIGHT), _build_shadow_silent("tau_skip")),
+            (_T,), (_labeled("t"), *_WEIGHT), _build_shadow_silent("tau_skip"), _WEIGHTED),
     Pattern("BI_5", "overtaking: swap two objects' queue positions; a permit place "
                     "prevents endless cycling",
             (Wildcard("p_q1", "place"), Wildcard("p_q2", "place")),
             (_role("p_q1", ("queue",)), _role("p_q2", ("queue",)), _queues_compatible,
              *_WEIGHT, _param("budget", "an integer >= 0", lambda v: type(v) is int and v >= 0)),
-            _build_overtake),
+            _build_overtake, _WEIGHTED | {"budget"}),
     Pattern("BI_6", "capacity change: duplicate or park a capacity token, memorized so it "
                     "can be undone",
-            (Wildcard("p_c", "place"),), (_variant, *_WEIGHT, _PACE), _build_capacity),
+            (Wildcard("p_c", "place"),), (_variant, *_WEIGHT, _PACE), _build_capacity,
+            _WEIGHTED | {"variant", "pace_s"}),
     Pattern("BI_7", "switching roles: move a resource to another role under a fresh alias, "
                     "memorized for the switch back",
             (Wildcard("p_r1", "place"), Wildcard("p_r2", "place")),
             (_role("p_r1", ("resource_idle",)), _role("p_r2", ("resource_idle",)),
              _distinct_types, *_WEIGHT, _PACE, _number("undo_weight")),
-            _build_switch_role),
+            _build_switch_role, _WEIGHTED | {"pace_s", "undo_weight"}),
     Pattern("BI_9", "different resource memory: reroute a memorized resource to another "
                     "one from the pool",
             (Wildcard("p", "place"), Wildcard("p_r", "place")),
             (_arity("p", minimum=2), _arity("p_r", exact=1),
              _role("p_r", ("resource_idle", "regular")), _pool_match("p", "p_r"),
              *_WEIGHT, _PACE),
-            _build_change_correlation("tau_reroute", claim=False)),
+            _build_change_correlation("tau_reroute", claim=False),
+            _WEIGHTED | {"component", "pace_s"}),
     Pattern("BI_10", "ignored batching: fire the batch release <t> before its completion "
                      "condition holds",
-            (_T,), (_droppable, *_WEIGHT), _build_early_release),
+            (_T,), (_droppable, *_WEIGHT), _build_early_release, _WEIGHTED | {"drop"}),
     Pattern("BI_11", "long duration: a heavy-tailed delay occasionally replaces <t>'s "
                      "usual one",
             (_T,), (_labeled("t"), _delay("delay"),
                     _number("probability", "a number in [0, 1]", lambda v: 0 <= v <= 1)),
-            _build_long_duration),
+            _build_long_duration, frozenset({"delay", "probability"})),
 )}
 
 CODES = tuple(CATALOG)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_right
+from bisect import bisect_right, insort
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
@@ -257,34 +257,45 @@ class GroundTruthTrace:
         return [(r.transition, r.binding()) for r in self.records]
 
 
-def _shares(enabled, weights: WeightSpec, eta: float) -> tuple[list[float], float]:
-    """Each enabled firing's share of its transition's weight (split uniformly
-    over the transition's enabled bindings), and the sum of the shares."""
+def _shares(enabled, weights: WeightSpec, eta: float) -> list[float]:
+    """Each enabled firing's share of its transition's weight, split
+    uniformly over the transition's enabled bindings."""
     count: dict[str, int] = {}
     for tid, _ in enabled:
         count[tid] = count.get(tid, 0) + 1
     at = weights.at
     share = {tid: at(tid, eta) / n for tid, n in count.items()}
-    shares = [share[tid] for tid, _ in enabled]
+    return [share[tid] for tid, _ in enabled]
+
+
+def _total(shares: list[float]) -> float:
     total = sum(shares)
     if total <= 0:
         raise AllWeightsZero("all enabled firings have zero weight")
-    return shares, total
+    return total
 
 
 def firing_probabilities(enabled, weights: WeightSpec, eta: float) -> list[float]:
     """Probability of each enabled firing under the categorical sampling law."""
-    shares, total = _shares(enabled, weights, eta)
+    shares = _shares(enabled, weights, eta)
+    total = _total(shares)
     return [s / total for s in shares]
 
 
-def sample_firing(enabled, weights: WeightSpec, eta: float, rng):
+def sample_firing(enabled, weights: WeightSpec, eta: float, rng, *, shares=None):
     """The first firing whose running share sum exceeds one uniform draw
     scaled to the total.  Only each firing's transition, `enabled[i][0]`, is
-    read, so a firing may carry a Binding or a positional row."""
+    read, so a firing may carry a Binding or a positional row.
+
+    `shares`, when given, are the firings' shares in `enabled`'s order:
+    each its transition's weight split evenly over the transition's enabled
+    firings.  The simulator passes those it computes per transition
+    (`SimState.shares`)."""
     if not enabled:
         raise ValueError("no enabled firings to sample from")
-    shares, total = _shares(enabled, weights, eta)
+    if shares is None:
+        shares = _shares(enabled, weights, eta)
+    total = _total(shares)
     i = bisect_right(list(accumulate(shares)), float(rng.random()) * total)
     return enabled[i] if i < len(enabled) else enabled[-1]
 
@@ -306,10 +317,14 @@ class SimState:
     """Mutable state of one run: clock, marking, pending tokens, RNG.
 
     Also keeps the enabled set, as positional rows (see `nets`): `_rows`
-    holds the rows of exactly the transitions that have some.  A
-    transition's rows are re-enumerated only when one of its input places
-    changed, and the flat list of (transition, row) firings is rebuilt
-    whenever some transition was re-enumerated.  A firing reads its
+    holds the rows of exactly the transitions that have some, `_live` their
+    ids in sorted order.  A transition is re-enumerated only when a token
+    enters one of its input places while all of them hold some, or leaves
+    one while it is enabled; when that place empties, its rows are dropped
+    without an enumeration.  The flat list of (transition, row) firings is
+    rebuilt whenever some transition's rows changed.  A step takes one
+    share per enabled transition from `_rows`, and a total share of zero
+    advances the clock.  A firing reads its
     transition's plan (`_plans`) and nothing else of the annotations.  Each
     identifier's object type is recorded where it enters the run: from the
     initial marking, a schedule, an arrival, or a firing that mints it.
@@ -333,10 +348,13 @@ class SimState:
         self.pending_removals: Counter = Counter()
         self.injected: list[tuple[str, tuple[str, ...]]] = []
 
-        self._dirty = {t.id for t in net.transitions}
+        held = self.marking._tokens
+        self._dirty = {tid for tid, rule in net.rules.items()
+                       if all(pid in held for pid in rule.places)}
         self._rows: dict[str, list[tuple[str, ...]]] = {}
+        self._live: list[str] = []   # the keys of _rows, sorted
         self._consumers = net.consumers_of
-        self._firings: list[tuple[str, tuple[str, ...]]] = []
+        self._firings: list[tuple[str, tuple[str, ...]]] | None = None
 
         # one stats dict per application; the first annotation naming it
         # gives its pattern code
@@ -425,31 +443,64 @@ class SimState:
             self.pending_removals[(place, token)] -= 1
             return
         self.marking.add(place, token)
-        self._dirty.update(self._consumers.get(place, ()))
+        # a consumer with an empty input place stays disabled
+        held, dirty = self.marking._tokens, self._dirty
+        for tid, places in self._consumers.get(place, ()):
+            for pid in places:
+                if pid not in held:
+                    break
+            else:
+                dirty.add(tid)
 
-    def _remove_token(self, place: str, token: tuple[str, ...]):
-        self.marking.remove(place, token)
-        # fewer tokens never enable a firing: only enabled consumers can change
-        for tid in self._consumers.get(place, ()):
-            if tid in self._rows:
-                self._dirty.add(tid)
+    def _remove_tokens(self, pairs):
+        """Remove each (place, token) pair of `pairs` from the marking."""
+        self.marking.remove_each(pairs)
+        # fewer tokens never enable a firing: only enabled consumers can
+        # change, and those of an emptied place have no rows left
+        held, rows, dirty = self.marking._tokens, self._rows, self._dirty
+        for place, _ in pairs:
+            for tid, _ in self._consumers.get(place, ()):
+                if tid in rows:
+                    if place in held:
+                        dirty.add(tid)
+                    else:
+                        del rows[tid]
+                        self._live.remove(tid)
+                        self._firings = None
 
     def firings(self) -> list[tuple[str, tuple[str, ...]]]:
         """Every enabled (transition, row) firing, in transition id order,
         then row order.  The list is replaced, never changed in place."""
-        if self._dirty:
-            kept = self._rows
-            for tid in self._dirty:
-                rows = transition_bindings(self.net, self.marking, tid)
+        dirty = self._dirty
+        if dirty:
+            kept, live, net, marking = self._rows, self._live, self.net, self.marking
+            for tid in dirty:
+                rows = transition_bindings(net, marking, tid)
                 if rows:
+                    if tid not in kept:
+                        insort(live, tid)
                     kept[tid] = rows
-                else:
-                    kept.pop(tid, None)
-            self._dirty.clear()
-            self._firings = [(tid, row) for tid in sorted(kept) for row in kept[tid]]
+                elif tid in kept:
+                    del kept[tid]
+                    live.remove(tid)
+            dirty.clear()
+            self._firings = None
+        if self._firings is None:
+            kept = self._rows
+            self._firings = [(tid, row) for tid in self._live for row in kept[tid]]
         return self._firings
 
     # -- stepping -----------------------------------------------------------
+
+    def shares(self) -> list[float]:
+        """The share of each firing that `firings()` last returned, in its
+        order: one weight lookup per enabled transition."""
+        at, eta, rows = self.weights.at, self.eta, self._rows
+        shares = []
+        for tid in self._live:
+            n = len(rows[tid])
+            shares += [at(tid, eta) / n] * n
+        return shares
 
     def _advance(self, enabled_nonempty: bool):
         horizon = self.config.time_horizon
@@ -471,16 +522,17 @@ class SimState:
                 self._add_token(place, token)
             else:
                 if self.marking.count(place, token) > 0:
-                    self._remove_token(place, token)
+                    self._remove_tokens(((place, token),))
                 else:
                     self.pending_removals[(place, token)] += 1
 
     def _fire(self, tid: str, row: tuple[str, ...]) -> FiringRecord:
         rule, base_delay, arc_delays, slow, coarsen, fired, choices = self._plans[tid]
+        eta, rng = self.eta, self.rng
         if choices:
             # a choice point of a probe: some transition on each of its sides
             # is enabled with positive weight (`_rows` is as `step` sampled it)
-            rows, at, eta = self._rows, self.weights.at, self.eta
+            rows, at = self._rows, self.weights.at
             for stats, deviation, competitors, chosen in choices:
                 if (any(t in rows and at(t, eta) > 0 for t in deviation)
                         and any(t in rows and at(t, eta) > 0 for t in competitors)):
@@ -488,23 +540,22 @@ class SimState:
                     if chosen:
                         stats["chosen"] += 1
         consumed = rule.take(row)
-        for pid, token in consumed:
-            self._remove_token(pid, token)
+        self._remove_tokens(consumed)
         values = row
         if rule.nu_types:
             minted = tuple([self.id_gen.fresh(otype) for otype in rule.nu_types])
             self.object_types.update(zip(minted, rule.nu_types))
             values = row + minted
 
-        timing_causes: list[str] = []
+        timing_causes = ()
         slow_sample = None
         if slow is not None:
             prob, delay, app, stats = slow
-            if float(self.rng.random()) < prob:
-                slow_sample = delay.sample(self.rng)
-                timing_causes.append(app)
+            if float(rng.random()) < prob:
+                slow_sample = delay.sample(rng)
+                timing_causes = (app,)
                 stats["fired"] += 1
-        base_sample = base_delay.sample(self.rng) if base_delay is not None else 0.0
+        base_sample = base_delay.sample(rng) if base_delay is not None else 0.0
 
         # every identifier produced is known to id_gen already: it was read
         # from a token or minted above
@@ -513,8 +564,8 @@ class SimState:
             if slow_sample is not None:
                 delay = slow_sample
             else:
-                delay = arc_spec.sample(self.rng) if arc_spec is not None else base_sample
-            avail = self.eta + delay
+                delay = arc_spec.sample(rng) if arc_spec is not None else base_sample
+            avail = eta + delay
             produced.append((pid, token, avail))
             if delay <= 0:
                 self._add_token(pid, token)
@@ -522,23 +573,16 @@ class SimState:
                 self._push(avail, "token", pid, token)
 
         if coarsen is not None:
-            timing_causes.append(coarsen[1])
+            timing_causes += (coarsen[1],)
 
-        names, t = rule.names, rule.transition
+        names, t, recorded = rule.names, rule.transition, rule.recorded
         record = FiringRecord(
-            seq_no=self.seq_no,
-            time=self.eta,
-            transition=tid,
-            activity=t.activity_label,
-            values=tuple(zip(names, row)),
-            fresh=tuple([(names[i], values[i]) for i in rule.fresh_order]),
-            provenance=t.provenance,
-            consumed=consumed,
-            produced=tuple(produced),
-            recorded_objects=tuple(dict.fromkeys([values[i] for i in rule.recorded])),
-            coarsen_window=coarsen[0] if coarsen else None,
-            timing_causes=tuple(timing_causes),
-        )
+            self.seq_no, eta, tid, t.activity_label, tuple(zip(names, row)),
+            tuple([(names[i], values[i]) for i in rule.fresh_order]) if rule.fresh_order else (),
+            t.provenance, consumed, tuple(produced),
+            ((values[recorded[0]],) if len(recorded) == 1
+             else tuple(dict.fromkeys([values[i] for i in recorded]))),
+            coarsen[0] if coarsen else None, timing_causes)
         self.seq_no += 1
         self.records.append(record)
         for stats in fired:
@@ -608,11 +652,9 @@ def step(state: SimState) -> tuple[SimState, FiringRecord | None]:
 
     enabled = state.firings()
     if enabled:
-        try:
-            firing = sample_firing(enabled, state.weights, state.eta, state.rng)
-        except AllWeightsZero:
-            firing = None
-        if firing is not None:
+        shares = state.shares()
+        if any(shares):   # else every share is 0: the clock advances
+            firing = sample_firing(enabled, state.weights, state.eta, state.rng, shares=shares)
             return state, state._fire(*firing)
     state._advance(enabled_nonempty=bool(enabled))
     return state, None

@@ -34,10 +34,18 @@ class OrderViolation(Exception):
 
 def validate_mapping(net: Net, app: PatternApplication) -> list[Diagnostic]:
     """Check that `app` maps every wildcard of its pattern to a suitable
-    element of `net` and meets the pattern's requirements."""
+    element of `net`, gives no mapping key or parameter the pattern does not
+    read, and meets the pattern's requirements."""
     pattern = lookup(app.code)
     out: list[Diagnostic] = []
     seen_per_kind: dict[str, dict] = {}
+
+    unknown = [f"{what} key(s) {sorted(keys, key=str)}" for what, keys in (
+        ("mapping", app.mapping.keys() - {wc.name for wc in pattern.wildcards}),
+        ("params", app.params.keys() - pattern.params)) if keys]
+    if unknown:
+        out.append(Diagnostic("UnknownKey", app.application_id,
+                              f"{app.code} reads no {' and no '.join(unknown)}"))
 
     for wc in pattern.wildcards:
         if wc.name not in app.mapping:

@@ -74,6 +74,23 @@ def test_transform_role_mismatch_exits_one(tmp_path, capsys):
     assert not os.path.exists(out)  # no partial output
 
 
+def test_transform_unread_key_exits_one(tmp_path, capsys):
+    fdir = str(tmp_path / "fx")
+    run_cli(capsys, "fixture", "--name", "package_delivery", "--out", fdir)
+    apps = [{"application_id": "a1", "code": "BI_3", "mapping": {"t": "ring", "tt": "dock"},
+             "params": {"wieght": 9.0}}]
+    apps_path = os.path.join(fdir, "apps.json")
+    open(apps_path, "w").write(json.dumps(apps))
+    out = os.path.join(fdir, "ml.json")
+    code, _, err = run_cli(capsys, "transform", "--model", os.path.join(fdir, "m0.json"),
+                           "--apply", apps_path, "--out", out)
+    assert code == 1
+    [diag] = stderr_diagnostics(err)
+    assert (diag["code"], diag["element"]) == ("UnknownKey", "a1")
+    assert diag["message"] == "BI_3 reads no mapping key(s) ['tt'] and no params key(s) ['wieght']"
+    assert not os.path.exists(out)
+
+
 def test_transform_writes_model_and_ledger(tmp_path, capsys):
     fdir = str(tmp_path / "fx")
     run_cli(capsys, "fixture", "--name", "package_delivery", "--out", fdir)

@@ -1,16 +1,19 @@
 """The simulator's kept state against fresh computation.
 
-`SimState` keeps each transition's bindings between steps and `WeightSpec`
-remembers the weight piece it resolved last.  After every step the kept
-enabled set must equal a fresh enumeration (order included), a fresh
-enumeration must equal brute force over token choices, and a remembered
-weight must equal the weight a fresh spec resolves.
+`SimState` keeps each transition's bindings between steps and samples from
+one share per enabled transition.  After every step the kept enabled set
+must equal a fresh enumeration (order included), and a fresh enumeration
+must equal brute force over token choices.  At every step the kernel must
+fire what `sample_firing` draws on a twin generator, and draw nothing at an
+instant where every enabled firing has weight zero.  A `WeightSpec` must
+resolve each weight as the documented law does.
 """
 import itertools
 import math
 from collections import Counter
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,8 +22,8 @@ from logforge import fixtures
 from logforge.nets import (Arc, Binding, Marking, Net, ObjectType, Place, Transition,
                            Variable, enabled_bindings, transition_bindings)
 from logforge.patterns import PatternApplication
-from logforge.simulate import (Arrival, ScheduleEntry, SimConfig, SimState, WeightSpec,
-                               step)
+from logforge.simulate import (AllWeightsZero, Arrival, ScheduleEntry, SimConfig, SimState,
+                               WeightSpec, sample_firing, step)
 from logforge.timing import Delay
 from logforge.transform import apply_sequence
 
@@ -69,7 +72,25 @@ def energy(contracts=20):
     return ml, grid.sim_configs[0]
 
 
-RUNS = {"roles+BI_7": roles_switched(), "corr": corr(), "energy20": energy()}
+def package_withdrawn():
+    """A package cell whose extra courier and van are withdrawn while they
+    may be busy (a withdrawal then waits in `pending_removals`), and whose
+    base transitions all rest for an hour: instants where every enabled
+    firing has weight zero."""
+    net, grid = fixtures.package_delivery_fixture()
+    ml, _ = apply_sequence(net, grid.behavioral_sets[1])
+    rest = [(3600.0, 0.0), (7200.0, 1.0)]
+    weights = {t.id: [(0.0, 1.0), *rest] for t in net.transitions}
+    weights["pick"] = [(0.0, 0.0), (600.0, 1.0), *rest]
+    schedules = [ScheduleEntry("p_c", ("c_9",), 0.0, 1500.0),
+                 ScheduleEntry("p_van_pool", ("v_9",), 300.0, 2400.0)]
+    arrivals = [Arrival("package", "p_new", Delay.exponential(1 / 900.0), 8)]
+    return ml, replace(grid.sim_configs[0], weights=weights, schedules=schedules,
+                       arrivals=arrivals)
+
+
+RUNS = {"roles+BI_7": roles_switched(), "corr": corr(), "energy20": energy(),
+        "package-withdrawn": package_withdrawn()}
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
@@ -88,6 +109,32 @@ def test_kept_enabled_set_equals_a_fresh_enumeration(name, seed):
         if name != "energy20" or steps % 10 == 0:
             assert [(tid, b.values) for tid, b in kept] == brute_force(net, state.marking)
     assert state.records
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+@given(seed=st.integers(0, 2**63 - 1))
+@settings(max_examples=15, deadline=None)
+def test_the_kernel_fires_what_sample_firing_draws(name, seed):
+    net, config = RUNS[name]
+    state = SimState(net, replace(config, seed=seed))
+    while state.done is None:
+        enabled = state.firings()
+        before = state.rng.bit_generator.state
+        twin = np.random.Generator(np.random.PCG64())
+        twin.bit_generator.state = before
+        try:
+            drawn = sample_firing(enabled, state.weights, state.eta, twin) if enabled else None
+        except AllWeightsZero:
+            drawn = None
+        _, record = step(state)
+        if drawn is None:   # nothing to sample: the clock advances without a draw
+            assert record is None
+            assert state.rng.bit_generator.state == before
+        elif record is None:   # the run stopped before sampling
+            assert state.done in ("final_marking", "firing_limit")
+        else:
+            tid, row = drawn
+            assert (record.transition, record.values) == (tid, tuple(zip(net.rules[tid].order, row)))
 
 
 def join_net():

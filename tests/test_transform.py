@@ -2,7 +2,7 @@ import pytest
 
 from logforge import fixtures
 from logforge.nets import Diagnostic, Net, bounded_language, validate_net
-from logforge.patterns import PatternApplication
+from logforge.patterns import PatternApplication, lookup
 from logforge.serialize import net_canonical_digest, net_digest, net_to_dict
 from logforge.transform import (InvalidMapping, OrderViolation, apply,
                                 apply_sequence, validate_mapping)
@@ -64,6 +64,9 @@ REFUSED_MAPPINGS = {
     "pool-component-type": (fixtures.mini_corr, "BI_1", {"p": "p_b", "p_r": "p_r"},
                             {"component": 0}, [
         (FAILED, "pool_type", "BI_1: component 0 of 'p_b' is not of type 'res'")]),
+    "pool-component-out-of-range": (fixtures.mini_corr, "BI_1", {"p": "p_b", "p_r": "p_r"},
+                                    {"component": 2}, [
+        (FAILED, "pool_type", "BI_1: component 2 is out of range for 'p_b', which has arity 2")]),
     "pool-component-text": (fixtures.mini_corr, "BI_1", {"p": "p_b", "p_r": "p_r"},
                             {"component": "1"}, [
         (FAILED, "pool_type", "BI_1: params['component'] must be an integer index, got '1'")]),
@@ -141,6 +144,17 @@ REFUSED_MAPPINGS = {
         ("UnresolvedElement", "p_nowhere", "<p_c> maps to unknown place 'p_nowhere'")]),
     "unknown-object-type": (fixtures.mini_chain, "RI_mi^o", {"t": "alpha", "O": ["gizmo"]}, {}, [
         ("UnresolvedElement", "gizmo", "<O> maps to unknown object type 'gizmo'")]),
+    # a key no pattern reads is refused before the requirements run
+    "unread-keys": (fixtures.package_delivery_net, "BI_3", {"t": "ring", "tt": "dock"},
+                    {"wieght": 9.0}, [
+        ("UnknownKey", "a", "BI_3 reads no mapping key(s) ['tt'] and no params key(s) "
+                            "['wieght']")]),
+    "unread-param": (fixtures.mini_chain, "BI_11", {"t": "alpha"}, {"weight": 1.0}, [
+        ("UnknownKey", "a", "BI_11 reads no params key(s) ['weight']")]),
+    "unread-key-and-unmapped": (fixtures.mini_chain, "RI_in^p", {"t1": "alpha", "t": "beta"},
+                                {}, [
+        ("UnknownKey", "a", "RI_in^p reads no mapping key(s) ['t']"),
+        ("MissingMapping", "t2", "wildcard <t2> of RI_in^p is unmapped")]),
     "created-id-exists": (_twice_skipped, "BI_3", {"t": "alpha"}, {}, [
         ("DuplicateId", "tau_skip_alpha#a", "created id 'tau_skip_alpha#a' already exists")]),
 }
@@ -152,6 +166,18 @@ def test_a_refused_mapping_gives_exactly_its_diagnostics(net, code, mapping, par
     with pytest.raises(InvalidMapping) as caught:
         apply(net(), PatternApplication("a", code, mapping, params))
     assert caught.value.diagnostics == [Diagnostic(*d) for d in expected]
+
+
+@pytest.mark.parametrize("name", fixtures.FIXTURES)
+def test_every_grid_application_gives_only_keys_its_pattern_reads(name):
+    _, grid = fixtures.fixture(name)
+    apps = [app for sets in (grid.behavioral_sets, grid.recording_sets)
+            for apps in sets for app in apps]
+    assert apps
+    for app in apps:
+        pattern = lookup(app.code)
+        assert app.mapping.keys() <= {wc.name for wc in pattern.wildcards}, app
+        assert app.params.keys() <= pattern.params, app
 
 
 def test_missing_object_without_vars_builds_what_its_derived_vars_build():
