@@ -23,7 +23,8 @@ from collections.abc import Iterable
 from dataclasses import dataclass, fields
 from itertools import chain
 
-from .nets import BASE, OBJECT_SEPARATOR, Net
+from .nets import BASE, OBJECT_SEPARATOR, ORIGINS, Net, ProvenanceTag
+from .patterns import CATALOG
 from .serialize import (SCHEMA_VERSION, canonical_json, net_from_dict,
                         net_to_dict, provenance_from_dict, provenance_to_dict,
                         text_digest)
@@ -243,7 +244,8 @@ def _bound_pairs(value, what: str) -> tuple[tuple[str, str], ...]:
     """`value`, a JSON list of [variable, identifier] pairs, as a tuple of
     pairs.  An entry of another length raises ValueError as unpacking does;
     any other value that is not a list of string pairs, a ValueError naming
-    `what`."""
+    `what`; variable names that do not strictly increase (the order the
+    writer gives them, each name once), a ValueError saying so."""
     if type(value) is list:
         pairs = []
         for pair in value:
@@ -252,6 +254,10 @@ def _bound_pairs(value, what: str) -> tuple[tuple[str, str], ...]:
                 break
             pairs.append((k, v))
         else:
+            for i in range(1, len(pairs)):
+                if pairs[i - 1][0] >= pairs[i][0]:
+                    raise ValueError(f"{what!r} must name each variable once, in increasing "
+                                     f"order, got {value!r}")
             return tuple(pairs)
     raise ValueError(f"{what!r} must be a list of [variable, identifier] string pairs, "
                      f"got {value!r}")
@@ -281,30 +287,96 @@ def _availability(avail):
     return avail
 
 
+def _meaningful(tag: ProvenanceTag) -> None:
+    """Refuse a trace record's provenance tag whose values mean nothing: its
+    `origin` must be one of `nets.ORIGINS`, and a `pattern_code` must name a
+    catalog pattern whose origin it is."""
+    if tag.origin not in ORIGINS:
+        raise ConfigInvalid(f"'provenance' origin {tag.origin!r} is not one of {list(ORIGINS)}")
+    code = tag.pattern_code
+    if code is None:
+        return
+    pattern = CATALOG.get(code)
+    if pattern is None:
+        raise ConfigInvalid(f"'provenance' pattern_code {code!r} names no catalog pattern")
+    if pattern.origin != tag.origin:
+        raise ConfigInvalid(f"'provenance' origin {tag.origin!r} disagrees with pattern "
+                            f"{code!r}, whose origin is {pattern.origin!r}")
+
+
 def record_from_dict(d: dict, tags: dict | None = None, net: Net | None = None) -> FiringRecord:
     """Decode a trace record, checking its keys, then each field in field
     order: the first defect raises ConfigInvalid, ValueError or TypeError.
     Records decoded with one `tags` table (a file's) share their equal
-    provenance tags.  Given `net`, the transition must be one of its."""
-    reject_unknown_keys(d, _RECORD_KEYS, "trace record")
+    provenance tags, and each tag must mean something (`_meaningful`).
+    Given `net`, the transition must be one of its.
+
+    Each field's type is tested in place; a defect calls the check that
+    words its diagnostic (`typed`, `_place`, `_identifiers`,
+    `_availability`), which raises."""
+    if type(d) is not dict or not d.keys() <= _RECORD_KEYS:
+        reject_unknown_keys(d, _RECORD_KEYS, "trace record")
     get = d.get
-    seq_no, time = typed(d, "seq_no", (int,)), typed(d, "time", NUMBER)
-    transition = typed(d, "transition", (str,))
+    seq_no, time, transition = get("seq_no"), get("time"), get("transition")
+    if type(seq_no) is not int:
+        typed(d, "seq_no", (int,))
+    if not (type(time) is float and time == time or type(time) is int):  # NaN != NaN
+        typed(d, "time", NUMBER)
+    if type(transition) is not str:
+        typed(d, "transition", (str,))
     if net is not None and transition not in net.transition_map:
         raise ValueError(f"record references unknown transition {transition!r}")
-    activity = typed(d, "activity", (str,), None)
+    activity = get("activity")
+    if activity is not None and type(activity) is not str:
+        typed(d, "activity", (str,), None)
     values = _bound_pairs(get("values", []), "values")
     fresh = _bound_pairs(get("fresh", []), "fresh")
-    provenance = provenance_from_dict(d["provenance"], tags) if "provenance" in d else BASE
-    return FiringRecord(
-        seq_no, time, transition, activity, values, fresh, provenance,
-        tuple([(_place(pid, "consumed"), _identifiers(tok, "consumed"))
-               for pid, tok in typed(d, "consumed", (list,), [])]),
-        tuple([(_place(pid, "produced"), _identifiers(tok, "produced"), _availability(avail))
-               for pid, tok, avail in typed(d, "produced", (list,), [])]),
-        _identifiers(get("recorded_objects", []), "recorded_objects"),
-        typed(d, "coarsen_window", NUMBER, None),
-        _identifiers(get("timing_causes", []), "timing_causes"))
+    if values and fresh and not {k for k, _ in values}.isdisjoint([k for k, _ in fresh]):
+        raise ValueError(f"'values' and 'fresh' must name different variables, "
+                         f"got {get('values')!r} and {get('fresh')!r}")
+    provenance = (provenance_from_dict(d["provenance"], tags, _meaningful)
+                  if "provenance" in d else BASE)
+    entries = get("consumed", ())
+    if type(entries) is not list:
+        entries = typed(d, "consumed", (list,), [])
+    consumed = []
+    for pid, tok in entries:
+        if type(pid) is not str:
+            _place(pid, "consumed")
+        if type(tok) is not list:
+            _identifiers(tok, "consumed")
+        for ident in tok:
+            if type(ident) is not str:
+                _identifiers(tok, "consumed")
+        consumed.append((pid, tuple(tok)))
+    entries = get("produced", ())
+    if type(entries) is not list:
+        entries = typed(d, "produced", (list,), [])
+    produced = []
+    for pid, tok, avail in entries:
+        if type(pid) is not str:
+            _place(pid, "produced")
+        if type(tok) is not list:
+            _identifiers(tok, "produced")
+        for ident in tok:
+            if type(ident) is not str:
+                _identifiers(tok, "produced")
+        if not (type(avail) is float and avail == avail or type(avail) is int):
+            _availability(avail)
+        produced.append((pid, tuple(tok), avail))
+    recorded = get("recorded_objects", [])
+    if type(recorded) is not list:
+        _identifiers(recorded, "recorded_objects")
+    for ident in recorded:
+        if type(ident) is not str:
+            _identifiers(recorded, "recorded_objects")
+    window = get("coarsen_window")
+    if window is not None and not (type(window) is float and window == window
+                                   or type(window) is int):
+        typed(d, "coarsen_window", NUMBER, None)
+    return FiringRecord(seq_no, time, transition, activity, values, fresh, provenance,
+                        tuple(consumed), tuple(produced), tuple(recorded), window,
+                        _identifiers(get("timing_causes", []), "timing_causes"))
 
 
 def trace_to_dicts(trace: GroundTruthTrace) -> list[dict]:
@@ -381,11 +453,28 @@ class ObservedEvent:
     @classmethod
     def from_dict(cls, d: dict) -> "ObservedEvent":
         """Decode an event, checking its keys, then each field in field order:
-        the first defect raises ConfigInvalid or ValueError."""
-        reject_unknown_keys(d, _EVENT_KEYS, "log event")
-        return cls(typed(d, "event_id", (str,)), typed(d, "timestamp", (str,)),
-                   typed(d, "activity", (str,)), _identifiers(d.get("objects", []), "objects"),
-                   typed(d, "run_id", (str,), ""))
+        the first defect raises ConfigInvalid or ValueError.  As in
+        `record_from_dict`, each field is tested in place, and a defect calls
+        the check that words its diagnostic."""
+        if type(d) is not dict or not d.keys() <= _EVENT_KEYS:
+            reject_unknown_keys(d, _EVENT_KEYS, "log event")
+        get = d.get
+        event_id, timestamp, activity = get("event_id"), get("timestamp"), get("activity")
+        objects, run_id = get("objects", []), get("run_id", "")
+        if type(event_id) is not str:
+            typed(d, "event_id", (str,))
+        if type(timestamp) is not str:
+            typed(d, "timestamp", (str,))
+        if type(activity) is not str:
+            typed(d, "activity", (str,))
+        if type(objects) is not list:
+            _identifiers(objects, "objects")
+        for ident in objects:
+            if type(ident) is not str:
+                _identifiers(objects, "objects")
+        if type(run_id) is not str:
+            typed(d, "run_id", (str,), "")
+        return cls(event_id, timestamp, activity, tuple(objects), run_id)
 
 
 # the keys of each object the JSONL readers decode: the fields its writer writes

@@ -29,11 +29,13 @@ public form that `enabled_bindings`, `fire`, `replay` and `bounded_language`
 take and give, and that a trace records.
 
 `fire`, `replay` and `bounded_language` share one untimed step,
-`_fire_untimed` (take, check, mint, give, move), and differ only in how they
-mint: from an IdGenerator, not at all (a recorded binding names every
-identifier), and as ~n.  The simulator (`simulate.SimState._fire`) reads the
-same rule but moves tokens itself: a produced token becomes available after
-a sampled delay, and each move updates the enabled set it keeps.
+`_fire_untimed` (take, mint, give), and differ only in how they mint: from
+an IdGenerator, not at all (a recorded binding names every identifier), and
+as ~n.  The step reads a binding's (name, identifier) pairs as they are, so
+`replay_pairs` replays a trace's records without building a Binding each.
+The simulator (`simulate.SimState._fire`) reads the same rule but moves
+tokens itself: a produced token becomes available after a sampled delay,
+and each move updates the enabled set it keeps.
 """
 from __future__ import annotations
 
@@ -678,30 +680,36 @@ def enabled_bindings(net: Net, marking: Marking) -> list[tuple[str, Binding]]:
     return out
 
 
-def _fire_untimed(rule: FiringRule, marking: Marking, binding: Binding, mint):
-    """Fire `rule` under `binding` on `marking`, in place: take the row's
-    tokens (NotEnabled unless the marking holds them), bind each nu-variable
-    the binding leaves open to mint(type), in `rule.nu` order, and give.
-    Returns the completed binding and the consumed and produced pairs."""
-    full = binding.as_dict()
+def _fire_untimed(rule: FiringRule, marking: Marking, values, fresh, mint):
+    """Fire `rule` on `marking`, in place, under the (name, identifier)
+    pairs `values` and `fresh`, read as they are (a name given twice takes
+    its last identifier, `fresh` over `values`): take the row's tokens
+    (NotEnabled unless the marking holds them all, with those before the
+    first missing one taken: callers fire on a copy they then drop), bind
+    each nu-variable the pairs leave open to mint(type), in `rule.nu` order,
+    and give.  Returns the minted pairs and the consumed and produced pairs."""
+    full = dict(values)
+    if fresh:
+        full.update(fresh)
     try:
         row = tuple([full[name] for name in rule.order])
     except KeyError as e:
         raise NotEnabled(f"{rule.transition.id}: variable {e.args[0]!r} unbound") from None
     consumed = rule.take(row)
-    if not all(marking.count(pid, tok) >= consumed.count((pid, tok)) for pid, tok in consumed):
-        raise NotEnabled(f"{rule.transition.id} not enabled under {dict(binding.values)}")
-    values = row
+    try:
+        marking.remove_each(consumed)
+    except ValueError:
+        raise NotEnabled(f"{rule.transition.id} not enabled under {dict(values)}") from None
+    minted = ()
     if rule.nu:
         minted = tuple([(name, mint(otype)) for name, otype in zip(rule.nu, rule.nu_types)
                         if name not in full])
-        if minted:
-            full.update(minted)
-            binding = Binding(binding.values, binding.fresh + minted)
-        values = row + tuple([full[name] for name in rule.nu])
-    produced = rule.give(values)
-    marking.move(consumed, produced)
-    return binding, consumed, produced
+        full.update(minted)
+        row += tuple([full[name] for name in rule.nu])
+    produced = rule.give(row)
+    for pid, tok in produced:
+        marking.add(pid, tok)
+    return minted, consumed, produced
 
 
 def fire(net: Net, marking: Marking, firing: tuple[str, Binding],
@@ -713,7 +721,10 @@ def fire(net: Net, marking: Marking, firing: tuple[str, Binding],
     if rule is None:
         raise NotEnabled(f"unknown transition {tid!r}")
     result = marking.copy()
-    binding, consumed, produced = _fire_untimed(rule, result, binding, id_gen.fresh)
+    minted, consumed, produced = _fire_untimed(rule, result, binding.values, binding.fresh,
+                                               id_gen.fresh)
+    if minted:
+        binding = Binding(binding.values, binding.fresh + minted)
     for _, tok in produced:
         for ident in tok:
             id_gen.register(ident)
@@ -731,14 +742,21 @@ def replay(net: Net, trace, extra_tokens=()) -> bool:
     extra_tokens injects (place, token) pairs up front, e.g. the spontaneous
     arrivals of a simulation run (more tokens never disable a firing).
     """
+    return replay_pairs(net, ((tid, b.values, b.fresh) for tid, b in trace), extra_tokens)
+
+
+def replay_pairs(net: Net, firings, extra_tokens=()) -> bool:
+    """`replay` over (transition, values, fresh) triples, the pairs as a
+    Binding or a trace record holds them, read as they are."""
     marking = net.initial_marking.copy()
     marking.move((), extra_tokens)
-    for tid, binding in trace:
-        rule = net.rules.get(tid)
+    rules = net.rules
+    for tid, values, fresh in firings:
+        rule = rules.get(tid)
         if rule is None:
             return False
         try:
-            _fire_untimed(rule, marking, binding, _mint_none)
+            _fire_untimed(rule, marking, values, fresh, _mint_none)
         except NotEnabled:
             return False
     return True
@@ -763,8 +781,9 @@ def bounded_language(net: Net, depth: int, cap: int = 1_000_000) -> set:
             rule = net.rules[tid]
             fresh_ids = itertools.count(nfresh + 1)
             m2 = marking.copy()
-            binding, _, _ = _fire_untimed(rule, m2, binding, lambda _otype: f"~{next(fresh_ids)}")
-            seq2 = seq + ((tid, tuple(sorted(binding.as_dict().items()))),)
+            minted, _, _ = _fire_untimed(rule, m2, binding.values, (),
+                                         lambda _otype: f"~{next(fresh_ids)}")
+            seq2 = seq + ((tid, tuple(sorted(binding.values + minted))),)
             sequences.add(seq2)
             stack.append((m2, seq2, nfresh + len(rule.nu)))
     return sequences

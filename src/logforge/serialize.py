@@ -16,9 +16,10 @@ SCHEMA_VERSION = "1"
 
 
 # the one encoder of every model, document, header and JSONL line: keys
-# sorted at every level, compact separators, built once and reused
+# sorted at every level, compact separators, built once and reused.  No
+# encoded value holds a cycle, so the encoder does not look for one.
 canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
-                                  ensure_ascii=False).encode
+                                  ensure_ascii=False, check_circular=False).encode
 
 
 def digest_of(obj) -> str:
@@ -55,10 +56,12 @@ def provenance_to_dict(p: ProvenanceTag) -> dict:
     return d
 
 
-def provenance_from_dict(d: dict, tags: dict | None = None) -> ProvenanceTag:
+def provenance_from_dict(d: dict, tags: dict | None = None, check=None) -> ProvenanceTag:
     """The tag in JSON object `d`, which names its `origin` even when it is
     "base"; ConfigInvalid says what is malformed.  Equal tags decoded with
-    one `tags` table are one ProvenanceTag."""
+    one `tags` table are one ProvenanceTag.  `check`, if given, is called on
+    each tag built anew, so once per distinct tag of one table, and raises
+    for a tag it refuses."""
     reject_unknown_keys(d, _PROVENANCE_KEYS, "'provenance'")
     key = (d.get("origin"), d.get("pattern_code"), d.get("application_id"),
            d.get("shadow_of"))
@@ -72,6 +75,8 @@ def provenance_from_dict(d: dict, tags: dict | None = None) -> ProvenanceTag:
         raise ConfigInvalid(f"'provenance' must hold a string 'origin' and strings or nulls, "
                             f"got {d!r}")
     tag = ProvenanceTag(*key)
+    if check is not None:
+        check(tag)
     if tags is not None:
         tags[key] = tag
     return tag

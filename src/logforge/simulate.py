@@ -18,14 +18,15 @@ import math
 from bisect import bisect_right, insort
 from collections import Counter
 from dataclasses import dataclass, field, fields
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from itertools import accumulate
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
 
 from .nets import (OBJECT_SEPARATOR, Binding, FiringRule, Net, ProvenanceTag,
-                   is_identifier, transition_bindings)
+                   is_identifier, replay_pairs, transition_bindings)
 from .serialize import digest_of, net_digest
 from .timing import (NUMBER, ConfigInvalid, Delay, FrequencyProbe, ReportRule,
                      reject_unknown_keys, slot_init, typed, weight_piece, weight_value)
@@ -156,11 +157,19 @@ def epoch_seconds(stamp: str) -> float:
     return datetime.fromisoformat(stamp.replace("Z", "+00:00")).timestamp()
 
 
+_UNIX_EPOCH = datetime(1970, 1, 1)
+
+
 def timestamp_at(epoch_s: float, eta: float) -> str:
     """The ISO 8601 UTC stamp `eta` seconds after `epoch_s`, the epoch
-    in seconds."""
-    dt = datetime.fromtimestamp(epoch_s + eta, tz=timezone.utc)
-    return dt.isoformat().replace("+00:00", "Z")
+    in seconds: `datetime.fromtimestamp`'s, which rounds the same float
+    half-even to the microsecond as `timedelta` does.  Outside `datetime`'s
+    range it raises what `fromtimestamp` raises."""
+    try:
+        return (_UNIX_EPOCH + timedelta(seconds=epoch_s + eta)).isoformat() + "Z"
+    except (OverflowError, ValueError):
+        dt = datetime.fromtimestamp(epoch_s + eta, tz=timezone.utc)
+        return dt.isoformat().replace("+00:00", "Z")
 
 
 class WeightSpec:
@@ -660,11 +669,15 @@ def step(state: SimState) -> tuple[SimState, FiringRecord | None]:
     return state, None
 
 
+# a record's (transition, values, fresh), the firing it replays
+_FIRING = attrgetter("transition", "values", "fresh")
+
+
 def trace_replays(net: Net, trace: "GroundTruthTrace") -> bool:
-    """Replay the trace's firing sequence on `net`, injecting the run's
-    spontaneous arrivals and scheduled tokens up front."""
-    from .nets import replay
-    return replay(net, trace.firing_sequence(), extra_tokens=trace.injected)
+    """Replay the trace's records on `net`, each under its own `values` and
+    `fresh` pairs, injecting the run's spontaneous arrivals and scheduled
+    tokens up front."""
+    return replay_pairs(net, map(_FIRING, trace.records), trace.injected)
 
 
 def run(ml: Net, config: SimConfig, lineage: dict | None = None) -> GroundTruthTrace:

@@ -435,6 +435,39 @@ BAD_TRACES = {
     "misspelt-activity-and-number-values": (
         [TRACE_HEADER, GOOD_RECORD, with_record_field('"values":5,"activty":"a"')], 3,
         BAD_RECORD + repr(ConfigInvalid(unknown_key("trace record", "activty", RECORD_KEYS)))),
+    # a record names each variable once, in increasing order, as the writer does
+    "repeated-value-name": (
+        [TRACE_HEADER, GOOD_RECORD, with_record_field('"values":[["a","x"],["a","y"]]')], 3,
+        BAD_RECORD + repr(ValueError("'values' must name each variable once, in increasing "
+                                     "order, got [['a', 'x'], ['a', 'y']]"))),
+    "unordered-fresh-names": (
+        [TRACE_HEADER, GOOD_RECORD, with_record_field('"fresh":[["b","x"],["a","y"]]')], 3,
+        BAD_RECORD + repr(ValueError("'fresh' must name each variable once, in increasing "
+                                     "order, got [['b', 'x'], ['a', 'y']]"))),
+    "value-name-also-fresh": (
+        [TRACE_HEADER, GOOD_RECORD, with_record_field('"values":[["a","x"]],"fresh":[["a","y"]]')],
+        3, BAD_RECORD + repr(ValueError("'values' and 'fresh' must name different variables, "
+                                        "got [['a', 'x']] and [['a', 'y']]"))),
+    # provenance values mean something
+    "unknown-origin": (
+        [TRACE_HEADER, GOOD_RECORD, with_record_field('"provenance":{"origin":"deviation"}')], 3,
+        BAD_RECORD + repr(ConfigInvalid("'provenance' origin 'deviation' is not one of "
+                                        "['base', 'behavioral', 'recording']"))),
+    "unknown-pattern-code": (
+        [TRACE_HEADER, GOOD_RECORD, with_record_field(
+            '"provenance":{"origin":"behavioral","pattern_code":"BI_99","application_id":"a"}')],
+        3, BAD_RECORD + repr(ConfigInvalid("'provenance' pattern_code 'BI_99' names no catalog "
+                                           "pattern"))),
+    "origin-unlike-pattern": (
+        [TRACE_HEADER, GOOD_RECORD, with_record_field(
+            '"provenance":{"origin":"recording","pattern_code":"BI_3","application_id":"a"}')],
+        3, BAD_RECORD + repr(ConfigInvalid("'provenance' origin 'recording' disagrees with "
+                                           "pattern 'BI_3', whose origin is 'behavioral'"))),
+    "base-with-pattern": (
+        [TRACE_HEADER, GOOD_RECORD, with_record_field(
+            '"provenance":{"origin":"base","pattern_code":"RI_mi^e"}')],
+        3, BAD_RECORD + repr(ConfigInvalid("'provenance' origin 'base' disagrees with "
+                                           "pattern 'RI_mi^e', whose origin is 'recording'"))),
     "misspelt-seed-and-text-run-id": (
         [with_header_field('"sead":1').replace('"run_id":"r"', '"run_id":5'), GOOD_RECORD], 1,
         BAD_RECORD + repr(ConfigInvalid(unknown_key("trace header", "sead",

@@ -13,6 +13,7 @@ from logforge import logio, oracle
 from logforge.logio import ObservedEvent, ObservedLog
 from logforge.nets import ProvenanceTag
 from logforge.oracle import Cause, Move
+from logforge.serialize import canonical_json, provenance_from_dict
 from logforge.simulate import FiringRecord, GroundTruthTrace
 from logforge.timing import Delay, ReportRule, slot_init
 
@@ -144,7 +145,7 @@ GOOD_TRACE_HEADER = {
 GOOD_TRACE_RECORD = {
     "activity": "a", "coarsen_window": 60.0, "consumed": [["p", ["o_1"]]],
     "fresh": [["y", "o_2"]], "produced": [["q", ["o_1", "o_2"], 1.5]],
-    "provenance": {"application_id": "a1", "origin": "deviation", "pattern_code": "BI_3",
+    "provenance": {"application_id": "a1", "origin": "behavioral", "pattern_code": "BI_3",
                    "shadow_of": "t0"},
     "recorded_objects": ["o_1"], "seq_no": 0, "time": 0.0, "timing_causes": ["a1"],
     "transition": "t", "values": [["x", "o_1"]]}
@@ -241,7 +242,51 @@ def test_every_fuzzed_nested_field_reads_back_or_is_a_parse_error_naming_its_lin
     for read, lines, at, key in nested_inputs():
         outcomes.setdefault((at, *key), []).append(_read_or_reject(path, read, lines, at, key))
     assert len(outcomes) == 4 + 3 + 2 * 3 and all(len(o) == 10 for o in outcomes.values())
-    # a tag without its origin would read as base: only the string is accepted
-    assert outcomes[2, "provenance", "origin"] == [value != "abc" for value in
-                                                   ODD_VALUES + [DELETED]]
+    # a tag without its origin would read as base, and "abc" is no origin
+    assert outcomes[2, "provenance", "origin"] == [True] * 10
+    # a pattern code must name a catalog pattern of the tag's origin
+    assert outcomes[2, "provenance", "pattern_code"] == [value is not None and value is not DELETED
+                                                         for value in ODD_VALUES + [DELETED]]
     assert 0 < sum(map(sum, outcomes.values())) < 10 * len(outcomes)
+
+
+# what the writer writes for a field the line leaves out
+RECORD_DEFAULTS = {"activity": None, "values": [], "fresh": [], "provenance": {"origin": "base"},
+                   "consumed": [], "produced": [], "recorded_objects": [],
+                   "coarsen_window": None, "timing_causes": []}
+EVENT_DEFAULTS = {"objects": [], "run_id": ""}
+
+
+def _as_written(line: dict, defaults: dict) -> dict:
+    """`line` with its absent fields at `defaults`, and its provenance
+    without null fields, as `record_to_dict` writes it."""
+    line = {**defaults, **line}
+    if type(line.get("provenance")) is dict:
+        line["provenance"] = {k: v for k, v in line["provenance"].items() if v is not None}
+    return line
+
+
+def test_every_accepted_fuzzed_line_writes_back_to_its_canonical_bytes(tmp_path):
+    path = tmp_path / "fuzzed.jsonl"
+    accepted = 0
+    for read, lines, at, key in [*fuzzed_inputs(), *nested_inputs()]:
+        if read is oracle.read_alignment or at != 2 or _read_or_reject(path, read, lines, at, key):
+            continue
+        if read is logio.read_trace:
+            [written] = map(logio.record_to_dict, read(str(path)).records)
+            defaults = RECORD_DEFAULTS
+        else:
+            [written] = map(ObservedEvent.to_dict, read(str(path)).events)
+            defaults = EVENT_DEFAULTS
+        assert canonical_json(written) == canonical_json(_as_written(lines[1], defaults)), key
+        accepted += 1
+    assert accepted > 20
+
+
+def test_a_files_provenance_tags_are_checked_once_each():
+    seen = []
+    tags: dict = {}
+    for d in [{"origin": "base"}, {"origin": "recording", "pattern_code": "RI_mi^e"},
+              {"origin": "base"}, {"pattern_code": "RI_mi^e", "origin": "recording"}]:
+        provenance_from_dict(d, tags, seen.append)
+    assert seen == [ProvenanceTag(), ProvenanceTag("recording", "RI_mi^e")]

@@ -162,3 +162,88 @@ def test_simulator_and_fire_move_the_same_tokens(name, seed):
         assert result.binding == binding
         assert result.consumed == record.consumed
         assert result.produced == tuple((pid, tok) for pid, tok, _ in record.produced)
+
+
+def reference_replay(net, trace) -> bool:
+    """`trace_replays` as it was first written: a Binding per record, and
+    every consumed token counted in the marking before any is taken."""
+    marking = net.initial_marking.copy()
+    marking.move((), trace.injected)
+    for record in trace.records:
+        rule = net.rules.get(record.transition)
+        if rule is None:
+            return False
+        full = Binding(record.values, record.fresh).as_dict()
+        if any(name not in full for name in rule.order + rule.nu):
+            return False
+        row = tuple(full[name] for name in rule.order)
+        consumed = rule.take(row)
+        if not all(marking.count(pid, tok) >= consumed.count((pid, tok))
+                   for pid, tok in consumed):
+            return False
+        try:
+            produced = rule.give(row + tuple(full[name] for name in rule.nu))
+        except NotEnabled:
+            return False
+        marking.move(consumed, produced)
+    return True
+
+
+def mutations(trace):
+    """The trace, and each of its mutations that the replays must judge alike:
+    (name, trace)."""
+    records = trace.records
+    yield "as written", trace
+    if not records:
+        return
+    mid = len(records) // 2
+    yield "dropped", replace(trace, records=records[:mid] + records[mid + 1:])
+    if len(records) > 1:
+        swapped = list(records)
+        swapped[mid - 1], swapped[mid] = swapped[mid], swapped[mid - 1]
+        yield "swapped", replace(trace, records=tuple(swapped))
+    at = next((i for i, r in enumerate(records) if r.values), None)
+    if at is not None:
+        r = records[at]
+        (name, _), *rest = r.values
+        renamed = replace(r, values=((name, "nobody"), *rest))
+        yield "renamed", replace(trace, records=records[:at] + (renamed,) + records[at + 1:])
+    unknown = replace(records[mid], transition="no-such-transition")
+    yield "unknown", replace(trace, records=records[:mid] + (unknown,) + records[mid + 1:])
+    at = next((i for i, r in enumerate(records) if r.fresh), None)
+    if at is not None:
+        unminted = replace(records[at], fresh=records[at].fresh[1:])
+        yield "no nu value", replace(trace, records=records[:at] + (unminted,) + records[at + 1:])
+
+
+def test_trace_replays_judges_every_fixture_trace_and_mutation_as_before(fixture_datasets):
+    judged = {}
+    for out, manifest in fixture_datasets.values():
+        for entry in manifest.cells:
+            ml = logio.read_model(f"{out}/{entry['paths']['model']}")
+            trace = logio.read_trace(f"{out}/{entry['paths']['trace']}", ml)
+            for name, mutated in mutations(trace):
+                verdict = trace_replays(ml, mutated)
+                assert verdict == reference_replay(ml, mutated), (entry["cell_id"], name)
+                judged.setdefault(name, set()).add(verdict)
+    assert judged["as written"] == {True}
+    assert judged["unknown"] == judged["renamed"] == judged["no nu value"] == {False}
+    assert False in judged["dropped"] and False in judged["swapped"]
+
+
+def test_fire_that_is_not_enabled_leaves_its_marking_unchanged():
+    types = (ObjectType("item", "i"), ObjectType("tag", "g"))
+    places = (Place("a", ("item",)), Place("b", ("item", "tag")), Place("c", ("item",)))
+    x, y = Variable("x", "item"), Variable("y", "tag")
+    # `j` takes from `a`, then from `b`: the token of `a` is there, that of
+    # `b` is not
+    arcs = (Arc("a", "j", (x,)), Arc("b", "j", (x, y)), Arc("j", "c", (x,)))
+    net = Net(types, places, (Transition("j", "j"),), arcs, Marking())
+    marking = Marking.of({"a": [["i_1"]], "b": [["i_1", "g_1"]]})
+    before = marking.freeze()
+    with pytest.raises(NotEnabled, match=r"j not enabled under \{'x': 'i_1', 'y': 'g_2'\}"):
+        fire(net, marking, ("j", Binding(values=(("x", "i_1"), ("y", "g_2")))),
+             net.id_generator())
+    assert marking.freeze() == before
+    assert not replay(net, [("j", Binding(values=(("x", "i_1"), ("y", "g_2"))))],
+                      extra_tokens=[("a", ("i_1",))])

@@ -1,11 +1,13 @@
 import json
 import math
+import re
 import sys
 import threading
 from dataclasses import replace
+from datetime import datetime, timezone
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logforge import fixtures, logio
@@ -119,6 +121,36 @@ def test_projection_coarsens_timestamps(cell_by_pattern):
         assert event.timestamp == timestamp_at(epoch_s, floored)
         # idempotent: flooring a floored value changes nothing
         assert math.floor(floored / r.coarsen_window) * r.coarsen_window == floored
+
+
+def stamp_by_fromtimestamp(x: float) -> str:
+    return datetime.fromtimestamp(x, tz=timezone.utc).isoformat().replace("+00:00", "Z")
+
+
+# epochs before and after 1970: the fixtures' own, the Unix epoch, 1938 and 2096
+EPOCHS = st.sampled_from([epoch_seconds("2024-03-04T08:00:00Z"), 0.0, -1e9, 4e9])
+# run times of up to 10^7 s: any float; a decimal half microsecond, which
+# floats hold only nearly; and k/128 s, an exact tie once the odd k's
+# fraction is in microseconds (7812.5 us per 1/128 s)
+RUN_TIMES = st.one_of(
+    st.floats(0.0, 1e7),
+    st.integers(0, 10**13).map(lambda us: (us + 0.5) / 1e6),
+    st.integers(0, 10**7 * 128).map(lambda k: k / 128))
+
+
+@given(epoch_s=EPOCHS, eta=RUN_TIMES)
+@settings(max_examples=2000)
+def test_timestamp_at_gives_the_stamp_of_fromtimestamp(epoch_s, eta):
+    assert timestamp_at(epoch_s, eta) == stamp_by_fromtimestamp(epoch_s + eta)
+
+
+@pytest.mark.parametrize("eta", [1e12, -1e12, 253402300800.0, -62135596800.5,
+                                 math.inf, -math.inf, math.nan])
+def test_timestamp_at_outside_datetimes_range_raises_what_fromtimestamp_raises(eta):
+    with pytest.raises(Exception) as expected:
+        stamp_by_fromtimestamp(eta)
+    with pytest.raises(type(expected.value), match=re.escape(str(expected.value))):
+        timestamp_at(0.0, eta)
 
 
 def test_observed_log_sorted_with_stable_ties(package_cells):
