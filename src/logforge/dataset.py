@@ -137,10 +137,6 @@ class DatasetManifest:
         return {"master_seed": self.master_seed, "m0_digest": self.m0_digest,
                 "cells": self.cells}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "DatasetManifest":
-        return cls(d["master_seed"], d["m0_digest"], list(d["cells"]))
-
 
 @dataclass(frozen=True)
 class ModelPair:
@@ -284,8 +280,3 @@ def generate(m0: Net, grid: GridSpec, out_dir: str, jobs: int = 1,
     logio.atomic_write(os.path.join(out_dir, "m0.json"), m0_text)
     logio.write_json(manifest.to_dict(), os.path.join(out_dir, "manifest.json"))
     return manifest
-
-
-def read_manifest(path: str) -> DatasetManifest:
-    d = logio.read_json(path)
-    return DatasetManifest.from_dict(d)

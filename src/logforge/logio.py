@@ -21,10 +21,10 @@ import tempfile
 import threading
 from collections.abc import Iterable
 from dataclasses import dataclass, fields
-from itertools import chain
+from itertools import chain, count
 
-from .nets import BASE, OBJECT_SEPARATOR, ORIGINS, Net, ProvenanceTag
-from .patterns import CATALOG
+from .nets import BASE, OBJECT_SEPARATOR, Net
+from .patterns import provenance_breaches
 from .serialize import (SCHEMA_VERSION, canonical_json, net_from_dict,
                         net_to_dict, provenance_from_dict, provenance_to_dict,
                         text_digest)
@@ -280,46 +280,28 @@ def _place(pid, what: str) -> str:
     return pid
 
 
-def _availability(avail):
-    """`avail`, the availability time of a produced token, once it is a number."""
-    if type(avail) not in NUMBER or avail != avail:  # NaN != NaN
-        raise ValueError(f"'produced' availability times must be numbers, got {avail!r}")
-    return avail
-
-
-def _meaningful(tag: ProvenanceTag) -> None:
-    """Refuse a trace record's provenance tag whose values mean nothing: its
-    `origin` must be one of `nets.ORIGINS`, and a `pattern_code` must name a
-    catalog pattern whose origin it is."""
-    if tag.origin not in ORIGINS:
-        raise ConfigInvalid(f"'provenance' origin {tag.origin!r} is not one of {list(ORIGINS)}")
-    code = tag.pattern_code
-    if code is None:
-        return
-    pattern = CATALOG.get(code)
-    if pattern is None:
-        raise ConfigInvalid(f"'provenance' pattern_code {code!r} names no catalog pattern")
-    if pattern.origin != tag.origin:
-        raise ConfigInvalid(f"'provenance' origin {tag.origin!r} disagrees with pattern "
-                            f"{code!r}, whose origin is {pattern.origin!r}")
-
-
-def record_from_dict(d: dict, tags: dict | None = None, net: Net | None = None) -> FiringRecord:
+def record_from_dict(d: dict, tags: dict | None = None, net: Net | None = None,
+                     index: int | None = None) -> FiringRecord:
     """Decode a trace record, checking its keys, then each field in field
     order: the first defect raises ConfigInvalid, ValueError or TypeError.
     Records decoded with one `tags` table (a file's) share their equal
-    provenance tags, and each tag must mean something (`_meaningful`).
-    Given `net`, the transition must be one of its.
+    provenance tags, and a tag with a breach of `patterns.provenance_breaches`
+    raises its first.  Given `index`, the record's place among its file's
+    records, `seq_no` must equal it, as the writer numbers them.  Given
+    `net`, the transition must be one of its.
 
     Each field's type is tested in place; a defect calls the check that
-    words its diagnostic (`typed`, `_place`, `_identifiers`,
-    `_availability`), which raises."""
+    words its diagnostic (`typed`, `_place`, `_identifiers`), which raises,
+    or raises in place."""
     if type(d) is not dict or not d.keys() <= _RECORD_KEYS:
         reject_unknown_keys(d, _RECORD_KEYS, "trace record")
     get = d.get
     seq_no, time, transition = get("seq_no"), get("time"), get("transition")
     if type(seq_no) is not int:
         typed(d, "seq_no", (int,))
+    if seq_no != index and index is not None:
+        raise ValueError(f"'seq_no' must count the records 0, 1, 2, ... in file order: "
+                         f"expected {index}, got {seq_no}")
     if not (type(time) is float and time == time or type(time) is int):  # NaN != NaN
         typed(d, "time", NUMBER)
     if type(transition) is not str:
@@ -334,7 +316,7 @@ def record_from_dict(d: dict, tags: dict | None = None, net: Net | None = None) 
     if values and fresh and not {k for k, _ in values}.isdisjoint([k for k, _ in fresh]):
         raise ValueError(f"'values' and 'fresh' must name different variables, "
                          f"got {get('values')!r} and {get('fresh')!r}")
-    provenance = (provenance_from_dict(d["provenance"], tags, _meaningful)
+    provenance = (provenance_from_dict(d["provenance"], tags, provenance_breaches)
                   if "provenance" in d else BASE)
     entries = get("consumed", ())
     if type(entries) is not list:
@@ -361,8 +343,8 @@ def record_from_dict(d: dict, tags: dict | None = None, net: Net | None = None) 
         for ident in tok:
             if type(ident) is not str:
                 _identifiers(tok, "produced")
-        if not (type(avail) is float and avail == avail or type(avail) is int):
-            _availability(avail)
+        if not (type(avail) is float and avail == avail or type(avail) is int):  # NaN != NaN
+            raise ValueError(f"'produced' availability times must be numbers, got {avail!r}")
         produced.append((pid, tuple(tok), avail))
     recorded = get("recorded_objects", [])
     if type(recorded) is not list:
@@ -426,11 +408,14 @@ def _trace_header(h: dict) -> dict:
 
 
 def read_trace(path: str, net: Net | None = None) -> GroundTruthTrace:
-    """The trace in `path`.  Given `net`, a record that names no transition
-    of it is a ParseError naming its line."""
+    """The trace in `path`.  A record whose `seq_no` is not its index among
+    the records, or, given `net`, that names no transition of it, is a
+    ParseError naming its line."""
     tags: dict = {}
-    header, records = _read_headed_jsonl(path, "ground_truth_trace", _trace_header,
-                                         lambda d: record_from_dict(d, tags, net))
+    index = count()
+    header, records = _read_headed_jsonl(
+        path, "ground_truth_trace", _trace_header,
+        lambda d: record_from_dict(d, tags, net, next(index)))
     return GroundTruthTrace(records=records, **header)
 
 

@@ -26,7 +26,8 @@ values of the input variables in sorted-name order (`FiringRule.order`),
 and a firing's values are that row followed by the nu-identifiers in
 `FiringRule.nu` order.  `Binding`, with its (name, identifier) pairs, is the
 public form that `enabled_bindings`, `fire`, `replay` and `bounded_language`
-take and give, and that a trace records.
+take and give.  A trace record holds the same pairs (its `values` and
+`fresh`), not a Binding.
 
 `fire`, `replay` and `bounded_language` share one untimed step,
 `_fire_untimed` (take, mint, give), and differ only in how they mint: from
@@ -162,9 +163,6 @@ class Marking:
         else:
             cnt[token] = cnt.get(token, 0) + 1
 
-    def remove(self, place_id: str, token: tuple[str, ...]) -> None:
-        self.remove_each(((place_id, tuple(token)),))
-
     def remove_each(self, pairs) -> None:
         """Remove each (place, token tuple) pair of `pairs` once, in order;
         ValueError at the first the marking does not hold."""
@@ -202,9 +200,6 @@ class Marking:
         for _, tok, _ in self.items():
             ids.update(tok)
         return ids
-
-    def total(self) -> int:
-        return sum(n for _, _, n in self.items())
 
     def contains(self, other: "Marking") -> bool:
         for pid, tok, n in other.items():
@@ -248,11 +243,6 @@ class Binding:
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(sorted(self.values)))
         object.__setattr__(self, "fresh", tuple(sorted(self.fresh)))
-
-    def as_dict(self) -> dict[str, str]:
-        d = dict(self.values)
-        d.update(self.fresh)
-        return d
 
 
 @dataclass(frozen=True)
@@ -546,13 +536,10 @@ def validate_net(net: Net) -> list[Diagnostic]:
         if p.role_hint not in ROLE_HINTS:
             out.append(Diagnostic("BadRoleHint", p.id, f"place {p.id!r} role {p.role_hint!r} not in {ROLE_HINTS}"))
 
+    from .patterns import provenance_breaches  # patterns imports this module
     for t in net.transitions:
-        if t.provenance.origin not in ORIGINS:
-            out.append(Diagnostic("ProvenanceInvalid", t.id, f"origin {t.provenance.origin!r} unknown"))
-        if t.provenance.origin == "base" and t.provenance.pattern_code is not None:
-            out.append(Diagnostic("ProvenanceInvalid", t.id, "base transition carries a pattern code"))
-        if t.provenance.origin != "base" and not t.provenance.application_id:
-            out.append(Diagnostic("ProvenanceInvalid", t.id, "created transition lacks an application id"))
+        for breach in provenance_breaches(t.provenance):
+            out.append(Diagnostic("ProvenanceInvalid", t.id, breach))
 
     place_ids, trans_ids = set(pids), set(tids)
     for i, a in enumerate(net.arcs):

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field, fields
 from typing import Callable
 
-from .nets import Arc, Net, ObjectType, Place, ProvenanceTag, Transition, Variable
+from .nets import ORIGINS, Arc, Net, ObjectType, Place, ProvenanceTag, Transition, Variable
 from .timing import (ConfigInvalid, Delay, FrequencyProbe, ReportRule, TimingOverride, names,
                      reject_unknown_keys, typed)
 
@@ -184,6 +184,29 @@ def _origin_of(code: str) -> str:
     return "behavioral" if code.startswith("BI") else "recording"
 
 
+def provenance_breaches(tag: ProvenanceTag) -> list[str]:
+    """What makes `tag` mean nothing, one message per breach, in field
+    order (empty = none).  Its `origin` is one of `nets.ORIGINS`; a
+    `pattern_code` names a catalog pattern of that origin, so a base tag
+    names none; and a created (non-base) tag names its application.
+    `nets.validate_net` reports each breach of a model's tags, the trace
+    reader the first of a record's."""
+    origin, code = tag.origin, tag.pattern_code
+    out = []
+    if origin not in ORIGINS:
+        out.append(f"origin {origin!r} is not one of {list(ORIGINS)}")
+    if code is not None:
+        pattern = CATALOG.get(code)
+        if pattern is None:
+            out.append(f"pattern_code {code!r} names no catalog pattern")
+        elif pattern.origin != origin:
+            out.append(f"origin {origin!r} disagrees with pattern {code!r}, whose origin is "
+                       f"{pattern.origin!r}")
+    if origin != "base" and not tag.application_id:
+        out.append(f"origin {origin!r} needs an application_id")
+    return out
+
+
 def _prov(app: PatternApplication, shadow: str | None = None) -> ProvenanceTag:
     return ProvenanceTag(origin=_origin_of(app.code), pattern_code=app.code,
                          application_id=app.application_id, shadow_of=shadow)
@@ -223,7 +246,9 @@ def duty_cycle(weight: float, period: float, window: float, horizon: float,
 
 
 def _cycle(params: dict) -> tuple[float, float, float, float] | None:
-    """(period, window, horizon, offset) of the duty cycle `params` ask for."""
+    """(period, window, horizon, offset) of the duty cycle `params` ask for.
+    It ends at `weight_horizon`, else at `weight_until`, else after 1e7 s;
+    an application gives at most one of the two (`_weight_end`)."""
     period = params.get("weight_period")
     if not period:
         return None
@@ -238,8 +263,9 @@ def _weight(params: dict) -> tuple[tuple[float, float], ...]:
 
     params['weight'] applies from time 0; 'weight_until' shuts the deviation
     off for good; 'weight_period'/'weight_window' instead enable it only for
-    a window at the start of each period (a duty cycle), which keeps
-    always-enabled deviations from soaking up every quiet moment of a run.
+    a window at the start of each period (a duty cycle) until 'weight_until'
+    or 'weight_horizon', which keeps always-enabled deviations from soaking
+    up every quiet moment of a run.
     """
     w = float(params.get("weight", 0.05))
     cycle = _cycle(params)
@@ -342,10 +368,19 @@ def _weight_periods(net, app):
     return None
 
 
+@_req("weight_end", "a duty cycle ends at weight_until or at weight_horizon, not at both")
+def _weight_end(net, app):
+    if {"weight_period", "weight_until", "weight_horizon"} <= app.params.keys():
+        return ("weight_until and weight_horizon both end the duty cycle of weight_period; "
+                "give one")
+    return None
+
+
 # what `_weight` reads; a period <= 0 would never reach the horizon, a tiny
 # one would expand into an unbounded number of pieces
 _WEIGHT = (*map(_number, _WEIGHT_KEYS),
-           _number("weight_period", "a finite number > 0", lambda v: v > 0), _weight_periods)
+           _number("weight_period", "a finite number > 0", lambda v: v > 0), _weight_periods,
+           _weight_end)
 _PACE = _number("pace_s")
 
 
@@ -896,8 +931,6 @@ CATALOG: dict[str, Pattern] = {p.code: p for p in (
                     _number("probability", "a number in [0, 1]", lambda v: 0 <= v <= 1)),
             _build_long_duration, frozenset({"delay", "probability"})),
 )}
-
-CODES = tuple(CATALOG)
 
 
 def lookup(code: str) -> Pattern:

@@ -60,8 +60,8 @@ def provenance_from_dict(d: dict, tags: dict | None = None, check=None) -> Prove
     """The tag in JSON object `d`, which names its `origin` even when it is
     "base"; ConfigInvalid says what is malformed.  Equal tags decoded with
     one `tags` table are one ProvenanceTag.  `check`, if given, is called on
-    each tag built anew, so once per distinct tag of one table, and raises
-    for a tag it refuses."""
+    each tag built anew, so once per distinct tag of one table, and returns
+    the tag's breaches, as messages: the first raises ConfigInvalid."""
     reject_unknown_keys(d, _PROVENANCE_KEYS, "'provenance'")
     key = (d.get("origin"), d.get("pattern_code"), d.get("application_id"),
            d.get("shadow_of"))
@@ -75,8 +75,8 @@ def provenance_from_dict(d: dict, tags: dict | None = None, check=None) -> Prove
         raise ConfigInvalid(f"'provenance' must hold a string 'origin' and strings or nulls, "
                             f"got {d!r}")
     tag = ProvenanceTag(*key)
-    if check is not None:
-        check(tag)
+    if check is not None and (breaches := check(tag)):
+        raise ConfigInvalid(f"'provenance' {breaches[0]}")
     if tags is not None:
         tags[key] = tag
     return tag

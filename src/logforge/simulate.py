@@ -25,8 +25,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .nets import (OBJECT_SEPARATOR, Binding, FiringRule, Net, ProvenanceTag,
-                   is_identifier, replay_pairs, transition_bindings)
+from .nets import (OBJECT_SEPARATOR, FiringRule, Net, ProvenanceTag, is_identifier,
+                   replay_pairs, transition_bindings)
 from .serialize import digest_of, net_digest
 from .timing import (NUMBER, ConfigInvalid, Delay, FrequencyProbe, ReportRule,
                      reject_unknown_keys, slot_init, typed, weight_piece, weight_value)
@@ -206,10 +206,6 @@ class WeightSpec:
             self._tables[tid] = (list(merged), list(merged.values()))
         self._breakpoints = sorted({f for froms, _ in self._tables.values() for f in froms[1:]})
 
-    @classmethod
-    def for_run(cls, net: Net, config: SimConfig) -> "WeightSpec":
-        return cls(defaults=dict(net.annotations.weights), schedule=config.weights)
-
     def at(self, tid: str, eta: float) -> float:
         table = self._tables.get(tid)
         if table is None:
@@ -240,9 +236,6 @@ class FiringRecord:
     coarsen_window: float | None = None
     timing_causes: tuple[str, ...] = ()
 
-    def binding(self) -> Binding:
-        return Binding(self.values, self.fresh)
-
 
 @dataclass
 class GroundTruthTrace:
@@ -262,9 +255,6 @@ class GroundTruthTrace:
     def labeled_records(self) -> list[FiringRecord]:
         return [r for r in self.records if r.activity is not None]
 
-    def firing_sequence(self) -> list[tuple[str, Binding]]:
-        return [(r.transition, r.binding()) for r in self.records]
-
 
 def _shares(enabled, weights: WeightSpec, eta: float) -> list[float]:
     """Each enabled firing's share of its transition's weight, split
@@ -277,24 +267,11 @@ def _shares(enabled, weights: WeightSpec, eta: float) -> list[float]:
     return [share[tid] for tid, _ in enabled]
 
 
-def _total(shares: list[float]) -> float:
-    total = sum(shares)
-    if total <= 0:
-        raise AllWeightsZero("all enabled firings have zero weight")
-    return total
-
-
-def firing_probabilities(enabled, weights: WeightSpec, eta: float) -> list[float]:
-    """Probability of each enabled firing under the categorical sampling law."""
-    shares = _shares(enabled, weights, eta)
-    total = _total(shares)
-    return [s / total for s in shares]
-
-
 def sample_firing(enabled, weights: WeightSpec, eta: float, rng, *, shares=None):
     """The first firing whose running share sum exceeds one uniform draw
-    scaled to the total.  Only each firing's transition, `enabled[i][0]`, is
-    read, so a firing may carry a Binding or a positional row.
+    scaled to the total; a total of zero raises AllWeightsZero.  Only each
+    firing's transition, `enabled[i][0]`, is read, so a firing may carry a
+    Binding or a positional row.
 
     `shares`, when given, are the firings' shares in `enabled`'s order:
     each its transition's weight split evenly over the transition's enabled
@@ -304,7 +281,9 @@ def sample_firing(enabled, weights: WeightSpec, eta: float, rng, *, shares=None)
         raise ValueError("no enabled firings to sample from")
     if shares is None:
         shares = _shares(enabled, weights, eta)
-    total = _total(shares)
+    total = sum(shares)
+    if total <= 0:
+        raise AllWeightsZero("all enabled firings have zero weight")
     i = bisect_right(list(accumulate(shares)), float(rng.random()) * total)
     return enabled[i] if i < len(enabled) else enabled[-1]
 
@@ -343,7 +322,7 @@ class SimState:
         _validate_config(net, config)
         self.net = net
         self.config = config
-        self.weights = WeightSpec.for_run(net, config)
+        self.weights = WeightSpec(dict(net.annotations.weights), config.weights)
         self.rng = np.random.default_rng(np.random.PCG64(np.random.SeedSequence(config.seed)))
         self.id_gen = net.id_generator()
         self.marking = net.initial_marking.copy()

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from logforge import logio
+from logforge import fixtures, logio
 from logforge.cli import main
 from logforge.simulate import SimConfig
 from logforge.timing import ConfigInvalid
@@ -57,6 +57,27 @@ def test_validate_ok_and_failure(tmp_path, capsys):
     code, _, err = run_cli(capsys, "validate", "--model", bad)
     assert code == 1
     assert any(d["code"] == "DuplicateId" for d in stderr_diagnostics(err))
+
+
+def test_a_model_tag_the_trace_reader_refuses_stops_at_validate(tmp_path, capsys):
+    # such a model used to validate and simulate, and its trace was then
+    # refused by `oracle align` and `oracle report`
+    model = str(tmp_path / "m.json")
+    logio.write_model(fixtures.mini_chain(), model)
+    doc = json.load(open(model))
+    [alpha] = [t for t in doc["transitions"] if t["id"] == "alpha"]
+    alpha["provenance"] = {"origin": "behavioral", "pattern_code": "BOGUS",
+                           "application_id": "a1"}
+    open(model, "w").write(json.dumps(doc))
+    code, _, err = run_cli(capsys, "validate", "--model", model)
+    assert code == 1
+    [diag] = stderr_diagnostics(err)
+    assert diag == {"code": "ProvenanceInvalid", "element": "alpha",
+                    "message": "pattern_code 'BOGUS' names no catalog pattern"}
+    out = str(tmp_path / "sim")
+    code, _, err = run_cli(capsys, "simulate", "--model", model, "--out", out)
+    assert code == 1 and stderr_diagnostics(err) == [diag]
+    assert not os.path.exists(out)
 
 
 def test_transform_role_mismatch_exits_one(tmp_path, capsys):
@@ -468,6 +489,28 @@ BAD_TRACES = {
             '"provenance":{"origin":"base","pattern_code":"RI_mi^e"}')],
         3, BAD_RECORD + repr(ConfigInvalid("'provenance' origin 'base' disagrees with "
                                            "pattern 'RI_mi^e', whose origin is 'recording'"))),
+    "created-without-application": (
+        [TRACE_HEADER, GOOD_RECORD, with_record_field(
+            '"provenance":{"origin":"behavioral","pattern_code":"BI_3"}')],
+        3, BAD_RECORD + repr(ConfigInvalid("'provenance' origin 'behavioral' needs an "
+                                           "application_id"))),
+    # records are numbered 0, 1, 2, ... in file order, as the writer numbers them
+    "repeated-seq-no": (
+        [TRACE_HEADER, GOOD_RECORD, GOOD_RECORD], 3,
+        BAD_RECORD + repr(ValueError("'seq_no' must count the records 0, 1, 2, ... in file "
+                                     "order: expected 1, got 0"))),
+    "skipped-seq-no": (
+        [TRACE_HEADER, GOOD_RECORD, GOOD_RECORD.replace('"seq_no":0', '"seq_no":2')], 3,
+        BAD_RECORD + repr(ValueError("'seq_no' must count the records 0, 1, 2, ... in file "
+                                     "order: expected 1, got 2"))),
+    "first-seq-no-one": (
+        [TRACE_HEADER, GOOD_RECORD.replace('"seq_no":0', '"seq_no":1')], 2,
+        BAD_RECORD + repr(ValueError("'seq_no' must count the records 0, 1, 2, ... in file "
+                                     "order: expected 0, got 1"))),
+    "repeated-seq-no-and-number-activity": (
+        [TRACE_HEADER, GOOD_RECORD, GOOD_RECORD.replace('"activity":"a"', '"activity":5')], 3,
+        BAD_RECORD + repr(ValueError("'seq_no' must count the records 0, 1, 2, ... in file "
+                                     "order: expected 1, got 0"))),
     "misspelt-seed-and-text-run-id": (
         [with_header_field('"sead":1').replace('"run_id":"r"', '"run_id":5'), GOOD_RECORD], 1,
         BAD_RECORD + repr(ConfigInvalid(unknown_key("trace header", "sead",

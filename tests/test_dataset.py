@@ -6,9 +6,9 @@ import pytest
 
 from logforge import fixtures, logio
 from logforge.dataset import (GenerationError, GridSpec, cell_seed,
-                              enumerate_cells, generate, read_manifest)
+                              enumerate_cells, generate)
 from logforge.patterns import PatternApplication
-from logforge.serialize import canonical_json, net_digest
+from logforge.serialize import SCHEMA_VERSION, canonical_json, net_digest
 from logforge.simulate import SimConfig, trace_replays
 
 
@@ -101,10 +101,11 @@ def test_generate_writes_twelve_consistent_cells(package_dataset):
 
 def test_manifest_round_trip(package_dataset):
     _, _, manifest, out = package_dataset
-    back = read_manifest(os.path.join(out, "manifest.json"))
-    assert back.to_dict() == manifest.to_dict()
-    assert back.cells[0]["cell_id"] == "b0-r0-c0"
-    assert back.cells[0]["seed"] == manifest.cells[0]["seed"]
+    back = logio.read_json(os.path.join(out, "manifest.json"))
+    assert canonical_json(back) == canonical_json(
+        {"schema_version": SCHEMA_VERSION, **manifest.to_dict()})
+    assert back["cells"][0]["cell_id"] == "b0-r0-c0"
+    assert back["cells"][0]["seed"] == manifest.cells[0]["seed"]
 
 
 def test_each_cell_digests_its_config_once(tmp_path, monkeypatch):
@@ -499,7 +500,7 @@ def test_unknown_fixture():
 
 
 def test_base_filtered_trace_replays_on_ms_for_behavioral_cells(package_cells):
-    from logforge.nets import replay
+    from logforge.nets import Binding, replay
     from logforge.transform import apply_sequence
     net, grid = fixtures.fixture("package_delivery")
     for item in package_cells:
@@ -508,11 +509,11 @@ def test_base_filtered_trace_replays_on_ms_for_behavioral_cells(package_cells):
         ms, _ = apply_sequence(net, list(cell.behavioral))
         if not cell.recording:
             # behavioral cells: M^L == M^S, the full trace replays directly
-            seq = trace.firing_sequence()
+            seq = [(r.transition, Binding(r.values, r.fresh)) for r in trace.records]
             assert replay(ms, seq, extra_tokens=trace.injected)
         else:
             rerouted = any(not r.provenance.is_base for r in trace.records)
-            filtered = [(r.transition, r.binding()) for r in trace.records
+            filtered = [(r.transition, Binding(r.values, r.fresh)) for r in trace.records
                         if r.provenance.is_base]
             ok = replay(ms, filtered, extra_tokens=trace.injected)
             # recording patterns rerouted base tokens here, so the filtered

@@ -247,6 +247,9 @@ def test_every_fuzzed_nested_field_reads_back_or_is_a_parse_error_naming_its_lin
     # a pattern code must name a catalog pattern of the tag's origin
     assert outcomes[2, "provenance", "pattern_code"] == [value is not None and value is not DELETED
                                                          for value in ODD_VALUES + [DELETED]]
+    # a created tag (this one is behavioral) names its application
+    assert outcomes[2, "provenance", "application_id"] == [value != "abc"
+                                                           for value in ODD_VALUES + [DELETED]]
     assert 0 < sum(map(sum, outcomes.values())) < 10 * len(outcomes)
 
 
@@ -286,7 +289,9 @@ def test_every_accepted_fuzzed_line_writes_back_to_its_canonical_bytes(tmp_path)
 def test_a_files_provenance_tags_are_checked_once_each():
     seen = []
     tags: dict = {}
-    for d in [{"origin": "base"}, {"origin": "recording", "pattern_code": "RI_mi^e"},
-              {"origin": "base"}, {"pattern_code": "RI_mi^e", "origin": "recording"}]:
+    for d in [{"origin": "base"},
+              {"origin": "recording", "pattern_code": "RI_mi^e", "application_id": "a1"},
+              {"origin": "base"},
+              {"pattern_code": "RI_mi^e", "application_id": "a1", "origin": "recording"}]:
         provenance_from_dict(d, tags, seen.append)
-    assert seen == [ProvenanceTag(), ProvenanceTag("recording", "RI_mi^e")]
+    assert seen == [ProvenanceTag(), ProvenanceTag("recording", "RI_mi^e", "a1")]

@@ -173,7 +173,7 @@ def reference_replay(net, trace) -> bool:
         rule = net.rules.get(record.transition)
         if rule is None:
             return False
-        full = Binding(record.values, record.fresh).as_dict()
+        full = dict(record.values + record.fresh)
         if any(name not in full for name in rule.order + rule.nu):
             return False
         row = tuple(full[name] for name in rule.order)

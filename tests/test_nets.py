@@ -136,14 +136,27 @@ PICK_DEFECTS = {
         lambda n: replace(n, places=(replace(n.places[0], role_hint="idle"),) + n.places[1:]),
         "BadRoleHint", "p1", "place 'p1' role 'idle' not in ('regular', 'resource_idle', "
         "'resource_busy', 'queue', 'correlation', 'other')"),
+    # a model's provenance tags are held to the trace reader's rule
     "unknown-origin": (_pick(provenance=ProvenanceTag("invented", application_id="a1")),
-                       "ProvenanceInvalid", "pick", "origin 'invented' unknown"),
+                       "ProvenanceInvalid", "pick",
+                       "origin 'invented' is not one of ['base', 'behavioral', 'recording']"),
     "base-with-pattern-code": (_pick(provenance=ProvenanceTag("base", "BI_3")),
                                "ProvenanceInvalid", "pick",
-                               "base transition carries a pattern code"),
+                               "origin 'base' disagrees with pattern 'BI_3', whose origin is "
+                               "'behavioral'"),
+    "base-with-unknown-pattern-code": (_pick(provenance=ProvenanceTag("base", "BOGUS")),
+                                       "ProvenanceInvalid", "pick",
+                                       "pattern_code 'BOGUS' names no catalog pattern"),
     "created-without-application": (_pick(provenance=ProvenanceTag("behavioral", "BI_3")),
                                     "ProvenanceInvalid", "pick",
-                                    "created transition lacks an application id"),
+                                    "origin 'behavioral' needs an application_id"),
+    "unknown-pattern-code": (_pick(provenance=ProvenanceTag("behavioral", "BOGUS", "a1")),
+                             "ProvenanceInvalid", "pick",
+                             "pattern_code 'BOGUS' names no catalog pattern"),
+    "origin-unlike-pattern": (_pick(provenance=ProvenanceTag("recording", "BI_3", "a1")),
+                              "ProvenanceInvalid", "pick",
+                              "origin 'recording' disagrees with pattern 'BI_3', whose origin "
+                              "is 'behavioral'"),
     "unknown-arc-target": (
         lambda n: replace(n, arcs=n.arcs + (Arc("pick", "p_nowhere", (v("x", "package"),)),)),
         "UnresolvedElement", "arc[3](pick->p_nowhere)", "arc target 'p_nowhere' unknown"),
@@ -313,7 +326,7 @@ def test_fire_empty_preset_silent():
     net = Net(types, places, (t,), arcs, Marking())
     firing = enabled_bindings(net, Marking())[0]
     m2, rec = fire(net, Marking(), firing, net.id_generator())
-    assert m2.total() == 1 and rec.consumed == ()
+    assert sum(n for _, _, n in m2.items()) == 1 and rec.consumed == ()
 
 
 def test_fresh_identifiers_are_globally_new():

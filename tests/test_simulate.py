@@ -12,8 +12,8 @@ from logforge.nets import (Arc, Marking, Net, ObjectType, Place, Transition,
 from logforge.serialize import digest_of
 from logforge.simulate import (AllWeightsZero, Arrival, ConfigInvalid,
                                ScheduleEntry, SimConfig, WeightSpec,
-                               SimState, firing_probabilities, run,
-                               sample_firing, step, trace_replays)
+                               SimState, run, sample_firing, step,
+                               trace_replays)
 from logforge.timing import Delay
 
 
@@ -37,39 +37,41 @@ def enabled_of(net):
     return enabled_bindings(net, net.initial_marking)
 
 
+def probabilities(state):
+    """Each enabled firing of `state` with its probability: its share of
+    the total, as `step` samples it."""
+    firings, shares = state.firings(), state.shares()
+    total = sum(shares)
+    return [(tid, row, share / total) for (tid, row), share in zip(firings, shares)]
+
+
 def test_firing_probabilities_follow_the_weights():
-    net = loop_net()
-    enabled = enabled_of(net)
-    ws = WeightSpec(schedule={"a": [(0.0, 1.0)], "b": [(0.0, 3.0)]})
-    assert firing_probabilities(enabled, ws, 0.0) == [0.25, 0.75]
+    state = SimState(loop_net(), SimConfig(firing_limit=1,
+                                           weights={"a": [[0.0, 1.0]], "b": [[0.0, 3.0]]}))
+    assert probabilities(state) == [("a", ("t_1",), 0.25), ("b", ("t_1",), 0.75)]
 
 
 def test_single_enabled_firing_is_certain():
     net = fixtures.mini_chain()
-    from logforge.nets import enabled_bindings
-    enabled = enabled_bindings(net, net.initial_marking)
-    assert firing_probabilities(enabled, WeightSpec(), 0.0) == [1.0]
+    [(_, _, p)] = probabilities(SimState(net, SimConfig(firing_limit=1)))
+    assert p == 1.0
+    enabled = enabled_of(net)
     rng = np.random.default_rng(0)
     assert sample_firing(enabled, WeightSpec(), 0.0, rng) == enabled[0]
 
 
 def test_bindings_split_their_transition_weight_uniformly():
-    # two bindings of one transition at weight 1 each get probability 1/4,
-    # the single binding of the competitor at weight 1 gets 1/2
+    # each transition at weight 1 has two bindings, so each of the four
+    # firings gets probability 1/4
     types = (ObjectType("r", "r"),)
     places = (Place("p", ("r",)), Place("q", ("r",)))
     t1, t2 = Transition("two", "two"), Transition("one", "one")
     arcs = (Arc("p", "two", (v("x", "r"),)), Arc("two", "q", (v("x", "r"),)),
             Arc("p", "one", (v("x", "r"),)), Arc("one", "q", (v("x", "r"),)))
     net = Net(types, places, (t1, t2), arcs, Marking.of({"p": [["r_1"], ["r_2"]]}))
-    from logforge.nets import enabled_bindings
-    enabled = enabled_bindings(net, net.initial_marking)
-    probs = dict(zip([(t, b.values) for t, b in enabled],
-                     firing_probabilities(enabled, WeightSpec(), 0.0)))
-    ones = [p for (t, _), p in probs.items() if t == "one"]
-    twos = [p for (t, _), p in probs.items() if t == "two"]
-    assert ones == [0.25, 0.25] and twos == [0.25, 0.25] or (
-        sum(ones) == pytest.approx(0.5) and sum(twos) == pytest.approx(0.5))
+    assert probabilities(SimState(net, SimConfig(firing_limit=1))) == [
+        ("one", ("r_1",), 0.25), ("one", ("r_2",), 0.25),
+        ("two", ("r_1",), 0.25), ("two", ("r_2",), 0.25)]
 
 
 def test_sampling_law_empirically():

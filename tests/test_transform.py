@@ -132,6 +132,12 @@ REFUSED_MAPPINGS = {
         (ROLE, "p_r1_role", "BI_7: place 'p0' has role 'regular', need one of ('resource_idle',)"),
         (ROLE, "p_r2_role", "BI_7: place 'p1' has role 'regular', need one of ('resource_idle',)"),
         (FAILED, "distinct_types", "BI_7: roles must be of different object types")]),
+    # with a period, weight_horizon used to win and weight_until went unread
+    "duty-cycle-with-two-ends": (fixtures.mini_chain, "BI_3", {"t": "alpha"},
+                                 {"weight": 0.5, "weight_period": 100.0, "weight_until": 150.0,
+                                  "weight_horizon": 400.0}, [
+        (FAILED, "weight_end", "BI_3: weight_until and weight_horizon both end the duty cycle "
+                               "of weight_period; give one")]),
     "drop-out-of-range": (fixtures.mini_batch, "BI_10", {"t": "release"}, {"drop": [5]}, [
         (FAILED, "droppable", "BI_10: drop indices [5] out of range for 2 input arcs")]),
     "drop-every-arc": (fixtures.mini_batch, "BI_10", {"t": "release"}, {"drop": [0, 1]}, [
