@@ -19,9 +19,9 @@ import math
 import os
 import tempfile
 import threading
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, fields
-from itertools import chain, count
+from itertools import chain, count, islice
 
 from .nets import BASE, OBJECT_SEPARATOR, Net
 from .patterns import provenance_breaches
@@ -45,12 +45,18 @@ class SchemaVersionMismatch(Exception):
 
 
 def atomic_write(path: str, text: str) -> None:
+    _atomic_write_with(path, lambda fh: fh.write(text))
+
+
+def _atomic_write_with(path: str, write) -> None:
+    """Call `write(fh)` on a temporary file beside `path`, then rename it
+    onto `path`: a failure leaves `path` as it was and no temporary file."""
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=".part")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            write(fh)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -203,9 +209,20 @@ def read_model(path: str) -> Net:
     return net
 
 
+# how many lines `write_jsonl` joins into one write: few calls, and only a
+# batch of text held at a time
+_LINES_PER_WRITE = 1024
+
+
 def write_jsonl(dicts: Iterable[dict], path: str) -> None:
-    """Write `dicts` to `path`, one `canonical_json` line each."""
-    atomic_write(path, "\n".join(map(canonical_json, dicts)) + "\n")
+    """Write `dicts` to `path`, one `canonical_json` line each, encoding them
+    as they are written, one batch of lines at a time."""
+    def write(fh):
+        lines = map(canonical_json, dicts)
+        while batch := list(islice(lines, _LINES_PER_WRITE)):
+            batch.append("")  # each line ends in a newline
+            fh.write("\n".join(batch))
+    _atomic_write_with(path, write)
 
 
 # -- ground-truth traces ------------------------------------------------------
@@ -361,7 +378,9 @@ def record_from_dict(d: dict, tags: dict | None = None, net: Net | None = None,
                         _identifiers(get("timing_causes", []), "timing_causes"))
 
 
-def trace_to_dicts(trace: GroundTruthTrace) -> list[dict]:
+def trace_to_dicts(trace: GroundTruthTrace) -> Iterator[dict]:
+    """The trace's header, then each record's JSON object, built as they are
+    read."""
     header = {
         "schema_version": SCHEMA_VERSION,
         "kind": "ground_truth_trace",
@@ -377,7 +396,7 @@ def trace_to_dicts(trace: GroundTruthTrace) -> list[dict]:
         "final_time": trace.final_time,
         "injected": [[pid, list(tok)] for pid, tok in trace.injected],
     }
-    return [header] + [record_to_dict(r) for r in trace.records]
+    return chain([header], map(record_to_dict, trace.records))
 
 
 def write_trace(trace: GroundTruthTrace, path: str) -> None:

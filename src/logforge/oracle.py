@@ -6,17 +6,30 @@ insertions become log/model move pairs, skipped or unrecorded activities
 become model moves, deviation silents become cause-tagged silent model moves,
 and object-level recording errors stay synchronous but carry an
 object-discrepancy annotation.  Timing-only patterns do not surface in
-alignments at all; they appear in the deviation report only.  An alignment
-file holds one line per move of each object, written by `logio.write_jsonl`.
+alignments at all; they appear in the deviation report only.
 
-`read_alignment` is the one reader that ignores keys it does not know:
-`oracle score --candidate` reads files that external conformance checkers
-write, which may carry fields of their own, and a key check per line would
-add several percent to every read.
+An alignment file (schema "2") is a header line, then one line per systemic
+move, written by `logio.write_jsonl`.  A line holds the move's fields once,
+plus `at`, the [object, seq] places where the move sits in each object's
+sequence; a move on k objects is one line, not k.  The lines follow the
+alignment's `system` order when `system` holds each move of `per_object`
+exactly once, and the order of first appearance over the sorted objects
+otherwise, so a file gives back `system` as its moves in line order.  The
+places are explicit, not a projection of `objects`: an `RI_mi^o` move is
+filed under its unrecorded objects too, and a candidate's per-object orders
+need not fit any one line order.
+
+`read_alignment` also reads schema "1" files, which external checkers
+write: no header, one line per move of each object, with its `object` and
+`seq`.  Those give per-object moves only (`system` is None).  It is the one
+reader that ignores keys it does not know: a checker's file may carry fields
+of its own, and a key check per line would add several percent to every
+read.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .logio import ObservedLog, ParseError, projection, read_jsonl, write_jsonl
 from .nets import Net
@@ -62,11 +75,10 @@ class Move:
     cause: Cause | None = None
     discrepancy: dict | None = None
 
-    def to_line(self, obj: str, seq: int) -> dict:
-        """The interchange line of this move as move `seq` of `obj`, without
-        the fields that are None (tuples encode as lists)."""
-        d = {"object": obj, "seq": seq, "kind": self.kind, "activity": self.activity,
-             "objects": self.objects}
+    def to_line(self, at: list) -> dict:
+        """The interchange line of this move at the [object, seq] places
+        `at`, without the fields that are None (tuples encode as lists)."""
+        d = {"at": at, "kind": self.kind, "activity": self.activity, "objects": self.objects}
         if self.event_id is not None:
             d["event_id"] = self.event_id
         if self.transition is not None:
@@ -81,7 +93,8 @@ class Move:
 @dataclass
 class GtAlignment:
     """The systemic moves and their projection onto each object.  `system` is
-    None when read from a file, whose per-object lines lose the system order."""
+    None when read from a schema "1" file, whose per-object lines lose the
+    system order."""
 
     system: tuple[Move, ...] | None
     per_object: dict
@@ -333,9 +346,30 @@ def move_distance(candidate: GtAlignment, gt: GtAlignment) -> float:
 
 # -- interchange ---------------------------------------------------------------
 
+ALIGNMENT_SCHEMA_VERSION = "2"
+_HEADER = {"kind": "alignment", "schema_version": ALIGNMENT_SCHEMA_VERSION}
+
+
 def write_alignment(alignment: GtAlignment, path: str) -> None:
-    write_jsonl((m.to_line(obj, i) for obj, moves in sorted(alignment.per_object.items())
-                 for i, m in enumerate(moves)), path)
+    """Write `alignment` as a schema "2" file: one line per move, grouped by
+    identity, so a Move object filed under k objects is one line."""
+    places: dict[int, list] = {}  # id(move) -> its [object, seq] places
+    moves: dict[int, Move] = {}  # id(move) -> move, in order of first appearance
+    for obj, obj_moves in sorted(alignment.per_object.items()):
+        for seq, move in enumerate(obj_moves):
+            key = id(move)
+            try:
+                places[key].append([obj, seq])
+            except KeyError:
+                places[key] = [[obj, seq]]
+                moves[key] = move
+    order = moves.values()
+    if alignment.system is not None:
+        # a move of `system` on no object has no place, and no line
+        placed = [m for m in alignment.system if id(m) in places]
+        if len(placed) == len(places) == len(set(map(id, placed))):
+            order = placed
+    write_jsonl(chain([_HEADER], (m.to_line(places[id(m)]) for m in order)), path)
 
 
 def _read_cause(d, causes: dict) -> Cause:
@@ -355,50 +389,91 @@ def _read_cause(d, causes: dict) -> Cause:
     return cause
 
 
+def _read_move(d: dict, causes: dict, object_tuples: dict) -> Move:
+    """The move an alignment line holds, each field checked in field order;
+    ValueError says which field is malformed.  Equal `objects` of one
+    `object_tuples` table share one tuple: fewer objects for the collector."""
+    get = d.get
+    kind, activity, objects = get("kind"), get("activity"), get("objects", [])
+    event_id, transition, cause = get("event_id"), get("transition"), get("cause")
+    discrepancy = get("discrepancy")
+    if type(kind) is not str:
+        raise ValueError("'kind' must be a string")
+    if type(activity) not in _TEXT_OR_NULL:
+        raise ValueError("'activity' must be a string or null")
+    if type(objects) is not list or not all(map(str.__instancecheck__, objects)):
+        raise ValueError("'objects' must be a list of strings")
+    if type(event_id) not in _TEXT_OR_NULL:
+        raise ValueError("'event_id' must be a string or null")
+    if type(transition) not in _TEXT_OR_NULL:
+        raise ValueError("'transition' must be a string or null")
+    if cause is not None:
+        cause = _read_cause(cause, causes)
+    if type(discrepancy) not in _OBJECT_OR_NULL:
+        raise ValueError("'discrepancy' must be an object or null")
+    objects = tuple(objects)
+    objects = object_tuples.setdefault(objects, objects)
+    return Move(kind, activity, objects, event_id, transition, cause, discrepancy)
+
+
+def _sorted_by_seq(grouped: dict) -> dict:
+    """Each object's moves in the stable order of their seqs: ties keep file
+    order."""
+    return {obj: tuple(map(moves.__getitem__, sorted(range(len(moves)), key=seqs.__getitem__)))
+            for obj, (seqs, moves) in grouped.items()}
+
+
+def _are_places(at) -> bool:
+    """Whether `at` is a non-empty list of [string object, integer seq] places."""
+    if type(at) is not list or not at:
+        return False
+    for place in at:
+        if type(place) is not list or len(place) != 2 or type(place[0]) is not str \
+                or type(place[1]) is not int:
+            return False
+    return True
+
+
 def read_alignment(path: str) -> GtAlignment:
-    """The alignment in an interchange file.  A malformed line raises
-    ParseError naming the first malformed field and path:line."""
+    """The alignment in an interchange file: of schema "2" when its first line
+    is the schema "2" header, else of schema "1".  A malformed line raises
+    ParseError naming its first malformed field, its places first, and
+    path:line."""
+    lines = read_jsonl(path)
+    first = next(lines, None)
+    systemic = first is not None and first[1].get("kind") == "alignment" \
+        and first[1].get("schema_version") == ALIGNMENT_SCHEMA_VERSION
+    if first is not None and not systemic:
+        lines = chain([first], lines)
+    system: list[Move] = []
     grouped: dict[str, tuple[list[int], list[Move]]] = {}  # object -> its seqs and moves
     causes: dict = {}
-    # equal `objects` of one file share one tuple: fewer objects for the collector
     object_tuples: dict = {}
-    for lineno, d in read_jsonl(path):
-        get = d.get
-        obj, seq = get("object"), get("seq", lineno)
-        if not (type(obj) is str and type(seq) is int):
-            raise ParseError("alignment line needs a string 'object' and an integer 'seq'",
-                             path, lineno)
-        kind, activity, objects = get("kind"), get("activity"), get("objects", [])
-        event_id, transition, cause = get("event_id"), get("transition"), get("cause")
-        discrepancy = get("discrepancy")
-        try:  # a Move's fields, each checked in field order
-            if type(kind) is not str:
-                raise ValueError("'kind' must be a string")
-            if type(activity) not in _TEXT_OR_NULL:
-                raise ValueError("'activity' must be a string or null")
-            if type(objects) is not list or not all(map(str.__instancecheck__, objects)):
-                raise ValueError("'objects' must be a list of strings")
-            if type(event_id) not in _TEXT_OR_NULL:
-                raise ValueError("'event_id' must be a string or null")
-            if type(transition) not in _TEXT_OR_NULL:
-                raise ValueError("'transition' must be a string or null")
-            if cause is not None:
-                cause = _read_cause(cause, causes)
-            if type(discrepancy) not in _OBJECT_OR_NULL:
-                raise ValueError("'discrepancy' must be an object or null")
+    for lineno, d in lines:
+        if systemic:
+            at = d.get("at")
+            if not _are_places(at):
+                raise ParseError("alignment line needs 'at', a non-empty list of "
+                                 "[string object, integer seq] places", path, lineno)
+        else:
+            obj, seq = d.get("object"), d.get("seq", lineno)
+            if not (type(obj) is str and type(seq) is int):
+                raise ParseError("alignment line needs a string 'object' and an integer 'seq'",
+                                 path, lineno)
+            at = ((obj, seq),)
+        try:
+            move = _read_move(d, causes, object_tuples)
         except ValueError as e:
             raise ParseError(f"malformed alignment move: {e}", path, lineno) from None
-        objects = tuple(objects)
-        objects = object_tuples.setdefault(objects, objects)
-        move = Move(kind, activity, objects, event_id, transition, cause, discrepancy)
-        try:
-            seqs, moves = grouped[obj]
-        except KeyError:
-            seqs, moves = grouped[obj] = [], []
-        seqs.append(seq)
-        moves.append(move)
-    # each object's moves in the stable order of their seqs
-    per_object = {obj: tuple(map(moves.__getitem__,
-                                 sorted(range(len(moves)), key=seqs.__getitem__)))
-                  for obj, (seqs, moves) in grouped.items()}
-    return GtAlignment(system=None, per_object=per_object)
+        system.append(move)
+        for obj, seq in at:
+            try:
+                seqs, moves = grouped[obj]
+            except KeyError:
+                seqs, moves = grouped[obj] = [], []
+            seqs.append(seq)
+            moves.append(move)
+    if not systemic:  # per-object lines lose the system order
+        return GtAlignment(system=None, per_object=_sorted_by_seq(grouped))
+    return GtAlignment(system=tuple(system),
+                       per_object=_sorted_by_seq(dict(sorted(grouped.items()))))

@@ -254,7 +254,7 @@ def _cycle(params: dict) -> tuple[float, float, float, float] | None:
         return None
     until = params.get("weight_until")
     return (float(period), float(params.get("weight_window", period / 8.0)),
-            float(params.get("weight_horizon", until if until else 1e7)),
+            float(params.get("weight_horizon", 1e7 if until is None else until)),
             float(params.get("weight_offset", 0.0)))
 
 
@@ -376,11 +376,16 @@ def _weight_end(net, app):
     return None
 
 
+def _positive(name: str) -> Requirement:
+    return _number(name, "a finite number > 0", lambda v: v > 0)
+
+
 # what `_weight` reads; a period <= 0 would never reach the horizon, a tiny
-# one would expand into an unbounded number of pieces
-_WEIGHT = (*map(_number, _WEIGHT_KEYS),
-           _number("weight_period", "a finite number > 0", lambda v: v > 0), _weight_periods,
-           _weight_end)
+# one would expand into an unbounded number of pieces, and a deviation shut
+# off at time 0 could never fire (its pieces at time 0 would sort the
+# shut-off first, so it would in fact never be shut off)
+_WEIGHT = (_number("weight"), _positive("weight_until"), *map(_number, _WEIGHT_KEYS[2:]),
+           _positive("weight_period"), _weight_periods, _weight_end)
 _PACE = _number("pace_s")
 
 

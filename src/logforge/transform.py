@@ -33,12 +33,16 @@ class OrderViolation(Exception):
 
 
 def validate_mapping(net: Net, app: PatternApplication) -> list[Diagnostic]:
-    """Check that `app` maps every wildcard of its pattern to a suitable
-    element of `net`, gives no mapping key or parameter the pattern does not
-    read, and meets the pattern's requirements."""
+    """Check that `app` has an application id, maps every wildcard of its
+    pattern to a suitable element of `net`, gives no mapping key or parameter
+    the pattern does not read, and meets the pattern's requirements."""
     pattern = lookup(app.code)
     out: list[Diagnostic] = []
     seen_per_kind: dict[str, dict] = {}
+
+    if not app.application_id:  # every created element and provenance tag names it
+        out.append(Diagnostic("ProvenanceInvalid", app.code,
+                              f"an application of {app.code} needs a non-empty application_id"))
 
     unknown = [f"{what} key(s) {sorted(keys, key=str)}" for what, keys in (
         ("mapping", app.mapping.keys() - {wc.name for wc in pattern.wildcards}),

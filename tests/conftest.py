@@ -3,7 +3,7 @@ from dataclasses import replace
 
 from logforge import fixtures
 from logforge.dataset import cell_seed, enumerate_cells, generate
-from logforge.logio import project_observed
+from logforge.logio import project_observed, write_jsonl
 from logforge.simulate import run
 from logforge.transform import apply_sequence
 
@@ -54,3 +54,21 @@ def fixture_datasets(tmp_path_factory):
         directory = str(tmp_path_factory.mktemp(name))
         out[name] = directory, generate(*fixtures.fixture(name), directory)
     return out
+
+
+def _write_v1_alignment(alignment, path):
+    """Write `alignment` as a schema "1" file, the format external checkers
+    write: no header, one line per move of each object, with its `object`
+    and `seq`."""
+    def lines():
+        for obj, moves in sorted(alignment.per_object.items()):
+            for seq, move in enumerate(moves):
+                line = move.to_line(None)
+                del line["at"]
+                yield {**line, "object": obj, "seq": seq}
+    write_jsonl(lines(), path)
+
+
+@pytest.fixture(scope="session")
+def write_v1_alignment():
+    return _write_v1_alignment

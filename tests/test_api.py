@@ -31,30 +31,50 @@ def test_benchmark_traced_attributes_exist():
     assert tracer.SPANS and not missing
 
 
-BENCH_MODULES = {"dataset", "fixtures", "logio", "oracle", "simulate"}
+MODULES = {name[:-3] for name in os.listdir(os.path.dirname(logforge.__file__))
+           if name.endswith(".py") and name != "__init__.py"}
 
 
-def test_benchmark_named_attributes_exist():
-    # the benchmark calls these by module attribute; one that is gone would
-    # fail only when the benchmark runs
-    root = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+def missing_named_attributes(directory: str) -> tuple[set, list]:
+    """The (module, name) pairs of `logforge` that the Python files in
+    `directory` name, by module attribute (`from logforge import logio`, then
+    `logio.read_trace`) or by import (`from logforge.oracle import Move`),
+    and those of them that are gone."""
+    root = os.path.join(os.path.dirname(__file__), os.pardir, directory)
     named = set()
     for name in sorted(os.listdir(root)):
         if not name.endswith(".py"):
             continue
         with open(os.path.join(root, name), encoding="utf-8") as fh:
             tree = ast.parse(fh.read())
-        modules = {alias.asname or alias.name for node in ast.walk(tree)
-                   if isinstance(node, ast.ImportFrom) and node.module == "logforge"
-                   for alias in node.names if alias.name in BENCH_MODULES}
+        imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+        modules = {alias.asname or alias.name for node in imports if node.module == "logforge"
+                   for alias in node.names if alias.name in MODULES}
         named |= {(node.value.id, node.attr) for node in ast.walk(tree)
                   if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                   and node.value.id in modules}
+        named |= {(node.module.partition(".")[2], alias.name) for node in imports
+                  if node.module and node.module.startswith("logforge.")
+                  for alias in node.names}
     missing = sorted(f"{module}.{attr}" for module, attr in named
                      if not hasattr(importlib.import_module(f"logforge.{module}"), attr))
+    return named, missing
+
+
+def test_benchmark_named_attributes_exist():
+    # the benchmark calls these by module attribute; one that is gone would
+    # fail only when the benchmark runs
+    named, missing = missing_named_attributes("perfbench")
     assert named and not missing
     # used on instances: a trace's labeled records, and `dataclasses.replace`
     # on an alignment's moves
     from logforge import oracle, simulate
     assert callable(getattr(simulate.GroundTruthTrace, "labeled_records", None))
     assert dataclasses.is_dataclass(oracle.Move)
+
+
+def test_script_named_attributes_exist():
+    # a script that names a gone attribute would fail only when it runs
+    named, missing = missing_named_attributes("scripts")
+    assert ("dataset", "generate") in named and ("fixtures", "fixture") in named
+    assert not missing

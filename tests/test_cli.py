@@ -112,6 +112,22 @@ def test_transform_unread_key_exits_one(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+def test_transform_application_without_an_id_exits_one(tmp_path, capsys):
+    # its model would carry provenance that `validate` refuses
+    fdir = str(tmp_path / "fx")
+    run_cli(capsys, "fixture", "--name", "package_delivery", "--out", fdir)
+    apps = [{"application_id": "", "code": "BI_3", "mapping": {"t": "ring"}, "params": {}}]
+    apps_path = os.path.join(fdir, "apps.json")
+    open(apps_path, "w").write(json.dumps(apps))
+    out = os.path.join(fdir, "ml.json")
+    code, _, err = run_cli(capsys, "transform", "--model", os.path.join(fdir, "m0.json"),
+                           "--apply", apps_path, "--out", out)
+    assert code == 1
+    [diag] = stderr_diagnostics(err)
+    assert (diag["code"], diag["element"]) == ("ProvenanceInvalid", "BI_3")
+    assert not os.path.exists(out)
+
+
 def test_transform_writes_model_and_ledger(tmp_path, capsys):
     fdir = str(tmp_path / "fx")
     run_cli(capsys, "fixture", "--name", "package_delivery", "--out", fdir)
@@ -259,6 +275,52 @@ def test_oracle_score_reads_an_alignment_line_with_an_extra_key(tmp_path, capsys
     good.write_text(GOOD_MOVE + "\n")
     candidate = tmp_path / "cand.jsonl"
     candidate.write_text(GOOD_MOVE[:-1] + ',"cost":0.5}\n')
+    code, out, err = run_cli(capsys, "oracle", "score", "--candidate", str(candidate),
+                             "--gt", str(good))
+    assert code == 0, err
+    assert out == "0.000000\n"
+
+
+ALIGNMENT_HEADER = '{"kind":"alignment","schema_version":"2"}'
+GOOD_SYSTEMIC_MOVE = '{"at":[["o_1",0]],"kind":"synchronous","activity":"a","objects":["o_1"]}'
+NO_PLACES = "alignment line needs 'at', a non-empty list of [string object, integer seq] places"
+
+
+@pytest.mark.parametrize("bad_line,message", [
+    ('{"kind":"log","activity":"a","objects":["o_1"]}', NO_PLACES),
+    ('{"at":[],"kind":"log"}', NO_PLACES),
+    ('{"at":["o_1",1],"kind":"log"}', NO_PLACES),
+    ('{"at":{"o_1":1},"kind":"log"}', NO_PLACES),
+    ('{"at":[["o_1",1],["o_2"]],"kind":"log"}', NO_PLACES),
+    ('{"at":[["o_1",1,2]],"kind":"log"}', NO_PLACES),
+    ('{"at":[["o_1","1"]],"kind":"log"}', NO_PLACES),
+    ('{"at":[["o_1",1.0]],"kind":"log"}', NO_PLACES),
+    ('{"at":[["o_1",true]],"kind":"log"}', NO_PLACES),
+    ('{"at":[[1,1]],"kind":"log"}', NO_PLACES),
+    ('{"at":[["o_1",1]],"activity":"a"}', "malformed alignment move: 'kind' must be a string"),
+    ('{"at":[["o_1",1]],"kind":"log","objects":"o_1"}',
+     "malformed alignment move: 'objects' must be a list of strings"),
+], ids=["no-at", "empty-at", "flat-at", "object-at", "short-place", "long-place", "text-seq",
+        "float-seq", "bool-seq", "number-object", "no-kind", "text-objects"])
+def test_oracle_score_malformed_systemic_alignment_exits_two(tmp_path, capsys, bad_line,
+                                                              message):
+    good = tmp_path / "gt.jsonl"
+    good.write_text(ALIGNMENT_HEADER + "\n" + GOOD_SYSTEMIC_MOVE + "\n")
+    bad = tmp_path / "cand.jsonl"
+    bad.write_text(ALIGNMENT_HEADER + "\n" + GOOD_SYSTEMIC_MOVE + "\n" + bad_line + "\n")
+    code, out, err = run_cli(capsys, "oracle", "score", "--candidate", str(bad),
+                             "--gt", str(good))
+    assert code == 2 and not out
+    [diag] = stderr_diagnostics(err)
+    assert diag["code"] == "ParseError"
+    assert diag["message"] == f"{message} at {bad}:3"
+
+
+def test_oracle_score_reads_a_systemic_alignment_line_with_an_extra_key(tmp_path, capsys):
+    good = tmp_path / "gt.jsonl"
+    good.write_text(GOOD_MOVE + "\n")
+    candidate = tmp_path / "cand.jsonl"
+    candidate.write_text(ALIGNMENT_HEADER + "\n" + GOOD_SYSTEMIC_MOVE[:-1] + ',"cost":0.5}\n')
     code, out, err = run_cli(capsys, "oracle", "score", "--candidate", str(candidate),
                              "--gt", str(good))
     assert code == 0, err
@@ -966,11 +1028,13 @@ def test_a_negative_model_weight_fails_validate_and_simulate_alike(tmp_path, cap
     {"code": "RI_mi^p", "mapping": {"T": ["collect"]}, "params": {"window_s": "1h"}},
     {"code": "BI_3", "mapping": {"t": "ring"}, "params": {"weight_period": 0.001}},
     {"code": "BI_3", "mapping": {"t": "ring"}, "params": {"weight_period": 1.0}},
+    {"code": "BI_3", "mapping": {"t": "ring"},
+     "params": {"weight_period": 100.0, "weight_until": 0}},
 ], ids=["non-integer-drop", "no-drop", "unknown-variant", "string-weight",
         "string-weight-period", "negative-weight-period", "infinite-horizon", "string-budget",
         "string-pace", "negative-undo-weight", "probability-above-one", "number-delay",
         "list-var", "string-vars", "string-window", "tiny-weight-period",
-        "second-weight-period"])
+        "second-weight-period", "weight-until-zero"])
 def test_transform_bad_pattern_param_is_one_requirement_failure(tmp_path, capsys, app):
     fdir = str(tmp_path / "fx")
     run_cli(capsys, "fixture", "--name", "package_delivery", "--out", fdir)

@@ -228,6 +228,19 @@ def test_failed_pair_marks_each_of_its_cells_failed(tmp_path):
     assert [e["status"] for e in manifest.cells[2:]] == ["ok", "ok"]
 
 
+def test_an_application_without_an_id_fails_its_cells(tmp_path):
+    # the cells would hold a model that `validate` refuses, and a trace
+    # that `read_trace` refuses
+    net, grid = fixtures.fixture("package_delivery")
+    bad = GridSpec(behavioral_sets=[[PatternApplication("", "BI_3", {"t": "ring"})]],
+                   recording_sets=[[]], sim_configs=grid.sim_configs[:1], paired=True,
+                   master_seed=1)
+    manifest = generate(net, bad, str(tmp_path / "kg"), keep_going=True)
+    [failed] = manifest.cells
+    assert failed["status"] == "failed" and failed["error_type"] == "InvalidMapping"
+    assert "non-empty application_id" in failed["error"]
+
+
 def _three_config_grid(first_config=None):
     """Two rows of the package grid, each with three configs; `first_config`
     replaces the first."""

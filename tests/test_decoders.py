@@ -4,7 +4,8 @@ import copy
 import json
 import operator
 import os
-from dataclasses import fields
+import random
+from dataclasses import fields, replace
 from functools import reduce
 
 import pytest
@@ -79,19 +80,23 @@ def assert_same(a, b):
 
 
 @pytest.fixture(scope="module")
-def fixture_cells(fixture_datasets):
+def fixture_cells(fixture_datasets, write_v1_alignment):
     """Per cell of the three fixtures: its files, with the cell's ground-truth
-    alignment written as `oracle align` writes it."""
+    alignment written as a schema "1" file (`alignment`) and as `oracle align`
+    writes it (`alignment_v2`), and the alignment itself (`gt`)."""
     cells = []
     for out, manifest in fixture_datasets.values():
         m0 = logio.read_model(os.path.join(out, "m0.json"))
         for entry in manifest.cells:
             paths = {key: os.path.join(out, rel) for key, rel in entry["paths"].items()}
-            paths["alignment"] = os.path.join(out, "cells", entry["cell_id"], "gt.jsonl")
+            cell_dir = os.path.join(out, "cells", entry["cell_id"])
+            paths["alignment"] = os.path.join(cell_dir, "gt.v1.jsonl")
+            paths["alignment_v2"] = os.path.join(cell_dir, "gt.jsonl")
             gt = oracle.gt_alignment(m0, logio.read_trace(paths["trace"]),
                                      logio.read_observed_jsonl(paths["log_jsonl"]))
-            oracle.write_alignment(gt, paths["alignment"])
-            cells.append(paths)
+            write_v1_alignment(gt, paths["alignment"])
+            oracle.write_alignment(gt, paths["alignment_v2"])
+            cells.append({**paths, "gt": gt})
     return cells
 
 
@@ -114,6 +119,42 @@ def test_decoders_match_the_reference_on_every_fixture_cell(fixture_cells):
         assert alignment.per_object == expected_moves
         causes = [m.cause for moves in alignment.per_object.values() for m in moves if m.cause]
         assert len({id(c) for c in causes}) == len(set(causes))
+
+        # a schema "2" file gives back the whole alignment, `system` too
+        systemic, gt = oracle.read_alignment(paths["alignment_v2"]), paths["gt"]
+        assert systemic.system == gt.system
+        assert list(systemic.per_object) == list(gt.per_object) == list(expected_moves)
+        assert systemic.per_object == gt.per_object
+        # one Move object per line, filed under each of its objects
+        assert len({id(m) for moves in systemic.per_object.values() for m in moves}) == \
+            len(systemic.system)
+
+
+def test_schema_1_and_2_files_score_bit_identically_on_every_fixture_cell(
+        fixture_cells, write_v1_alignment, tmp_path):
+    rekind = {"synchronous": "log", "log": "synchronous",
+              "model": "silent_model", "silent_model": "model"}
+    scored = 0
+    for i, paths in enumerate(fixture_cells):
+        gt = paths["gt"]
+        rng = random.Random(i)
+        # a candidate that shares most moves with the ground truth, whose
+        # `system` repeats a move once per object, as a checker's may
+        near = {obj: tuple(replace(m, kind=rekind[m.kind]) if rng.random() < 0.1 else m
+                           for m in moves) for obj, moves in gt.per_object.items()}
+        candidate = oracle.GtAlignment(
+            system=tuple(m for moves in near.values() for m in moves), per_object=near)
+        distances = []
+        for write in (write_v1_alignment, oracle.write_alignment):
+            cand_path, gt_path = tmp_path / "cand.jsonl", tmp_path / "gt.jsonl"
+            write(candidate, str(cand_path))
+            write(gt, str(gt_path))
+            back = oracle.read_alignment(str(cand_path))
+            assert back.per_object == candidate.per_object
+            distances.append(oracle.move_distance(back, oracle.read_alignment(str(gt_path))))
+        assert distances[0] == distances[1] == oracle.move_distance(candidate, gt)
+        scored += distances[0] > 0
+    assert len(fixture_cells) >= 14 and scored >= 10
 
 
 @pytest.mark.parametrize("cls", [Delay, ProvenanceTag], ids=["post-init", "no-slots"])
@@ -234,6 +275,33 @@ def test_every_fuzzed_line_reads_back_or_is_a_parse_error_naming_its_line(tmp_pa
                                   + len(GOOD_LOG_HEADER) + len(GOOD_LOG_EVENT)
                                   + 2 * len(GOOD_MOVE_LINE))
     assert 0 < sum(outcomes) < len(outcomes)
+
+
+GOOD_SYSTEMIC_LINES = [
+    {"kind": "alignment", "schema_version": "2"},
+    {**{k: v for k, v in GOOD_MOVE_LINE.items() if k not in ("object", "seq")},
+     "at": [["o_1", 0], ["o_2", 3]]}]
+
+
+def test_every_fuzzed_systemic_alignment_field_is_checked_as_in_schema_1(tmp_path):
+    path = tmp_path / "fuzzed.jsonl"
+    read, v1_lines = oracle.read_alignment, FUZZED_FILES["alignment"][0]
+    assert not _read_or_reject(path, read, GOOD_SYSTEMIC_LINES, 0, None)
+    outcomes: dict = {}
+    for at, good in enumerate(GOOD_SYSTEMIC_LINES, start=1):
+        for key in good:
+            outcomes[at, key] = [
+                _read_or_reject(path, read, _changed(GOOD_SYSTEMIC_LINES, at, [key], odd), at, key)
+                for odd in ODD_VALUES + [DELETED]]
+    # a first line that is not the header reads as a schema "1" line, which
+    # has no place
+    assert outcomes[1, "kind"] == outcomes[1, "schema_version"] == [True] * 10
+    # no odd value is a non-empty list of [object, seq] places
+    assert outcomes[2, "at"] == [True] * 10
+    for key in GOOD_SYSTEMIC_LINES[1].keys() - {"at"}:
+        assert outcomes[2, key] == [
+            _read_or_reject(path, read, _changed(v1_lines, 2, [key], odd), 2, key)
+            for odd in ODD_VALUES + [DELETED]], key
 
 
 def test_every_fuzzed_nested_field_reads_back_or_is_a_parse_error_naming_its_line(tmp_path):

@@ -29,7 +29,7 @@ def test_trace_round_trip(tmp_path, package_cells):
     path = str(tmp_path / "trace.gt.jsonl")
     logio.write_trace(trace, path)
     back = logio.read_trace(path)
-    assert digest_of(logio.trace_to_dicts(back)) == digest_of(logio.trace_to_dicts(trace))
+    assert digest_of(list(logio.trace_to_dicts(back))) == digest_of(list(logio.trace_to_dicts(trace)))
     assert back.records == trace.records
     assert back.pattern_stats == trace.pattern_stats
 

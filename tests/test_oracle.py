@@ -228,8 +228,54 @@ def test_alignment_interchange_round_trip(tmp_path, m0, package_cells):
     for obj in al.per_object:
         assert back.per_object[obj] == al.per_object[obj]
     assert move_distance(back, al) == 0.0
-    # the per-object lines cannot give back the systemic order
-    assert back.system is None
+    # one line per systemic move, in system order
+    assert back.system == al.system
+    with open(path, encoding="utf-8") as fh:
+        assert sum(1 for _ in fh) == 1 + len(al.system)
+
+
+def test_alignment_lines_follow_the_system_order_or_first_appearance(tmp_path):
+    a = Move("synchronous", "a", ("o1", "o2"), "e1")
+    b = Move("log", "b", ("o2",), "e2")
+    c = Move("model", "c", ("o1",))
+    per_object = {"o2": (b, a), "o1": (a, c)}
+    path = str(tmp_path / "align.jsonl")
+
+    def lines(system):
+        write_alignment(GtAlignment(system=system, per_object=per_object), path)
+        back = read_alignment(path)
+        assert back.per_object == per_object and list(back.per_object) == sorted(per_object)
+        return [m.activity for m in back.system]
+
+    assert lines((c, b, a)) == ["c", "b", "a"]
+    # a move of `system` that sits on no object has no line
+    assert lines((Move("silent_model", None, ()), b, c, a)) == ["b", "c", "a"]
+    # otherwise, first appearance over the sorted objects
+    assert lines(None) == ["a", "c", "b"]
+    assert lines((a, c, b, a)) == ["a", "c", "b"]
+    assert lines((a, c)) == ["a", "c", "b"]
+    # equal moves that are distinct objects stay distinct lines
+    twin = Move("model", "c", ("o1",))
+    per_object = {"o1": (c, twin)}
+    assert lines((c, twin)) == ["c", "c"]
+
+
+def test_alignment_places_need_not_be_a_projection_of_objects(tmp_path):
+    # a move read back is filed at its places, not under its `objects`
+    lines = [{"kind": "alignment", "schema_version": "2"},
+             {"at": [["o3", 0], ["o1", 1]], "kind": "synchronous", "activity": "a",
+              "objects": ["o1", "o2"]},
+             {"at": [["o1", 0]], "kind": "log", "activity": "b", "objects": ["o1"]},
+             {"at": [["o1", 1]], "kind": "log", "activity": "c", "objects": ["o1"],
+              "cost": 0.5}]
+    path = tmp_path / "align.jsonl"
+    path.write_text("".join(json.dumps(d) + "\n" for d in lines))
+    back = read_alignment(str(path))
+    assert [m.activity for m in back.system] == ["a", "b", "c"]
+    # ties in seq keep file order, as in a schema "1" file
+    assert {obj: [m.activity for m in moves] for obj, moves in back.per_object.items()} == \
+        {"o1": ["b", "a", "c"], "o3": ["a"]}
+    assert back.per_object["o3"][0] is back.system[0]
 
 
 def test_alignment_file_holds_labels_as_utf8(tmp_path):

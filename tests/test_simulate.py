@@ -246,9 +246,9 @@ def test_seed_determinism_bit_identical():
     config = replace(grid.sim_configs[0], seed=7, run_id="twice")
     one = run(net, config)
     two = run(net, config)
-    assert digest_of(trace_to_dicts(one)) == digest_of(trace_to_dicts(two))
+    assert digest_of(list(trace_to_dicts(one))) == digest_of(list(trace_to_dicts(two)))
     different = run(net, replace(config, seed=8))
-    assert digest_of(trace_to_dicts(different)) != digest_of(trace_to_dicts(one))
+    assert digest_of(list(trace_to_dicts(different))) != digest_of(list(trace_to_dicts(one)))
 
 
 def test_arrivals_enter_with_fresh_type_prefixed_ids():

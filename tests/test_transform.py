@@ -138,6 +138,17 @@ REFUSED_MAPPINGS = {
                                   "weight_horizon": 400.0}, [
         (FAILED, "weight_end", "BI_3: weight_until and weight_horizon both end the duty cycle "
                                "of weight_period; give one")]),
+    # 0 used to read as no end: 10^5 periods running to 10^7 s
+    "duty-cycle-ending-at-zero": (fixtures.mini_chain, "BI_3", {"t": "alpha"},
+                                  {"weight": 0.5, "weight_period": 100.0,
+                                   "weight_until": 0.0}, [
+        (FAILED, "weight_until_param",
+         "BI_3: params['weight_until'] must be a finite number > 0, got 0.0")]),
+    # pieces (0, w) and (0, 0) sorted the shut-off first: w held for good
+    "weight-ending-at-zero": (fixtures.mini_chain, "BI_3", {"t": "alpha"},
+                              {"weight": 0.5, "weight_until": 0}, [
+        (FAILED, "weight_until_param",
+         "BI_3: params['weight_until'] must be a finite number > 0, got 0")]),
     "drop-out-of-range": (fixtures.mini_batch, "BI_10", {"t": "release"}, {"drop": [5]}, [
         (FAILED, "droppable", "BI_10: drop indices [5] out of range for 2 input arcs")]),
     "drop-every-arc": (fixtures.mini_batch, "BI_10", {"t": "release"}, {"drop": [0, 1]}, [
@@ -164,6 +175,14 @@ REFUSED_MAPPINGS = {
     "created-id-exists": (_twice_skipped, "BI_3", {"t": "alpha"}, {}, [
         ("DuplicateId", "tau_skip_alpha#a", "created id 'tau_skip_alpha#a' already exists")]),
 }
+
+
+def test_an_application_without_an_id_is_refused():
+    # its created elements would carry provenance that `validate_net` refuses
+    with pytest.raises(InvalidMapping) as caught:
+        apply(fixtures.mini_chain(), PatternApplication("", "BI_3", {"t": "alpha"}))
+    assert caught.value.diagnostics == [Diagnostic(
+        "ProvenanceInvalid", "BI_3", "an application of BI_3 needs a non-empty application_id")]
 
 
 @pytest.mark.parametrize("net,code,mapping,params,expected", REFUSED_MAPPINGS.values(),
