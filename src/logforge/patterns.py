@@ -2,7 +2,9 @@
 
 Each pattern is an abstract net fragment: wildcards to be matched onto an
 existing net, requirements on that mapping and its parameters, and a builder
-of the elements created next to the matched ones.  Recording-error patterns
+of the elements created next to the matched ones.  Each parameter a pattern
+reads is declared once, by the requirement that checks it
+(`Requirement.params`); `Pattern.params` is their union.  Recording-error patterns
 (RI_*) model faulty logging mechanisms, behavioral patterns (BI_*) model
 outliers in process execution.  All blueprints are additive: matched
 elements are never modified, so the transformed net keeps every behavior of
@@ -117,11 +119,13 @@ _APPLICATION_KEYS = frozenset(f.name for f in fields(PatternApplication))
 class Requirement:
     """A machine-checkable restriction on the wildcard mapping and the
     parameters.  `check(net, app)` returns a message when it fails; it is
-    only called once every wildcard of `app` resolves in `net`."""
+    only called once every wildcard of `app` resolves in `net`.  `params`
+    names the parameters it checks."""
 
     name: str
     description: str
     check: Callable[[Net, PatternApplication], str | None] = field(compare=False, repr=False)
+    params: tuple[str, ...] = ()
 
 
 @dataclass
@@ -161,15 +165,19 @@ class BuiltFragment:
 @dataclass(frozen=True)
 class Pattern:
     """One catalog entry.  `build(net, app)` trusts that `app` meets the
-    wildcards and requirements (`transform.validate_mapping`).  `params`
-    names every parameter `build` reads; an application may give no other."""
+    wildcards and requirements (`transform.validate_mapping`)."""
 
     code: str
     description: str
     wildcards: tuple[Wildcard, ...]
     requirements: tuple[Requirement, ...]
     build: Callable[[Net, PatternApplication], BuiltFragment] = field(compare=False, repr=False)
-    params: frozenset[str]
+
+    @property
+    def params(self) -> frozenset[str]:
+        """Every parameter `build` reads, as its requirements declare them; an
+        application may give no other."""
+        return frozenset().union(*(r.params for r in self.requirements))
 
     @property
     def origin(self) -> str:
@@ -288,9 +296,9 @@ def _pace(params: dict) -> float:
 # ---------------------------------------------------------------------------
 # requirements shared by several patterns
 
-def _req(name, description):
+def _req(name, description, params=()):
     def deco(fn):
-        return Requirement(name, description, fn)
+        return Requirement(name, description, fn, params)
     return deco
 
 
@@ -334,7 +342,7 @@ def _arity(wc: str, minimum: int = 1, exact: int | None = None) -> Requirement:
 
 def _param(name: str, need: str, ok: Callable[[object], bool]) -> Requirement:
     """The one check of a parameter a builder converts."""
-    @_req(f"{name}_param", f"params[{name!r}], when given, must be {need}")
+    @_req(f"{name}_param", f"params[{name!r}], when given, must be {need}", (name,))
     def check(net, app):
         if name in app.params and not ok(app.params[name]):
             return f"params[{name!r}] must be {need}, got {app.params[name]!r}"
@@ -350,18 +358,30 @@ def _number(name: str, need: str = "a finite number >= 0", ok=lambda v: v >= 0) 
     return _param(name, need, lambda v: _finite(v) and ok(v))
 
 
-_WEIGHT_KEYS = ("weight", "weight_until", "weight_window", "weight_offset", "weight_horizon")
-_WEIGHTED = frozenset((*_WEIGHT_KEYS, "weight_period"))   # the parameters `_weight` reads
+def _positive(name: str) -> Requirement:
+    return _number(name, "a finite number > 0", lambda v: v > 0)
 
 
-@_req("weight_periods", f"a duty cycle has at most {_MAX_DUTY_PERIODS} periods before its horizon")
+# what `_weight` reads; a period <= 0 would never reach the horizon, a tiny
+# one would expand into an unbounded number of pieces, and a deviation shut
+# off at time 0 could never fire (its pieces at time 0 would sort the
+# shut-off first, so it would in fact never be shut off)
+_WEIGHT_PARAMS = (_number("weight"), _positive("weight_until"), *map(_number, (
+    "weight_window", "weight_offset", "weight_horizon")), _positive("weight_period"))
+
+
+@_req("weight_periods", f"a duty cycle has 1 to {_MAX_DUTY_PERIODS} periods before its end")
 def _weight_periods(net, app):
-    if not all(_finite(app.params[k]) for k in _WEIGHTED if k in app.params):
+    if any(req.check(net, app) for req in _WEIGHT_PARAMS):
         return None  # the parameter's own requirement reports it
     cycle = _cycle(app.params)
-    if cycle is None or cycle[0] <= 0:
+    if cycle is None:
         return None
     period, _, horizon, offset = cycle
+    # a cycle with no period would leave no weight pieces, read as weight 1.0
+    if horizon <= offset:
+        return (f"the duty cycle ends at {horizon}, not after its weight_offset {offset}, "
+                "so it has no period")
     if (horizon - offset) / period > _MAX_DUTY_PERIODS:
         return (f"weight_period {period} gives more than {_MAX_DUTY_PERIODS} periods before "
                 f"the horizon {horizon}; lengthen the period or set weight_horizon")
@@ -376,16 +396,7 @@ def _weight_end(net, app):
     return None
 
 
-def _positive(name: str) -> Requirement:
-    return _number(name, "a finite number > 0", lambda v: v > 0)
-
-
-# what `_weight` reads; a period <= 0 would never reach the horizon, a tiny
-# one would expand into an unbounded number of pieces, and a deviation shut
-# off at time 0 could never fire (its pieces at time 0 would sort the
-# shut-off first, so it would in fact never be shut off)
-_WEIGHT = (_number("weight"), _positive("weight_until"), *map(_number, _WEIGHT_KEYS[2:]),
-           _positive("weight_period"), _weight_periods, _weight_end)
+_WEIGHT = (*_WEIGHT_PARAMS, _weight_periods, _weight_end)
 _PACE = _number("pace_s")
 
 
@@ -405,7 +416,8 @@ def _pool_match(p_wc: str, pool_wc: str) -> Requirement:
     """Paired with `_arity(pool_wc, exact=1)`, which reports a pool of
     another arity."""
 
-    @_req("pool_type", f"<{pool_wc}>'s type must occur once in <{p_wc}> (or be selected)")
+    @_req("pool_type", f"<{pool_wc}>'s type must occur once in <{p_wc}> (or be selected)",
+          ("component",))
     def check(net, app):
         p = _place(net, app, p_wc)
         pool = _place(net, app, pool_wc)
@@ -521,7 +533,7 @@ def _build_missing_object(net: Net, app: PatternApplication) -> BuiltFragment:
     return built
 
 
-@_req("bypass_pure", "bypassed objects must ride pure side arcs of <t>")
+@_req("bypass_pure", "bypassed objects must ride pure side arcs of <t>", ("vars",))
 def _bypass_pure(net, app):
     names = app.params.get("vars", [])
     if not isinstance(names, (list, tuple)) or any(type(v) is not str for v in names):
@@ -565,7 +577,7 @@ def _build_wrong_object(net: Net, app: PatternApplication) -> BuiltFragment:
     return built
 
 
-@_req("var_of_pool_type", "the misrecorded variable must have <p_w>'s type")
+@_req("var_of_pool_type", "the misrecorded variable must have <p_w>'s type", ("var",))
 def _var_of_pool_type(net, app):
     t = _transition(net, app, "t")
     pool = _place(net, app, "p_w")
@@ -769,7 +781,7 @@ def _build_capacity(net: Net, app: PatternApplication) -> BuiltFragment:
     return built
 
 
-@_req("variant", "variant must be increase, decrease or both")
+@_req("variant", "variant must be increase, decrease or both", ("variant",))
 def _variant(net, app):
     if app.params.get("variant", "both") not in ("increase", "decrease", "both"):
         return f"unknown variant {app.params.get('variant')!r}"
@@ -829,7 +841,7 @@ def _build_early_release(net: Net, app: PatternApplication) -> BuiltFragment:
     return built
 
 
-@_req("droppable", "dropped arcs must leave a well-formed early release")
+@_req("droppable", "dropped arcs must leave a well-formed early release", ("drop",))
 def _droppable(net, app):
     if "drop" not in app.params:
         return "params['drop'] (input-arc indices) is required"
@@ -861,80 +873,75 @@ _T = Wildcard("t", "transition")
 
 CATALOG: dict[str, Pattern] = {p.code: p for p in (
     Pattern("RI_mi^e", "missing event: a silent twin of <t> executes the activity unrecorded",
-            (_T,), (_labeled("t"), *_WEIGHT), _build_shadow_silent("tau_missing"), _WEIGHTED),
+            (_T,), (_labeled("t"), *_WEIGHT), _build_shadow_silent("tau_missing")),
     Pattern("RI_in^e", "incorrect event: a duplicate of <t> records the wrong activity <t_prime>",
             (_T, Wildcard("t_prime", "label")), (_labeled("t"), _t_prime_differs, *_WEIGHT),
-            _build_wrong_label, _WEIGHTED),
+            _build_wrong_label),
     Pattern("RI_in^a", "incorrect activity name: duplicate of <t> labeled <t_prime>",
             (_T, Wildcard("t_prime", "label")), (_labeled("t"), _t_prime_differs, *_WEIGHT),
-            _build_wrong_label, _WEIGHTED),
+            _build_wrong_label),
     Pattern("RI_mi^o", "missing object(s): twin of <t> unaware of <O>, which bypasses "
                        "through a created place",
             (_T, Wildcard("O", "object_type", many=True)),
-            (_labeled("t"), _bypass_pure, *_WEIGHT, _PACE), _build_missing_object,
-            _WEIGHTED | {"vars", "pace_s"}),
+            (_labeled("t"), _bypass_pure, *_WEIGHT, _PACE), _build_missing_object),
     Pattern("RI_in^o", "incorrect object: duplicate of <t> records an idle object from <p_w> "
                        "instead of the real one",
             (_T, Wildcard("p_w", "place")),
             (_labeled("t"), _role("p_w", ("resource_idle",)), _var_of_pool_type, *_WEIGHT),
-            _build_wrong_object, _WEIGHTED | {"var"}),
+            _build_wrong_object),
     Pattern("RI_in^p", "incorrect position: batch-logged pair; <t1> absorbs the batch "
                        "duration, <t2> takes none",
             (Wildcard("t1", "transition"), Wildcard("t2", "transition")),
             (_labeled("t1"), _labeled("t2"), _connected, *_WEIGHT,
-             _number("t2_delay_s"), _delay("batch_delay")), _build_batch_log,
-            _WEIGHTED | {"t2_delay_s", "batch_delay"}),
+             _number("t2_delay_s"), _delay("batch_delay")), _build_batch_log),
     Pattern("RI_mi^p", "missing position: emitted timestamps of <T> coarsen to a window",
             (Wildcard("T", "transition", many=True),), (_targets_labeled, _number("window_s")),
-            _build_coarse_timestamps, frozenset({"window_s"})),
+            _build_coarse_timestamps),
     Pattern("BI_1", "changing correlation: a silent transition hands the work over to a "
                     "new resource from <p_r>",
             (Wildcard("p", "place"), Wildcard("p_r", "place")),
             (_arity("p", minimum=2), _arity("p_r", exact=1), _role("p_r", ("resource_idle",)),
              _pool_match("p", "p_r"), *_WEIGHT, _PACE),
-            _build_change_correlation("tau_change_correlation", claim=True),
-            _WEIGHTED | {"component", "pace_s"}),
+            _build_change_correlation("tau_change_correlation", claim=True)),
     Pattern("BI_2", "multitasking: early release parks the correlation, late claim "
                     "restores the same resource",
             (Wildcard("p1", "place"), Wildcard("p2", "place")),
             (_arity("p1", minimum=2), _arity("p2", exact=1),
              _role("p1", ("correlation", "resource_busy")), _role("p2", ("resource_idle",)),
              _pool_match("p1", "p2"), *_WEIGHT, _PACE),
-            _build_multitask, _WEIGHTED | {"component", "pace_s"}),
+            _build_multitask),
     Pattern("BI_3", "skipping an activity: a silent twin of <t> on the same pre/post-set",
-            (_T,), (_labeled("t"), *_WEIGHT), _build_shadow_silent("tau_skip"), _WEIGHTED),
+            (_T,), (_labeled("t"), *_WEIGHT), _build_shadow_silent("tau_skip")),
     Pattern("BI_5", "overtaking: swap two objects' queue positions; a permit place "
                     "prevents endless cycling",
             (Wildcard("p_q1", "place"), Wildcard("p_q2", "place")),
             (_role("p_q1", ("queue",)), _role("p_q2", ("queue",)), _queues_compatible,
              *_WEIGHT, _param("budget", "an integer >= 0", lambda v: type(v) is int and v >= 0)),
-            _build_overtake, _WEIGHTED | {"budget"}),
+            _build_overtake),
     Pattern("BI_6", "capacity change: duplicate or park a capacity token, memorized so it "
                     "can be undone",
-            (Wildcard("p_c", "place"),), (_variant, *_WEIGHT, _PACE), _build_capacity,
-            _WEIGHTED | {"variant", "pace_s"}),
+            (Wildcard("p_c", "place"),), (_variant, *_WEIGHT, _PACE), _build_capacity),
     Pattern("BI_7", "switching roles: move a resource to another role under a fresh alias, "
                     "memorized for the switch back",
             (Wildcard("p_r1", "place"), Wildcard("p_r2", "place")),
             (_role("p_r1", ("resource_idle",)), _role("p_r2", ("resource_idle",)),
              _distinct_types, *_WEIGHT, _PACE, _number("undo_weight")),
-            _build_switch_role, _WEIGHTED | {"pace_s", "undo_weight"}),
+            _build_switch_role),
     Pattern("BI_9", "different resource memory: reroute a memorized resource to another "
                     "one from the pool",
             (Wildcard("p", "place"), Wildcard("p_r", "place")),
             (_arity("p", minimum=2), _arity("p_r", exact=1),
              _role("p_r", ("resource_idle", "regular")), _pool_match("p", "p_r"),
              *_WEIGHT, _PACE),
-            _build_change_correlation("tau_reroute", claim=False),
-            _WEIGHTED | {"component", "pace_s"}),
+            _build_change_correlation("tau_reroute", claim=False)),
     Pattern("BI_10", "ignored batching: fire the batch release <t> before its completion "
                      "condition holds",
-            (_T,), (_droppable, *_WEIGHT), _build_early_release, _WEIGHTED | {"drop"}),
+            (_T,), (_droppable, *_WEIGHT), _build_early_release),
     Pattern("BI_11", "long duration: a heavy-tailed delay occasionally replaces <t>'s "
                      "usual one",
             (_T,), (_labeled("t"), _delay("delay"),
                     _number("probability", "a number in [0, 1]", lambda v: 0 <= v <= 1)),
-            _build_long_duration, frozenset({"delay", "probability"})),
+            _build_long_duration),
 )}
 
 

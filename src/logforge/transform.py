@@ -4,6 +4,8 @@
 against it and builds the fragment.  It never touches pre-existing elements;
 it only adds the fragment's created places, transitions, arcs, object types
 and initial tokens, and attaches the fragment's simulation annotations.
+The union must pass `nets.validate_net`, the rule every model read from a
+file meets; a breach is refused as an `InvalidMapping` of the application.
 `apply_sequence` chains transformations and keeps a provenance ledger whose
 entry for each application lists the elements its fragment created.
 """
@@ -11,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .nets import Diagnostic, Net
+from .nets import Diagnostic, Net, validate_net
 from .patterns import (BuiltFragment, PatternApplication, _mapping_to_json,
                        _params_to_json, lookup)
 
@@ -93,7 +95,8 @@ def validate_mapping(net: Net, app: PatternApplication) -> list[Diagnostic]:
 
 
 def apply(net: Net, app: PatternApplication) -> Net:
-    """The net unioned with the elements `app`'s pattern creates."""
+    """The net unioned with the elements `app`'s pattern creates; it passes
+    `validate_net`, or InvalidMapping names each breach."""
     return _union(net, app)[0]
 
 
@@ -104,17 +107,11 @@ def _union(net: Net, app: PatternApplication) -> tuple[Net, BuiltFragment]:
         raise InvalidMapping(diagnostics)
 
     built = lookup(app.code).build(net, app)
-    clashes = [p.id for p in built.places if p.id in net.place_map]
-    clashes += [t.id for t in built.transitions if t.id in net.transition_map]
-    if clashes:
-        raise InvalidMapping([Diagnostic("DuplicateId", c, f"created id {c!r} already exists")
-                              for c in clashes])
-
     marking = net.initial_marking.copy()
     for pid, token in built.initial_tokens:
         marking.add(pid, token)
 
-    return Net(
+    out = Net(
         object_types=net.object_types + tuple(built.object_types),
         places=net.places + tuple(built.places),
         transitions=net.transitions + tuple(built.transitions),
@@ -127,7 +124,11 @@ def _union(net: Net, app: PatternApplication) -> tuple[Net, BuiltFragment]:
             probes=(built.probe,) if built.probe else (),
             report_rules=tuple(built.report_rules),
         ),
-    ), built
+    )
+    if breaches := validate_net(out):  # e.g. a created id that exists, or a misspelt competitor
+        raise InvalidMapping([Diagnostic(d.code, d.element, f"{app.code}: {d.message}")
+                              for d in breaches])
+    return out, built
 
 
 @dataclass(frozen=True)

@@ -128,6 +128,25 @@ def test_transform_application_without_an_id_exits_one(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+def test_transform_misspelt_competitor_exits_one(tmp_path, capsys):
+    # its model's frequency probe would name no transition, so a run of it
+    # would count no choice points
+    fdir = str(tmp_path / "fx")
+    run_cli(capsys, "fixture", "--name", "package_delivery", "--out", fdir)
+    apps = [{"application_id": "a", "code": "BI_3", "mapping": {"t": "ring"},
+             "params": {"weight": 0.05}, "competitors": ["rnig"]}]
+    apps_path = os.path.join(fdir, "apps.json")
+    open(apps_path, "w").write(json.dumps(apps))
+    out = os.path.join(fdir, "ml.json")
+    code, _, err = run_cli(capsys, "transform", "--model", os.path.join(fdir, "m0.json"),
+                           "--apply", apps_path, "--out", out)
+    assert code == 1
+    assert stderr_diagnostics(err) == [{
+        "code": "UnresolvedElement", "element": "annotations.probes",
+        "message": "BI_3: probes names 'rnig', which is no transition of the net"}]
+    assert not os.path.exists(out)
+
+
 def test_transform_writes_model_and_ledger(tmp_path, capsys):
     fdir = str(tmp_path / "fx")
     run_cli(capsys, "fixture", "--name", "package_delivery", "--out", fdir)
@@ -1030,11 +1049,16 @@ def test_a_negative_model_weight_fails_validate_and_simulate_alike(tmp_path, cap
     {"code": "BI_3", "mapping": {"t": "ring"}, "params": {"weight_period": 1.0}},
     {"code": "BI_3", "mapping": {"t": "ring"},
      "params": {"weight_period": 100.0, "weight_until": 0}},
+    {"code": "BI_3", "mapping": {"t": "ring"},
+     "params": {"weight": 0.05, "weight_period": 100.0, "weight_horizon": 0.0}},
+    {"code": "BI_3", "mapping": {"t": "ring"},
+     "params": {"weight_period": 100.0, "weight_offset": 500.0, "weight_horizon": 400.0}},
 ], ids=["non-integer-drop", "no-drop", "unknown-variant", "string-weight",
         "string-weight-period", "negative-weight-period", "infinite-horizon", "string-budget",
         "string-pace", "negative-undo-weight", "probability-above-one", "number-delay",
         "list-var", "string-vars", "string-window", "tiny-weight-period",
-        "second-weight-period", "weight-until-zero"])
+        "second-weight-period", "weight-until-zero", "duty-cycle-ending-at-its-start",
+        "duty-cycle-ending-before-its-offset"])
 def test_transform_bad_pattern_param_is_one_requirement_failure(tmp_path, capsys, app):
     fdir = str(tmp_path / "fx")
     run_cli(capsys, "fixture", "--name", "package_delivery", "--out", fdir)

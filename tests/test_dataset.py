@@ -241,6 +241,20 @@ def test_an_application_without_an_id_fails_its_cells(tmp_path):
     assert "non-empty application_id" in failed["error"]
 
 
+def test_a_misspelt_competitor_fails_each_cell_of_its_row(tmp_path):
+    net, grid = fixtures.fixture("package_delivery")
+    app = PatternApplication("a", "BI_3", {"t": "ring"}, {"weight": 0.05}, competitors=("rnig",))
+    bad = GridSpec(behavioral_sets=[[app], []], recording_sets=[[], []],
+                   sim_configs=grid.sim_configs * 2, paired=True, master_seed=1)
+    out = tmp_path / "kg"
+    manifest = generate(net, bad, str(out), keep_going=True)
+    assert [(c["cell_id"], c["status"], c.get("error_type")) for c in manifest.cells] == [
+        ("b0-r0-c0", "failed", "InvalidMapping"), ("b0-r0-c1", "failed", "InvalidMapping"),
+        ("b1-r1-c0", "ok", None), ("b1-r1-c1", "ok", None)]
+    assert all("probes names 'rnig'" in c["error"] for c in manifest.cells[:2])
+    assert sorted(os.listdir(out / "cells")) == ["b1-r1-c0", "b1-r1-c1"]
+
+
 def _three_config_grid(first_config=None):
     """Two rows of the package grid, each with three configs; `first_config`
     replaces the first."""

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import pytest
 
 from logforge import fixtures
-from logforge.nets import Diagnostic, Net, bounded_language, validate_net
-from logforge.patterns import PatternApplication, lookup
+from logforge.dataset import enumerate_cells
+from logforge.nets import Diagnostic, Net, Place, bounded_language, validate_net
+from logforge.patterns import CATALOG, PatternApplication, lookup
 from logforge.serialize import net_canonical_digest, net_digest, net_to_dict
 from logforge.transform import (InvalidMapping, OrderViolation, apply,
                                 apply_sequence, validate_mapping)
@@ -149,6 +152,26 @@ REFUSED_MAPPINGS = {
                               {"weight": 0.5, "weight_until": 0}, [
         (FAILED, "weight_until_param",
          "BI_3: params['weight_until'] must be a finite number > 0, got 0")]),
+    # a cycle with no period left no weight pieces, read as weight 1.0
+    "duty-cycle-ending-at-its-start": (fixtures.mini_chain, "BI_3", {"t": "alpha"},
+                                       {"weight": 0.05, "weight_period": 100.0,
+                                        "weight_horizon": 0.0}, [
+        (FAILED, "weight_periods",
+         "BI_3: the duty cycle ends at 0.0, not after its weight_offset 0.0, so it has no "
+         "period")]),
+    # its one piece was (0, 0): the deviation could never fire
+    "duty-cycle-ending-before-its-offset": (fixtures.mini_chain, "BI_3", {"t": "alpha"},
+                                            {"weight": 0.05, "weight_period": 100.0,
+                                             "weight_offset": 500.0, "weight_horizon": 400.0}, [
+        (FAILED, "weight_periods",
+         "BI_3: the duty cycle ends at 400.0, not after its weight_offset 500.0, so it has no "
+         "period")]),
+    "duty-cycle-until-before-its-offset": (fixtures.mini_chain, "BI_3", {"t": "alpha"},
+                                           {"weight": 0.05, "weight_period": 100.0,
+                                            "weight_offset": 500.0, "weight_until": 500.0}, [
+        (FAILED, "weight_periods",
+         "BI_3: the duty cycle ends at 500.0, not after its weight_offset 500.0, so it has no "
+         "period")]),
     "drop-out-of-range": (fixtures.mini_batch, "BI_10", {"t": "release"}, {"drop": [5]}, [
         (FAILED, "droppable", "BI_10: drop indices [5] out of range for 2 input arcs")]),
     "drop-every-arc": (fixtures.mini_batch, "BI_10", {"t": "release"}, {"drop": [0, 1]}, [
@@ -172,9 +195,92 @@ REFUSED_MAPPINGS = {
                                 {}, [
         ("UnknownKey", "a", "RI_in^p reads no mapping key(s) ['t']"),
         ("MissingMapping", "t2", "wildcard <t2> of RI_in^p is unmapped")]),
+    # the built model fails `validate_net`
     "created-id-exists": (_twice_skipped, "BI_3", {"t": "alpha"}, {}, [
-        ("DuplicateId", "tau_skip_alpha#a", "created id 'tau_skip_alpha#a' already exists")]),
+        ("DuplicateId", "tau_skip_alpha#a", "BI_3: transition id 'tau_skip_alpha#a' not unique")]),
 }
+
+
+def test_a_misspelt_competitor_is_refused():
+    app = PatternApplication("a", "BI_3", {"t": "ring"}, {"weight": 0.05}, competitors=("rnig",))
+    with pytest.raises(InvalidMapping) as caught:
+        apply_sequence(fixtures.package_delivery_net(), [app])
+    assert caught.value.index == 0
+    assert caught.value.diagnostics == [Diagnostic(
+        "UnresolvedElement", "annotations.probes",
+        "BI_3: probes names 'rnig', which is no transition of the net")]
+
+
+def _drop_application_ids(built):
+    built.transitions = [replace(t, provenance=replace(t.provenance, application_id=None))
+                         for t in built.transitions]
+
+
+def _place_named_alpha(built):
+    built.places.append(Place("alpha", ("item",)))
+
+
+@pytest.mark.parametrize("edit,expected", [
+    (_drop_application_ids, ("ProvenanceInvalid", "tau_skip_alpha#a",
+                             "BI_3: origin 'behavioral' needs an application_id")),
+    (_place_named_alpha, ("DuplicateId", "alpha",
+                          "BI_3: id 'alpha' used for both a place and a transition")),
+], ids=["created-tag-without-id", "created-place-named-as-a-transition"])
+def test_a_built_model_that_validate_net_refuses_is_refused(monkeypatch, edit, expected):
+    pattern = CATALOG["BI_3"]
+
+    def build(net, app):
+        built = pattern.build(net, app)
+        edit(built)
+        return built
+    monkeypatch.setitem(CATALOG, "BI_3", replace(pattern, build=build))
+    with pytest.raises(InvalidMapping) as caught:
+        apply(fixtures.mini_chain(), PatternApplication("a", "BI_3", {"t": "alpha"}))
+    assert caught.value.diagnostics == [Diagnostic(*expected)]
+
+
+class _ReadKeys(dict):
+    """Params that note every key read by `get`, `[]` or `in`."""
+
+    def __init__(self, params, read: set):
+        super().__init__(params)
+        self.read = read
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.read.add(key)
+        return super().__contains__(key)
+
+
+def _rows():
+    """(net, applications) for every row of every fixture grid, then every
+    additivity case."""
+    for name in fixtures.FIXTURES:
+        net, grid = fixtures.fixture(name)
+        rows = {(c.b_index, c.r_index): c.behavioral + c.recording
+                for c in enumerate_cells(grid)}
+        yield from ((net, apps) for apps in rows.values())
+    yield from ((net, (app,)) for _, net, app in fixtures.additivity_cases())
+
+
+def test_every_parameter_a_pattern_reads_is_declared():
+    built = {}
+    for net, apps in _rows():
+        reads = [set() for _ in apps]
+        apply_sequence(net, [replace(app, params=_ReadKeys(app.params, read))
+                             for app, read in zip(apps, reads)])
+        for app, read in zip(apps, reads):
+            assert read <= lookup(app.code).params, (app, read - lookup(app.code).params)
+            built.setdefault(app.code, set()).add(app.application_id)
+    assert sorted(built) == sorted(CATALOG)
+    assert sum(map(len, built.values())) == 42
 
 
 def test_an_application_without_an_id_is_refused():
