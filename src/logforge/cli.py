@@ -17,7 +17,7 @@ from . import dataset as ds
 from . import fixtures, logio, oracle
 from .nets import Net, validate_net
 from .patterns import PatternApplication, UnknownPattern, applications_from_json
-from .serialize import SCHEMA_VERSION
+from .serialize import SCHEMA_VERSION, net_digest
 from .simulate import ConfigInvalid, SimConfig, reject_unknown_keys, run
 from .transform import InvalidMapping, OrderViolation, apply_sequence
 
@@ -109,7 +109,10 @@ def _cmd_oracle(args) -> int:
     if args.oracle_cmd == "align":
         m0 = _read_model(args.model)
         net = _read_model(args.net) if args.net else None
-        trace = logio.read_trace(args.trace, net=net)
+        digests = {"m0": net_digest(m0)}
+        if net is not None:
+            digests["ml"] = net_digest(net)
+        trace = logio.read_trace(args.trace, net=net, digests=digests)
         log = logio.read_observed_jsonl(args.log)
         alignment = oracle.gt_alignment(m0, trace, log)
         oracle.write_alignment(alignment, args.out)
@@ -176,8 +179,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="ground-truth alignments, reports, scoring")
     osub = p.add_subparsers(dest="oracle_cmd", required=True)
     pa = osub.add_parser("align")
-    pa.add_argument("--model", required=True, help="the base (expected-behavior) model")
-    pa.add_argument("--net", default=None, help="optional transformed model for trace validation")
+    pa.add_argument("--model", required=True,
+                    help="the base (expected-behavior) model; its digest must be the trace's m0")
+    pa.add_argument("--net", default=None,
+                    help="optional transformed model for trace validation; its digest must be "
+                         "the trace's ml")
     pa.add_argument("--trace", required=True)
     pa.add_argument("--log", required=True)
     pa.add_argument("--out", required=True)
@@ -204,7 +210,7 @@ def main(argv=None) -> int:
             _emit_diagnostic(d.code, d.element, d.message)
         return 1
     except (OrderViolation, UnknownPattern, ConfigInvalid,
-            fixtures.UnknownFixture, ds.GenerationError,
+            fixtures.UnknownFixture, ds.GenerationError, logio.ModelDigestMismatch,
             oracle.LogTraceMismatch, oracle.CoverageMismatch) as e:
         _emit_diagnostic(type(e).__name__, "", str(e))
         return 1

@@ -18,7 +18,6 @@ from __future__ import annotations
 import hashlib
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from itertools import tee
@@ -251,6 +250,18 @@ def _cell_jobs(m0: Net, m0_digest: str, grid: GridSpec, out_dir: str):
         yield cell, config, pair, out_dir
 
 
+def _pool(jobs: int):
+    """A pool of `jobs` worker processes, or a null context for one job.
+    The pool and numpy are imported here, not with this module, and numpy
+    before the pool starts, so that forked workers inherit it instead of each
+    importing it at its first run."""
+    if jobs <= 1:
+        return nullcontext()
+    import numpy.random  # noqa: F401
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor(max_workers=jobs)
+
+
 def generate(m0: Net, grid: GridSpec, out_dir: str, jobs: int = 1,
              keep_going: bool = False) -> DatasetManifest:
     # m0 as every cell and `read_model("m0.json")` see it
@@ -261,7 +272,7 @@ def generate(m0: Net, grid: GridSpec, out_dir: str, jobs: int = 1,
     # holding only the current row's pair and sources
     cell_jobs, placed = tee(_cell_jobs(m0_read, m0_digest, grid, out_dir))
     row = sources = None
-    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+    with _pool(jobs) as pool:
         mapper = map if pool is None else pool.map
         for (cell, _, pair, _), (entry, error) in zip(placed, mapper(_generate_cell, cell_jobs)):
             if error is None:

@@ -44,6 +44,10 @@ class SchemaVersionMismatch(Exception):
     pass
 
 
+class ModelDigestMismatch(Exception):
+    """A trace header's model digest that differs from the model given for its role."""
+
+
 def atomic_write(path: str, text: str) -> None:
     _atomic_write_with(path, lambda fh: fh.write(text))
 
@@ -117,17 +121,20 @@ def load_json(path: str):
 # decodes one JSON value at the start of a string, without `json.loads`'s
 # per-call checks; `read_jsonl` makes those itself
 _raw_decode = json.JSONDecoder().raw_decode
+# what JSON allows around a value; `str.strip()` would also take NBSP, U+2028, ...
+_JSON_WHITESPACE = " \t\r\n"
 
 
 def read_jsonl(path: str):
     """Yield (line number, object) for each non-blank line of a JSONL file.
 
-    A line that is not valid JSON, or not a JSON object, raises ParseError
-    with the message `json.loads` gives for the line.
+    A blank line holds only JSON whitespace (space, tab, CR, LF).  A line that
+    is not valid JSON, or not a JSON object, raises ParseError with the
+    message `json.loads` gives for the line.
     """
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
+            line = line.strip(_JSON_WHITESPACE)
             if not line:
                 continue
             if line[0] == "\ufeff":
@@ -426,14 +433,28 @@ def _trace_header(h: dict) -> dict:
                         for pid, tok in typed(h, "injected", (list,), [])]))
 
 
-def read_trace(path: str, net: Net | None = None) -> GroundTruthTrace:
+def read_trace(path: str, net: Net | None = None,
+               digests: dict | None = None) -> GroundTruthTrace:
     """The trace in `path`.  A record whose `seq_no` is not its index among
     the records, or, given `net`, that names no transition of it, is a
-    ParseError naming its line."""
+    ParseError naming its line.  `digests` maps a model role ("m0", "ml") to
+    the `net_digest` of the model given for it: where the header's
+    `model_digests` names that role with another digest, ModelDigestMismatch
+    is raised before any record is read."""
+    def decode_header(h: dict) -> dict:
+        head = _trace_header(h)
+        for role, given in (digests or {}).items():
+            recorded = head["model_digests"].get(role, given)
+            if recorded != given:
+                raise ModelDigestMismatch(
+                    f"{path}: the trace was played from {role} digest {recorded!r}, "
+                    f"but the {role} model given has digest {given!r}")
+        return head
+
     tags: dict = {}
     index = count()
     header, records = _read_headed_jsonl(
-        path, "ground_truth_trace", _trace_header,
+        path, "ground_truth_trace", decode_header,
         lambda d: record_from_dict(d, tags, net, next(index)))
     return GroundTruthTrace(records=records, **header)
 

@@ -18,8 +18,19 @@ SCHEMA_VERSION = "1"
 # the one encoder of every model, document, header and JSONL line: keys
 # sorted at every level, compact separators, built once and reused.  No
 # encoded value holds a cycle, so the encoder does not look for one.
-canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
-                                  ensure_ascii=False, check_circular=False).encode
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False,
+                            check_circular=False)
+if json.encoder.c_make_encoder is None:
+    canonical_json = _ENCODER.encode
+else:
+    # `JSONEncoder.encode` builds a new C encoder on every call; this one is
+    # built once, with the same settings, and gives the same text
+    _c_encode = json.encoder.c_make_encoder(
+        None, _ENCODER.default, json.encoder.encode_basestring, None,
+        _ENCODER.key_separator, _ENCODER.item_separator, True, False, True)
+
+    def canonical_json(obj) -> str:
+        return "".join(_c_encode(obj, 0))
 
 
 def digest_of(obj) -> str:

@@ -9,7 +9,8 @@ delay; transitions cannot consume them earlier.
 
 Runs are reproducible: the PRNG is numpy's PCG64 seeded from the config seed,
 and the enabled set is enumerated in a fixed order, so identical (net, config)
-pairs yield bit-identical traces.
+pairs yield bit-identical traces.  numpy is imported by the first run, not
+with this module, so that a command that runs nothing never loads it.
 """
 from __future__ import annotations
 
@@ -22,8 +23,6 @@ from datetime import datetime, timedelta, timezone
 from itertools import accumulate
 from operator import attrgetter
 from typing import NamedTuple
-
-import numpy as np
 
 from .nets import (OBJECT_SEPARATOR, FiringRule, Net, ProvenanceTag, is_identifier,
                    replay_pairs, transition_bindings)
@@ -323,7 +322,8 @@ class SimState:
         self.net = net
         self.config = config
         self.weights = WeightSpec(dict(net.annotations.weights), config.weights)
-        self.rng = np.random.default_rng(np.random.PCG64(np.random.SeedSequence(config.seed)))
+        from numpy.random import PCG64, SeedSequence, default_rng  # numpy loads at the first run
+        self.rng = default_rng(PCG64(SeedSequence(config.seed)))
         self.id_gen = net.id_generator()
         self.marking = net.initial_marking.copy()
         self.eta = 0.0

@@ -2,7 +2,10 @@ import ast
 import dataclasses
 import importlib
 import importlib.util
+import json
 import os
+import subprocess
+import sys
 
 import logforge
 
@@ -78,3 +81,41 @@ def test_script_named_attributes_exist():
     named, missing = missing_named_attributes("scripts")
     assert ("dataset", "generate") in named and ("fixtures", "fixture") in named
     assert not missing
+
+
+# modules that only a run or a worker pool needs; importing any of them costs
+# every command its start-up time
+HEAVY = ("numpy", "multiprocessing", "concurrent.futures.process")
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+
+
+def loaded_after(script: str) -> list[list[str]]:
+    """The HEAVY modules loaded at each `report()` of `script`, run in a fresh
+    interpreter that imports logforge from this checkout's source."""
+    prelude = ("import json, sys\n"
+               f"def report(): print(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))\n")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(SRC))
+    proc = subprocess.run([sys.executable, "-c", prelude + script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return [json.loads(line) for line in proc.stdout.splitlines()]
+
+
+def test_importing_the_package_loads_no_numpy_and_no_pool():
+    assert loaded_after(
+        "import logforge, logforge.cli, logforge.oracle, logforge.logio\n"
+        "import logforge.dataset, logforge.fixtures\n"
+        "report()\n"
+        "from logforge import fixtures, simulate\n"
+        "net, grid = fixtures.fixture('package_delivery')\n"
+        "simulate.run(net, grid.sim_configs[0])\n"
+        "report()\n") == [[], ["numpy"]]
+
+
+def test_a_pool_loads_numpy_before_its_workers_fork():
+    # forked workers inherit numpy instead of each importing it at its first run
+    assert loaded_after(
+        "from logforge import dataset\n"
+        "report()\n"
+        "with dataset._pool(2):\n"
+        "    report()\n") == [[], list(HEAVY)]

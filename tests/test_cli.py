@@ -5,6 +5,7 @@ import pytest
 
 from logforge import fixtures, logio
 from logforge.cli import main
+from logforge.serialize import net_digest
 from logforge.simulate import SimConfig
 from logforge.timing import ConfigInvalid
 
@@ -242,6 +243,75 @@ def test_oracle_align_names_the_line_of_an_unknown_transition(tmp_path, capsys):
     assert diag["message"].endswith(f"{trace}:5")
 
 
+@pytest.fixture(scope="module")
+def package_dataset(tmp_path_factory):
+    """The package fixture's dataset directory and its manifest's cells."""
+    root = tmp_path_factory.mktemp("package")
+    fdir, ddir = str(root / "fx"), str(root / "ds")
+    assert main(["fixture", "--name", "package_delivery", "--out", fdir]) == 0
+    assert main(["dataset", "--model", os.path.join(fdir, "m0.json"),
+                 "--grid", os.path.join(fdir, "grid.json"), "--out", ddir]) == 0
+    return ddir, logio.read_json(os.path.join(ddir, "manifest.json"))["cells"]
+
+
+def align_cell(capsys, ddir, entry, out, model=None, net=None):
+    """`oracle align` of a dataset cell, against the dataset's m0 and the
+    cell's model unless others are given."""
+    return run_cli(capsys, "oracle", "align",
+                   "--model", model or os.path.join(ddir, "m0.json"),
+                   "--net", net or os.path.join(ddir, entry["paths"]["model"]),
+                   "--trace", os.path.join(ddir, entry["paths"]["trace"]),
+                   "--log", os.path.join(ddir, entry["paths"]["log_jsonl"]), "--out", out)
+
+
+def assert_digest_mismatch(err, trace_path, role, recorded, given):
+    [diag] = stderr_diagnostics(err)
+    assert diag["code"] == "ModelDigestMismatch"
+    assert diag["message"] == (f"{trace_path}: the trace was played from {role} digest "
+                               f"{recorded!r}, but the {role} model given has digest {given!r}")
+
+
+def test_oracle_align_refuses_another_rows_model(tmp_path, capsys, package_dataset):
+    ddir, cells = package_dataset
+    entry, other = cells[0], cells[1]
+    assert entry["digests"]["ml"] != other["digests"]["ml"]
+    out = str(tmp_path / "gt.jsonl")
+    code, _, err = align_cell(capsys, ddir, entry, out,
+                              net=os.path.join(ddir, other["paths"]["model"]))
+    assert code == 1 and not os.path.exists(out)
+    assert_digest_mismatch(err, os.path.join(ddir, entry["paths"]["trace"]), "ml",
+                           entry["digests"]["ml"], other["digests"]["ml"])
+
+
+def test_oracle_align_refuses_a_model_with_an_edited_weight(tmp_path, capsys,
+                                                            package_dataset):
+    ddir, cells = package_dataset
+    entry = cells[0]
+    model = logio.read_json(os.path.join(ddir, entry["paths"]["model"]))
+    [[transition, pieces]] = model["annotations"]["weights"]
+    pieces[0][1] += 1.0
+    edited = tmp_path / "model.json"
+    edited.write_text(json.dumps(model))
+    given = net_digest(logio.read_model(str(edited)))
+    out = str(tmp_path / "gt.jsonl")
+    code, _, err = align_cell(capsys, ddir, entry, out, net=str(edited))
+    assert code == 1 and not os.path.exists(out)
+    assert_digest_mismatch(err, os.path.join(ddir, entry["paths"]["trace"]), "ml",
+                           entry["digests"]["ml"], given)
+
+
+def test_oracle_align_refuses_another_base_model(tmp_path, capsys, package_dataset):
+    ddir, cells = package_dataset
+    entry = cells[0]
+    energy = tmp_path / "energy.json"
+    logio.write_model(fixtures.fixture("energy_contract")[0], str(energy))
+    out = str(tmp_path / "gt.jsonl")
+    code, _, err = align_cell(capsys, ddir, entry, out, model=str(energy))
+    assert code == 1 and not os.path.exists(out)
+    assert_digest_mismatch(err, os.path.join(ddir, entry["paths"]["trace"]), "m0",
+                           entry["digests"]["m0"], net_digest(logio.read_model(str(energy))))
+
+
 GOOD_MOVE = '{"object":"o_1","seq":0,"kind":"synchronous","activity":"a","objects":["o_1"]}'
 NO_PLACE = "alignment line needs a string 'object' and an integer 'seq'"
 BAD_CAUSE = "malformed alignment move: 'cause' must hold a string 'pattern_code' and 'application_id'"
@@ -262,6 +332,9 @@ BAD_CAUSE = "malformed alignment move: 'cause' must hold a string 'pattern_code'
     ('{"object":"o_1","seq":1,"kind":"log","cause":{"pattern_code":"BI_3"}}', BAD_CAUSE),
     ('\ufeff' + GOOD_MOVE, "Unexpected UTF-8 BOM (decode using utf-8-sig)"),
     ('{} x', "Extra data"),
+    # JSON whitespace is space, tab, CR and LF; other Unicode spaces are not blank
+    ('\u00a0', "Expecting value"),
+    (GOOD_MOVE + '\u0085', "Extra data"),
     ('{"object":"o_1","seq":1,"kind":"log",'
      '"cause":{"pattern_code":"BI_3","application_id":"a","origin":5}}',
      "malformed alignment move: 'cause' must hold a string 'origin' if any"),
@@ -273,7 +346,7 @@ BAD_CAUSE = "malformed alignment move: 'cause' must hold a string 'pattern_code'
      "malformed alignment move: 'activity' must be a string or null"),
 ], ids=["no-object", "no-kind", "array", "string", "text-seq", "nested-objects",
         "list-activity", "text-cause", "incomplete-cause", "bom", "trailing-data",
-        "number-cause-origin", "zero-cause", "list-discrepancy",
+        "nbsp-line", "next-line-after-move", "number-cause-origin", "zero-cause", "list-discrepancy",
         "list-activity-and-nested-objects"])
 def test_oracle_score_malformed_alignment_exits_two(tmp_path, capsys, bad_line, message):
     good = tmp_path / "gt.jsonl"
@@ -394,6 +467,9 @@ BAD_TRACES = {
     "bom": (['\ufeff' + TRACE_HEADER, GOOD_RECORD], 1,
             "Unexpected UTF-8 BOM (decode using utf-8-sig)"),
     "trailing-data": ([TRACE_HEADER, GOOD_RECORD + ' x'], 2, "Extra data"),
+    # JSON whitespace is space, tab, CR and LF; other Unicode spaces are not blank
+    "nbsp-line": ([TRACE_HEADER, GOOD_RECORD, '\u00a0'], 3, "Expecting value"),
+    "line-separator-after-record": ([TRACE_HEADER, GOOD_RECORD + '\u2028'], 2, "Extra data"),
     "list-provenance": (
         [TRACE_HEADER, GOOD_RECORD, with_record_field('"provenance":[]')], 3,
         BAD_RECORD + """ConfigInvalid("'provenance' must be an object, got []")"""),
@@ -642,6 +718,9 @@ def with_event_field(field):
     ([LOG_HEADER, GOOD_EVENT, GOOD_EVENT.replace('"activity":"a"', '"activity":7')], 3,
      BAD_EVENT + """ConfigInvalid("field 'activity' is not str: 7")"""),
     ([LOG_HEADER, '"r-000000"'], 2, "line is not a JSON object"),
+    # JSON whitespace is space, tab, CR and LF; other Unicode spaces are not blank
+    ([LOG_HEADER, GOOD_EVENT, '\u00a0'], 3, "Expecting value"),
+    ([LOG_HEADER, GOOD_EVENT + '\x1c'], 2, "Extra data"),
     (['[' + LOG_HEADER + ']'], 1, "line is not a JSON object"),
     ([LOG_HEADER, with_event_field('"objects":"abc"')], 2,
      BAD_EVENT + """ValueError("'objects' must be a list of strings, got 'abc'")"""),
@@ -670,7 +749,8 @@ def with_event_field(field):
     ([LOG_HEADER, with_event_field('"objcts":["o_1"]').replace('"activity":"a"', '"activity":7')],
      2, BAD_EVENT + repr(ConfigInvalid(unknown_key(
          "log event", "objcts", ["activity", "event_id", "objects", "run_id", "timestamp"])))),
-], ids=["no-event-id", "number-activity", "string-event", "list-header", "text-objects",
+], ids=["no-event-id", "number-activity", "string-event", "nbsp-line",
+        "file-separator-after-event", "list-header", "text-objects",
         "number-object", "number-run-id", "text-header-objects", "number-object-type",
         "number-header-run-id", "number-activity-and-text-objects",
         "text-objects-and-number-run-id", "misspelt-objects", "misspelt-header-objects",
@@ -681,7 +761,7 @@ def test_oracle_align_malformed_log_exits_two(tmp_path, capsys, lines, bad_at, m
     trace = tmp_path / "trace.gt.jsonl"
     trace.write_text(TRACE_HEADER + "\n")
     log = tmp_path / "log.jsonl"
-    log.write_text("\n".join(lines) + "\n")
+    log.write_text("\n".join(lines) + "\n", encoding="utf-8")
     code, out, err = run_cli(capsys, "oracle", "align", "--model", os.path.join(fdir, "m0.json"),
                              "--trace", str(trace), "--log", str(log),
                              "--out", str(tmp_path / "gt.jsonl"))

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from logforge import fixtures, logio
 from logforge.nets import Net, Transition
-from logforge.serialize import digest_of, net_digest, net_from_dict
+from logforge.serialize import canonical_json, digest_of, net_digest, net_from_dict
 from logforge.simulate import SimConfig, epoch_seconds, run, timestamp_at
 
 
@@ -380,3 +380,24 @@ def test_coarsening_idempotent_and_monotone(eta, window):
     floored = math.floor(eta / window) * window
     assert math.floor(floored / window) * window == floored
     assert floored <= eta
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+def test_canonical_json_is_json_dumps_with_its_settings(value):
+    # the reused C encoder gives what a fresh encoder with the same settings gives
+    assert canonical_json(value) == json.dumps(value, sort_keys=True, separators=(",", ":"),
+                                               ensure_ascii=False)
+
+
+def test_every_trace_line_is_json_dumps_with_canonical_settings(package_cells):
+    for item in package_cells:
+        for d in logio.trace_to_dicts(item["trace"]):
+            assert canonical_json(d) == json.dumps(d, sort_keys=True, separators=(",", ":"),
+                                                   ensure_ascii=False)
