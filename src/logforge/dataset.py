@@ -252,12 +252,10 @@ def _cell_jobs(m0: Net, m0_digest: str, grid: GridSpec, out_dir: str):
 
 def _pool(jobs: int):
     """A pool of `jobs` worker processes, or a null context for one job.
-    The pool and numpy are imported here, not with this module, and numpy
-    before the pool starts, so that forked workers inherit it instead of each
-    importing it at its first run."""
+    The pool is imported here, not with this module, so that a serial run
+    never loads `multiprocessing`."""
     if jobs <= 1:
         return nullcontext()
-    import numpy.random  # noqa: F401
     from concurrent.futures import ProcessPoolExecutor
     return ProcessPoolExecutor(max_workers=jobs)
 

@@ -7,10 +7,12 @@ bindings) or the clock advances to the next pending token, arrival, schedule
 event or weight breakpoint.  Produced tokens become available after a sampled
 delay; transitions cannot consume them earlier.
 
-Runs are reproducible: the PRNG is numpy's PCG64 seeded from the config seed,
-and the enabled set is enumerated in a fixed order, so identical (net, config)
-pairs yield bit-identical traces.  numpy is imported by the first run, not
-with this module, so that a command that runs nothing never loads it.
+Runs are reproducible: the PRNG draws numpy's PCG64 stream seeded from the
+config seed (`pcg64.Pcg64`, pure Python: numpy is never loaded, and the
+installed numpy's version changes no draw), and the enabled set is enumerated
+in a fixed order, so identical (net, config) pairs yield bit-identical
+traces.  The generator's module is imported by the first run, not with this
+module, so that a command that runs nothing never loads its tables.
 """
 from __future__ import annotations
 
@@ -283,7 +285,7 @@ def sample_firing(enabled, weights: WeightSpec, eta: float, rng, *, shares=None)
     total = sum(shares)
     if total <= 0:
         raise AllWeightsZero("all enabled firings have zero weight")
-    i = bisect_right(list(accumulate(shares)), float(rng.random()) * total)
+    i = bisect_right(list(accumulate(shares)), rng.random() * total)
     return enabled[i] if i < len(enabled) else enabled[-1]
 
 
@@ -322,8 +324,8 @@ class SimState:
         self.net = net
         self.config = config
         self.weights = WeightSpec(dict(net.annotations.weights), config.weights)
-        from numpy.random import PCG64, SeedSequence, default_rng  # numpy loads at the first run
-        self.rng = default_rng(PCG64(SeedSequence(config.seed)))
+        from .pcg64 import Pcg64  # its tables load at the first run
+        self.rng = Pcg64(config.seed)
         self.id_gen = net.id_generator()
         self.marking = net.initial_marking.copy()
         self.eta = 0.0
@@ -539,7 +541,7 @@ class SimState:
         slow_sample = None
         if slow is not None:
             prob, delay, app, stats = slow
-            if float(rng.random()) < prob:
+            if rng.random() < prob:
                 slow_sample = delay.sample(rng)
                 timing_causes = (app,)
                 stats["fired"] += 1

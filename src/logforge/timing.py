@@ -147,11 +147,11 @@ class Delay:
         if self.kind == "constant":
             value = self.a
         elif self.kind == "normal":
-            value = float(rng.normal(self.a, self.b))
+            value = rng.normal(self.a, self.b)
         elif self.kind == "exponential":
-            value = float(rng.exponential(1.0 / self.a))
+            value = rng.exponential(1.0 / self.a)
         else:
-            value = float(rng.uniform(self.a, self.b))
+            value = rng.uniform(self.a, self.b)
         return max(0.0, value)  # durations never run backwards
 
     def to_dict(self) -> dict:

@@ -83,10 +83,19 @@ def test_script_named_attributes_exist():
     assert not missing
 
 
-# modules that only a run or a worker pool needs; importing any of them costs
-# every command its start-up time
-HEAVY = ("numpy", "multiprocessing", "concurrent.futures.process")
+# modules that only a run or a worker pool needs, and numpy, which nothing
+# needs; importing any of them costs every command its start-up time
+HEAVY = ("numpy", "logforge.pcg64", "multiprocessing", "concurrent.futures.process")
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+# a meta path finder that refuses numpy and its submodules, as if it were not installed
+NO_NUMPY = """
+import sys
+class NoNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" or name.startswith("numpy."):
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+sys.meta_path.insert(0, NoNumpy())
+"""
 
 
 def loaded_after(script: str) -> list[list[str]]:
@@ -109,13 +118,24 @@ def test_importing_the_package_loads_no_numpy_and_no_pool():
         "from logforge import fixtures, simulate\n"
         "net, grid = fixtures.fixture('package_delivery')\n"
         "simulate.run(net, grid.sim_configs[0])\n"
-        "report()\n") == [[], ["numpy"]]
+        "report()\n") == [[], ["logforge.pcg64"]]
 
 
-def test_a_pool_loads_numpy_before_its_workers_fork():
-    # forked workers inherit numpy instead of each importing it at its first run
+def test_a_pooled_dataset_needs_no_numpy(tmp_path):
+    # `--jobs 2` with numpy refused in the main process and, by fork, in its
+    # workers: every cell's bytes are the golden ones
+    from test_golden import FILES, GOLDEN, sha256_of
+    out = tmp_path / "ds"
     assert loaded_after(
-        "from logforge import dataset\n"
-        "report()\n"
-        "with dataset._pool(2):\n"
-        "    report()\n") == [[], list(HEAVY)]
+        NO_NUMPY
+        + "from logforge.cli import main\n"
+        f"assert main(['fixture', '--name', 'package_delivery',\n"
+        f"             '--out', {str(tmp_path)!r}]) == 0\n"
+        f"assert main(['dataset', '--model', {str(tmp_path / 'm0.json')!r},\n"
+        f"             '--grid', {str(tmp_path / 'grid.json')!r}, '--out', {str(out)!r},\n"
+        "             '--jobs', '2']) == 0\n"
+        "report()\n") == [["multiprocessing", "concurrent.futures.process"]]
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    got = {entry["cell_id"]: tuple(sha256_of(os.path.join(out, entry["paths"][k])) for k in FILES)
+           for entry in manifest["cells"]}
+    assert got == GOLDEN["package_delivery"]

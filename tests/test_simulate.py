@@ -109,13 +109,13 @@ def lone_net():
 def test_lone_zero_weight_firing_draws_nothing_and_the_clock_advances():
     net = lone_net()
     state = SimState(net, SimConfig(firing_limit=5, weights={"a": [[0.0, 0.0], [10.0, 1.0]]}))
-    before = state.rng.bit_generator.state
+    before = (state.rng.state, state.rng.inc)
     with pytest.raises(AllWeightsZero):
         sample_firing(state.firings(), state.weights, 0.0, state.rng)
-    assert state.rng.bit_generator.state == before
+    assert (state.rng.state, state.rng.inc) == before
     _, record = step(state)
     assert record is None and state.eta == 10.0
-    assert state.rng.bit_generator.state == before
+    assert (state.rng.state, state.rng.inc) == before
     _, record = step(state)
     assert record.transition == "a" and record.time == 10.0
 
@@ -341,7 +341,7 @@ def test_a_scheduled_identifier_is_never_minted_for_an_arrival():
     assert tokens == [("pkg_2",), ("pkg_3",), ("pkg_1",)]
     # the arrivals keep their times and draws; only their identifiers move
     assert sorted(e[0] for e in state.heap) == sorted([0.0] + [e[0] for e in before.heap])
-    assert state.rng.bit_generator.state == before.rng.bit_generator.state
+    assert (state.rng.state, state.rng.inc) == (before.rng.state, before.rng.inc)
     assert {state.object_types[ident] for (ident,) in tokens} == {"package"}
 
 
