@@ -4,11 +4,17 @@ The ground-truth trace is a sidecar: the observed log deliberately carries
 only what a logging mechanism would have seen (labels, timestamps, recorded
 objects), with every link back to the model stripped.  Formats are versioned
 and written atomically (temp file + rename) so failures never leave partial
-output behind.  Every JSON document and JSONL line is encoded by
-`canonical_json`, keys sorted at every level, and `write_jsonl` writes every
-JSONL file: the trace, the observed log and the oracle's alignments.  The
-readers check each object's keys before its fields, as the model reader
-does.  `projection` alone links a firing record to its observed event.
+output behind; a written file gets the mode `open(path, "w")` would give it.
+Every JSON document and JSONL line is encoded by `canonical_json`, keys
+sorted at every level, and `write_jsonl` writes every JSONL file: the trace,
+the observed log and the oracle's alignments.  The readers check each
+object's keys before its fields, as the model reader does.  A trace or log
+reader keeps one sharing table per file read, so that equal leaves of the
+file come back as one object: provenance tags, transitions and activities,
+tokens, [variable, identifier] pairs and recorded-object tuples, and in a
+log each event's `run_id`, the header's.  Records, events and moves are
+never shared: readers downstream key on their identity.  `projection` alone
+links a firing record to its observed event.
 """
 from __future__ import annotations
 
@@ -17,7 +23,6 @@ import io
 import json
 import math
 import os
-import tempfile
 import threading
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, fields
@@ -52,12 +57,31 @@ def atomic_write(path: str, text: str) -> None:
     _atomic_write_with(path, lambda fh: fh.write(text))
 
 
+# how many temporary names `_new_temporary` tries before it gives up
+_TEMPORARY_NAME_TRIES = 100
+
+
+def _new_temporary(directory: str) -> tuple[int, str]:
+    """A new file under an unused temporary name in `directory`, opened for
+    writing, and that name.  It gets the mode `open(name, "w")` gives a new
+    file, 0o666 less the umask; `tempfile.mkstemp` gives 0o600, which the
+    rename onto the final name would keep."""
+    for _ in range(_TEMPORARY_NAME_TRIES):
+        tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}.part")
+        try:
+            return os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), tmp
+        except FileExistsError:
+            continue
+    raise FileExistsError(f"no unused temporary name in {directory}")
+
+
 def _atomic_write_with(path: str, write) -> None:
     """Call `write(fh)` on a temporary file beside `path`, then rename it
-    onto `path`: a failure leaves `path` as it was and no temporary file."""
+    onto `path`: a failure leaves `path` as it was and no temporary file.
+    `path` ends with the mode `open(path, "w")` gives a new file."""
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=".part")
+    fd, tmp = _new_temporary(d)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             write(fh)
@@ -264,19 +288,39 @@ def _identifiers(value, what: str) -> tuple[str, ...]:
     raise ValueError(f"{what!r} must be a list of strings, got {value!r}")
 
 
-def _bound_pairs(value, what: str) -> tuple[tuple[str, str], ...]:
+def _shared_strings(items: list, shared: dict, what: str) -> tuple[str, ...]:
+    """`items`, a JSON list of strings, as a tuple; else a ValueError naming
+    `what`.  Equal lists decoded with one `shared` table come back as one
+    tuple.  Only strings and tuples of strings stay in a table, so a list
+    equal to a tuple in it holds only strings and needs no check."""
+    strings = tuple(items)
+    try:
+        held = shared.setdefault(strings, strings)
+    except TypeError:  # an item that is a list or an object
+        return _identifiers(items, what)  # which raises
+    if held is strings:  # the first of its value: check it
+        for ident in strings:
+            if type(ident) is not str:
+                del shared[strings]
+                _identifiers(items, what)
+    return held
+
+
+def _bound_pairs(value, what: str, shared: dict) -> tuple[tuple[str, str], ...]:
     """`value`, a JSON list of [variable, identifier] pairs, as a tuple of
-    pairs.  An entry of another length raises ValueError as unpacking does;
-    any other value that is not a list of string pairs, a ValueError naming
-    `what`; variable names that do not strictly increase (the order the
-    writer gives them, each name once), a ValueError saying so."""
+    pairs, each equal pair one tuple of the `shared` table.  An entry of
+    another length raises ValueError as unpacking does; any other value that
+    is not a list of string pairs, a ValueError naming `what`; variable names
+    that do not strictly increase (the order the writer gives them, each name
+    once), a ValueError saying so."""
     if type(value) is list:
         pairs = []
         for pair in value:
             k, v = pair
             if type(pair) is not list or type(k) is not str or type(v) is not str:
                 break
-            pairs.append((k, v))
+            pair = (k, v)
+            pairs.append(shared.setdefault(pair, pair))
         else:
             for i in range(1, len(pairs)):
                 if pairs[i - 1][0] >= pairs[i][0]:
@@ -305,20 +349,24 @@ def _place(pid, what: str) -> str:
 
 
 def record_from_dict(d: dict, tags: dict | None = None, net: Net | None = None,
-                     index: int | None = None) -> FiringRecord:
+                     index: int | None = None, *, shared: dict) -> FiringRecord:
     """Decode a trace record, checking its keys, then each field in field
     order: the first defect raises ConfigInvalid, ValueError or TypeError.
     Records decoded with one `tags` table (a file's) share their equal
     provenance tags, and a tag with a breach of `patterns.provenance_breaches`
-    raises its first.  Given `index`, the record's place among its file's
-    records, `seq_no` must equal it, as the writer numbers them.  Given
-    `net`, the transition must be one of its.
+    raises its first.  Records decoded with one `shared` table (a file's, too)
+    share their equal transitions and activities, and their equal tokens,
+    [variable, identifier] pairs and recorded objects, each one tuple.
+    Given `index`, the record's place among its file's records, `seq_no`
+    must equal it, as the writer numbers them.  Given `net`, the transition
+    must be one of its.
 
     Each field's type is tested in place; a defect calls the check that
     words its diagnostic (`typed`, `_place`, `_identifiers`), which raises,
     or raises in place."""
     if type(d) is not dict or not d.keys() <= _RECORD_KEYS:
         reject_unknown_keys(d, _RECORD_KEYS, "trace record")
+    share = shared.setdefault
     get = d.get
     seq_no, time, transition = get("seq_no"), get("time"), get("transition")
     if type(seq_no) is not int:
@@ -332,16 +380,21 @@ def record_from_dict(d: dict, tags: dict | None = None, net: Net | None = None,
         typed(d, "transition", (str,))
     if net is not None and transition not in net.transition_map:
         raise ValueError(f"record references unknown transition {transition!r}")
+    transition = share(transition, transition)
     activity = get("activity")
-    if activity is not None and type(activity) is not str:
-        typed(d, "activity", (str,), None)
-    values = _bound_pairs(get("values", []), "values")
-    fresh = _bound_pairs(get("fresh", []), "fresh")
+    if activity is not None:
+        if type(activity) is not str:
+            typed(d, "activity", (str,), None)
+        activity = share(activity, activity)
+    values = _bound_pairs(get("values", []), "values", shared)
+    fresh = get("fresh", [])
+    fresh = () if fresh == [] else _bound_pairs(fresh, "fresh", shared)
     if values and fresh and not {k for k, _ in values}.isdisjoint([k for k, _ in fresh]):
         raise ValueError(f"'values' and 'fresh' must name different variables, "
                          f"got {get('values')!r} and {get('fresh')!r}")
-    provenance = (provenance_from_dict(d["provenance"], tags, provenance_breaches)
-                  if "provenance" in d else BASE)
+    provenance = get("provenance", _BASE_JSON)
+    provenance = (BASE if provenance == _BASE_JSON
+                  else provenance_from_dict(provenance, tags, provenance_breaches))
     entries = get("consumed", ())
     if type(entries) is not list:
         entries = typed(d, "consumed", (list,), [])
@@ -351,10 +404,7 @@ def record_from_dict(d: dict, tags: dict | None = None, net: Net | None = None,
             _place(pid, "consumed")
         if type(tok) is not list:
             _identifiers(tok, "consumed")
-        for ident in tok:
-            if type(ident) is not str:
-                _identifiers(tok, "consumed")
-        consumed.append((pid, tuple(tok)))
+        consumed.append((pid, _shared_strings(tok, shared, "consumed")))
     entries = get("produced", ())
     if type(entries) is not list:
         entries = typed(d, "produced", (list,), [])
@@ -364,25 +414,22 @@ def record_from_dict(d: dict, tags: dict | None = None, net: Net | None = None,
             _place(pid, "produced")
         if type(tok) is not list:
             _identifiers(tok, "produced")
-        for ident in tok:
-            if type(ident) is not str:
-                _identifiers(tok, "produced")
+        tok = _shared_strings(tok, shared, "produced")
         if not (type(avail) is float and avail == avail or type(avail) is int):  # NaN != NaN
             raise ValueError(f"'produced' availability times must be numbers, got {avail!r}")
-        produced.append((pid, tuple(tok), avail))
+        produced.append((pid, tok, avail))
     recorded = get("recorded_objects", [])
     if type(recorded) is not list:
         _identifiers(recorded, "recorded_objects")
-    for ident in recorded:
-        if type(ident) is not str:
-            _identifiers(recorded, "recorded_objects")
+    recorded = _shared_strings(recorded, shared, "recorded_objects")
     window = get("coarsen_window")
     if window is not None and not (type(window) is float and window == window
                                    or type(window) is int):
         typed(d, "coarsen_window", NUMBER, None)
+    causes = get("timing_causes", [])
     return FiringRecord(seq_no, time, transition, activity, values, fresh, provenance,
-                        tuple(consumed), tuple(produced), tuple(recorded), window,
-                        _identifiers(get("timing_causes", []), "timing_causes"))
+                        tuple(consumed), tuple(produced), recorded, window,
+                        () if causes == [] else _identifiers(causes, "timing_causes"))
 
 
 def trace_to_dicts(trace: GroundTruthTrace) -> Iterator[dict]:
@@ -452,10 +499,11 @@ def read_trace(path: str, net: Net | None = None,
         return head
 
     tags: dict = {}
+    shared: dict = {}
     index = count()
     header, records = _read_headed_jsonl(
         path, "ground_truth_trace", decode_header,
-        lambda d: record_from_dict(d, tags, net, next(index)))
+        lambda d: record_from_dict(d, tags, net, next(index), shared=shared))
     return GroundTruthTrace(records=records, **header)
 
 
@@ -476,13 +524,16 @@ class ObservedEvent:
                 "run_id": self.run_id}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "ObservedEvent":
+    def from_dict(cls, d: dict, shared: dict) -> "ObservedEvent":
         """Decode an event, checking its keys, then each field in field order:
         the first defect raises ConfigInvalid or ValueError.  As in
-        `record_from_dict`, each field is tested in place, and a defect calls
-        the check that words its diagnostic."""
+        `record_from_dict`, each field is tested in place, a defect calls
+        the check that words its diagnostic, and events decoded with one
+        `shared` table share their equal activities, `objects` tuples and
+        run ids."""
         if type(d) is not dict or not d.keys() <= _EVENT_KEYS:
             reject_unknown_keys(d, _EVENT_KEYS, "log event")
+        share = shared.setdefault
         get = d.get
         event_id, timestamp, activity = get("event_id"), get("timestamp"), get("activity")
         objects, run_id = get("objects", []), get("run_id", "")
@@ -494,14 +545,16 @@ class ObservedEvent:
             typed(d, "activity", (str,))
         if type(objects) is not list:
             _identifiers(objects, "objects")
-        for ident in objects:
-            if type(ident) is not str:
-                _identifiers(objects, "objects")
+        objects = _shared_strings(objects, shared, "objects")
         if type(run_id) is not str:
             typed(d, "run_id", (str,), "")
-        return cls(event_id, timestamp, activity, tuple(objects), run_id)
+        return cls(event_id, timestamp, share(activity, activity), objects,
+                   share(run_id, run_id))
 
 
+# BASE as `provenance_to_dict` writes it: most records' provenance, which
+# `record_from_dict` knows by equality alone
+_BASE_JSON = provenance_to_dict(BASE)
 # the keys of each object the JSONL readers decode: the fields its writer writes
 _RECORD_KEYS = frozenset(f.name for f in fields(FiringRecord))
 _TRACE_HEADER_KEYS = (frozenset(f.name for f in fields(GroundTruthTrace)) - {"records"}
@@ -569,8 +622,17 @@ def _log_header(h: dict) -> dict:
 
 
 def read_observed_jsonl(path: str) -> ObservedLog:
-    header, events = _read_headed_jsonl(path, "observed_log", _log_header,
-                                        ObservedEvent.from_dict)
+    """The log in `path`.  Its events share one table, which holds the
+    header's `run_id` first, so an event's equal run id is the header's."""
+    shared: dict = {}
+
+    def decode_header(h: dict) -> dict:
+        head = _log_header(h)
+        shared[head["run_id"]] = head["run_id"]
+        return head
+
+    header, events = _read_headed_jsonl(path, "observed_log", decode_header,
+                                        lambda d: ObservedEvent.from_dict(d, shared))
     return ObservedLog(events=events, **header)
 
 

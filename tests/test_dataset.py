@@ -1,10 +1,11 @@
 import json
 import os
+import stat
 from dataclasses import replace
 
 import pytest
 
-from logforge import fixtures, logio
+from logforge import fixtures, logio, oracle
 from logforge.dataset import (GenerationError, GridSpec, cell_seed,
                               enumerate_cells, generate)
 from logforge.patterns import PatternApplication
@@ -328,6 +329,27 @@ def test_regenerating_into_the_same_directory_gives_the_same_files(tmp_path):
     for key in ("model", "ledger"):
         assert all(len(stats) == 1 and next(iter(stats))[1] == 3
                    for stats in _shared_stats(out, manifest, key).values())
+
+
+def test_every_written_file_has_the_mode_open_gives_under_the_umask(tmp_path):
+    out = str(tmp_path / "ds")
+    old = os.umask(0o022)
+    try:
+        manifest = generate(*fixtures.fixture("package_delivery"), out)
+        m0 = logio.read_model(os.path.join(out, "m0.json"))
+        for entry in manifest.cells:
+            paths = {key: os.path.join(out, rel) for key, rel in entry["paths"].items()}
+            gt = oracle.gt_alignment(m0, logio.read_trace(paths["trace"]),
+                                     logio.read_observed_jsonl(paths["log_jsonl"]))
+            oracle.write_alignment(gt, os.path.join(os.path.dirname(paths["trace"]),
+                                                    "gt.alignment.jsonl"))
+    finally:
+        os.umask(old)
+    modes = {os.path.relpath(os.path.join(root, name), out):
+             stat.S_IMODE(os.stat(os.path.join(root, name)).st_mode)
+             for root, _, names in os.walk(out) for name in names}
+    assert len(modes) > 12 * 5
+    assert {path for path, mode in modes.items() if mode != 0o644} == set()
 
 
 def test_a_failed_first_cell_has_no_model_and_the_next_ok_cell_is_the_source(tmp_path):

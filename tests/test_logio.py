@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import re
 import sys
 import threading
@@ -401,3 +402,79 @@ def test_every_trace_line_is_json_dumps_with_canonical_settings(package_cells):
         for d in logio.trace_to_dicts(item["trace"]):
             assert canonical_json(d) == json.dumps(d, sort_keys=True, separators=(",", ":"),
                                                    ensure_ascii=False)
+
+
+def _written_and_read(tmp_path, item, net=None):
+    """The item's trace and log, written and read back (the trace with `net`)."""
+    trace_path, log_path = str(tmp_path / "trace.gt.jsonl"), str(tmp_path / "log.jsonl")
+    logio.write_trace(item["trace"], trace_path)
+    logio.write_observed_jsonl(item["log"], log_path)
+    return logio.read_trace(trace_path, net=net), logio.read_observed_jsonl(log_path)
+
+
+def _assert_equal_values_are_one_object(values) -> int:
+    """Assert that equal values among `values` are one object; return how
+    many values repeat an earlier one."""
+    first: dict = {}
+    for value in values:
+        assert first.setdefault(value, value) is value, value
+    return len(values) - len(first)
+
+
+def test_each_consumed_token_is_the_token_produced_before_it(tmp_path, package_cells):
+    shared_tokens = 0
+    for item in package_cells:
+        trace, _ = _written_and_read(tmp_path, item)
+        produced: dict = {}
+        for r in trace.records:
+            for _, tok in r.consumed:
+                if tok in produced:
+                    assert tok is produced[tok]
+                    shared_tokens += 1
+            for _, tok, _ in r.produced:
+                assert produced.setdefault(tok, tok) is tok
+    assert shared_tokens > 100
+
+
+@pytest.mark.parametrize("with_net", [False, True])
+def test_equal_pairs_transitions_and_recorded_objects_of_a_trace_are_one_object(
+        tmp_path, package_cells, with_net):
+    repeats = 0
+    for item in package_cells:
+        trace, _ = _written_and_read(tmp_path, item, item["ml"] if with_net else None)
+        records = trace.records
+        for values in ([p for r in records for p in r.values + r.fresh],
+                       [r.transition for r in records],
+                       [r.activity for r in records if r.activity is not None],
+                       [r.recorded_objects for r in records]):
+            repeats += _assert_equal_values_are_one_object(values)
+    assert repeats > 100
+
+
+def test_a_read_back_log_shares_its_objects_and_run_id(tmp_path, package_cells):
+    repeats = 0
+    for item in package_cells:
+        _, log = _written_and_read(tmp_path, item)
+        assert log.events and all(e.run_id is log.run_id for e in log.events)
+        repeats += _assert_equal_values_are_one_object([e.objects for e in log.events])
+        repeats += _assert_equal_values_are_one_object([e.activity for e in log.events])
+    assert repeats > 50
+
+
+def test_records_and_events_are_never_shared_and_read_write_keeps_every_byte(
+        tmp_path, fixture_datasets):
+    files = 0
+    for out, manifest in fixture_datasets.values():
+        for entry in manifest.cells:
+            trace_path = os.path.join(out, entry["paths"]["trace"])
+            log_path = os.path.join(out, entry["paths"]["log_jsonl"])
+            trace, log = logio.read_trace(trace_path), logio.read_observed_jsonl(log_path)
+            assert len({id(r) for r in trace.records}) == len(trace.records)
+            assert len({id(e) for e in log.events}) == len(log.events)
+            logio.write_trace(trace, str(tmp_path / "trace.gt.jsonl"))
+            logio.write_observed_jsonl(log, str(tmp_path / "log.jsonl"))
+            for written, original in (("trace.gt.jsonl", trace_path), ("log.jsonl", log_path)):
+                with open(tmp_path / written, "rb") as a, open(original, "rb") as b:
+                    assert a.read() == b.read(), original
+                files += 1
+    assert files >= 2 * 14
