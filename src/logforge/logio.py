@@ -13,8 +13,11 @@ reader keeps one sharing table per file read, so that equal leaves of the
 file come back as one object: provenance tags, transitions and activities,
 tokens, [variable, identifier] pairs and recorded-object tuples, and in a
 log each event's `run_id`, the header's.  Records, events and moves are
-never shared: readers downstream key on their identity.  `projection` alone
-links a firing record to its observed event.
+slotted dataclasses: they compare by value and are not hashable.  They are
+never shared and never changed after they are built, since readers
+downstream key on their identity; `tests/test_api.py` fails on code that
+stores one of their fields.  `projection` alone links a firing record to its
+observed event.
 """
 from __future__ import annotations
 
@@ -34,7 +37,7 @@ from .serialize import (SCHEMA_VERSION, canonical_json, net_from_dict,
                         net_to_dict, provenance_from_dict, provenance_to_dict,
                         text_digest)
 from .simulate import FiringRecord, GroundTruthTrace, epoch_seconds, timestamp_at
-from .timing import NUMBER, ConfigInvalid, ReportRule, reject_unknown_keys, slot_init, typed
+from .timing import NUMBER, ConfigInvalid, ReportRule, reject_unknown_keys, typed
 
 
 class ParseError(Exception):
@@ -509,8 +512,7 @@ def read_trace(path: str, net: Net | None = None,
 
 # -- observed logs -------------------------------------------------------------
 
-@slot_init
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ObservedEvent:
     event_id: str
     timestamp: str

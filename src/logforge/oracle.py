@@ -1,12 +1,18 @@
 """Ground-truth targets for conformance checking.
 
 From a trace and its observed log we derive the optimal alignment a checker
-should have produced: base labeled firings are synchronous moves, recording
-insertions become log/model move pairs, skipped or unrecorded activities
-become model moves, deviation silents become cause-tagged silent model moves,
-and object-level recording errors stay synchronous but carry an
-object-discrepancy annotation.  Timing-only patterns do not surface in
-alignments at all; they appear in the deviation report only.
+should have produced.  Base labeled firings are synchronous moves with no
+cause.  A firing of a created transition gives moves tagged with its cause:
+- recording insertions (RI_in^e, RI_in^a) become log/model move pairs;
+- skipped or unrecorded activities (BI_3, RI_mi^e) become model moves;
+- deviation silents (the other BI_* codes, and RI_mi^o's bypass) become
+  silent model moves;
+- object-level recording errors (RI_mi^o, RI_in^o) stay synchronous but
+  carry an object-discrepancy annotation;
+- batch-logged pairs (RI_in^p) stay synchronous.
+Timing-only patterns (BI_11, RI_mi^p) do not surface in alignments at all;
+they appear in the deviation report only.  `tests/test_oracle.py` checks
+this mapping for every catalog code.
 
 An alignment file (schema "2") is a header line, then one line per systemic
 move, written by `logio.write_jsonl`.  A line holds the move's fields once,
@@ -34,7 +40,6 @@ from itertools import chain
 from .logio import ObservedLog, ParseError, projection, read_jsonl, write_jsonl
 from .nets import Net
 from .simulate import FiringRecord, GroundTruthTrace
-from .timing import slot_init
 
 INSERTION_CODES = ("RI_in^e", "RI_in^a")
 SKIP_CODES = ("RI_mi^e", "BI_3")
@@ -64,8 +69,7 @@ class Cause:
                 "origin": self.origin}
 
 
-@slot_init
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Move:
     kind: str  # synchronous | log | model | silent_model
     activity: str | None

@@ -30,7 +30,7 @@ from .nets import (OBJECT_SEPARATOR, FiringRule, Net, ProvenanceTag, is_identifi
                    replay_pairs, transition_bindings)
 from .serialize import digest_of, net_digest
 from .timing import (NUMBER, ConfigInvalid, Delay, FrequencyProbe, ReportRule,
-                     reject_unknown_keys, slot_init, typed, weight_piece, weight_value)
+                     reject_unknown_keys, typed, weight_piece, weight_value)
 
 PRNG_NAME = "numpy-pcg64"
 DEFAULT_EPOCH = "2024-03-04T08:00:00Z"
@@ -219,8 +219,7 @@ class WeightSpec:
         return self._breakpoints[i] if i < len(self._breakpoints) else None
 
 
-@slot_init
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class FiringRecord:
     """One firing of the ground-truth trace, fully linked to the model."""
 

@@ -8,7 +8,7 @@ simulator and the oracle consume.
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass, fields
 
 
 class ConfigInvalid(ValueError):
@@ -56,26 +56,6 @@ def names(d, key, default=_REQUIRED) -> tuple[str, ...] | None:
     if not all(type(x) is str for x in value):
         raise ConfigInvalid(f"field {key!r} is not a list of strings: {value!r}")
     return tuple(value)
-
-
-def slot_init(cls):
-    """Give the frozen, slotted dataclass `cls` an `__init__` with the same
-    parameters and defaults that stores each value through its slot, not
-    through the frozen class's `__setattr__` as the generated one does.
-    `cls` must have no `__post_init__` and no default factories."""
-    fs = fields(cls)
-    if ("__slots__" not in vars(cls) or hasattr(cls, "__post_init__")
-            or any(f.default_factory is not MISSING for f in fs)):
-        raise TypeError(f"{cls.__name__} needs its own __init__")
-    names = [f.name for f in fs]
-    namespace = {f"_set_{n}": getattr(cls, n).__set__ for n in names}
-    exec(f"def __init__(self, {', '.join(names)}):\n"
-         + "".join(f"    _set_{n}(self, {n})\n" for n in names), namespace)
-    init = namespace["__init__"]
-    init.__defaults__ = tuple(f.default for f in fs if f.default is not MISSING) or None
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
-    cls.__init__ = init
-    return cls
 
 
 def weight_value(weight: float) -> float:

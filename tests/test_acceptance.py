@@ -20,6 +20,8 @@ from logforge.serialize import net_canonical_digest, net_to_dict
 from logforge.simulate import WeightSpec, run, sample_firing, trace_replays
 from logforge.transform import apply, apply_sequence
 
+import mini_nets
+
 EPS = 0.05
 TARGET = EPS / (1.0 + EPS)
 
@@ -60,7 +62,7 @@ def test_c1_package_dataset_reproduction(package_dataset):
 def test_c2_categorical_sampling_law():
     from scipy import stats
     t0 = time.monotonic()
-    net = fixtures.mini_chain()  # reuse its types; build a 3-way choice inline
+    net = mini_nets.mini_chain()  # reuse its types; build a 3-way choice inline
     from logforge.nets import Arc, Marking, Net, ObjectType, Place, Transition, Variable
     x = Variable("x", "tok")
     names = ("a", "b", "c")
@@ -89,7 +91,7 @@ def test_c2_categorical_sampling_law():
 def test_c3_additivity_for_every_pattern():
     t0 = time.monotonic()
     base_langs = {}
-    for name, net, app in fixtures.additivity_cases():
+    for name, net, app in mini_nets.additivity_cases():
         if id(net) not in base_langs:
             base_langs[id(net)] = bounded_language(net, 4)
         transformed = apply(net, app)
@@ -99,7 +101,7 @@ def test_c3_additivity_for_every_pattern():
 
 def test_c4_superset_and_commutativity():
     t0 = time.monotonic()
-    for name, net, app in fixtures.additivity_cases():
+    for name, net, app in mini_nets.additivity_cases():
         out = apply(net, app)
         before = net_to_dict(net)
         after = net_to_dict(out)

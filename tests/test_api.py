@@ -83,6 +83,65 @@ def test_script_named_attributes_exist():
     assert not missing
 
 
+def field_stores(source: str, classes: tuple) -> list[int]:
+    """The lines of `source` that store or delete an attribute named after a
+    field of `classes`, directly or through `setattr`, `delattr`,
+    `object.__setattr__` or `object.__delattr__` with a literal name.  Stores
+    on `self` count only inside a class named after one of `classes`."""
+    names = {f.name for cls in classes for f in dataclasses.fields(cls)}
+    owners = {cls.__name__ for cls in classes}
+    tree = ast.parse(source)
+    inside = {id(node) for cls in ast.walk(tree)
+              if isinstance(cls, ast.ClassDef) and cls.name in owners for node in ast.walk(cls)}
+
+    def changes(node, target, name) -> bool:
+        on_self = isinstance(target, ast.Name) and target.id == "self"
+        return name in names and (not on_self or id(node) in inside)
+
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Load):
+            found = changes(node, node.value, node.attr)
+        elif isinstance(node, ast.Call) and len(node.args) >= 2:
+            func = node.func
+            callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            found = (callee in ("setattr", "delattr", "__setattr__", "__delattr__")
+                     and isinstance(node.args[1], ast.Constant)
+                     and changes(node, node.args[0], node.args[1].value))
+        else:
+            found = False
+        if found:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_no_code_changes_a_record_event_or_move():
+    # Records, events and moves are not frozen, so nothing else keeps them
+    # unchanged once built.  They must stay so: `write_alignment` files a move
+    # by its identity, and a trace's records, a log's events and an
+    # alignment's moves are read back once and never changed.
+    from logforge.logio import ObservedEvent
+    from logforge.oracle import Move
+    from logforge.simulate import FiringRecord
+    classes = (FiringRecord, ObservedEvent, Move)
+    assert field_stores("record.time = 0.0\nm.kind += 's'\n"
+                        "setattr(e, 'objects', ())\nobject.__setattr__(m, 'cause', None)\n"
+                        "self.time = 0.0\n", classes) == [1, 2, 3, 4]
+    assert field_stores("class Move:\n    def f(self):\n        self.kind = 'log'\n"
+                        "class Binding:\n    def g(self):\n"
+                        "        object.__setattr__(self, 'values', ())\n", classes) == [3]
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    found, scanned = [], 0
+    for directory in (os.path.join("src", "logforge"), "scripts", "perfbench"):
+        for name in sorted(os.listdir(os.path.join(root, directory))):
+            if name.endswith(".py"):
+                with open(os.path.join(root, directory, name), encoding="utf-8") as fh:
+                    found += [f"{directory}/{name}:{line}"
+                              for line in field_stores(fh.read(), classes)]
+                scanned += 1
+    assert scanned >= 20 and not found
+
+
 # modules that only a run or a worker pool needs, and numpy, which nothing
 # needs; importing any of them costs every command its start-up time
 HEAVY = ("numpy", "logforge.pcg64", "multiprocessing", "concurrent.futures.process")

@@ -9,6 +9,8 @@ from logforge.serialize import net_digest
 from logforge.simulate import SimConfig
 from logforge.timing import ConfigInvalid
 
+import mini_nets
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -64,7 +66,7 @@ def test_a_model_tag_the_trace_reader_refuses_stops_at_validate(tmp_path, capsys
     # such a model used to validate and simulate, and its trace was then
     # refused by `oracle align` and `oracle report`
     model = str(tmp_path / "m.json")
-    logio.write_model(fixtures.mini_chain(), model)
+    logio.write_model(mini_nets.mini_chain(), model)
     doc = json.load(open(model))
     [alpha] = [t for t in doc["transitions"] if t["id"] == "alpha"]
     alpha["provenance"] = {"origin": "behavioral", "pattern_code": "BOGUS",

@@ -27,6 +27,8 @@ from logforge.simulate import (AllWeightsZero, Arrival, ScheduleEntry, SimConfig
 from logforge.timing import Delay
 from logforge.transform import apply_sequence
 
+import mini_nets
+
 
 def brute_force(net, marking):
     """Every (transition, sorted values) whose arcs can each take a token of
@@ -49,7 +51,7 @@ def brute_force(net, marking):
 
 
 def roles_switched():
-    net, _ = apply_sequence(fixtures.mini_roles(), [
+    net, _ = apply_sequence(mini_nets.mini_roles(), [
         PatternApplication("s1", "BI_7", {"p_r1": "p_ra", "p_r2": "p_rb"},
                            {"weight": 0.5, "weight_period": 40.0, "weight_window": 10.0,
                             "weight_horizon": 400.0})])
@@ -61,7 +63,7 @@ def roles_switched():
 
 
 def corr():
-    net = fixtures.mini_corr()
+    net = mini_nets.mini_corr()
     return net, SimConfig(firing_limit=20)
 
 

@@ -16,6 +16,8 @@ from logforge.simulate import Arrival, SimConfig, SimState, run, step, trace_rep
 from logforge.timing import Delay
 from logforge.transform import apply_sequence
 
+import mini_nets
+
 
 def rebind_net():
     """An output variable flagged fresh that is also bound on an input arc."""
@@ -121,13 +123,13 @@ def toy(net, arrivals=()):
 
 
 def roles_switched():
-    net, _ = apply_sequence(fixtures.mini_roles(), [
+    net, _ = apply_sequence(mini_nets.mini_roles(), [
         PatternApplication("s1", "BI_7", {"p_r1": "p_ra", "p_r2": "p_rb"})])
     return toy(net, [Arrival("item", "p_i", Delay.exponential(1 / 30.0), 3)])
 
 
 def corr_rerouted():
-    net, _ = apply_sequence(fixtures.mini_corr(), [
+    net, _ = apply_sequence(mini_nets.mini_corr(), [
         PatternApplication("r1", "BI_1", {"p": "p_b", "p_r": "p_r"})])
     return toy(net)
 
@@ -141,7 +143,7 @@ def energy(contracts=20):
     return ml, grid.sim_configs[0]
 
 
-NETS = {"roles+BI_7": roles_switched(), "corr": toy(fixtures.mini_corr()),
+NETS = {"roles+BI_7": roles_switched(), "corr": toy(mini_nets.mini_corr()),
         "corr+BI_1": corr_rerouted(), "energy20": energy()}
 
 

@@ -14,9 +14,10 @@ import os
 
 import pytest
 
-from logforge import fixtures
 from logforge.serialize import digest_of, net_to_dict
 from logforge.transform import apply_sequence
+
+import mini_nets
 
 FILES = ("trace", "log_jsonl", "log_csv")
 
@@ -124,7 +125,7 @@ PATTERN_GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("case", fixtures.additivity_cases(), ids=lambda c: c[0])
+@pytest.mark.parametrize("case", mini_nets.additivity_cases(), ids=lambda c: c[0])
 def test_pattern_net_and_ledger_are_identical_to_golden(case):
     name, net, app = case
     out, ledger = apply_sequence(net, [app])

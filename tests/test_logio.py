@@ -11,10 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logforge import fixtures, logio
+from logforge import logio
 from logforge.nets import Net, Transition
 from logforge.serialize import canonical_json, digest_of, net_digest, net_from_dict
 from logforge.simulate import SimConfig, epoch_seconds, run, timestamp_at
+
+import mini_nets
 
 
 def test_model_round_trip(tmp_path, package_cells):
@@ -164,7 +166,7 @@ def test_observed_log_sorted_with_stable_ties(package_cells):
 
 
 def test_empty_log_from_silent_net():
-    net = fixtures.mini_chain()
+    net = mini_nets.mini_chain()
     silent = Net(net.object_types, net.places,
                  tuple(Transition(t.id) for t in net.transitions),
                  net.arcs, net.initial_marking)

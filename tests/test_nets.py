@@ -13,6 +13,8 @@ from logforge.nets import (Arc, Binding, Diagnostic, ExplosionGuard, Marking, Ne
                            Variable, bounded_language, enabled_bindings, fire, replay,
                            validate_net)
 
+import mini_nets
+
 
 def v(name, otype, fresh=False):
     return Variable(name, otype, fresh)
@@ -277,7 +279,7 @@ def corr_markings(draw):
 @given(corr_markings())
 @settings(max_examples=200, deadline=None)
 def test_enabled_matches_naive_oracle(marking):
-    net = fixtures.mini_corr()
+    net = mini_nets.mini_corr()
     got = {(t, b.values) for t, b in enabled_bindings(net, marking)}
     assert got == naive_enabled(net, marking)
 
@@ -285,7 +287,7 @@ def test_enabled_matches_naive_oracle(marking):
 @given(corr_markings())
 @settings(max_examples=100, deadline=None)
 def test_firing_conservation(marking):
-    net = fixtures.mini_corr()
+    net = mini_nets.mini_corr()
     for firing in enabled_bindings(net, marking):
         m2, rec = fire(net, marking, firing, net.id_generator())
         expect = Counter({(p, t): n for p, t, n in marking.items()})
@@ -332,7 +334,7 @@ def test_fire_empty_preset_silent():
 def test_fresh_identifiers_are_globally_new():
     from logforge.patterns import PatternApplication
     from logforge.transform import apply_sequence
-    net = fixtures.mini_roles()
+    net = mini_nets.mini_roles()
     switched, _ = apply_sequence(net, [PatternApplication("s1", "BI_7",
                                                           {"p_r1": "p_ra", "p_r2": "p_rb"})])
     gen = switched.id_generator()
@@ -359,7 +361,7 @@ def test_replay_empty_trace():
 
 
 def test_replay_rejects_out_of_order():
-    net = fixtures.mini_chain()
+    net = mini_nets.mini_chain()
     alpha = ("alpha", Binding(values=(("x", "i_1"),)))
     beta = ("beta", Binding(values=(("x", "i_1"),)))
     assert replay(net, [alpha, beta]) is True
@@ -369,7 +371,7 @@ def test_replay_rejects_out_of_order():
 def test_replay_uses_fresh_from_trace():
     from logforge.patterns import PatternApplication
     from logforge.transform import apply_sequence
-    net, _ = apply_sequence(fixtures.mini_roles(),
+    net, _ = apply_sequence(mini_nets.mini_roles(),
                             [PatternApplication("s1", "BI_7",
                                                 {"p_r1": "p_ra", "p_r2": "p_rb"})])
     gen = net.id_generator()
@@ -382,11 +384,11 @@ def test_replay_uses_fresh_from_trace():
 # -- bounded language --------------------------------------------------------------
 
 def test_bounded_language_depth_zero():
-    assert bounded_language(fixtures.mini_chain(), 0) == {()}
+    assert bounded_language(mini_nets.mini_chain(), 0) == {()}
 
 
 def test_bounded_language_two_step_chain():
-    net = fixtures.mini_chain()
+    net = mini_nets.mini_chain()
     lang = bounded_language(net, 2)
     a = ("alpha", (("x", "i_1"),))
     b = ("beta", (("x", "i_1"),))
@@ -394,7 +396,7 @@ def test_bounded_language_two_step_chain():
 
 
 def test_bounded_language_guard():
-    net = fixtures.mini_chain()
+    net = mini_nets.mini_chain()
     busy = Net(net.object_types, net.places, net.transitions, net.arcs,
                Marking.of({"p0": [["i_1"], ["i_2"], ["i_3"]]}))
     with pytest.raises(ExplosionGuard):
@@ -406,7 +408,7 @@ def test_bounded_language_guard():
 def test_bounded_language_canonicalizes_fresh():
     from logforge.patterns import PatternApplication
     from logforge.transform import apply_sequence
-    net, _ = apply_sequence(fixtures.mini_roles(),
+    net, _ = apply_sequence(mini_nets.mini_roles(),
                             [PatternApplication("s1", "BI_7",
                                                 {"p_r1": "p_ra", "p_r2": "p_rb"})])
     lang = bounded_language(net, 1)

@@ -12,8 +12,10 @@ from logforge.oracle import (Cause, CoverageMismatch, GtAlignment, LogTraceMisma
                              Move, _levenshtein, deviation_report, gt_alignment,
                              move_distance, read_alignment, write_alignment)
 from logforge.serialize import canonical_json
-from logforge.simulate import run
+from logforge.simulate import SimConfig, run, trace_replays
 from logforge.transform import apply_sequence
+
+import mini_nets
 
 
 def dp_levenshtein(a: list, b: list) -> int:
@@ -53,6 +55,76 @@ def test_clean_cell_is_all_synchronous(m0, clean_run):
     assert al.covered_event_ids() == {e.event_id for e in log.events}
     assert move_distance(al, al) == 0.0
     assert deviation_report(trace).entries == {}
+
+
+# per catalog code, the kinds of the ground-truth moves whose cause names it,
+# as the module docstring of `oracle` states them; timing-only codes surface
+# in none
+CAUSE_MOVE_KINDS = {
+    "RI_mi^e": {"model"},
+    "RI_in^e": {"log", "model"},
+    "RI_in^a": {"log", "model"},
+    "RI_mi^o": {"silent_model", "synchronous"},
+    "RI_in^o": {"synchronous"},
+    "RI_in^p": {"synchronous"},
+    "RI_mi^p": set(),
+    "BI_1": {"silent_model"},
+    "BI_2": {"silent_model"},
+    "BI_3": {"model"},
+    "BI_5": {"silent_model"},
+    "BI_6": {"silent_model"},
+    "BI_7": {"silent_model"},
+    "BI_9": {"silent_model"},
+    "BI_10": {"silent_model"},
+    "BI_11": set(),
+}
+
+
+@pytest.mark.parametrize("case", mini_nets.additivity_cases(), ids=lambda c: c[0])
+def test_every_catalog_pattern_end_to_end(case):
+    code, m0, app = case
+    if code == "BI_11":
+        params = {**app.params, "probability": 0.5}  # the heavy tail is drawn
+    elif code == "RI_mi^p":
+        params = app.params
+    else:
+        params = {**app.params, "weight": 5.0}  # the created transitions fire
+    ml, ledger = apply_sequence(m0, [replace(app, params=params)])
+    (entry,) = ledger.entries
+    app_id, created = entry.application_id, set(entry.created_transitions)
+    fired, kinds, timed, coarsened = set(), set(), False, False
+    for seed in range(20):
+        trace = run(ml, SimConfig(seed=seed, firing_limit=40, run_id=f"s{seed}"))
+        log = project_observed(trace)
+        assert trace_replays(ml, trace)
+        assert len(log.events) == len(trace.labeled_records())
+
+        # the records a created transition fired are the ones tagged with
+        # the application, and the report names the objects they bound
+        caused = []
+        for r in trace.records:
+            assert (r.transition in created) == (r.provenance.application_id == app_id)
+            if r.transition in created or app_id in r.timing_causes:
+                caused.append(r)
+            timed |= app_id in r.timing_causes
+            coarsened |= r.coarsen_window is not None
+        fired |= {r.transition for r in caused} & created
+        entries = deviation_report(trace).entries
+        assert list(entries) == [app_id] and entries[app_id]["code"] == entry.code == code
+        report = entries[app_id]
+        bound = {v for r in caused for _, v in r.values}
+        assert report["responsible"] | report["affected"] <= bound
+        assert not report["responsible"] & report["affected"]
+        assert bool(report["responsible"]) == bool(caused)
+
+        for m in gt_alignment(m0, trace, log).system:
+            if m.cause is not None:
+                assert (m.cause.pattern_code, m.cause.application_id) == (code, app_id)
+                kinds.add(m.kind)
+    assert fired == created
+    assert kinds == CAUSE_MOVE_KINDS[code]
+    assert (timed, coarsened) == {"BI_11": (True, False),
+                                  "RI_mi^p": (True, True)}.get(code, (False, False))
 
 
 def test_every_observed_event_covered_exactly_once(m0, package_cells):

@@ -5,6 +5,8 @@ from logforge.dataset import enumerate_cells
 from logforge.patterns import CATALOG, PatternApplication, UnknownPattern, Wildcard, lookup
 from logforge.transform import apply, apply_sequence, validate_mapping
 
+import mini_nets
+
 EXPECTED_CODES = {"RI_mi^e", "RI_in^e", "RI_in^a", "RI_mi^o", "RI_in^o", "RI_in^p",
                   "RI_mi^p", "BI_1", "BI_2", "BI_3", "BI_5", "BI_6", "BI_7",
                   "BI_9", "BI_10", "BI_11"}
@@ -33,7 +35,7 @@ def test_catalog_signatures():
 
 
 def test_bi6_covers_both_variants():
-    net = fixtures.mini_cap()
+    net = mini_nets.mini_cap()
     both = _build(net, PatternApplication("c", "BI_6", {"p_c": "p_cap"}))
     ids = [t.id for t in both.transitions]
     assert any("inc" in x for x in ids) and any("dec" in x for x in ids)
@@ -44,19 +46,19 @@ def test_bi6_covers_both_variants():
 
 
 def test_created_element_counts():
-    bi5 = _build(fixtures.mini_queue(),
+    bi5 = _build(mini_nets.mini_queue(),
                  PatternApplication("o", "BI_5", {"p_q1": "p_qa", "p_q2": "p_qb"}))
     assert len(bi5.transitions) == 1 and len(bi5.places) == 1
-    ria = _build(fixtures.mini_chain(),
+    ria = _build(mini_nets.mini_chain(),
                  PatternApplication("a", "RI_in^a", {"t": "alpha", "t_prime": "gamma"}))
     assert len(ria.transitions) == 1 and len(ria.places) == 0
-    rimp = _build(fixtures.mini_chain(), PatternApplication(
+    rimp = _build(mini_nets.mini_chain(), PatternApplication(
         "p", "RI_mi^p", {"T": ["alpha", "beta"]}, {"window_s": 3600.0}))
     assert rimp.transitions == [] and rimp.places == [] and rimp.arcs == []
 
 
 def test_timing_only_patterns_build_exactly_one_override():
-    for name, net, app in fixtures.additivity_cases():
+    for name, net, app in mini_nets.additivity_cases():
         built = _build(net, app)
         if app.code in TIMING_ONLY:
             assert not built.places and not built.transitions
@@ -66,7 +68,7 @@ def test_timing_only_patterns_build_exactly_one_override():
 
 
 def test_created_elements_carry_matching_provenance():
-    for name, net, app in fixtures.additivity_cases():
+    for name, net, app in mini_nets.additivity_cases():
         built = _build(net, app)
         expected = "behavioral" if app.code.startswith("BI") else "recording"
         for t in built.transitions:
@@ -76,7 +78,7 @@ def test_created_elements_carry_matching_provenance():
 
 
 def test_distinct_application_ids_yield_disjoint_created_ids():
-    net = fixtures.mini_chain()
+    net = mini_nets.mini_chain()
     a = _build(net, PatternApplication("one", "BI_3", {"t": "alpha"}))
     b = _build(net, PatternApplication("two", "BI_3", {"t": "alpha"}))
     ids_a = {t.id for t in a.transitions} | {p.id for p in a.places}
@@ -85,12 +87,12 @@ def test_distinct_application_ids_yield_disjoint_created_ids():
 
 
 BAD_PARAMS = [
-    ("BI_10", fixtures.mini_batch, {"t": "release"}, {}),  # the dropped-arc indices
-    ("BI_10", fixtures.mini_batch, {"t": "release"}, {"drop": ["a"]}),
-    ("BI_10", fixtures.mini_batch, {"t": "release"}, {"drop": 1}),
-    ("BI_6", fixtures.mini_cap, {"p_c": "p_cap"}, {"variant": "sideways"}),
-    ("BI_1", fixtures.mini_corr, {"p": "p_b", "p_r": "p_r"}, {"component": "1"}),
-    ("RI_in^o", fixtures.mini_pool, {"t": "work", "p_w": "p_r"}, {"var": "x"}),
+    ("BI_10", mini_nets.mini_batch, {"t": "release"}, {}),  # the dropped-arc indices
+    ("BI_10", mini_nets.mini_batch, {"t": "release"}, {"drop": ["a"]}),
+    ("BI_10", mini_nets.mini_batch, {"t": "release"}, {"drop": 1}),
+    ("BI_6", mini_nets.mini_cap, {"p_c": "p_cap"}, {"variant": "sideways"}),
+    ("BI_1", mini_nets.mini_corr, {"p": "p_b", "p_r": "p_r"}, {"component": "1"}),
+    ("RI_in^o", mini_nets.mini_pool, {"t": "work", "p_w": "p_r"}, {"var": "x"}),
 ]
 
 
@@ -98,7 +100,7 @@ def test_unknown_pattern_and_required_params():
     with pytest.raises(UnknownPattern):
         lookup("BI_99")
     with pytest.raises(UnknownPattern):
-        validate_mapping(fixtures.mini_chain(), PatternApplication("x", "nope", {"t": "alpha"}))
+        validate_mapping(mini_nets.mini_chain(), PatternApplication("x", "nope", {"t": "alpha"}))
     for code, make_net, mapping, params in BAD_PARAMS:
         diags = validate_mapping(make_net(), PatternApplication("x", code, mapping, params))
         assert [d.code for d in diags] == ["RequirementFailed"], (code, params)
@@ -110,7 +112,7 @@ def test_requirements_are_named_and_checkable():
 
 
 def test_missing_object_record_spec_excludes_bypassed():
-    net = fixtures.mini_sideloop()
+    net = mini_nets.mini_sideloop()
     app = PatternApplication("m1", "RI_mi^o", {"t": "scan", "O": ["gadget"]},
                              {"vars": ["d"]})
     built = _build(net, app)
@@ -121,7 +123,7 @@ def test_missing_object_record_spec_excludes_bypassed():
 
 
 def test_wrong_object_records_the_substitute():
-    net = fixtures.mini_pool()
+    net = mini_nets.mini_pool()
     app = PatternApplication("w1", "RI_in^o", {"t": "work", "p_w": "p_r"}, {"var": "rr"})
     built = _build(net, app)
     dup = built.transitions[0]
@@ -131,7 +133,7 @@ def test_wrong_object_records_the_substitute():
 
 
 def test_switch_role_uses_a_fresh_alias():
-    net = fixtures.mini_roles()
+    net = mini_nets.mini_roles()
     app = PatternApplication("s1", "BI_7", {"p_r1": "p_ra", "p_r2": "p_rb"})
     built = _build(net, app)
     fresh_vars = [v for a in built.arcs for v in a.inscription if v.fresh]
@@ -139,7 +141,7 @@ def test_switch_role_uses_a_fresh_alias():
 
 
 def test_batch_log_reroutes_through_twin_places():
-    net = fixtures.mini_chain()
+    net = mini_nets.mini_chain()
     app = PatternApplication("b1", "RI_in^p", {"t1": "alpha", "t2": "beta"})
     built = _build(net, app)
     assert len(built.places) == 1  # the twin of the shared place p1
@@ -153,7 +155,7 @@ def test_batch_log_reroutes_through_twin_places():
 
 def test_multitasking_reclaims_the_exact_resource():
     from logforge.nets import Marking, enabled_bindings, fire
-    net = fixtures.mini_corr()
+    net = mini_nets.mini_corr()
     app = PatternApplication("mt", "BI_2", {"p1": "p_b", "p2": "p_r"})
     out = apply(net, app)
     gen = out.id_generator()
@@ -169,7 +171,7 @@ def test_multitasking_reclaims_the_exact_resource():
 
 def _sequences():
     """(net, applications) of every additivity case and every fixture grid row."""
-    for name, net, app in fixtures.additivity_cases():
+    for name, net, app in mini_nets.additivity_cases():
         yield net, [app]
     for name in fixtures.FIXTURES:
         net, grid = fixtures.fixture(name)

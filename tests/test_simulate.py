@@ -16,6 +16,8 @@ from logforge.simulate import (AllWeightsZero, Arrival, ConfigInvalid,
                                trace_replays)
 from logforge.timing import Delay
 
+import mini_nets
+
 
 def v(name, otype, fresh=False):
     return Variable(name, otype, fresh)
@@ -52,7 +54,7 @@ def test_firing_probabilities_follow_the_weights():
 
 
 def test_single_enabled_firing_is_certain():
-    net = fixtures.mini_chain()
+    net = mini_nets.mini_chain()
     [(_, _, p)] = probabilities(SimState(net, SimConfig(firing_limit=1)))
     assert p == 1.0
     enabled = enabled_of(net)
@@ -161,27 +163,27 @@ def test_nan_weight_breakpoint_rejected():
 
 
 def test_config_requires_a_stop_condition():
-    net = fixtures.mini_chain()
+    net = mini_nets.mini_chain()
     with pytest.raises(ConfigInvalid):
         run(net, SimConfig(seed=1))
 
 
 @pytest.mark.parametrize("net, changes, message", [
-    (fixtures.mini_chain(), {"firing_limit": -1}, "firing_limit must be >= 0"),
-    (fixtures.mini_chain(), {"arrivals": [Arrival("item", "p0", Delay.constant(1.0), -1)]},
+    (mini_nets.mini_chain(), {"firing_limit": -1}, "firing_limit must be >= 0"),
+    (mini_nets.mini_chain(), {"arrivals": [Arrival("item", "p0", Delay.constant(1.0), -1)]},
      "arrival count must be >= 0"),
-    (fixtures.mini_chain(), {"arrivals": [Arrival("item", "p9", Delay.constant(1.0), 1)]},
+    (mini_nets.mini_chain(), {"arrivals": [Arrival("item", "p9", Delay.constant(1.0), 1)]},
      "arrival target 'p9' unknown"),
-    (fixtures.mini_chain(), {"schedules": [ScheduleEntry("p9", ("i_2",), 0.0)]},
+    (mini_nets.mini_chain(), {"schedules": [ScheduleEntry("p9", ("i_2",), 0.0)]},
      "schedule place 'p9' unknown"),
     # on a net with a pair place: an arrival or a schedule token that does not fit its place
-    (fixtures.mini_corr(), {"arrivals": [Arrival("item", "p_b", Delay.constant(1.0), 1)]},
+    (mini_nets.mini_corr(), {"arrivals": [Arrival("item", "p_b", Delay.constant(1.0), 1)]},
      "arrival target 'p_b' holds ['item', 'res'] tokens, not one 'item' object"),
-    (fixtures.mini_corr(), {"arrivals": [Arrival("res", "p_out", Delay.constant(1.0), 1)]},
+    (mini_nets.mini_corr(), {"arrivals": [Arrival("res", "p_out", Delay.constant(1.0), 1)]},
      "arrival target 'p_out' holds ['item'] tokens, not one 'res' object"),
-    (fixtures.mini_corr(), {"schedules": [ScheduleEntry("p_b", ("i_2",), 0.0)]},
+    (mini_nets.mini_corr(), {"schedules": [ScheduleEntry("p_b", ("i_2",), 0.0)]},
      "schedule token ['i_2'] does not fit 'p_b', which holds ['item', 'res'] tokens"),
-    (fixtures.mini_corr(), {"schedules": [ScheduleEntry("p_r", ("r_3", "extra"), 0.0)]},
+    (mini_nets.mini_corr(), {"schedules": [ScheduleEntry("p_r", ("r_3", "extra"), 0.0)]},
      "schedule token ['r_3', 'extra'] does not fit 'p_r', which holds ['res'] tokens"),
 ], ids=["negative-firing-limit", "negative-arrival-count", "unknown-arrival-target",
         "unknown-schedule-place", "arrival-into-pair-place", "arrival-of-another-type",
@@ -209,7 +211,7 @@ def test_whole_floats_read_as_before_only_where_accepted():
 
 
 def test_delayed_tokens_materialize_later():
-    net = fixtures.mini_chain()
+    net = mini_nets.mini_chain()
     config = SimConfig(seed=3, delays={"alpha": Delay.constant(30.0)}, firing_limit=10)
     state = SimState(net, config)
     state, rec = step(state)
@@ -235,7 +237,7 @@ def test_zero_weight_window_disables_until_breakpoint():
 
 
 def test_firing_limit_zero_gives_empty_trace():
-    net = fixtures.mini_chain()
+    net = mini_nets.mini_chain()
     trace = run(net, SimConfig(seed=1, firing_limit=0))
     assert trace.records == ()
     assert trace.termination == "firing_limit"
@@ -348,7 +350,7 @@ def test_a_scheduled_identifier_is_never_minted_for_an_arrival():
 def test_coarsen_and_slow_branch_tag_firings():
     from logforge.patterns import PatternApplication
     from logforge.transform import apply_sequence
-    net = fixtures.mini_chain()
+    net = mini_nets.mini_chain()
     ml, _ = apply_sequence(net, [
         PatternApplication("slow", "BI_11", {"t": "alpha"},
                            {"probability": 1.0, "delay": Delay.constant(500.0)}),
@@ -365,7 +367,7 @@ def test_coarsen_and_slow_branch_tag_firings():
 
 
 def test_final_marking_terminates_run():
-    net = fixtures.mini_chain()
+    net = mini_nets.mini_chain()
     done = Net(net.object_types, net.places, net.transitions, net.arcs,
                net.initial_marking, final_marking=Marking.of({"p2": [["i_1"]]}))
     trace = run(done, SimConfig(seed=1))
