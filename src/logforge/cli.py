@@ -77,12 +77,7 @@ def _cmd_simulate(args) -> int:
     config = SimConfig.from_dict(logio.read_json(args.config)) if args.config else SimConfig()
     if args.seed is not None:
         config = replace(config, seed=args.seed)
-    trace = run(net, config)
-    os.makedirs(args.out, exist_ok=True)
-    log = logio.project_observed(trace)
-    logio.write_trace(trace, os.path.join(args.out, "trace.gt.jsonl"))
-    logio.write_observed_jsonl(log, os.path.join(args.out, "log.jsonl"))
-    logio.write_observed_csv(log, os.path.join(args.out, "log.csv"))
+    logio.write_run(run(net, config), args.out)
     return 0
 
 

@@ -163,9 +163,8 @@ def _build_pair(m0: Net, m0_digest: str, cell: Cell) -> ModelPair | Exception:
 
 def _cell_paths(cell: Cell) -> dict:
     """The cell's five files, relative to the dataset directory."""
-    return {key: os.path.join("cells", cell.cell_id, name) for key, name in (
-        ("model", "model.json"), ("ledger", "ledger.json"), ("trace", "trace.gt.jsonl"),
-        ("log_jsonl", "log.jsonl"), ("log_csv", "log.csv"))}
+    names = {"model": "model.json", "ledger": "ledger.json", **logio.RUN_FILES}
+    return {key: os.path.join("cells", cell.cell_id, name) for key, name in names.items()}
 
 
 def _failed(cell: Cell, error: Exception, out_dir: str) -> dict:
@@ -194,11 +193,7 @@ def _generate_cell(job: tuple) -> tuple[dict, Exception | None]:
         if isinstance(pair, Exception):
             raise pair
         trace = run(pair.ml, config, lineage=pair.digests)
-        log = logio.project_observed(trace)
-        paths = _cell_paths(cell)
-        logio.write_trace(trace, os.path.join(out_dir, paths["trace"]))
-        logio.write_observed_jsonl(log, os.path.join(out_dir, paths["log_jsonl"]))
-        logio.write_observed_csv(log, os.path.join(out_dir, paths["log_csv"]))
+        log = logio.write_run(trace, os.path.join(out_dir, "cells", cell.cell_id))
     except Exception as e:  # noqa: BLE001 - per-cell failures surface with the cell id
         return _failed(cell, e, out_dir), e
     return {
@@ -212,7 +207,7 @@ def _generate_cell(job: tuple) -> tuple[dict, Exception | None]:
         "application_ids": [a.application_id for a in cell.behavioral + cell.recording],
         "digests": dict(pair.digests),
         "config_digest": trace.config_digest,
-        "paths": paths,
+        "paths": _cell_paths(cell),
         "pattern_counts": {app: dict(stats) for app, stats in trace.pattern_stats.items()},
         "object_counts": dict(Counter(log.objects.values())),
         "events": len(log.events),

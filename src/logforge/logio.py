@@ -7,7 +7,8 @@ and written atomically (temp file + rename) so failures never leave partial
 output behind; a written file gets the mode `open(path, "w")` would give it.
 Every JSON document and JSONL line is encoded by `canonical_json`, keys
 sorted at every level, and `write_jsonl` writes every JSONL file: the trace,
-the observed log and the oracle's alignments.  The readers check each
+the observed log and the oracle's alignments.  `write_run` writes a run's
+files, under the names only `RUN_FILES` spells.  The readers check each
 object's keys before its fields, as the model reader does.  A trace or log
 reader keeps one sharing table per file read, so that equal leaves of the
 file come back as one object: provenance tags, transitions and activities,
@@ -22,14 +23,13 @@ observed event.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import os
 import threading
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, fields
-from itertools import chain, count, islice
+from itertools import chain, count
 
 from .nets import BASE, OBJECT_SEPARATOR, Net
 from .patterns import provenance_breaches
@@ -243,20 +243,11 @@ def read_model(path: str) -> Net:
     return net
 
 
-# how many lines `write_jsonl` joins into one write: few calls, and only a
-# batch of text held at a time
-_LINES_PER_WRITE = 1024
-
-
 def write_jsonl(dicts: Iterable[dict], path: str) -> None:
-    """Write `dicts` to `path`, one `canonical_json` line each, encoding them
-    as they are written, one batch of lines at a time."""
-    def write(fh):
-        lines = map(canonical_json, dicts)
-        while batch := list(islice(lines, _LINES_PER_WRITE)):
-            batch.append("")  # each line ends in a newline
-            fh.write("\n".join(batch))
-    _atomic_write_with(path, write)
+    """Write `dicts` to `path`, one `canonical_json` line each, each line
+    handed to the file as it is encoded."""
+    lines = (canonical_json(d) + "\n" for d in dicts)
+    _atomic_write_with(path, lambda fh: fh.writelines(lines))
 
 
 # -- ground-truth traces ------------------------------------------------------
@@ -642,13 +633,12 @@ CSV_FIELDS = ("event_id", "timestamp", "activity", "objects", "run_id")
 
 
 def write_observed_csv(log: ObservedLog, path: str) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(CSV_FIELDS)
-    for e in log.events:
-        writer.writerow([e.event_id, e.timestamp, e.activity,
-                         OBJECT_SEPARATOR.join(e.objects), e.run_id])
-    atomic_write(path, buf.getvalue())
+    def write(fh):
+        writer = csv.writer(fh)
+        writer.writerow(CSV_FIELDS)
+        writer.writerows([e.event_id, e.timestamp, e.activity,
+                          OBJECT_SEPARATOR.join(e.objects), e.run_id] for e in log.events)
+    _atomic_write_with(path, write)
 
 
 def read_observed_csv(path: str) -> ObservedLog:
@@ -671,6 +661,20 @@ def read_observed_csv(path: str) -> ObservedLog:
                 tuple(o for o in objects.split(OBJECT_SEPARATOR) if o), run_id))
     return ObservedLog(events=tuple(events), objects=None,
                        run_id=events[0].run_id if events else "")
+
+
+# a run's file names, by the keys of their paths in a dataset manifest
+RUN_FILES = {"trace": "trace.gt.jsonl", "log_jsonl": "log.jsonl", "log_csv": "log.csv"}
+
+
+def write_run(trace: GroundTruthTrace, directory: str) -> ObservedLog:
+    """Write `trace` and its observed log, as JSONL and as CSV, into
+    `directory` under the names RUN_FILES gives: the log written."""
+    log = project_observed(trace)
+    write_trace(trace, os.path.join(directory, RUN_FILES["trace"]))
+    write_observed_jsonl(log, os.path.join(directory, RUN_FILES["log_jsonl"]))
+    write_observed_csv(log, os.path.join(directory, RUN_FILES["log_csv"]))
+    return log
 
 
 # -- small json documents -------------------------------------------------------

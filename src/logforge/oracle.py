@@ -37,7 +37,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 
-from .logio import ObservedLog, ParseError, projection, read_jsonl, write_jsonl
+from .logio import (ObservedLog, ParseError, SchemaVersionMismatch, projection, read_jsonl,
+                    write_jsonl)
 from .nets import Net
 from .simulate import FiringRecord, GroundTruthTrace
 
@@ -358,16 +359,14 @@ def write_alignment(alignment: GtAlignment, path: str) -> None:
     """Write `alignment` as a schema "2" file: one line per move, grouped by
     identity, so a Move object filed under k objects is one line."""
     places: dict[int, list] = {}  # id(move) -> its [object, seq] places
-    moves: dict[int, Move] = {}  # id(move) -> move, in order of first appearance
+    order: list[Move] = []  # each move once, in order of first appearance
     for obj, obj_moves in sorted(alignment.per_object.items()):
         for seq, move in enumerate(obj_moves):
-            key = id(move)
             try:
-                places[key].append([obj, seq])
+                places[id(move)].append([obj, seq])
             except KeyError:
-                places[key] = [[obj, seq]]
-                moves[key] = move
-    order = moves.values()
+                places[id(move)] = [[obj, seq]]
+                order.append(move)
     if alignment.system is not None:
         # a move of `system` on no object has no place, and no line
         placed = [m for m in alignment.system if id(m) in places]
@@ -440,13 +439,16 @@ def _are_places(at) -> bool:
 
 def read_alignment(path: str) -> GtAlignment:
     """The alignment in an interchange file: of schema "2" when its first line
-    is the schema "2" header, else of schema "1".  A malformed line raises
-    ParseError naming its first malformed field, its places first, and
-    path:line."""
+    is a header, else of schema "1", whose first line is a move.  A header of
+    another schema version raises SchemaVersionMismatch naming it and path.
+    A malformed line raises ParseError naming its first malformed field, its
+    places first, and path:line."""
     lines = read_jsonl(path)
     first = next(lines, None)
-    systemic = first is not None and first[1].get("kind") == "alignment" \
-        and first[1].get("schema_version") == ALIGNMENT_SCHEMA_VERSION
+    systemic = first is not None and first[1].get("kind") == "alignment"
+    if systemic and (version := first[1].get("schema_version")) != ALIGNMENT_SCHEMA_VERSION:
+        raise SchemaVersionMismatch(f"{path}: alignment schema_version {version!r}, "
+                                    f"expected {ALIGNMENT_SCHEMA_VERSION!r}")
     if first is not None and not systemic:
         lines = chain([first], lines)
     system: list[Move] = []

@@ -163,16 +163,3 @@ def net_from_dict(d: dict) -> Net:
 
 def net_digest(net: Net) -> str:
     return digest_of(net_to_dict(net))
-
-
-def net_canonical_digest(net: Net) -> str:
-    """Digest insensitive to element order: nets built by applying the same
-    transformations in a different order compare equal."""
-    d = net_to_dict(net)
-    d["object_types"].sort(key=canonical_json)
-    d["places"].sort(key=canonical_json)
-    d["transitions"].sort(key=canonical_json)
-    d["arcs"].sort(key=canonical_json)
-    for key in ("weights", "overrides", "probes", "report_rules"):
-        d["annotations"][key].sort(key=canonical_json)
-    return digest_of(d)

@@ -309,10 +309,10 @@ class SimState:
     ids in sorted order.  A transition is re-enumerated only when a token
     enters one of its input places while all of them hold some, or leaves
     one while it is enabled; when that place empties, its rows are dropped
-    without an enumeration.  The flat list of (transition, row) firings is
-    rebuilt whenever some transition's rows changed.  A step takes one
-    share per enabled transition from `_rows`, and a total share of zero
-    advances the clock.  A firing reads its
+    without an enumeration.  `firings()` builds the flat list of
+    (transition, row) firings from `_live` and `_rows` on each call.  A step
+    takes one share per enabled transition from `_rows`, and a total share
+    of zero advances the clock.  A firing reads its
     transition's plan (`_plans`) and nothing else of the annotations.  Each
     identifier's object type is recorded where it enters the run: from the
     initial marking, a schedule, an arrival, or a firing that mints it.
@@ -343,7 +343,6 @@ class SimState:
         self._rows: dict[str, list[tuple[str, ...]]] = {}
         self._live: list[str] = []   # the keys of _rows, sorted
         self._consumers = net.consumers_of
-        self._firings: list[tuple[str, tuple[str, ...]]] | None = None
 
         # one stats dict per application; the first annotation naming it
         # gives its pattern code
@@ -455,11 +454,11 @@ class SimState:
                     else:
                         del rows[tid]
                         self._live.remove(tid)
-                        self._firings = None
 
     def firings(self) -> list[tuple[str, tuple[str, ...]]]:
         """Every enabled (transition, row) firing, in transition id order,
-        then row order.  The list is replaced, never changed in place."""
+        then row order: a new list on each call, built from the kept rows
+        once the transitions marked dirty are enumerated again."""
         dirty = self._dirty
         if dirty:
             kept, live, net, marking = self._rows, self._live, self.net, self.marking
@@ -473,11 +472,8 @@ class SimState:
                     del kept[tid]
                     live.remove(tid)
             dirty.clear()
-            self._firings = None
-        if self._firings is None:
-            kept = self._rows
-            self._firings = [(tid, row) for tid in self._live for row in kept[tid]]
-        return self._firings
+        kept = self._rows
+        return [(tid, row) for tid in self._live for row in kept[tid]]
 
     # -- stepping -----------------------------------------------------------
 

@@ -1,11 +1,13 @@
 """Small demonstration nets for the tests, one valid mapping per catalog
-pattern.
+pattern, and an order-insensitive net digest to compare the nets that
+patterns build.
 
 Each net stays under six identifiers so brute-force language enumeration is
 cheap; together the cases cover all sixteen codes.
 """
 from logforge.nets import Arc, Marking, Net, ObjectType, Place, Transition, Variable
 from logforge.patterns import PatternApplication
+from logforge.serialize import canonical_json, digest_of, net_to_dict
 
 
 def _arcs(spec) -> list[Arc]:
@@ -133,3 +135,16 @@ def additivity_cases() -> list[tuple[str, Net, PatternApplication]]:
         ("BI_10", mini_batch(), PatternApplication("c15", "BI_10", {"t": "release"}, {"drop": [1]})),
         ("BI_11", chain, PatternApplication("c16", "BI_11", {"t": "alpha"})),
     ]
+
+
+def net_canonical_digest(net: Net) -> str:
+    """Digest insensitive to element order: nets built by applying the same
+    transformations in a different order compare equal."""
+    d = net_to_dict(net)
+    d["object_types"].sort(key=canonical_json)
+    d["places"].sort(key=canonical_json)
+    d["transitions"].sort(key=canonical_json)
+    d["arcs"].sort(key=canonical_json)
+    for key in ("weights", "overrides", "probes", "report_rules"):
+        d["annotations"][key].sort(key=canonical_json)
+    return digest_of(d)

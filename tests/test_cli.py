@@ -410,6 +410,25 @@ def test_oracle_score_malformed_systemic_alignment_exits_two(tmp_path, capsys, b
     assert diag["message"] == f"{message} at {bad}:3"
 
 
+@pytest.mark.parametrize("header,version", [
+    ('{"kind":"alignment","schema_version":"3"}', "'3'"),
+    ('{"kind":"alignment","schema_version":2}', "2"),
+    ('{"kind":"alignment"}', "None"),
+], ids=["schema-3", "number-version", "no-version"])
+def test_oracle_score_refuses_an_alignment_header_of_another_schema(tmp_path, capsys, header,
+                                                                     version):
+    good = tmp_path / "gt.jsonl"
+    good.write_text(ALIGNMENT_HEADER + "\n" + GOOD_SYSTEMIC_MOVE + "\n")
+    bad = tmp_path / "cand.jsonl"
+    bad.write_text(header + "\n" + GOOD_SYSTEMIC_MOVE + "\n")
+    code, out, err = run_cli(capsys, "oracle", "score", "--candidate", str(bad),
+                             "--gt", str(good))
+    assert code == 2 and not out
+    [diag] = stderr_diagnostics(err)
+    assert diag["code"] == "SchemaVersionMismatch"
+    assert diag["message"] == f"{bad}: alignment schema_version {version}, expected '2'"
+
+
 def test_oracle_score_reads_a_systemic_alignment_line_with_an_extra_key(tmp_path, capsys):
     good = tmp_path / "gt.jsonl"
     good.write_text(GOOD_MOVE + "\n")

@@ -352,6 +352,27 @@ def test_atomic_write_replaces_only_on_success(tmp_path):
     assert leftovers == []
 
 
+def _good_event(i: int) -> logio.ObservedEvent:
+    return logio.ObservedEvent(f"r-{i:06d}", "2024-03-04T08:00:00Z", "a", ("o_1",), "r")
+
+
+@pytest.mark.parametrize("write,bad", [
+    # canonical_json refuses a set after more good lines than the file buffer holds
+    (logio.write_jsonl, [{"seq": i} for i in range(5000)] + [{"seq": {1}}]),
+    # a non-string object fails the join after as many good rows
+    (logio.write_observed_csv,
+     logio.ObservedLog(tuple(map(_good_event, range(5000)))
+                       + (logio.ObservedEvent("r-x", "t", "a", ("o_1", 7), "r"),), None, "r")),
+], ids=["jsonl", "csv"])
+def test_a_streamed_write_that_fails_leaves_the_old_file(tmp_path, write, bad):
+    target = tmp_path / "out"
+    target.write_bytes(b"old\n")
+    with pytest.raises(TypeError):
+        write(bad, str(target))
+    assert target.read_bytes() == b"old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+
 def test_link_write_replaces_a_file_with_a_link_and_leaves_no_temporary(tmp_path):
     src, target = tmp_path / "src.json", tmp_path / "out.json"
     src.write_text("new")
