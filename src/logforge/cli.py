@@ -92,7 +92,6 @@ def _cmd_dataset(args) -> int:
 
 def _cmd_fixture(args) -> int:
     net, grid = fixtures.fixture(args.name)
-    os.makedirs(args.out, exist_ok=True)
     if args.seed is not None:
         grid.master_seed = args.seed
     logio.write_model(net, os.path.join(args.out, "m0.json"))
@@ -100,33 +99,35 @@ def _cmd_fixture(args) -> int:
     return 0
 
 
-def _cmd_oracle(args) -> int:
-    if args.oracle_cmd == "align":
-        m0 = _read_model(args.model)
-        net = _read_model(args.net) if args.net else None
-        digests = {"m0": net_digest(m0)}
-        if net is not None:
-            digests["ml"] = net_digest(net)
-        trace = logio.read_trace(args.trace, net=net, digests=digests)
-        log = logio.read_observed_jsonl(args.log)
-        alignment = oracle.gt_alignment(m0, trace, log)
-        oracle.write_alignment(alignment, args.out)
-        return 0
-    if args.oracle_cmd == "report":
-        trace = logio.read_trace(args.trace)
-        report = oracle.deviation_report(trace)
-        text = json.dumps(report.to_dict(), sort_keys=True, indent=2)
-        if args.out:
-            logio.atomic_write(args.out, text + "\n")
-        else:
-            print(text)
-        return 0
-    if args.oracle_cmd == "score":
-        candidate = oracle.read_alignment(args.candidate)
-        gt = oracle.read_alignment(args.gt)
-        print(f"{oracle.move_distance(candidate, gt):.6f}")
-        return 0
-    raise ValueError(args.oracle_cmd)
+def _cmd_oracle_align(args) -> int:
+    m0 = _read_model(args.model)
+    net = _read_model(args.net) if args.net else None
+    digests = {"m0": net_digest(m0)}
+    if net is not None:
+        digests["ml"] = net_digest(net)
+    trace = logio.read_trace(args.trace, net=net, digests=digests)
+    log = logio.read_observed_jsonl(args.log)
+    alignment = oracle.gt_alignment(m0, trace, log)
+    oracle.write_alignment(alignment, args.out)
+    return 0
+
+
+def _cmd_oracle_report(args) -> int:
+    trace = logio.read_trace(args.trace)
+    report = oracle.deviation_report(trace)
+    text = json.dumps(report.to_dict(), sort_keys=True, indent=2)
+    if args.out:
+        logio.atomic_write(args.out, text + "\n")
+    else:
+        print(text)
+    return 0
+
+
+def _cmd_oracle_score(args) -> int:
+    candidate = oracle.read_alignment(args.candidate)
+    gt = oracle.read_alignment(args.gt)
+    print(f"{oracle.move_distance(candidate, gt):.6f}")
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -182,15 +183,15 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--trace", required=True)
     pa.add_argument("--log", required=True)
     pa.add_argument("--out", required=True)
-    pa.set_defaults(fn=_cmd_oracle)
+    pa.set_defaults(fn=_cmd_oracle_align)
     pr = osub.add_parser("report")
     pr.add_argument("--trace", required=True)
     pr.add_argument("--out", default=None)
-    pr.set_defaults(fn=_cmd_oracle)
+    pr.set_defaults(fn=_cmd_oracle_report)
     psc = osub.add_parser("score")
     psc.add_argument("--candidate", required=True)
     psc.add_argument("--gt", required=True)
-    psc.set_defaults(fn=_cmd_oracle)
+    psc.set_defaults(fn=_cmd_oracle_score)
 
     return parser
 

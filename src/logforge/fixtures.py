@@ -24,16 +24,10 @@ class UnknownFixture(Exception):
     pass
 
 
-FIXTURES = ("package_delivery", "energy_contract", "assembly")
-
 # master seeds pinned so that every grid cell exhibits its designated pattern
 PACKAGE_MASTER_SEED = 5
 ENERGY_MASTER_SEED = 20240302
 ASSEMBLY_MASTER_SEED = 25
-
-
-def _v(name: str, otype: str, fresh: bool = False) -> Variable:
-    return Variable(name, otype, fresh)
 
 
 def _arcs(spec) -> list[Arc]:
@@ -100,9 +94,10 @@ def package_delivery_net() -> Net:
         Transition("deliver_depot", "deliver depot"),
         Transition("collect", "collect", record_spec=("x", "dp")),
     )
-    x, w, vn, cr, dp = _v("x", pkg), _v("w", we), _v("vn", van), _v("cr", cour), _v("dp", dep)
-    s, s2 = _v("s", q), _v("s2", q)
-    b = _v("b", q)
+    x, w, vn = Variable("x", pkg), Variable("w", we), Variable("vn", van)
+    cr, dp = Variable("cr", cour), Variable("dp", dep)
+    s, s2 = Variable("s", q), Variable("s2", q)
+    b = Variable("b", q)
     arcs = _arcs([
         ("p_new", "order_home", (x,)),
         ("order_home", "p_queue_in", (x,)),
@@ -296,8 +291,8 @@ def energy_contract_net() -> Net:
         Transition("approve", "approve contract"),
         Transition("finish_batch"),
     )
-    a, g, m = _v("a", app), _v("g", ag), _v("m", mgr)
-    a1, a2 = _v("a1", app), _v("a2", app)
+    a, g, m = Variable("a", app), Variable("g", ag), Variable("m", mgr)
+    a1, a2 = Variable("a1", app), Variable("a2", app)
     arcs = _arcs([
         ("p_new", "receive", (a,)),
         ("receive", "p_received", (a,)),
@@ -440,13 +435,13 @@ def assembly_net() -> Net:
                Place("p_op2", (op2,), "resource_idle"),
                Place("p_op3", (op3,), "resource_idle"),
                Place("p_busy_b", (prod, op2, st), "correlation")]
-    x, k = _v("x", prod), _v("k", st)
+    x, k = Variable("x", prod), Variable("k", st)
     transitions: list[Transition] = []
     arcs: list[Arc] = []
     nexts = dict(zip(stages, list(stages[1:]) + ["done"]))
     for s in stages:
         pool, optype = operator_of[s]
-        o = _v("o", optype)
+        o = Variable("o", optype)
         target = "p_done" if nexts[s] == "done" else f"p_ready_{nexts[s]}"
         if s == "b":
             transitions.append(Transition("start_b", "stage B", record_spec=("x", "o")))
@@ -544,11 +539,12 @@ def assembly_fixture() -> tuple[Net, GridSpec]:
     return net, grid
 
 
+FIXTURES = {"package_delivery": package_delivery_fixture,
+            "energy_contract": energy_contract_fixture,
+            "assembly": assembly_fixture}
+
+
 def fixture(name: str) -> tuple[Net, GridSpec]:
-    if name == "package_delivery":
-        return package_delivery_fixture()
-    if name == "energy_contract":
-        return energy_contract_fixture()
-    if name == "assembly":
-        return assembly_fixture()
-    raise UnknownFixture(name)
+    if name not in FIXTURES:
+        raise UnknownFixture(name)
+    return FIXTURES[name]()

@@ -282,11 +282,13 @@ def _identifiers(value, what: str) -> tuple[str, ...]:
     raise ValueError(f"{what!r} must be a list of strings, got {value!r}")
 
 
-def _shared_strings(items: list, shared: dict, what: str) -> tuple[str, ...]:
+def _shared_strings(items, shared: dict, what: str) -> tuple[str, ...]:
     """`items`, a JSON list of strings, as a tuple; else a ValueError naming
     `what`.  Equal lists decoded with one `shared` table come back as one
     tuple.  Only strings and tuples of strings stay in a table, so a list
     equal to a tuple in it holds only strings and needs no check."""
+    if type(items) is not list:
+        return _identifiers(items, what)  # which raises
     strings = tuple(items)
     try:
         held = shared.setdefault(strings, strings)
@@ -342,8 +344,8 @@ def _place(pid, what: str) -> str:
     return pid
 
 
-def record_from_dict(d: dict, tags: dict | None = None, net: Net | None = None,
-                     index: int | None = None, *, shared: dict) -> FiringRecord:
+def record_from_dict(d: dict, tags: dict, net: Net | None, index: int, *,
+                     shared: dict) -> FiringRecord:
     """Decode a trace record, checking its keys, then each field in field
     order: the first defect raises ConfigInvalid, ValueError or TypeError.
     Records decoded with one `tags` table (a file's) share their equal
@@ -351,9 +353,9 @@ def record_from_dict(d: dict, tags: dict | None = None, net: Net | None = None,
     raises its first.  Records decoded with one `shared` table (a file's, too)
     share their equal transitions and activities, and their equal tokens,
     [variable, identifier] pairs and recorded objects, each one tuple.
-    Given `index`, the record's place among its file's records, `seq_no`
-    must equal it, as the writer numbers them.  Given `net`, the transition
-    must be one of its.
+    `seq_no` must equal `index`, the record's place among its file's
+    records, as the writer numbers them.  Given `net`, the transition must be
+    one of its.
 
     Each field's type is tested in place; a defect calls the check that
     words its diagnostic (`typed`, `_place`, `_identifiers`), which raises,
@@ -365,7 +367,7 @@ def record_from_dict(d: dict, tags: dict | None = None, net: Net | None = None,
     seq_no, time, transition = get("seq_no"), get("time"), get("transition")
     if type(seq_no) is not int:
         typed(d, "seq_no", (int,))
-    if seq_no != index and index is not None:
+    if seq_no != index:
         raise ValueError(f"'seq_no' must count the records 0, 1, 2, ... in file order: "
                          f"expected {index}, got {seq_no}")
     if not (type(time) is float and time == time or type(time) is int):  # NaN != NaN
@@ -396,8 +398,6 @@ def record_from_dict(d: dict, tags: dict | None = None, net: Net | None = None,
     for pid, tok in entries:
         if type(pid) is not str:
             _place(pid, "consumed")
-        if type(tok) is not list:
-            _identifiers(tok, "consumed")
         consumed.append((pid, _shared_strings(tok, shared, "consumed")))
     entries = get("produced", ())
     if type(entries) is not list:
@@ -406,16 +406,11 @@ def record_from_dict(d: dict, tags: dict | None = None, net: Net | None = None,
     for pid, tok, avail in entries:
         if type(pid) is not str:
             _place(pid, "produced")
-        if type(tok) is not list:
-            _identifiers(tok, "produced")
         tok = _shared_strings(tok, shared, "produced")
         if not (type(avail) is float and avail == avail or type(avail) is int):  # NaN != NaN
             raise ValueError(f"'produced' availability times must be numbers, got {avail!r}")
         produced.append((pid, tok, avail))
-    recorded = get("recorded_objects", [])
-    if type(recorded) is not list:
-        _identifiers(recorded, "recorded_objects")
-    recorded = _shared_strings(recorded, shared, "recorded_objects")
+    recorded = _shared_strings(get("recorded_objects", []), shared, "recorded_objects")
     window = get("coarsen_window")
     if window is not None and not (type(window) is float and window == window
                                    or type(window) is int):
@@ -536,8 +531,6 @@ class ObservedEvent:
             typed(d, "timestamp", (str,))
         if type(activity) is not str:
             typed(d, "activity", (str,))
-        if type(objects) is not list:
-            _identifiers(objects, "objects")
         objects = _shared_strings(objects, shared, "objects")
         if type(run_id) is not str:
             typed(d, "run_id", (str,), "")

@@ -142,9 +142,9 @@ class Marking:
         self._tokens: dict[str, dict[tuple[str, ...], int]] = {}
 
     @classmethod
-    def of(cls, tokens: dict[str, list] | None = None) -> "Marking":
+    def of(cls, tokens: dict[str, list]) -> "Marking":
         m = cls()
-        for pid, toks in (tokens or {}).items():
+        for pid, toks in tokens.items():
             for tok in toks:
                 m.add(pid, tuple(tok))
         return m
@@ -207,12 +207,6 @@ class Marking:
                 return False
         return True
 
-    def freeze(self) -> tuple:
-        return tuple(
-            (pid, tuple(sorted(cnt.items())))
-            for pid, cnt in sorted(self._tokens.items())
-        )
-
     def to_lists(self) -> dict[str, list[list[str]]]:
         out: dict[str, list[list[str]]] = {}
         for pid, cnt in sorted(self._tokens.items()):
@@ -223,7 +217,9 @@ class Marking:
         return out
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Marking) and self.freeze() == other.freeze()
+        """The same tokens, each as many times.  The tables can be compared
+        as they are: they keep no zero count and no empty place."""
+        return isinstance(other, Marking) and self._tokens == other._tokens
 
     def __repr__(self) -> str:
         return f"Marking({dict(self._tokens)!r})"

@@ -119,11 +119,7 @@ def _cause(record: FiringRecord) -> Cause:
 
 
 def _bound_objects(record: FiringRecord) -> tuple[str, ...]:
-    seen: list[str] = []
-    for _, ident in record.values:
-        if ident not in seen:
-            seen.append(ident)
-    return tuple(seen)
+    return tuple(dict.fromkeys([ident for _, ident in record.values]))
 
 
 def _shadow_label(m0: Net, record: FiringRecord) -> str | None:

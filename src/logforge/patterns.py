@@ -153,7 +153,9 @@ class BuiltFragment:
         weight, its report rule and, when given, a fixed production delay;
         return its id."""
         tid = _eid(local, app)
-        self.transitions.append(Transition(tid, label, _prov(app, shadow), record_spec))
+        tag = ProvenanceTag(origin=_origin_of(app.code), pattern_code=app.code,
+                            application_id=app.application_id, shadow_of=shadow)
+        self.transitions.append(Transition(tid, label, tag, record_spec))
         self.weights[tid] = weight
         if delay is not None:
             self.overrides.append(TimingOverride("delay", (tid,), app.application_id,
@@ -213,11 +215,6 @@ def provenance_breaches(tag: ProvenanceTag) -> list[str]:
     if origin != "base" and not tag.application_id:
         out.append(f"origin {origin!r} needs an application_id")
     return out
-
-
-def _prov(app: PatternApplication, shadow: str | None = None) -> ProvenanceTag:
-    return ProvenanceTag(origin=_origin_of(app.code), pattern_code=app.code,
-                         application_id=app.application_id, shadow_of=shadow)
 
 
 def _copy_arcs(net: Net, tid: str, new_tid: str) -> list[Arc]:

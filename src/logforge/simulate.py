@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_right, insort
+from bisect import bisect_left, bisect_right, insort
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timedelta, timezone
@@ -269,23 +269,27 @@ def _shares(enabled, weights: WeightSpec, eta: float) -> list[float]:
 
 def sample_firing(enabled, weights: WeightSpec, eta: float, rng, *, shares=None):
     """The first firing whose running share sum exceeds one uniform draw
-    scaled to the total; a total of zero raises AllWeightsZero.  Only each
-    firing's transition, `enabled[i][0]`, is read, so a firing may carry a
-    Binding or a positional row.
+    scaled to the total, the last running sum; a total of zero raises
+    AllWeightsZero.  Where rounding puts the scaled draw at the total (a
+    subnormal or overflowed total), the last firing with a share is taken,
+    so a firing whose share is 0 is never drawn.  Only each firing's
+    transition, `enabled[i][0]`, is read, so a firing may carry a Binding or
+    a positional row.
 
     `shares`, when given, are the firings' shares in `enabled`'s order:
     each its transition's weight split evenly over the transition's enabled
-    firings.  The simulator passes those it computes per transition
-    (`SimState.shares`)."""
+    firings.  The simulator passes those of its snapshot
+    (`SimState.enabled`)."""
     if not enabled:
         raise ValueError("no enabled firings to sample from")
     if shares is None:
         shares = _shares(enabled, weights, eta)
-    total = sum(shares)
+    ends = list(accumulate(shares))
+    total = ends[-1]
     if total <= 0:
         raise AllWeightsZero("all enabled firings have zero weight")
-    i = bisect_right(list(accumulate(shares)), rng.random() * total)
-    return enabled[i] if i < len(enabled) else enabled[-1]
+    i = bisect_right(ends, rng.random() * total)
+    return enabled[i] if i < len(ends) else enabled[bisect_left(ends, total)]
 
 
 class _TransitionPlan(NamedTuple):
@@ -309,13 +313,13 @@ class SimState:
     ids in sorted order.  A transition is re-enumerated only when a token
     enters one of its input places while all of them hold some, or leaves
     one while it is enabled; when that place empties, its rows are dropped
-    without an enumeration.  `firings()` builds the flat list of
-    (transition, row) firings from `_live` and `_rows` on each call.  A step
-    takes one share per enabled transition from `_rows`, and a total share
-    of zero advances the clock.  A firing reads its
-    transition's plan (`_plans`) and nothing else of the annotations.  Each
-    identifier's object type is recorded where it enters the run: from the
-    initial marking, a schedule, an arrival, or a firing that mints it.
+    without an enumeration.  Each step takes one snapshot, `enabled()`: the
+    flat list of (transition, row) firings and their shares, one weight
+    lookup per enabled transition.  A total share of zero advances the
+    clock.  A firing reads its transition's plan (`_plans`) and nothing else
+    of the annotations.  Each identifier's object type is recorded where it
+    enters the run: from the initial marking, a schedule, an arrival, or a
+    firing that mints it.
     """
 
     def __init__(self, net: Net, config: SimConfig):
@@ -455,10 +459,12 @@ class SimState:
                         del rows[tid]
                         self._live.remove(tid)
 
-    def firings(self) -> list[tuple[str, tuple[str, ...]]]:
+    def enabled(self) -> tuple[list[tuple[str, tuple[str, ...]]], list[float]]:
         """Every enabled (transition, row) firing, in transition id order,
-        then row order: a new list on each call, built from the kept rows
-        once the transitions marked dirty are enumerated again."""
+        then row order, and each firing's share now: its transition's weight
+        split evenly over the transition's rows.  Both are new lists, built
+        in one pass over the kept rows once the transitions marked dirty are
+        enumerated again."""
         dirty = self._dirty
         if dirty:
             kept, live, net, marking = self._rows, self._live, self.net, self.marking
@@ -472,20 +478,16 @@ class SimState:
                     del kept[tid]
                     live.remove(tid)
             dirty.clear()
-        kept = self._rows
-        return [(tid, row) for tid in self._live for row in kept[tid]]
+        at, eta, kept = self.weights.at, self.eta, self._rows
+        firings, shares = [], []
+        for tid in self._live:
+            rows = kept[tid]
+            n = len(rows)
+            firings += [(tid, row) for row in rows]
+            shares += [at(tid, eta) / n] * n
+        return firings, shares
 
     # -- stepping -----------------------------------------------------------
-
-    def shares(self) -> list[float]:
-        """The share of each firing that `firings()` last returned, in its
-        order: one weight lookup per enabled transition."""
-        at, eta, rows = self.weights.at, self.eta, self._rows
-        shares = []
-        for tid in self._live:
-            n = len(rows[tid])
-            shares += [at(tid, eta) / n] * n
-        return shares
 
     def _advance(self, enabled_nonempty: bool):
         horizon = self.config.time_horizon
@@ -635,12 +637,10 @@ def step(state: SimState) -> tuple[SimState, FiringRecord | None]:
         state.done = "firing_limit"
         return state, None
 
-    enabled = state.firings()
-    if enabled:
-        shares = state.shares()
-        if any(shares):   # else every share is 0: the clock advances
-            firing = sample_firing(enabled, state.weights, state.eta, state.rng, shares=shares)
-            return state, state._fire(*firing)
+    enabled, shares = state.enabled()
+    if any(shares):   # else nothing is enabled, or every share is 0: the clock advances
+        firing = sample_firing(enabled, state.weights, state.eta, state.rng, shares=shares)
+        return state, state._fire(*firing)
     state._advance(enabled_nonempty=bool(enabled))
     return state, None
 

@@ -104,8 +104,11 @@ class Delay:
             raise ConfigInvalid("exponential delay needs a positive rate")
         if self.kind == "normal" and self.b < 0:
             raise ConfigInvalid("normal delay needs a non-negative sigma")
-        if self.kind == "uniform" and self.a > self.b:
-            raise ConfigInvalid("uniform delay needs low <= high")
+        if self.kind == "uniform":
+            span = self.b - self.a  # what `Pcg64.uniform` takes: finite, not below 0 or -0.0
+            if not (math.isfinite(span) and math.copysign(1.0, span) > 0):
+                raise ConfigInvalid(f"uniform delay needs high - low to be a finite number "
+                                    f">= 0, got {span!r}")
 
     @classmethod
     def constant(cls, c: float) -> "Delay":

@@ -916,6 +916,19 @@ def test_simulate_bad_config_is_one_diagnostic(tmp_path, capsys, edit):
     assert not os.path.exists(out)
 
 
+def test_simulate_refuses_a_uniform_delay_it_cannot_sample(tmp_path, capsys):
+    # -0.0 - 0.0 is -0.0, which the generator refuses as a negative span
+    model, cpath = write_package_config(tmp_path, capsys, lambda c: c["delays"].update(
+        ring={"kind": "uniform", "a": 0.0, "b": -0.0}))
+    out = str(tmp_path / "sim")
+    code, _, err = run_cli(capsys, "simulate", "--model", model, "--config", cpath, "--out", out)
+    assert code == 1
+    assert stderr_diagnostics(err) == [{
+        "code": "ConfigInvalid", "element": "",
+        "message": "uniform delay needs high - low to be a finite number >= 0, got -0.0"}]
+    assert not os.path.exists(out)
+
+
 def test_simulate_accepts_every_key_to_dict_writes(tmp_path, capsys):
     def edit(c):
         c["arc_delays"] = {"ring->p_rung": {"kind": "constant", "a": 5.0, "b": 0.0}}

@@ -106,7 +106,7 @@ def test_kept_enabled_set_equals_a_fresh_enumeration(name, seed):
         step(state)
         steps += 1
         kept = [(tid, Binding(tuple(zip(net.rules[tid].order, row))))
-                for tid, row in state.firings()]
+                for tid, row in state.enabled()[0]]
         assert kept == enabled_bindings(net, state.marking)
         if name != "energy20" or steps % 10 == 0:
             assert [(tid, b.values) for tid, b in kept] == brute_force(net, state.marking)
@@ -120,7 +120,7 @@ def test_the_kernel_fires_what_sample_firing_draws(name, seed):
     net, config = RUNS[name]
     state = SimState(net, replace(config, seed=seed))
     while state.done is None:
-        enabled = state.firings()
+        enabled, _ = state.enabled()
         before = (state.rng.state, state.rng.inc)
         # numpy's generator at the same state: each step cross-checks numpy
         twin = np.random.Generator(np.random.PCG64())

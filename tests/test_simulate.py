@@ -42,7 +42,7 @@ def enabled_of(net):
 def probabilities(state):
     """Each enabled firing of `state` with its probability: its share of
     the total, as `step` samples it."""
-    firings, shares = state.firings(), state.shares()
+    firings, shares = state.enabled()
     total = sum(shares)
     return [(tid, row, share / total) for (tid, row), share in zip(firings, shares)]
 
@@ -100,6 +100,40 @@ def test_all_weights_zero_raises():
         sample_firing(enabled_of(net), ws, 0.0, np.random.default_rng(0))
 
 
+class TopDraw:
+    """A generator whose every uniform is the largest double below 1."""
+
+    def random(self):
+        return 1 - 2**-53
+
+
+@pytest.mark.parametrize("shares", [[5e-324, 0.0], [1e308, 1e308, 0.0]],
+                         ids=["subnormal-total", "overflowed-total"])
+def test_the_top_draw_never_takes_a_zero_share(shares):
+    # rounding puts the scaled draw at the total: the last firing with a
+    # share is taken, not the zero-share firing after it
+    enabled = [(f"t{i}", ()) for i in range(len(shares))]
+    drawn = sample_firing(enabled, WeightSpec(), 0.0, TopDraw(), shares=shares)
+    assert shares[enabled.index(drawn)] > 0
+
+
+def test_a_compensated_sum_does_not_bend_the_draw(monkeypatch):
+    # from Python 3.12 on, `sum` adds floats with compensation, and ten
+    # shares of 0.1 total 1.0, above their last running sum; `math.fsum`
+    # stands in for it on any version
+    from logforge import simulate
+    monkeypatch.setattr(simulate, "sum", math.fsum, raising=False)
+    shares = [0.1] * 10 + [0.0]
+    enabled = [(f"t{i}", ()) for i in range(len(shares))]
+    assert sample_firing(enabled, WeightSpec(), 0.0, TopDraw(), shares=shares) != enabled[-1]
+
+
+def test_a_zero_weight_transition_never_fires_beside_a_subnormal_one():
+    trace = run(loop_net(), SimConfig(seed=3, firing_limit=200,
+                                      weights={"a": [[0.0, 5e-324]], "b": [[0.0, 0.0]]}))
+    assert [r.transition for r in trace.records] == ["a"] * 200
+
+
 def lone_net():
     """One self-loop transition `a` on one token: a lone enabled firing."""
     types = (ObjectType("tok", "t"),)
@@ -113,7 +147,7 @@ def test_lone_zero_weight_firing_draws_nothing_and_the_clock_advances():
     state = SimState(net, SimConfig(firing_limit=5, weights={"a": [[0.0, 0.0], [10.0, 1.0]]}))
     before = (state.rng.state, state.rng.inc)
     with pytest.raises(AllWeightsZero):
-        sample_firing(state.firings(), state.weights, 0.0, state.rng)
+        sample_firing(state.enabled()[0], state.weights, 0.0, state.rng)
     assert (state.rng.state, state.rng.inc) == before
     _, record = step(state)
     assert record is None and state.eta == 10.0
@@ -125,7 +159,7 @@ def test_lone_zero_weight_firing_draws_nothing_and_the_clock_advances():
 def test_lone_positive_weight_firing_draws_exactly_one_uniform():
     net = lone_net()
     rng, twin = np.random.default_rng(5), np.random.default_rng(5)
-    [firing] = SimState(net, SimConfig(firing_limit=1)).firings()
+    [firing], _ = SimState(net, SimConfig(firing_limit=1)).enabled()
     assert sample_firing([firing], WeightSpec(), 0.0, rng) == firing
     twin.random()
     assert rng.bit_generator.state == twin.bit_generator.state
@@ -384,6 +418,21 @@ def test_delay_parameters_validated():
         Delay.uniform(5.0, 1.0)
     rng = np.random.default_rng(0)
     assert Delay.constant(-5.0).sample(rng) == 0.0  # clamped, never negative
+
+
+@pytest.mark.parametrize("low,high", [(0.0, -0.0), (-1.7e308, 1.7e308), (-1e308, 1e308)],
+                         ids=["negative-zero-span", "overflowed-span", "just-overflowed-span"])
+def test_a_uniform_delay_that_cannot_be_sampled_is_refused(low, high):
+    with pytest.raises(ConfigInvalid, match="high - low to be a finite number >= 0"):
+        Delay.uniform(low, high)
+
+
+def test_a_uniform_delay_with_an_empty_or_wide_span_samples():
+    from logforge.pcg64 import Pcg64
+    rng = Pcg64(0)
+    assert Delay.uniform(-0.0, 0.0).sample(rng) == 0.0
+    assert Delay.uniform(2.0, 2.0).sample(rng) == 2.0
+    assert Delay.uniform(-5e307, 5e307).sample(rng) >= 0.0
 
 
 def test_ml_digest_is_computed_once(monkeypatch):
